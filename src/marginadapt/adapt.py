@@ -155,14 +155,18 @@ def adapt_stream(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     clf = pair.adapted_classifier
     batches = _usable_batches(target, cfg, enc)
     limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
-    any_adaptation = cfg.enable_lm or cfg.enable_le or cfg.enable_li or cfg.enable_bank
     any_gradients = cfg.enable_lm or cfg.enable_le or cfg.enable_li
+    if not (any_gradients or cfg.enable_bank):
+        limit = 0
 
-    bank = init_from_classifier(
-        pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
-        top_k=cfg.top_k,
-    )
-    opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
+    bank = opt = None
+    if limit > 0:
+        bank = init_from_classifier(
+            pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
+            top_k=cfg.top_k,
+        )
+        if any_gradients:
+            opt = Adam(pair.parameters(), lr=cfg.lr)
     mode = _forward_mode(enc)
     source_before = _source_before(pair, source_eval)
 
@@ -179,7 +183,7 @@ def adapt_stream(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
         seen += idx.shape[0]
         cumulative.append(correct / seen)
 
-        if t >= limit or not any_adaptation:
+        if t >= limit:
             continue
         try:
             report, grads, proto_grads = _combined_step(
@@ -252,7 +256,7 @@ def _route_prototype_grads(grads, proto_grads, bank, clf):
         target = np.zeros_like(clf.omega)
         grads["clf.w"] = target
     for class_id, g in proto_grads.items():
-        if bank.supports[class_id]:
+        if bank.counts[class_id]:
             target[:, class_id] += g
 
 

@@ -5,6 +5,13 @@ pseudo-class, averages the best K into a prototype, and overwrites the
 matching classifier column with it. All tie-breaks are deterministic:
 pseudo-labels break toward the lowest class index, eviction prefers the
 oldest record among equals, selection orders by (entropy, arrival step).
+
+The bank is a set of fixed arrays: `features (C, capacity, d)`,
+`entropies (C, capacity)`, `steps (C, capacity)` and `counts (C,)`. Class j
+holds its first `counts[j]` slots in selection order, so its Top-K is a
+leading slice. Eviction is a total order (higher entropy is worse, then the
+older row), so inserting a batch row by row keeps exactly the `capacity`
+best rows of (held + new): one sort per class replaces the row loop.
 """
 
 from __future__ import annotations
@@ -40,9 +47,10 @@ class MemoryBank:
         self.feature_dim = feature_dim
         self.capacity_per_class = capacity_per_class
         self.top_k = top_k
-        self.supports: dict[int, list[SupportRecord]] = {
-            j: [] for j in range(num_classes)
-        }
+        self.features = np.zeros((num_classes, capacity_per_class, feature_dim))
+        self.entropies = np.zeros((num_classes, capacity_per_class))
+        self.steps = np.zeros((num_classes, capacity_per_class), dtype=np.int64)
+        self.counts = np.zeros(num_classes, dtype=np.int64)
         if prototypes is None:
             prototypes = {
                 j: np.zeros(feature_dim) for j in range(num_classes)
@@ -50,23 +58,25 @@ class MemoryBank:
         self.prototypes = prototypes
         self._next_step = 0
 
+    def _records(self, class_id: int, n: int) -> list[SupportRecord]:
+        """The first n held rows of a class as records. Features are
+        read-only views into the bank, valid until the next insert."""
+        feats = self.features[class_id, :n].view()
+        feats.flags.writeable = False
+        return list(map(SupportRecord, feats, self.entropies[class_id, :n].tolist(),
+                        self.steps[class_id, :n].tolist()))
+
     def selected(self, class_id: int) -> list[SupportRecord]:
         """Top-K lowest-entropy supports of a class, (entropy, step) order."""
-        recs = sorted(self.supports[class_id], key=lambda r: (r.entropy, r.step))
-        return recs[: self.top_k]
+        return self._records(class_id, min(self.top_k, int(self.counts[class_id])))
+
+    @property
+    def supports(self) -> dict[int, list[SupportRecord]]:
+        """Every held row per class, in selection order."""
+        return {j: self._records(j, int(n)) for j, n in enumerate(self.counts)}
 
     def support_counts(self) -> dict[int, int]:
-        return {j: len(v) for j, v in self.supports.items()}
-
-    def snapshot(self) -> dict:
-        """Serializable view (counts, entropies, prototypes)."""
-        return {
-            "support_counts": {str(j): len(v) for j, v in self.supports.items()},
-            "entropies": {
-                str(j): [r.entropy for r in v] for j, v in self.supports.items()
-            },
-            "prototypes": {str(j): v.tolist() for j, v in self.prototypes.items()},
-        }
+        return {j: int(n) for j, n in enumerate(self.counts)}
 
 
 def init_from_classifier(classifier, capacity_per_class: int = 64,
@@ -96,9 +106,13 @@ def pseudo_label(probs: Array):
 
 def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> MemoryBank:
     """Insert one record per row under its pseudo-class, evicting the worst
-    (highest entropy, oldest first among ties) once a class is full."""
+    (highest entropy, oldest first among ties) once a class is full.
+
+    Every input is checked before the bank changes. Each class present in
+    the batch is merged with its held rows by one sort that keeps the
+    `capacity` best and one that puts them in selection order."""
     f = as_matrix(features, "features")
-    labels = np.asarray(labels)
+    labels = np.asarray(labels).astype(np.int64, copy=False)
     entropies = np.asarray(entropies, dtype=np.float64)
     if f.shape[1] != bank.feature_dim:
         raise DimensionError(
@@ -106,30 +120,35 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
         )
     if labels.shape[0] != f.shape[0] or entropies.shape[0] != f.shape[0]:
         raise DimensionError("insert_and_select: rows, labels, entropies must align")
-    for i in range(f.shape[0]):
-        lab = int(labels[i])
-        if not 0 <= lab < bank.num_classes:
-            raise DimensionError(f"insert_and_select: label {lab} out of range")
-        rec = SupportRecord(
-            feature=f[i].copy(), entropy=float(entropies[i]), step=bank._next_step
-        )
-        bank._next_step += 1
-        bucket = bank.supports[lab]
-        bucket.append(rec)
-        if len(bucket) > bank.capacity_per_class:
-            # evict the highest entropy; among equals the oldest (lowest step)
-            worst = max(range(len(bucket)), key=lambda k: (bucket[k].entropy, -bucket[k].step))
-            bucket.pop(worst)
+    bad = (labels < 0) | (labels >= bank.num_classes)
+    if bad.any():
+        raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
+    steps = np.arange(bank._next_step, bank._next_step + f.shape[0], dtype=np.int64)
+    bank._next_step += f.shape[0]
+    for j in np.unique(labels).tolist():
+        rows = labels == j
+        held = bank.counts[j]
+        ent = np.concatenate((bank.entropies[j, :held], entropies[rows]))
+        stp = np.concatenate((bank.steps[j, :held], steps[rows]))
+        feats = np.concatenate((bank.features[j, :held], f[rows]))
+        # best first: lowest entropy, then the newest row among equals
+        keep = np.lexsort((-stp, ent))[: bank.capacity_per_class]
+        keep = keep[np.lexsort((stp[keep], ent[keep]))]
+        m = keep.shape[0]
+        bank.features[j, :m] = feats[keep]
+        bank.entropies[j, :m] = ent[keep]
+        bank.steps[j, :m] = stp[keep]
+        bank.counts[j] = m
     return bank
 
 
 def compute_prototypes(bank: MemoryBank) -> dict:
     """Mean of each class's selected supports. Classes without supports keep
     their current prototype untouched."""
-    for j in range(bank.num_classes):
-        sel = bank.selected(j)
-        if sel:
-            bank.prototypes[j] = np.mean([r.feature for r in sel], axis=0)
+    for j, n in enumerate(bank.counts.tolist()):
+        k = min(bank.top_k, n)
+        if k:
+            bank.prototypes[j] = bank.features[j, :k].mean(axis=0)
     return bank.prototypes
 
 
@@ -143,7 +162,7 @@ def refresh_classifier(bank: MemoryBank, classifier):
     if classifier.num_classes != bank.num_classes:
         raise DimensionError("refresh_classifier: class counts differ")
     for j in range(bank.num_classes):
-        if bank.supports[j]:
+        if bank.counts[j]:
             classifier.omega[:, j] = bank.prototypes[j]
             if classifier.bias is not None:
                 classifier.bias[j] = 0.0

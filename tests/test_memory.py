@@ -174,3 +174,50 @@ def test_bank_validation():
         insert_and_select(bank, np.ones((2, 3)), [0, 1], [0.1, 0.2])
     with pytest.raises(DimensionError):
         insert_and_select(bank, np.ones((2, 4)), [0, 5], [0.1, 0.2])
+
+
+def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction():
+    # capacity 3 with 10-row batches over 2 classes: every batch overflows
+    # each class more than once, and entropies in steps of 0.5 tie often
+    rng = np.random.default_rng(11)
+    num_classes, dim, capacity, top_k = 2, 4, 3, 2
+    bank = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=top_k)
+    oracle = OracleBank(num_classes, capacity, top_k)
+
+    step = 0
+    for _ in range(40):
+        feats = rng.standard_normal((10, dim))
+        labels = rng.integers(0, num_classes, size=10)
+        entropies = np.round(rng.uniform(0.0, 1.0, size=10) * 2) / 2
+        insert_and_select(bank, feats, labels, entropies)
+        compute_prototypes(bank)
+        for i in range(10):
+            oracle.insert(feats[i], int(labels[i]), float(entropies[i]), step)
+            step += 1
+        assert bank._next_step == step
+        for j in range(num_classes):
+            held = sorted((r.entropy, r.step) for r in bank.supports[j])
+            assert held == sorted(w[:2] for w in oracle.rows[j])
+            got, want = bank.selected(j), oracle.selected(j)
+            assert [(r.entropy, r.step) for r in got] == [w[:2] for w in want]
+            for rec, (_, _, f) in zip(got, want):
+                npt.assert_array_equal(rec.feature, f)
+            npt.assert_array_equal(bank.prototypes[j], oracle.prototype(j))
+
+
+def test_out_of_range_label_leaves_the_bank_untouched():
+    rng = np.random.default_rng(12)
+    bank = MemoryBank(3, 2, capacity_per_class=4, top_k=2)
+    insert_and_select(bank, rng.standard_normal((8, 2)), rng.integers(0, 3, 8), rng.random(8))
+    counts, next_step = bank.support_counts(), bank._next_step
+    held = {j: [(r.entropy, r.step, r.feature.copy()) for r in v]
+            for j, v in bank.supports.items()}
+    # the bad label comes after rows that would otherwise be inserted
+    with pytest.raises(DimensionError, match="label 3 out of range"):
+        insert_and_select(bank, np.zeros((4, 2)), [0, 1, 2, 3], [0.0] * 4)
+    assert bank.support_counts() == counts
+    assert bank._next_step == next_step
+    for j, v in bank.supports.items():
+        assert [(r.entropy, r.step) for r in v] == [h[:2] for h in held[j]]
+        for r, h in zip(v, held[j]):
+            npt.assert_array_equal(r.feature, h[2])
