@@ -13,9 +13,6 @@ __version__ = "0.1.0"
 from .adapt import (
     AccuracyCurve,
     AdaptConfig,
-    adapt_entropy_norm,
-    adapt_pseudo_label,
-    adapt_stream,
     run_method,
     stream_batches,
 )

@@ -1,22 +1,27 @@
 """Online test-time adaptation over a target stream.
 
-Protocol (per batch, in order): predict with the current adapted model and
-record accuracy, then optionally take one adaptation step on that same batch.
+One loop, `run_method`, serves every method. Per batch, in order: predict
+with the current adapted model and record accuracy, then, while the step
+budget lasts, hand the scored batch to the method's step for one update.
 Predictions therefore always come from parameters shaped only by earlier
 batches. Labels are consumed exclusively by the accuracy bookkeeping; no
 gradient ever sees them.
 
-The combined method per adaptation step:
-  1. pseudo-label the batch, push features into the memory bank, rebuild
-     prototypes, refresh the classifier columns;
-  2. margin hinge between adapted and frozen-source features;
-  3. entropy of the refreshed predictions (+ optional memory alignment term);
-  4. one Adam step on the summed objective.
+The steps (`_make_step`):
+  none          no step; a pure evaluation pass.
+  entropy_norm  Tent: entropy on the norm-layer affine parameters, with the
+                batch statistics folded into the running estimates.
+  pseudo_label  cross-entropy against the batch's own argmax labels.
+  unidg         pseudo-label the batch, push features into the memory bank,
+                rebuild prototypes and refresh the classifier columns; then
+                one Adam step on the entropy of the refreshed predictions,
+                the margin hinge between adapted and frozen-source features
+                (+ optional memory alignment term).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,22 +72,7 @@ class AdaptConfig:
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": self.sigma,
-            "lambda_weight": self.lambda_weight,
-            "top_k": self.top_k,
-            "capacity_per_class": self.capacity_per_class,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "steps": self.steps,
-            "seed": self.seed,
-            "method": self.method,
-            "enable_lm": self.enable_lm,
-            "enable_le": self.enable_le,
-            "enable_li": self.enable_li,
-            "enable_bank": self.enable_bank,
-            "enable_refresh": self.enable_refresh,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -96,13 +86,7 @@ class AccuracyCurve:
     source_after: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "cumulative": self.cumulative,
-            "final_accuracy": self.final_accuracy,
-            "per_domain": self.per_domain,
-            "source_before": self.source_before,
-            "source_after": self.source_after,
-        }
+        return asdict(self)
 
 
 def stream_batches(n: int, batch_size: int, seed: int):
@@ -112,29 +96,7 @@ def stream_batches(n: int, batch_size: int, seed: int):
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _forward_mode(encoder) -> str:
-    # norm layers use the batch's own statistics on the target stream
-    return "train" if encoder.has_norm_layers else "eval"
-
-
-def _curve(pair, target, cfg, cumulative, source_eval, source_before):
-    final = cumulative[-1] if cumulative else 0.0
-    source_after = None
-    if source_eval is not None:
-        source_after = classification_accuracy(
-            pair.adapted_encoder, pair.adapted_classifier,
-            source_eval.features, source_eval.labels,
-        )
-    return AccuracyCurve(
-        cumulative=cumulative,
-        final_accuracy=final,
-        per_domain={target.domain_id: final},
-        source_before=source_before,
-        source_after=source_after,
-    )
-
-
-def _source_before(pair, source_eval):
+def _source_accuracy(pair, source_eval):
     if source_eval is None:
         return None
     return classification_accuracy(
@@ -143,32 +105,26 @@ def _source_before(pair, source_eval):
     )
 
 
-def adapt_stream(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
-    """Run the combined method over the target stream.
+def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
+    """Run cfg.method over the target stream.
 
     Returns (pair, AccuracyCurve, [LossReport per adaptation step]). With
-    steps=0 or every switch off this is a pure evaluation pass and the
-    adapted parameters come back bit-identical.
+    method `none`, steps=0 or every unidg switch off this is a pure
+    evaluation pass and the adapted parameters come back bit-identical.
     """
     cfg.validate()
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
-    batches = _usable_batches(target, cfg, enc)
+    if cfg.method == "entropy_norm" and not enc.has_norm_layers:
+        raise ConfigError("entropy_norm needs an encoder with norm layers")
+    batches = stream_batches(target.n, cfg.batch_size, cfg.seed)
+    if enc.has_norm_layers:
+        batches = [b for b in batches if b.shape[0] >= 2]
     limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
-    any_gradients = cfg.enable_lm or cfg.enable_le or cfg.enable_li
-    if not (any_gradients or cfg.enable_bank):
-        limit = 0
-
-    bank = opt = None
-    if limit > 0:
-        bank = init_from_classifier(
-            pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
-            top_k=cfg.top_k,
-        )
-        if any_gradients:
-            opt = Adam(pair.parameters(), lr=cfg.lr)
-    mode = _forward_mode(enc)
-    source_before = _source_before(pair, source_eval)
+    step = _make_step(pair, cfg) if limit > 0 else None
+    # norm layers use the batch's own statistics on the target stream
+    mode = "train" if enc.has_norm_layers else "eval"
+    source_before = _source_accuracy(pair, source_eval)
 
     cumulative = []
     correct = 0
@@ -183,68 +139,109 @@ def adapt_stream(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
         seen += idx.shape[0]
         cumulative.append(correct / seen)
 
-        if t >= limit:
+        if step is None or t >= limit:
             continue
         try:
-            report, grads, proto_grads = _combined_step(
-                pair, bank, xb, feats, probs, cfg
-            )
+            report = step(xb, feats, probs, preds)
         except NumericalFailure as e:
             raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-        if grads is not None:
-            if proto_grads and cfg.enable_bank and cfg.enable_refresh:
-                _route_prototype_grads(grads, proto_grads, bank, clf)
-            gx, egrads = enc.backward(grads.pop("_feats"))
-            egrads.update(grads)
-            opt.step(egrads)
         if report is not None:
             reports.append(report)
 
-    curve = _curve(pair, target, cfg, cumulative, source_eval, source_before)
+    final = cumulative[-1] if cumulative else 0.0
+    curve = AccuracyCurve(
+        cumulative=cumulative,
+        final_accuracy=final,
+        per_domain={target.domain_id: final},
+        source_before=source_before,
+        source_after=_source_accuracy(pair, source_eval),
+    )
     return pair, curve, reports
 
 
-def _combined_step(pair, bank, xb, feats, probs, cfg):
-    """Losses and gradients for one batch. Returns (LossReport, grads, proto
-    grads); grads is None when no loss term is enabled (bank-only step)."""
+def _make_step(pair: ModelPair, cfg: AdaptConfig):
+    """The update `step(xb, feats, probs, preds)` that cfg.method takes on a
+    batch it has just scored, or None when the method never adapts. A step
+    returns the batch's LossReport, or None when it optimised nothing."""
+    enc = pair.adapted_encoder
     clf = pair.adapted_classifier
-    labels_hat, entropies = pseudo_label(probs)
-    if cfg.enable_bank:
-        insert_and_select(bank, feats, labels_hat, entropies)
-        compute_prototypes(bank)
-        if cfg.enable_refresh:
-            refresh_classifier(bank, clf)
 
-    if not (cfg.enable_lm or cfg.enable_le or cfg.enable_li):
-        return None, None, None
+    if cfg.method == "entropy_norm":
+        # Adam holds only the norm affine parameters and skips every other
+        # gradient, so the linear weights and the classifier stay fixed
+        opt = Adam(enc.norm_parameters(), lr=cfg.lr)
 
-    l_m = l_e = l_i = 0.0
-    g_feats = np.zeros_like(feats)
-    grads = {}
-    if cfg.enable_le:
-        # entropy is taken through the refreshed classifier
-        probs_post = softmax_rows(clf.logits(feats))
-        l_e, g_logits = entropy_loss(probs_post)
-        gz, cgrads = clf.backward(feats, g_logits)
-        grads.update(cgrads)
-        g_feats += gz
-    if cfg.enable_lm:
-        source_feats = pair.source_encoder.encode(xb, mode="eval", retain_cache=False)
-        l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
-        g_feats += cfg.lambda_weight * g_lm
-    proto_grads = None
-    if cfg.enable_li:
-        l_i, g_li, proto_grads = memory_term_loss(feats, bank.prototypes, labels_hat)
-        g_feats += g_li
-    total = combined_loss(l_e, l_m, l_i, cfg.lambda_weight, include_li=cfg.enable_li)
-    if not np.isfinite(total):
-        raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m}, l_i={l_i})")
-    grads["_feats"] = g_feats
-    report = LossReport(
-        l_m=l_m, l_e=l_e, l_i=l_i, total=total,
-        sigma=cfg.sigma, lambda_weight=cfg.lambda_weight,
+        def entropy_norm_step(xb, feats, probs, preds):
+            l_e, g_logits = entropy_loss(probs)
+            gz, _ = clf.backward(feats, g_logits)
+            _, egrads = enc.backward(gz)
+            opt.step(egrads)
+            # the adapted model keeps the stream's normalization afterwards
+            enc.update_running_stats()
+            return LossReport(l_m=0.0, l_e=l_e, l_i=0.0, total=l_e,
+                              sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
+
+        return entropy_norm_step
+
+    if cfg.method == "pseudo_label":
+        opt = Adam(pair.parameters(), lr=cfg.lr)
+
+        def pseudo_label_step(xb, feats, probs, preds):
+            loss, g_logits = cross_entropy_loss(probs, preds)
+            gz, cgrads = clf.backward(feats, g_logits)
+            _, egrads = enc.backward(gz)
+            opt.step({**egrads, **cgrads})
+            return LossReport(l_m=0.0, l_e=0.0, l_i=0.0, total=loss,
+                              sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
+
+        return pseudo_label_step
+
+    any_gradients = cfg.enable_lm or cfg.enable_le or cfg.enable_li
+    if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
+        return None
+    bank = init_from_classifier(
+        pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
+        top_k=cfg.top_k,
     )
-    return report, grads, proto_grads
+    opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
+
+    def unidg_step(xb, feats, probs, preds):
+        labels_hat, entropies = pseudo_label(probs)
+        if cfg.enable_bank:
+            insert_and_select(bank, feats, labels_hat, entropies)
+            compute_prototypes(bank)
+            if cfg.enable_refresh:
+                refresh_classifier(bank, clf)
+        if opt is None:
+            return None  # bank-only step
+
+        l_m = l_e = l_i = 0.0
+        g_feats = np.zeros_like(feats)
+        grads = {}
+        if cfg.enable_le:
+            # entropy is taken through the refreshed classifier
+            probs_post = softmax_rows(clf.logits(feats))
+            l_e, g_logits = entropy_loss(probs_post)
+            gz, grads = clf.backward(feats, g_logits)
+            g_feats += gz
+        if cfg.enable_lm:
+            source_feats = pair.source_encoder.encode(xb, mode="eval", retain_cache=False)
+            l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
+            g_feats += cfg.lambda_weight * g_lm
+        if cfg.enable_li:
+            l_i, g_li, proto_grads = memory_term_loss(feats, bank.prototypes, labels_hat)
+            g_feats += g_li
+            if proto_grads and cfg.enable_bank and cfg.enable_refresh:
+                _route_prototype_grads(grads, proto_grads, bank, clf)
+        total = combined_loss(l_e, l_m, l_i, cfg.lambda_weight, include_li=cfg.enable_li)
+        if not np.isfinite(total):
+            raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m}, l_i={l_i})")
+        _, egrads = enc.backward(g_feats)
+        opt.step({**egrads, **grads})
+        return LossReport(l_m=l_m, l_e=l_e, l_i=l_i, total=total,
+                          sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
+
+    return unidg_step
 
 
 def _route_prototype_grads(grads, proto_grads, bank, clf):
@@ -258,115 +255,3 @@ def _route_prototype_grads(grads, proto_grads, bank, clf):
     for class_id, g in proto_grads.items():
         if bank.counts[class_id]:
             target[:, class_id] += g
-
-
-def _usable_batches(target, cfg, encoder):
-    batches = stream_batches(target.n, cfg.batch_size, cfg.seed)
-    if encoder.has_norm_layers:
-        batches = [b for b in batches if b.shape[0] >= 2]
-    return batches
-
-
-def adapt_entropy_norm(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
-    """Entropy minimization over the normalization affine parameters only,
-    with batch statistics recomputed per batch and folded into the running
-    estimates, so the adapted model keeps the stream's normalization
-    statistics afterwards. The classifier and all linear weights stay
-    fixed."""
-    cfg.validate()
-    enc = pair.adapted_encoder
-    clf = pair.adapted_classifier
-    if not enc.has_norm_layers:
-        raise ConfigError("entropy_norm needs an encoder with norm layers")
-    norm_names = {n for n, _ in enc.norm_parameters()}
-    batches = _usable_batches(target, cfg, enc)
-    limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
-    opt = Adam(enc.norm_parameters(), lr=cfg.lr)
-    source_before = _source_before(pair, source_eval)
-
-    cumulative = []
-    correct = 0
-    seen = 0
-    reports = []
-    for t, idx in enumerate(batches):
-        xb = target.features[idx]
-        feats = enc.encode(xb, mode="train", retain_cache=True)
-        probs = softmax_rows(clf.logits(feats))
-        preds = np.argmax(probs, axis=1)
-        correct += int((preds == target.labels[idx]).sum())
-        seen += idx.shape[0]
-        cumulative.append(correct / seen)
-
-        if t >= limit:
-            continue
-        try:
-            l_e, g_logits = entropy_loss(probs)
-            gz, _ = clf.backward(feats, g_logits)
-            _, egrads = enc.backward(gz)
-        except NumericalFailure as e:
-            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-        opt.step({k: v for k, v in egrads.items() if k in norm_names})
-        enc.update_running_stats()
-        reports.append(
-            LossReport(l_m=0.0, l_e=l_e, l_i=0.0, total=l_e,
-                       sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
-        )
-    curve = _curve(pair, target, cfg, cumulative, source_eval, source_before)
-    return pair, curve, reports
-
-
-def adapt_pseudo_label(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
-    """Self-training baseline: cross-entropy against the batch's own argmax
-    labels, updating the full adapted model."""
-    cfg.validate()
-    enc = pair.adapted_encoder
-    clf = pair.adapted_classifier
-    batches = _usable_batches(target, cfg, enc)
-    limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
-    opt = Adam(pair.parameters(), lr=cfg.lr)
-    mode = _forward_mode(enc)
-    source_before = _source_before(pair, source_eval)
-
-    cumulative = []
-    correct = 0
-    seen = 0
-    reports = []
-    for t, idx in enumerate(batches):
-        xb = target.features[idx]
-        feats = enc.encode(xb, mode=mode, retain_cache=True)
-        probs = softmax_rows(clf.logits(feats))
-        preds = np.argmax(probs, axis=1)
-        correct += int((preds == target.labels[idx]).sum())
-        seen += idx.shape[0]
-        cumulative.append(correct / seen)
-
-        if t >= limit:
-            continue
-        try:
-            loss, g_logits = cross_entropy_loss(probs, preds)
-            gz, cgrads = clf.backward(feats, g_logits)
-            _, egrads = enc.backward(gz)
-        except NumericalFailure as e:
-            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-        opt.step({**egrads, **cgrads})
-        reports.append(
-            LossReport(l_m=0.0, l_e=0.0, l_i=0.0, total=loss,
-                       sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
-        )
-    curve = _curve(pair, target, cfg, cumulative, source_eval, source_before)
-    return pair, curve, reports
-
-
-def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
-    """Dispatch on cfg.method. `none` evaluates the frozen clone without
-    touching a parameter."""
-    cfg.validate()
-    if cfg.method == "none":
-        return adapt_stream(pair, target, replace(cfg, steps=0), source_eval)
-    if cfg.method == "unidg":
-        return adapt_stream(pair, target, cfg, source_eval)
-    if cfg.method == "entropy_norm":
-        return adapt_entropy_norm(pair, target, cfg, source_eval)
-    if cfg.method == "pseudo_label":
-        return adapt_pseudo_label(pair, target, cfg, source_eval)
-    raise ConfigError(f"unknown method {cfg.method!r}")

@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .adapt import AdaptConfig, run_method
+from .adapt import METHODS, AdaptConfig, run_method
 from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_domains, write_csv, DomainDataset
 from .diagnostics import kernel_comparison_sweep, verify_bn_gradient
 from .errors import ConfigError, DataError, MarginAdaptError
@@ -479,8 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("adapt", help="adapt to a target stream")
     add_common(a)
     add_adapt_flags(a)
-    a.add_argument("--method", choices=["none", "entropy_norm", "pseudo_label", "unidg"],
-                   default=None)
+    a.add_argument("--method", choices=METHODS, default=None)
     for switch in ("lm", "le", "li", "bank", "refresh"):
         group = a.add_mutually_exclusive_group()
         group.add_argument(f"--{switch}", dest=f"enable_{switch}",

@@ -42,16 +42,6 @@ class LossReport:
     sigma: float
     lambda_weight: float
 
-    def to_dict(self):
-        return {
-            "l_m": self.l_m,
-            "l_e": self.l_e,
-            "l_i": self.l_i,
-            "total": self.total,
-            "sigma": self.sigma,
-            "lambda_weight": self.lambda_weight,
-        }
-
 
 def marginal_loss(adapted: Array, source: Array, sigma: float):
     """Margin hinge on squared feature drift.

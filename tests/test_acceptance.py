@@ -23,7 +23,6 @@ from marginadapt import (
     LinearClassifier,
     MlpEncoder,
     NormLayerState,
-    adapt_stream,
     batchnorm_backward,
     batchnorm_forward,
     classification_accuracy,
@@ -198,10 +197,10 @@ def test_criterion_2_margin_contract():
 
     sources, target, enc, clf = linear_fixture(0)
     pair_a = clone_for_adaptation(enc, clf)
-    _, curve_a, rep_a = adapt_stream(pair_a, target, AdaptConfig(sigma=1e6))
+    _, curve_a, rep_a = run_method(pair_a, target, AdaptConfig(sigma=1e6))
     enc2, clf2 = linear_fixture(0)[2:]
     pair_b = clone_for_adaptation(enc2, clf2)
-    _, curve_b, rep_b = adapt_stream(pair_b, target, AdaptConfig(enable_lm=False))
+    _, curve_b, rep_b = run_method(pair_b, target, AdaptConfig(enable_lm=False))
     assert all(r.l_m == 0.0 for r in rep_a)
     assert [r.l_e for r in rep_a] == [r.l_e for r in rep_b]
     assert [r.total for r in rep_a] == [r.total for r in rep_b]
@@ -294,14 +293,14 @@ def test_criterion_4_no_op_contracts():
         before = pair.adapted_fingerprint()
         assert before == pair.source_fingerprint()
 
-        _, curve_zero, _ = adapt_stream(pair, target, AdaptConfig(steps=0))
+        _, curve_zero, _ = run_method(pair, target, AdaptConfig(steps=0))
         assert pair.adapted_fingerprint() == before
 
         all_off = AdaptConfig(
             enable_lm=False, enable_le=False, enable_li=False,
             enable_bank=False, enable_refresh=False,
         )
-        _, curve_off, _ = adapt_stream(pair, target, all_off)
+        _, curve_off, _ = run_method(pair, target, all_off)
         assert pair.adapted_fingerprint() == before
         assert curve_off.cumulative == curve_zero.cumulative
 
@@ -399,7 +398,7 @@ def test_criterion_7_ablation_monotonicity():
             _, target, enc, clf = linear_fixture(seed)
             pair = clone_for_adaptation(enc, clf)
             cfg = replace(AdaptConfig(), **switches)
-            _, curve, _ = adapt_stream(pair, target, cfg)
+            _, curve, _ = run_method(pair, target, cfg)
             finals[name].append(100.0 * curve.final_accuracy)
     means = {name: float(np.mean(vals)) for name, vals in finals.items()}
     for single in ("lm", "le", "bank", "refresh"):

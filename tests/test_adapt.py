@@ -10,10 +10,9 @@ from marginadapt import (
     DomainDataset,
     LinearClassifier,
     MlpEncoder,
+    NumericalFailure,
     ShiftSpec,
     TrainConfig,
-    adapt_entropy_norm,
-    adapt_stream,
     classification_accuracy,
     clone_for_adaptation,
     gen_synthetic_shift,
@@ -21,6 +20,7 @@ from marginadapt import (
     stream_batches,
     train_source_erm,
 )
+from marginadapt.adapt import METHODS
 
 
 def _tiny(seed, use_norm=False):
@@ -53,14 +53,14 @@ def test_first_batch_predictions_come_from_the_frozen_parameters():
     frozen_acc = float(
         (np.argmax(frozen_probs, axis=1) == target.labels[batch0]).mean()
     )
-    _, curve, _ = adapt_stream(pair, target, cfg)
+    _, curve, _ = run_method(pair, target, cfg)
     assert curve.cumulative[0] == frozen_acc
 
 
 def test_zero_steps_is_pure_evaluation():
     pair, target = _tiny(1)
     before = pair.adapted_fingerprint()
-    _, curve, reports = adapt_stream(pair, target, AdaptConfig(steps=0, seed=3))
+    _, curve, reports = run_method(pair, target, AdaptConfig(steps=0, seed=3))
     assert pair.adapted_fingerprint() == before
     assert reports == []
     # every sample scored once, so the cumulative end point is plain accuracy
@@ -71,6 +71,29 @@ def test_zero_steps_is_pure_evaluation():
     assert curve.per_domain == {target.domain_id: expected}
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_zero_steps_is_pure_evaluation_for_every_method(method):
+    pair, target = _tiny(1, use_norm=True)
+    before = pair.adapted_fingerprint()
+    _, curve, reports = run_method(pair, target, AdaptConfig(method=method, steps=0, seed=3))
+    assert pair.adapted_fingerprint() == before
+    assert reports == []
+    _, plain, _ = run_method(pair, target, AdaptConfig(method="none", seed=3))
+    assert curve.cumulative == plain.cumulative
+
+
+@pytest.mark.parametrize("method", ["unidg", "entropy_norm", "pseudo_label"])
+def test_backward_failure_names_the_step(method, monkeypatch):
+    pair, target = _tiny(5, use_norm=True)
+
+    def fail(self, upstream):
+        raise NumericalFailure("backward: non-finite gradient")
+
+    monkeypatch.setattr(MlpEncoder, "backward", fail)
+    with pytest.raises(NumericalFailure, match="adaptation aborted at step 0"):
+        run_method(pair, target, AdaptConfig(method=method, seed=1))
+
+
 def test_all_switches_off_is_pure_evaluation():
     pair, target = _tiny(1)
     before = pair.adapted_fingerprint()
@@ -78,7 +101,7 @@ def test_all_switches_off_is_pure_evaluation():
         enable_lm=False, enable_le=False, enable_li=False,
         enable_bank=False, enable_refresh=False, seed=3,
     )
-    _, curve, reports = adapt_stream(pair, target, cfg)
+    _, curve, reports = run_method(pair, target, cfg)
     assert pair.adapted_fingerprint() == before
     assert reports == []
     assert len(curve.cumulative) == len(stream_batches(target.n, cfg.batch_size, 3))
@@ -96,8 +119,8 @@ def test_labels_never_reach_the_update():
         domain_id=target.domain_id,
     )
     cfg = AdaptConfig(lr=1e-3, seed=11)
-    _, curve_a, reports_a = adapt_stream(pair_a, target, cfg)
-    _, curve_b, reports_b = adapt_stream(pair_b, blanked, cfg)
+    _, curve_a, reports_a = run_method(pair_a, target, cfg)
+    _, curve_b, reports_b = run_method(pair_b, blanked, cfg)
     assert pair_a.adapted_fingerprint() == pair_b.adapted_fingerprint()
     assert [r.total for r in reports_a] == [r.total for r in reports_b]
     assert curve_a.final_accuracy != curve_b.final_accuracy
@@ -113,7 +136,7 @@ def test_margin_alone_cannot_move_a_fresh_clone():
         enable_lm=True, enable_le=False, enable_li=False,
         enable_bank=False, enable_refresh=False,
     )
-    _, _, reports = adapt_stream(pair, target, cfg)
+    _, _, reports = run_method(pair, target, cfg)
     assert pair.adapted_fingerprint() == before
     assert all(r.l_m == 0.0 for r in reports)
 
@@ -126,10 +149,10 @@ def test_bank_without_refresh_changes_nothing_observable():
         enable_lm=False, enable_le=False, enable_li=False,
         enable_bank=True, enable_refresh=False,
     )
-    _, curve, reports = adapt_stream(pair, target, cfg)
+    _, curve, reports = run_method(pair, target, cfg)
     assert pair.adapted_fingerprint() == before
     assert reports == []
-    _, plain, _ = adapt_stream(pair, target, AdaptConfig(steps=0, seed=5))
+    _, plain, _ = run_method(pair, target, AdaptConfig(steps=0, seed=5))
     assert curve.cumulative == plain.cumulative
 
 
@@ -139,8 +162,8 @@ def test_huge_sigma_reduces_to_entropy_with_refresh_step_for_step():
     pair_a, target = _tiny(6)
     pair_b, _ = _tiny(6)
     base = dict(lr=1e-3, seed=9, enable_li=False)
-    _, curve_a, rep_a = adapt_stream(pair_a, target, AdaptConfig(sigma=1e6, **base))
-    _, curve_b, rep_b = adapt_stream(
+    _, curve_a, rep_a = run_method(pair_a, target, AdaptConfig(sigma=1e6, **base))
+    _, curve_b, rep_b = run_method(
         pair_b, target, AdaptConfig(enable_lm=False, **base)
     )
     assert pair_a.adapted_fingerprint() == pair_b.adapted_fingerprint()
@@ -152,7 +175,7 @@ def test_huge_sigma_reduces_to_entropy_with_refresh_step_for_step():
 def test_entropy_norm_requires_norm_layers():
     pair, target = _tiny(0)
     with pytest.raises(ConfigError):
-        adapt_entropy_norm(pair, target, AdaptConfig(method="entropy_norm"))
+        run_method(pair, target, AdaptConfig(method="entropy_norm"))
 
 
 def test_entropy_norm_touches_only_normalization_state():
@@ -160,7 +183,7 @@ def test_entropy_norm_touches_only_normalization_state():
     before = {n: a.copy() for n, a in pair.adapted_encoder.state_arrays()}
     before.update({n: a.copy() for n, a in pair.adapted_classifier.parameters()})
     cfg = AdaptConfig(method="entropy_norm", lr=1e-2, steps=5, seed=1)
-    adapt_entropy_norm(pair, target, cfg)
+    run_method(pair, target, cfg)
     after = dict(pair.adapted_encoder.state_arrays())
     after.update(pair.adapted_classifier.parameters())
     for name in before:
@@ -193,11 +216,11 @@ def test_source_before_and_after_are_recorded():
     pair, target = _tiny(9)
     spec = ShiftSpec(samples_per_domain=240, num_source_domains=2, seed=9)
     sources, _ = gen_synthetic_shift(spec)
-    _, curve, _ = adapt_stream(
+    _, curve, _ = run_method(
         pair, target, AdaptConfig(lr=1e-3, seed=0), source_eval=sources[0]
     )
     assert curve.source_before is not None and curve.source_after is not None
-    _, plain, _ = adapt_stream(pair, target, AdaptConfig(steps=0, seed=0))
+    _, plain, _ = run_method(pair, target, AdaptConfig(steps=0, seed=0))
     assert plain.source_before is None and plain.source_after is None
 
 
