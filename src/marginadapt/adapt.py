@@ -199,14 +199,17 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig):
     any_gradients = cfg.enable_lm or cfg.enable_le or cfg.enable_li
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
+    # the bank and the pseudo-labels feed only the bank itself and l_i
+    uses_bank = cfg.enable_bank or cfg.enable_li
     bank = init_from_classifier(
         pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
         top_k=cfg.top_k,
-    )
+    ) if uses_bank else None
     opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
 
     def unidg_step(xb, feats, probs, preds):
-        labels_hat, entropies = pseudo_label(probs)
+        if uses_bank:
+            labels_hat, entropies = pseudo_label(probs)
         if cfg.enable_bank:
             insert_and_select(bank, feats, labels_hat, entropies)
             compute_prototypes(bank)

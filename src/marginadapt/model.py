@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SchemaError
+from .errors import ConfigError, DimensionError, SchemaError, StateError
 from .numeric import (
     Array,
     NormLayerState,
@@ -26,6 +26,7 @@ from .numeric import (
     relu_backward,
     relu_forward,
     softmax_rows,
+    update_running_stats,
 )
 
 CHECKPOINT_VERSION = 1
@@ -175,8 +176,6 @@ class MlpEncoder:
         left intact, so several upstreams can be pushed through one forward.
         """
         if self._cache is None:
-            from .errors import StateError
-
             raise StateError("backward: call encode with retain_cache first")
         g = as_matrix(upstream, "upstream")
         grads = {}
@@ -194,8 +193,6 @@ class MlpEncoder:
         return g, grads
 
     def update_running_stats(self):
-        from .numeric import update_running_stats
-
         for norm in self.norms:
             if norm is not None:
                 update_running_stats(norm)

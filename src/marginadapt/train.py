@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError
 from .model import classification_accuracy
 from .numeric import Array, as_matrix, softmax_rows
@@ -39,8 +40,8 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict
-    v: dict
+    m: np.ndarray  # flat first moments, one fixed slice per parameter
+    v: np.ndarray  # flat second moments, same slices
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -48,12 +49,17 @@ class AdamState:
 
 
 class Adam:
-    """Adam with bias correction over named parameter arrays.
+    """Adam with bias correction over one flat moment buffer.
 
-    Parameters are (name, array) pairs updated in place. A parameter missing
-    from the gradient dict is left untouched for that step; a zero gradient
-    on fresh moments gives an exactly zero update. Either way the step
-    counter advances. First step with constant gradient g moves by
+    Parameters are (name, array) pairs updated in place; the arrays stay
+    owned by the caller. Each parameter holds a fixed slice of the flat
+    moment buffers, in the order given. A step gathers the gradients into
+    one flat buffer, runs the moment update and the step once over it, and
+    scatters the step back into the parameters. A parameter missing from the
+    gradient dict is left untouched for that step, its moments included; a
+    zero gradient on fresh moments gives an exactly zero update. Either way
+    the step counter advances. A gradient of the wrong shape raises before
+    anything moves. First step with constant gradient g moves by
     lr * g / (|g| + eps), i.e. ~lr per coordinate."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -66,37 +72,53 @@ class Adam:
             raise ConfigError(f"duplicate parameter names: {sorted(names)}")
         self.lr = lr
         self.weight_decay = weight_decay
+        self._slices = []
+        size = 0
+        for _, p in self.params:
+            self._slices.append(slice(size, size + p.size))
+            size += p.size
+        self._g = np.zeros(size)
+        self._p = np.zeros(size) if weight_decay else None
         self.state = AdamState(
-            m={n: np.zeros_like(p) for n, p in self.params},
-            v={n: np.zeros_like(p) for n, p in self.params},
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
+            m=np.zeros(size), v=np.zeros(size), beta1=beta1, beta2=beta2, eps=eps,
         )
 
     def step(self, grads: dict) -> None:
-        st = self.state
-        st.t += 1
-        c1 = 1.0 - st.beta1 ** st.t
-        c2 = 1.0 - st.beta2 ** st.t
-        for name, p in self.params:
+        held = []
+        for (name, p), sl in zip(self.params, self._slices):
             g = grads.get(name)
             if g is None:
-                continue  # moments stay zero, update would be exactly zero
+                continue
             g = np.asarray(g, dtype=np.float64)
             if g.shape != p.shape:
                 raise DimensionError(
                     f"Adam: gradient for {name} has shape {g.shape}, param {p.shape}"
                 )
+            self._g[sl] = g.ravel()
             if self.weight_decay:
-                g = g + self.weight_decay * p
-            m = st.m[name]
-            v = st.v[name]
-            m *= st.beta1
-            m += (1.0 - st.beta1) * g
-            v *= st.beta2
-            v += (1.0 - st.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
+                self._p[sl] = p.ravel()
+            held.append((p, sl))
+        mask = True
+        if len(held) < len(self.params):
+            mask = np.zeros(self._g.shape, dtype=bool)
+            for _, sl in held:
+                mask[sl] = True
+
+        st = self.state
+        st.t += 1
+        c1 = 1.0 - st.beta1 ** st.t
+        c2 = 1.0 - st.beta2 ** st.t
+        g = self._g
+        if self.weight_decay:
+            g = g + self.weight_decay * self._p
+        m, v = st.m, st.v
+        np.multiply(m, st.beta1, out=m, where=mask)
+        np.add(m, (1.0 - st.beta1) * g, out=m, where=mask)
+        np.multiply(v, st.beta2, out=v, where=mask)
+        np.add(v, (1.0 - st.beta2) * (g * g), out=v, where=mask)
+        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
+        for p, sl in held:
+            p -= upd[sl].reshape(p.shape)
 
 
 def cross_entropy_loss(probs: Array, labels):
@@ -140,8 +162,6 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     epochs=0 leaves the model exactly at its initialization.
     """
     cfg.validate()
-    from .data import split_holdout
-
     if not sources:
         raise DataError("train_source_erm: no source domains given")
     trains, vals = [], []

@@ -1,5 +1,7 @@
 """Streaming adaptation protocol: pairing, switch semantics, label hygiene."""
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,6 +22,7 @@ from marginadapt import (
     stream_batches,
     train_source_erm,
 )
+from marginadapt import adapt
 from marginadapt.adapt import METHODS
 
 
@@ -154,6 +157,34 @@ def test_bank_without_refresh_changes_nothing_observable():
     assert reports == []
     _, plain, _ = run_method(pair, target, AdaptConfig(steps=0, seed=5))
     assert curve.cumulative == plain.cumulative
+
+
+def test_bankless_unidg_builds_no_bank_and_pseudo_labels_nothing(monkeypatch):
+    # with the bank and l_i both off nothing reads the pseudo-labels, so the
+    # step neither builds a bank nor pseudo-labels the batch
+    cfg = AdaptConfig(lr=1e-2, steps=5, seed=3, enable_bank=False, enable_li=False)
+
+    def observed(cfg):
+        pair, target = _tiny(6)
+        _, curve, reports = run_method(pair, target, cfg)
+        return pair.adapted_fingerprint(), curve, reports
+
+    expected = observed(cfg)
+    assert len(expected[2]) == 5
+    # a bank that is filled but never read is unobservable
+    assert observed(replace(cfg, enable_bank=True, enable_refresh=False)) == expected
+
+    calls = []
+    for name in ("pseudo_label", "init_from_classifier"):
+        original = getattr(adapt, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(adapt, name, counted)
+    assert observed(cfg) == expected
+    assert calls == []
 
 
 def test_huge_sigma_reduces_to_entropy_with_refresh_step_for_step():

@@ -88,6 +88,89 @@ def test_adam_missing_gradient_leaves_parameter_untouched():
     assert np.array_equal(w, w_now)
 
 
+class PerArrayAdam:
+    """Adam with one moment pair per named array, updated in a loop over the
+    arrays: the oracle the flat-buffer optimizer must match bit for bit."""
+
+    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = params
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = {n: np.zeros_like(p) for n, p in params}
+        self.v = {n: np.zeros_like(p) for n, p in params}
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params:
+            g = grads.get(name)
+            if g is None:
+                continue
+            g = np.asarray(g, dtype=np.float64)
+            if self.weight_decay:
+                g = g + self.weight_decay * p
+            m = self.m[name]
+            v = self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+@pytest.mark.parametrize("wd", [0.0, 0.01])
+def test_flat_adam_is_bit_identical_to_per_array_adam(wd):
+    rng = np.random.default_rng(4)
+    shapes = {"a": (5, 2), "b": (7,), "c": (3, 3)}
+    # each parameter's fixed slice of the flat moments, in the order given
+    slices = {"a": slice(0, 10), "b": slice(10, 17), "c": slice(17, 26)}
+    init = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+    flat = [(n, init[n].copy()) for n in shapes]
+    ref = [(n, init[n].copy()) for n in shapes]
+    opt = Adam(flat, lr=3e-2, weight_decay=wd)
+    oracle = PerArrayAdam(ref, lr=3e-2, weight_decay=wd)
+    skips = [{"c"}, set(), {"a"}, {"b", "c"}, {"a", "b", "c"}, {"b"}]
+    for t in range(12):
+        skip = skips[t % len(skips)]
+        grads = {n: rng.standard_normal(shape) for n, shape in shapes.items() if n not in skip}
+        grads["not_held"] = rng.standard_normal(4)
+        m_before = opt.state.m.copy()
+        v_before = opt.state.v.copy()
+        opt.step(grads)
+        oracle.step(grads)
+        assert opt.state.t == oracle.t == t + 1
+        for (name, p), (_, p_ref) in zip(flat, ref):
+            sl = slices[name]
+            npt.assert_array_equal(p, p_ref)
+            npt.assert_array_equal(opt.state.m[sl].reshape(p.shape), oracle.m[name])
+            npt.assert_array_equal(opt.state.v[sl].reshape(p.shape), oracle.v[name])
+            if name in skip:
+                npt.assert_array_equal(opt.state.m[sl], m_before[sl])
+                npt.assert_array_equal(opt.state.v[sl], v_before[sl])
+    assert opt.state.m.shape == opt.state.v.shape == (26,)
+
+
+def test_adam_without_parameters_only_counts_steps():
+    opt = Adam([], lr=1e-3)
+    opt.step({})
+    assert opt.state.t == 1
+    assert opt.state.m.size == opt.state.v.size == 0
+
+
+def test_adam_shape_error_moves_nothing():
+    w = np.ones((2, 2))
+    b = np.ones(3)
+    opt = Adam([("w", w), ("b", b)], lr=1e-2)
+    with pytest.raises(DimensionError):
+        opt.step({"w": np.ones((2, 2)), "b": np.ones((3, 1))})
+    npt.assert_array_equal(w, np.ones((2, 2)))
+    assert opt.state.t == 0
+    assert not opt.state.m.any() and not opt.state.v.any()
+
+
 def test_adam_rejects_bad_setups():
     p = np.zeros(3)
     with pytest.raises(ConfigError):
