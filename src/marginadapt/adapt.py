@@ -5,7 +5,8 @@ with the current adapted model and record accuracy, then, while the step
 budget lasts, hand the scored batch to the method's step for one update.
 Predictions therefore always come from parameters shaped only by earlier
 batches. Labels are consumed exclusively by the accuracy bookkeeping; no
-gradient ever sees them.
+gradient ever sees them. A NumericalFailure while scoring or stepping on a
+batch names that batch's step.
 
 The steps (`_make_step`):
   none          no step; a pure evaluation pass.
@@ -132,19 +133,16 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     reports = []
     for t, idx in enumerate(batches):
         xb = target.features[idx]
-        feats = enc.encode(xb, mode=mode, retain_cache=True)
-        probs = softmax_rows(clf.logits(feats))
-        preds = np.argmax(probs, axis=1)
+        try:
+            feats = enc.encode(xb, mode=mode, retain_cache=True)
+            probs = softmax_rows(clf.logits(feats))
+            preds = np.argmax(probs, axis=1)
+            report = None if step is None or t >= limit else step(xb, feats, probs, preds)
+        except NumericalFailure as e:
+            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
         correct += int((preds == target.labels[idx]).sum())
         seen += idx.shape[0]
         cumulative.append(correct / seen)
-
-        if step is None or t >= limit:
-            continue
-        try:
-            report = step(xb, feats, probs, preds)
-        except NumericalFailure as e:
-            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
         if report is not None:
             reports.append(report)
 

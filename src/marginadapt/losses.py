@@ -26,7 +26,7 @@ from .errors import (
     NumericalFailure,
     StateError,
 )
-from .numeric import Array, as_matrix
+from .numeric import Array
 
 
 @dataclass
@@ -50,20 +50,18 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
     contribute exactly zero loss and exactly zero gradient; active rows get
     gradient (2/N)(a_i - s_i) w.r.t. the adapted features.
     """
-    a = as_matrix(adapted, "adapted")
-    s = as_matrix(source, "source")
-    if a.shape != s.shape:
+    if adapted.shape != source.shape:
         raise DimensionError(
-            f"marginal_loss: shapes differ, {a.shape} vs {s.shape}"
+            f"marginal_loss: shapes differ, {adapted.shape} vs {source.shape}"
         )
     if sigma < 0.0:
         raise ConfigError(f"marginal_loss: sigma must be >= 0, got {sigma}")
-    n = a.shape[0]
-    diff = a - s
+    n = adapted.shape[0]
+    diff = adapted - source
     dist_sq = np.sum(diff * diff, axis=1)
     active = dist_sq > sigma
     value = float(np.sum(np.maximum(dist_sq - sigma, 0.0)) / n)
-    grad = np.zeros_like(a)
+    grad = np.zeros_like(adapted)
     if active.any():
         grad[active] = (2.0 / n) * diff[active]
     if not np.isfinite(value):
@@ -78,20 +76,21 @@ def entropy_loss(probs: Array):
     value = -(1/N) sum_i sum_c p log p, with 0 log 0 = 0.
     dL/dz_ic = -(1/N) p_ic (log p_ic + H_i).
     """
-    p = as_matrix(probs, "probs")
-    if (p < 0.0).any():
+    if (probs < 0.0).any():
         raise InputError("entropy_loss: probabilities must be nonnegative")
-    row_sums = p.sum(axis=1)
+    row_sums = probs.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-6:
         raise InputError(
             "entropy_loss: rows must sum to 1 within 1e-6 "
             f"(worst deviation {np.abs(row_sums - 1.0).max():.3e})"
         )
-    n = p.shape[0]
-    logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0)
-    row_entropy = -(p * logp).sum(axis=1)
+    n = probs.shape[0]
+    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
+    row_entropy = -(probs * logp).sum(axis=1)
     value = float(row_entropy.mean())
-    grad_logits = -(p * (logp + row_entropy[:, None])) / n
+    grad_logits = -(probs * (logp + row_entropy[:, None])) / n
+    if not np.isfinite(value):
+        raise NumericalFailure("entropy_loss: non-finite value")
     return value, grad_logits
 
 
@@ -104,9 +103,8 @@ def memory_term_loss(feats: Array, prototypes: dict, pseudo_labels, eps: float =
 
     Returns (value, grad wrt feats, grad wrt prototypes by class id).
     """
-    f = as_matrix(feats, "feats")
     labels = np.asarray(pseudo_labels)
-    n, d = f.shape
+    n, d = feats.shape
     if labels.shape != (n,):
         raise DimensionError(
             f"memory_term_loss: labels shape {labels.shape} != ({n},)"
@@ -126,7 +124,7 @@ def memory_term_loss(feats: Array, prototypes: dict, pseudo_labels, eps: float =
             raise StateError(f"memory_term_loss: zero-norm prototype for class {int(lab)}")
         units[i] = v / nv
         norms[i] = nv
-    raw = np.sum(f * units, axis=1)
+    raw = np.sum(feats * units, axis=1)
 
     mu = raw.mean()
     var = raw.var()
@@ -147,7 +145,7 @@ def memory_term_loss(feats: Array, prototypes: dict, pseudo_labels, eps: float =
     grad_protos: dict[int, Array] = {}
     for i, lab in enumerate(labels):
         lab = int(lab)
-        contrib = draw[i] * (f[i] - units[i] * raw[i]) / norms[i]
+        contrib = draw[i] * (feats[i] - units[i] * raw[i]) / norms[i]
         if lab in grad_protos:
             grad_protos[lab] += contrib
         else:

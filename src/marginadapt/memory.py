@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .numeric import Array, as_matrix
+from .numeric import Array
 
 
 @dataclass
@@ -97,10 +97,9 @@ def init_from_classifier(classifier, capacity_per_class: int = 64,
 def pseudo_label(probs: Array):
     """Argmax labels and Shannon entropies per row. Ties pick the lowest
     class index (np.argmax convention)."""
-    p = as_matrix(probs, "probs")
-    labels = np.argmax(p, axis=1)
-    logp = np.where(p > 0.0, np.log(np.maximum(p, 1e-300)), 0.0)
-    entropies = -(p * logp).sum(axis=1)
+    labels = np.argmax(probs, axis=1)
+    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
+    entropies = -(probs * logp).sum(axis=1)
     return labels, entropies
 
 
@@ -111,26 +110,26 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     Every input is checked before the bank changes. Each class present in
     the batch is merged with its held rows by one sort that keeps the
     `capacity` best and one that puts them in selection order."""
-    f = as_matrix(features, "features")
     labels = np.asarray(labels).astype(np.int64, copy=False)
     entropies = np.asarray(entropies, dtype=np.float64)
-    if f.shape[1] != bank.feature_dim:
+    n, d = features.shape
+    if d != bank.feature_dim:
         raise DimensionError(
-            f"insert_and_select: feature width {f.shape[1]} != bank dim {bank.feature_dim}"
+            f"insert_and_select: feature width {d} != bank dim {bank.feature_dim}"
         )
-    if labels.shape[0] != f.shape[0] or entropies.shape[0] != f.shape[0]:
+    if labels.shape[0] != n or entropies.shape[0] != n:
         raise DimensionError("insert_and_select: rows, labels, entropies must align")
     bad = (labels < 0) | (labels >= bank.num_classes)
     if bad.any():
         raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
-    steps = np.arange(bank._next_step, bank._next_step + f.shape[0], dtype=np.int64)
-    bank._next_step += f.shape[0]
+    steps = np.arange(bank._next_step, bank._next_step + n, dtype=np.int64)
+    bank._next_step += n
     for j in np.unique(labels).tolist():
         rows = labels == j
         held = bank.counts[j]
         ent = np.concatenate((bank.entropies[j, :held], entropies[rows]))
         stp = np.concatenate((bank.steps[j, :held], steps[rows]))
-        feats = np.concatenate((bank.features[j, :held], f[rows]))
+        feats = np.concatenate((bank.features[j, :held], features[rows]))
         # best first: lowest entropy, then the newest row among equals
         keep = np.lexsort((-stp, ent))[: bank.capacity_per_class]
         keep = keep[np.lexsort((stp[keep], ent[keep]))]

@@ -18,6 +18,7 @@ from .errors import ConfigError, DimensionError, SchemaError, StateError
 from .numeric import (
     Array,
     NormLayerState,
+    _finite,
     as_matrix,
     batchnorm_backward,
     batchnorm_forward,
@@ -177,7 +178,7 @@ class MlpEncoder:
         """
         if self._cache is None:
             raise StateError("backward: call encode with retain_cache first")
-        g = as_matrix(upstream, "upstream")
+        g = upstream
         grads = {}
         for i in reversed(range(self.n_layers)):
             cache = self._cache[i]
@@ -227,7 +228,6 @@ class LinearClassifier:
         return self.omega.shape[0]
 
     def logits(self, z):
-        z = as_matrix(z, "features")
         if z.shape[1] != self.feature_dim:
             raise DimensionError(
                 f"logits: features have width {z.shape[1]}, expected {self.feature_dim}"
@@ -235,7 +235,7 @@ class LinearClassifier:
         out = z @ self.omega
         if self.bias is not None:
             out = out + self.bias
-        return out
+        return _finite(out, "logits")
 
     def backward(self, z, upstream):
         """Gradients of sum(upstream * logits) w.r.t. features and params."""
@@ -371,7 +371,8 @@ def save_checkpoint(path, encoder: MlpEncoder, classifier: LinearClassifier, see
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (encoder, classifier, meta)."""
+    """Read a checkpoint back into (encoder, classifier, meta). JSON admits
+    NaN and Infinity, so each array is checked here; SchemaError names it."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -382,36 +383,38 @@ def load_checkpoint(path):
         raise SchemaError(
             f"checkpoint {path}: format_version {version!r} not supported"
         )
+
+    def array(value, name):
+        a = np.array(value, dtype=np.float64)
+        if not np.isfinite(a).all():
+            raise SchemaError(f"checkpoint {path}: {name} contains NaN or Inf")
+        return a
+
     try:
         enc_doc = doc["encoder"]
         clf_doc = doc["classifier"]
         norms = []
-        for entry in enc_doc["norms"]:
+        for i, entry in enumerate(enc_doc["norms"]):
             if entry is None:
                 norms.append(None)
             else:
-                norms.append(
-                    NormLayerState(
-                        gamma=np.array(entry["gamma"], dtype=np.float64),
-                        beta=np.array(entry["beta"], dtype=np.float64),
-                        eps=enc_doc["eps"],
-                        momentum=enc_doc["momentum"],
-                        running_mean=np.array(entry["running_mean"], dtype=np.float64),
-                        running_var=np.array(entry["running_var"], dtype=np.float64),
-                    )
-                )
+                stats = {k: array(entry[k], f"encoder.norms[{i}].{k}")
+                         for k in ("gamma", "beta", "running_mean", "running_var")}
+                norms.append(NormLayerState(
+                    **stats, eps=enc_doc["eps"], momentum=enc_doc["momentum"]
+                ))
         encoder = MlpEncoder(
             enc_doc["layer_dims"],
-            [np.array(w, dtype=np.float64) for w in enc_doc["weights"]],
-            [np.array(b, dtype=np.float64) for b in enc_doc["biases"]],
+            [array(w, f"encoder.weights[{i}]") for i, w in enumerate(enc_doc["weights"])],
+            [array(b, f"encoder.biases[{i}]") for i, b in enumerate(enc_doc["biases"])],
             norms,
             eps=enc_doc["eps"],
             momentum=enc_doc["momentum"],
         )
         bias = clf_doc["bias"]
         classifier = LinearClassifier(
-            np.array(clf_doc["omega"], dtype=np.float64),
-            None if bias is None else np.array(bias, dtype=np.float64),
+            array(clf_doc["omega"], "classifier.omega"),
+            None if bias is None else array(bias, "classifier.bias"),
         )
     except (KeyError, TypeError) as e:
         raise SchemaError(f"checkpoint {path}: missing or malformed field ({e})") from e

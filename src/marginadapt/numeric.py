@@ -1,8 +1,14 @@
 """Dense float64 array ops with hand-written gradients.
 
 Plain numpy throughout; no graphs, no autodiff. Layers that need state for
-their backward pass cache it explicitly. Every public op checks that its
-output is finite and aborts with NumericalFailure otherwise.
+their backward pass cache it explicitly.
+
+Each value is checked for NaN/Inf once. Ops check what they produce (relu
+maps finite to finite) and raise NumericalFailure naming themselves; they
+check only the shapes of their inputs, so callers pass finite float64
+arrays of the right rank. Values entering the package are checked at its
+entry points: `DomainDataset`, `NormLayerState`, the `LinearClassifier`
+constructor, `MlpEncoder.encode`'s input, `diagnostics`, `load_checkpoint`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ Array = np.ndarray
 
 
 def as_matrix(x, name: str = "array") -> Array:
-    """Coerce to a 2-D float64 array; reject wrong rank and non-finite entries."""
+    """Coerce a value entering the package to a 2-D float64 array; reject
+    wrong rank and non-finite entries. Ops do not call it on their inputs."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array, got shape {a.shape}")
@@ -53,9 +60,6 @@ def _finite(out: Array, op: str) -> Array:
 
 def linear_forward(x: Array, w: Array, b: Array) -> Array:
     """x @ w + b for a batch of rows."""
-    x = as_matrix(x, "x")
-    w = as_matrix(w, "w")
-    b = as_vector(b, "b")
     if x.shape[1] != w.shape[0]:
         raise DimensionError(
             f"linear_forward: x has {x.shape[1]} features but w expects {w.shape[0]}"
@@ -69,39 +73,33 @@ def linear_forward(x: Array, w: Array, b: Array) -> Array:
 
 def linear_backward(x: Array, w: Array, upstream: Array):
     """Gradients of sum(upstream * (x @ w + b)) w.r.t. x, w, b."""
-    x = as_matrix(x, "x")
-    w = as_matrix(w, "w")
-    g = as_matrix(upstream, "upstream")
-    if g.shape != (x.shape[0], w.shape[1]):
+    if upstream.shape != (x.shape[0], w.shape[1]):
         raise DimensionError(
-            f"linear_backward: upstream shape {g.shape} != {(x.shape[0], w.shape[1])}"
+            f"linear_backward: upstream shape {upstream.shape} != {(x.shape[0], w.shape[1])}"
         )
-    gx = g @ w.T
-    gw = x.T @ g
-    gb = g.sum(axis=0)
+    gx = upstream @ w.T
+    gw = x.T @ upstream
+    gb = upstream.sum(axis=0)
     return _finite(gx, "linear_backward"), _finite(gw, "linear_backward"), _finite(
         gb, "linear_backward"
     )
 
 
 def relu_forward(x: Array) -> Array:
-    return np.maximum(as_matrix(x, "x"), 0.0)
+    return np.maximum(x, 0.0)
 
 
 def relu_backward(x: Array, upstream: Array) -> Array:
     """Subgradient 0 at exactly 0."""
-    x = as_matrix(x, "x")
-    g = as_matrix(upstream, "upstream")
-    if g.shape != x.shape:
+    if upstream.shape != x.shape:
         raise DimensionError(
-            f"relu_backward: upstream shape {g.shape} != input shape {x.shape}"
+            f"relu_backward: upstream shape {upstream.shape} != input shape {x.shape}"
         )
-    return np.where(x > 0.0, g, 0.0)
+    return np.where(x > 0.0, upstream, 0.0)
 
 
 def softmax_rows(z: Array) -> Array:
     """Row-wise softmax with max subtraction for overflow safety."""
-    z = as_matrix(z, "logits")
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return _finite(e / e.sum(axis=1, keepdims=True), "softmax_rows")
@@ -179,7 +177,6 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
     eval mode uses the running statistics. Running statistics are never
     updated here; call update_running_stats explicitly.
     """
-    x = as_matrix(x, "x")
     if x.shape[1] != state.dim:
         raise DimensionError(
             f"batchnorm_forward: {x.shape[1]} columns but state has {state.dim}"
@@ -237,12 +234,11 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
     if state.cache is None:
         raise StateError("batchnorm_backward: no forward cache present")
     c = state.cache
-    g = as_matrix(upstream, "upstream")
-    if g.shape != c.x_hat.shape:
+    if upstream.shape != c.x_hat.shape:
         raise DimensionError(
-            f"batchnorm_backward: upstream shape {g.shape} != cached {c.x_hat.shape}"
+            f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
         )
-    gxhat = g * state.gamma
+    gxhat = upstream * state.gamma
     denom = np.sqrt(c.var + state.eps)
     if c.mode == "train":
         gx = (
@@ -252,8 +248,8 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
         ) / (c.m * denom)
     else:
         gx = gxhat / denom
-    ggamma = (g * c.x_hat).sum(axis=0)
-    gbeta = g.sum(axis=0)
+    ggamma = (upstream * c.x_hat).sum(axis=0)
+    gbeta = upstream.sum(axis=0)
     return (
         _finite(gx, "batchnorm_backward"),
         _finite(ggamma, "batchnorm_backward"),
@@ -263,8 +259,6 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
 
 def frobenius_distance_sq(a: Array, b: Array) -> float:
     """Squared Frobenius distance ||a - b||_F^2."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
     if a.shape != b.shape:
         raise DimensionError(
             f"frobenius_distance_sq: shapes differ, {a.shape} vs {b.shape}"

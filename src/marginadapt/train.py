@@ -7,9 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import split_holdout
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, NumericalFailure
 from .model import classification_accuracy
-from .numeric import Array, as_matrix, softmax_rows
+from .numeric import Array, softmax_rows
 
 
 @dataclass
@@ -124,18 +124,19 @@ class Adam:
 def cross_entropy_loss(probs: Array, labels):
     """Mean negative log-likelihood of the labeled class, with the fused
     gradient w.r.t. logits: (p - onehot) / N."""
-    p = as_matrix(probs, "probs")
     y = np.asarray(labels)
-    n, c = p.shape
+    n, c = probs.shape
     if y.shape != (n,):
         raise DimensionError(f"cross_entropy_loss: labels shape {y.shape} != ({n},)")
     if y.size and (y.min() < 0 or y.max() >= c):
         raise DataError(f"cross_entropy_loss: labels outside [0, {c})")
-    picked = p[np.arange(n), y]
+    picked = probs[np.arange(n), y]
     value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    grad_logits = p.copy()
+    grad_logits = probs.copy()
     grad_logits[np.arange(n), y] -= 1.0
     grad_logits /= n
+    if not np.isfinite(value):
+        raise NumericalFailure("cross_entropy_loss: non-finite value")
     return value, grad_logits
 
 
@@ -193,20 +194,22 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     n = x_train.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
+        for step, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             if idx.shape[0] < 2 and encoder.has_norm_layers:
                 continue  # a single row cannot feed batch statistics
             xb, yb = x_train[idx], y_train[idx]
-            feats = encoder.encode(xb, mode="train")
-            logits = classifier.logits(feats)
-            probs = softmax_rows(logits)
-            loss, g_logits = cross_entropy_loss(probs, yb)
-            gz, cgrads = classifier.backward(feats, g_logits)
-            _, egrads = encoder.backward(gz)
-            encoder.update_running_stats()
-            grads = {**egrads, **cgrads}
-            opt.step(grads)
+            try:
+                feats = encoder.encode(xb, mode="train")
+                probs = softmax_rows(classifier.logits(feats))
+                loss, g_logits = cross_entropy_loss(probs, yb)
+                gz, cgrads = classifier.backward(feats, g_logits)
+                _, egrads = encoder.backward(gz)
+                encoder.update_running_stats()
+                opt.step({**egrads, **cgrads})
+            except NumericalFailure as e:
+                msg = f"training aborted at epoch {epoch}, step {step}: {e}"
+                raise NumericalFailure(msg) from e
             loss_history.append(loss)
         acc = classification_accuracy(encoder, classifier, x_val, y_val)
         val_history.append(acc)

@@ -97,6 +97,16 @@ def test_backward_failure_names_the_step(method, monkeypatch):
         run_method(pair, target, AdaptConfig(method=method, seed=1))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_scoring_failure_names_the_step(method):
+    # a bad weight is caught by the op that uses it, while the batch is scored
+    pair, target = _tiny(5, use_norm=True)
+    pair.adapted_encoder.weights[0][0, 0] = np.nan
+    with pytest.raises(NumericalFailure,
+                       match="aborted at step 0: linear_forward: produced non-finite"):
+        run_method(pair, target, AdaptConfig(method=method, seed=1))
+
+
 def test_all_switches_off_is_pure_evaluation():
     pair, target = _tiny(1)
     before = pair.adapted_fingerprint()

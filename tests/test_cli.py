@@ -223,3 +223,19 @@ def test_ablate_rejects_explicit_method(tmp_path, capsys):
     ])
     assert rc == 1
     assert "do not set method" in capsys.readouterr().err
+
+
+def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data)
+    doc = json.load(open(ckpt))
+    doc["encoder"]["weights"][1][0][0] = float("nan")
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main([
+        "adapt", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", run,
+    ])
+    assert rc == 1
+    assert "encoder.weights[1] contains NaN or Inf" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Encoder/classifier mechanics: shapes, gradients, freezing, checkpoints."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,7 @@ from marginadapt import (
     ConfigError,
     LinearClassifier,
     MlpEncoder,
+    NumericalFailure,
     SchemaError,
     StateError,
     classification_accuracy,
@@ -205,3 +208,30 @@ def test_checkpoint_rejects_bad_schema(tmp_path):
     bad.write_text(blob)
     with pytest.raises(SchemaError):
         load_checkpoint(bad)
+
+
+def test_logits_reject_a_non_finite_output():
+    enc = MlpEncoder.create([4, 3], seed=22)
+    clf = LinearClassifier.create(3, 2, seed=23)
+    pair = clone_for_adaptation(enc, clf)
+    pair.adapted_classifier.omega[0, 0] = np.inf
+    x = np.random.default_rng(22).standard_normal((6, 4))
+    with pytest.raises(NumericalFailure, match="logits"):
+        pair.predict_probs(x)
+
+
+def test_checkpoint_rejects_non_finite_arrays_naming_the_field(tmp_path):
+    enc = MlpEncoder.create([4, 3, 2], use_norm=True, seed=24)
+    clf = LinearClassifier.create(2, 2, seed=25)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, enc, clf)
+    doc = json.loads(path.read_text())
+    doc["encoder"]["weights"][1][0][0] = float("nan")
+    doc["classifier"]["bias"][0] = float("inf")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"encoder\.weights\[1\] contains NaN or Inf"):
+        load_checkpoint(path)
+    doc["encoder"]["weights"][1][0][0] = 0.0
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"classifier\.bias contains NaN or Inf"):
+        load_checkpoint(path)

@@ -14,6 +14,7 @@ from marginadapt import (
     DimensionError,
     LinearClassifier,
     MlpEncoder,
+    NumericalFailure,
     ShiftSpec,
     TrainConfig,
     classification_accuracy,
@@ -289,3 +290,20 @@ def test_train_config_validation():
         TrainConfig(epochs=-1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(weight_decay=-0.1).validate()
+
+
+def test_training_failure_names_epoch_and_step(monkeypatch):
+    sources, enc, clf = _tiny_task(6)
+    # the first step blows the weights up; the second step's logits overflow
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        NumericalFailure, match="training aborted at epoch 0, step 1: logits: produced"
+    ):
+        train_source_erm(enc, clf, sources, TrainConfig(lr=1e300, epochs=2, seed=6))
+
+    def fail(self, upstream):
+        raise NumericalFailure("backward: non-finite gradient")
+
+    monkeypatch.setattr(MlpEncoder, "backward", fail)
+    _, enc, clf = _tiny_task(6)
+    with pytest.raises(NumericalFailure, match="training aborted at epoch 0, step 0: backward"):
+        train_source_erm(enc, clf, sources, TrainConfig(epochs=2, seed=6))
