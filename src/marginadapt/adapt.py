@@ -16,8 +16,9 @@ The steps (`_make_step`):
   unidg         pseudo-label the batch, push features into the memory bank,
                 rebuild prototypes and refresh the classifier columns; then
                 one Adam step on the entropy of the refreshed predictions,
-                the margin hinge between adapted and frozen-source features
-                (+ optional memory alignment term).
+                the margin hinge between adapted and frozen-source features,
+                both encoded in the stream's mode (+ optional memory
+                alignment term).
 """
 
 from __future__ import annotations
@@ -122,9 +123,9 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     if enc.has_norm_layers:
         batches = [b for b in batches if b.shape[0] >= 2]
     limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
-    step = _make_step(pair, cfg) if limit > 0 else None
     # norm layers use the batch's own statistics on the target stream
     mode = "train" if enc.has_norm_layers else "eval"
+    step = _make_step(pair, cfg, mode) if limit > 0 else None
     source_before = _source_accuracy(pair, source_eval)
 
     cumulative = []
@@ -157,10 +158,11 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     return pair, curve, reports
 
 
-def _make_step(pair: ModelPair, cfg: AdaptConfig):
+def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
     """The update `step(xb, feats, probs, preds)` that cfg.method takes on a
-    batch it has just scored, or None when the method never adapts. A step
-    returns the batch's LossReport, or None when it optimised nothing."""
+    batch it has just scored in encoder `mode`, or None when the method never
+    adapts. A step returns the batch's LossReport, or None when it optimised
+    nothing."""
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
 
@@ -226,15 +228,22 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig):
             gz, grads = clf.backward(feats, g_logits)
             g_feats += gz
         if cfg.enable_lm:
-            source_feats = pair.source_encoder.encode(xb, mode="eval", retain_cache=False)
+            # like for like: the source sees the batch in the adapted copy's
+            # mode, so the hinge measures parameter drift, not a mode gap
+            source_feats = pair.source_encoder.encode(xb, mode=mode, retain_cache=False)
             l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
             g_feats += cfg.lambda_weight * g_lm
         if cfg.enable_li:
             l_i, g_li, proto_grads = memory_term_loss(feats, bank.prototypes, labels_hat)
             g_feats += g_li
-            if proto_grads and cfg.enable_bank and cfg.enable_refresh:
-                _route_prototype_grads(grads, proto_grads, bank, clf)
-        total = combined_loss(l_e, l_m, l_i, cfg.lambda_weight, include_li=cfg.enable_li)
+            if cfg.enable_bank and cfg.enable_refresh:
+                # after a refresh the held prototypes ARE the classifier
+                # columns, so their gradient lands on omega; otherwise the
+                # prototypes are no learnable parameter and it is dropped
+                held = bank.counts > 0
+                g_w = grads.setdefault("clf.w", np.zeros_like(clf.omega))
+                g_w[:, held] += proto_grads[held].T
+        total = combined_loss(l_e, l_m, l_i, cfg.lambda_weight)
         if not np.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m}, l_i={l_i})")
         _, egrads = enc.backward(g_feats)
@@ -244,15 +253,3 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig):
 
     return unidg_step
 
-
-def _route_prototype_grads(grads, proto_grads, bank, clf):
-    """After a refresh the prototypes ARE the classifier columns, so their
-    gradient lands on omega. Without refresh the prototypes are not part of
-    any learnable parameter and the gradient is dropped."""
-    target = grads.get("clf.w")
-    if target is None:
-        target = np.zeros_like(clf.omega)
-        grads["clf.w"] = target
-    for class_id, g in proto_grads.items():
-        if bank.counts[class_id]:
-            target[:, class_id] += g

@@ -94,14 +94,16 @@ def entropy_loss(probs: Array):
     return value, grad_logits
 
 
-def memory_term_loss(feats: Array, prototypes: dict, pseudo_labels, eps: float = 1e-5):
+def memory_term_loss(feats: Array, prototypes: Array, pseudo_labels, eps: float = 1e-5):
     """Alignment confidence between features and their pseudo-class prototype.
 
-    Per row: gamma_i = f_i . (v_{y_i} / ||v_{y_i}||), then the batch of
-    scalars gamma is standardized (mean/variance over the batch, eps floor)
-    and scored with -(1/N) sum_i gamma_i log softmax(gamma)_i.
+    Per row: gamma_i = f_i . (v_{y_i} / ||v_{y_i}||), where v_j is row j of
+    `prototypes (C, d)`. The batch of scalars gamma is standardized
+    (mean/variance over the batch, eps floor) and scored with
+    -(1/N) sum_i gamma_i log softmax(gamma)_i.
 
-    Returns (value, grad wrt feats, grad wrt prototypes by class id).
+    Returns (value, grad wrt feats, grad wrt prototypes as a (C, d) array
+    whose rows for classes absent from the batch are zero).
     """
     labels = np.asarray(pseudo_labels)
     n, d = feats.shape
@@ -113,17 +115,18 @@ def memory_term_loss(feats: Array, prototypes: dict, pseudo_labels, eps: float =
         raise BatchTooSmallError(
             "memory_term_loss: batch standardization needs >= 2 rows"
         )
-    units = np.empty((n, d))
-    norms = np.empty(n)
-    for i, lab in enumerate(labels):
-        v = prototypes.get(int(lab))
-        if v is None:
-            raise StateError(f"memory_term_loss: no prototype for class {int(lab)}")
-        nv = float(np.linalg.norm(v))
-        if nv == 0.0:
-            raise StateError(f"memory_term_loss: zero-norm prototype for class {int(lab)}")
-        units[i] = v / nv
-        norms[i] = nv
+    bad = (labels < 0) | (labels >= prototypes.shape[0])
+    if bad.any():
+        raise StateError(f"memory_term_loss: no prototype for class {int(labels[bad][0])}")
+    # one 1-D norm per class: norm(P, axis=1) rounds differently
+    class_norms = np.array([np.linalg.norm(v) for v in prototypes])
+    norms = class_norms[labels]
+    zero = norms == 0.0
+    if zero.any():
+        raise StateError(
+            f"memory_term_loss: zero-norm prototype for class {int(labels[zero][0])}"
+        )
+    units = prototypes[labels] / norms[:, None]
     raw = np.sum(feats * units, axis=1)
 
     mu = raw.mean()
@@ -142,23 +145,14 @@ def memory_term_loss(feats: Array, prototypes: dict, pseudo_labels, eps: float =
     draw = (n * dg - dg.sum() - g * (dg * g).sum()) / (n * denom)
 
     grad_feats = draw[:, None] * units
-    grad_protos: dict[int, Array] = {}
-    for i, lab in enumerate(labels):
-        lab = int(lab)
-        contrib = draw[i] * (feats[i] - units[i] * raw[i]) / norms[i]
-        if lab in grad_protos:
-            grad_protos[lab] += contrib
-        else:
-            grad_protos[lab] = contrib.copy()
+    grad_protos = np.zeros_like(prototypes)
+    np.add.at(grad_protos, labels,
+              draw[:, None] * (feats - units * raw[:, None]) / norms[:, None])
     if not np.isfinite(value):
         raise NumericalFailure("memory_term_loss: non-finite value")
     return value, grad_feats, grad_protos
 
 
-def combined_loss(l_e: float, l_m: float, l_i: float, lambda_weight: float,
-                  include_li: bool = False) -> float:
-    """total = l_e + lambda * l_m, plus l_i when the memory term is on."""
-    total = l_e + lambda_weight * l_m
-    if include_li:
-        total = total + l_i
-    return float(total)
+def combined_loss(l_e: float, l_m: float, l_i: float, lambda_weight: float) -> float:
+    """total = l_e + lambda * l_m + l_i; a term that is off enters as 0.0."""
+    return float(l_e + lambda_weight * l_m + l_i)

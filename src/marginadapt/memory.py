@@ -7,11 +7,12 @@ pseudo-labels break toward the lowest class index, eviction prefers the
 oldest record among equals, selection orders by (entropy, arrival step).
 
 The bank is a set of fixed arrays: `features (C, capacity, d)`,
-`entropies (C, capacity)`, `steps (C, capacity)` and `counts (C,)`. Class j
-holds its first `counts[j]` slots in selection order, so its Top-K is a
-leading slice. Eviction is a total order (higher entropy is worse, then the
-older row), so inserting a batch row by row keeps exactly the `capacity`
-best rows of (held + new): one sort per class replaces the row loop.
+`entropies (C, capacity)`, `steps (C, capacity)`, `counts (C,)` and
+`prototypes (C, d)`, whose row j is class j's prototype. Class j holds its
+first `counts[j]` slots in selection order, so its Top-K is a leading
+slice. Eviction is a total order (higher entropy is worse, then the older
+row), so inserting a batch row by row keeps exactly the `capacity` best rows
+of (held + new): one sort per class replaces the row loop.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ class SupportRecord:
 
 
 class MemoryBank:
+    """Per-class support arrays plus `prototypes (C, d)`; see the module
+    docstring for the layout. Prototypes start at zero."""
+
     def __init__(self, num_classes: int, feature_dim: int,
-                 capacity_per_class: int = 64, top_k: int = 20,
-                 prototypes: dict | None = None):
+                 capacity_per_class: int = 64, top_k: int = 20):
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if feature_dim < 1:
@@ -51,11 +54,7 @@ class MemoryBank:
         self.entropies = np.zeros((num_classes, capacity_per_class))
         self.steps = np.zeros((num_classes, capacity_per_class), dtype=np.int64)
         self.counts = np.zeros(num_classes, dtype=np.int64)
-        if prototypes is None:
-            prototypes = {
-                j: np.zeros(feature_dim) for j in range(num_classes)
-            }
-        self.prototypes = prototypes
+        self.prototypes = np.zeros((num_classes, feature_dim))
         self._next_step = 0
 
     def _records(self, class_id: int, n: int) -> list[SupportRecord]:
@@ -66,32 +65,23 @@ class MemoryBank:
         return list(map(SupportRecord, feats, self.entropies[class_id, :n].tolist(),
                         self.steps[class_id, :n].tolist()))
 
-    def selected(self, class_id: int) -> list[SupportRecord]:
-        """Top-K lowest-entropy supports of a class, (entropy, step) order."""
-        return self._records(class_id, min(self.top_k, int(self.counts[class_id])))
-
     @property
     def supports(self) -> dict[int, list[SupportRecord]]:
         """Every held row per class, in selection order."""
         return {j: self._records(j, int(n)) for j, n in enumerate(self.counts)}
 
-    def support_counts(self) -> dict[int, int]:
-        return {j: int(n) for j, n in enumerate(self.counts)}
-
 
 def init_from_classifier(classifier, capacity_per_class: int = 64,
                          top_k: int = 20) -> MemoryBank:
     """Empty bank whose prototypes start as the classifier's weight columns."""
-    protos = {
-        j: classifier.omega[:, j].copy() for j in range(classifier.num_classes)
-    }
-    return MemoryBank(
+    bank = MemoryBank(
         num_classes=classifier.num_classes,
         feature_dim=classifier.feature_dim,
         capacity_per_class=capacity_per_class,
         top_k=top_k,
-        prototypes=protos,
     )
+    bank.prototypes[:] = classifier.omega.T
+    return bank
 
 
 def pseudo_label(probs: Array):
@@ -141,9 +131,9 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     return bank
 
 
-def compute_prototypes(bank: MemoryBank) -> dict:
-    """Mean of each class's selected supports. Classes without supports keep
-    their current prototype untouched."""
+def compute_prototypes(bank: MemoryBank) -> Array:
+    """Mean of each class's selected supports, written into its row of
+    `bank.prototypes`. Classes without supports keep their current row."""
     for j, n in enumerate(bank.counts.tolist()):
         k = min(bank.top_k, n)
         if k:
@@ -160,9 +150,8 @@ def refresh_classifier(bank: MemoryBank, classifier):
         raise DimensionError("refresh_classifier: feature dims differ")
     if classifier.num_classes != bank.num_classes:
         raise DimensionError("refresh_classifier: class counts differ")
-    for j in range(bank.num_classes):
-        if bank.counts[j]:
-            classifier.omega[:, j] = bank.prototypes[j]
-            if classifier.bias is not None:
-                classifier.bias[j] = 0.0
+    held = bank.counts > 0
+    classifier.omega[:, held] = bank.prototypes[held].T
+    if classifier.bias is not None:
+        classifier.bias[held] = 0.0
     return classifier

@@ -43,7 +43,6 @@ from marginadapt import (
 )
 from marginadapt.cli import canonical_record_bytes, main
 from marginadapt.memory import (
-    SupportRecord,
     compute_prototypes,
     init_from_classifier,
     insert_and_select,
@@ -131,7 +130,7 @@ def _check_entropy(rng):
 
 def _check_memory_term(rng):
     feats = rng.standard_normal((6, 5))
-    protos = {j: rng.standard_normal(5) for j in range(4)}
+    protos = np.stack([rng.standard_normal(5) for j in range(4)])
     labels = rng.integers(0, 4, size=6)
 
     def f():
@@ -230,11 +229,11 @@ class OracleBank:
             rows.sort(key=lambda r: (-r[0], r[1]))  # worst first, oldest first
             rows.pop(0)
 
-    def selected(self, label):
+    def top_k_rows(self, label):
         return sorted(self.rows[label], key=lambda r: (r[0], r[1]))[: self.top_k]
 
     def prototype(self, label):
-        sel = self.selected(label)
+        sel = self.top_k_rows(label)
         return np.mean([r[2] for r in sel], axis=0) if sel else None
 
 
@@ -256,11 +255,12 @@ def test_criterion_3_memory_bank_oracle():
             oracle.insert(feats[i], int(labels[i]), float(entropies[i]), step)
             step += 1
         for j in range(4):
-            got = bank.selected(j)
-            want = oracle.selected(j)
-            assert [(r.entropy, r.step) for r in got] == [w[:2] for w in want]
-            for r, w in zip(got, want):
-                npt.assert_array_equal(r.feature, w[2])
+            k = min(bank.top_k, bank.counts[j])
+            want = oracle.top_k_rows(j)
+            got = list(zip(bank.entropies[j, :k].tolist(), bank.steps[j, :k].tolist()))
+            assert got == [w[:2] for w in want]
+            for f, w in zip(bank.features[j, :k], want):
+                npt.assert_array_equal(f, w[2])
             proto = oracle.prototype(j)
             if proto is not None:
                 npt.assert_array_equal(bank.prototypes[j], proto)

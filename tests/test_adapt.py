@@ -139,10 +139,11 @@ def test_labels_never_reach_the_update():
     assert curve_a.final_accuracy != curve_b.final_accuracy
 
 
-def test_margin_alone_cannot_move_a_fresh_clone():
+@pytest.mark.parametrize("use_norm", [False, True])
+def test_margin_alone_cannot_move_a_fresh_clone(use_norm):
     # at start the adapted copy sits exactly on the source, inside the margin,
     # so the hinge and its gradient are exactly zero on every batch
-    pair, target = _tiny(4)
+    pair, target = _tiny(4, use_norm=use_norm)
     before = pair.adapted_fingerprint()
     cfg = AdaptConfig(
         lr=1e-2, seed=5,
@@ -167,6 +168,29 @@ def test_bank_without_refresh_changes_nothing_observable():
     assert reports == []
     _, plain, _ = run_method(pair, target, AdaptConfig(steps=0, seed=5))
     assert curve.cumulative == plain.cumulative
+
+
+def test_prototype_gradient_reaches_only_held_columns(monkeypatch):
+    # with l_e and l_m off the classifier gradient is the routed prototype
+    # gradient alone; after step 0 the bank holds only batch 0's pseudo-classes
+    pair, target = _tiny(4)
+    cfg = AdaptConfig(lr=1e-2, batch_size=2, steps=1, seed=5,
+                      enable_lm=False, enable_le=False, enable_li=True)
+    batch0 = stream_batches(target.n, cfg.batch_size, cfg.seed)[0]
+    held = set(np.argmax(pair.predict_probs(target.features[batch0]), axis=1).tolist())
+    assert 0 < len(held) < 4
+    steps = []
+    monkeypatch.setattr(adapt.Adam, "step", lambda self, grads: steps.append(grads))
+    run_method(pair, target, cfg)
+    g = steps[0]["clf.w"]
+    for j in range(4):
+        if j in held:
+            assert np.any(g[:, j] != 0.0), j
+        else:
+            assert np.all(g[:, j] == 0.0), j
+    # without refresh the prototypes are no parameter: nothing is routed
+    run_method(pair, target, replace(cfg, enable_refresh=False))
+    assert "clf.w" not in steps[1]
 
 
 def test_bankless_unidg_builds_no_bank_and_pseudo_labels_nothing(monkeypatch):

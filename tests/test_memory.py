@@ -36,11 +36,11 @@ class OracleBank:
             rows.sort(key=lambda r: (-r[0], r[1]))
             rows.pop(0)
 
-    def selected(self, label):
+    def top_k_rows(self, label):
         return sorted(self.rows[label], key=lambda r: (r[0], r[1]))[: self.top_k]
 
     def prototype(self, label):
-        sel = self.selected(label)
+        sel = self.top_k_rows(label)
         return np.mean([f for _, _, f in sel], axis=0) if sel else None
 
 
@@ -63,11 +63,12 @@ def test_insert_and_select_matches_oracle_on_thousand_insertions():
 
     for j in range(num_classes):
         assert len(bank.supports[j]) == len(oracle.rows[j])
-        got = [(r.entropy, r.step) for r in bank.selected(j)]
-        want = [(e, s) for e, s, _ in oracle.selected(j)]
+        k = min(bank.top_k, bank.counts[j])
+        got = list(zip(bank.entropies[j, :k].tolist(), bank.steps[j, :k].tolist()))
+        want = [(e, s) for e, s, _ in oracle.top_k_rows(j)]
         assert got == want, f"class {j} selection order"
-        for rec, (_, _, f) in zip(bank.selected(j), oracle.selected(j)):
-            npt.assert_array_equal(rec.feature, f)
+        for feat, (_, _, f) in zip(bank.features[j, :k], oracle.top_k_rows(j)):
+            npt.assert_array_equal(feat, f)
 
     protos = compute_prototypes(bank)
     for j in range(num_classes):
@@ -81,7 +82,7 @@ def test_capacity_never_exceeded():
         insert_and_select(
             bank, rng.standard_normal((4, 3)), rng.integers(0, 2, 4), rng.random(4)
         )
-        assert all(c <= 5 for c in bank.support_counts().values())
+        assert all(c <= 5 for c in bank.counts)
 
 
 def test_eviction_prefers_oldest_among_entropy_ties():
@@ -198,10 +199,12 @@ def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction(
         for j in range(num_classes):
             held = sorted((r.entropy, r.step) for r in bank.supports[j])
             assert held == sorted(w[:2] for w in oracle.rows[j])
-            got, want = bank.selected(j), oracle.selected(j)
-            assert [(r.entropy, r.step) for r in got] == [w[:2] for w in want]
-            for rec, (_, _, f) in zip(got, want):
-                npt.assert_array_equal(rec.feature, f)
+            k = min(bank.top_k, bank.counts[j])
+            want = oracle.top_k_rows(j)
+            got = list(zip(bank.entropies[j, :k].tolist(), bank.steps[j, :k].tolist()))
+            assert got == [w[:2] for w in want]
+            for feat, (_, _, f) in zip(bank.features[j, :k], want):
+                npt.assert_array_equal(feat, f)
             npt.assert_array_equal(bank.prototypes[j], oracle.prototype(j))
 
 
@@ -209,13 +212,13 @@ def test_out_of_range_label_leaves_the_bank_untouched():
     rng = np.random.default_rng(12)
     bank = MemoryBank(3, 2, capacity_per_class=4, top_k=2)
     insert_and_select(bank, rng.standard_normal((8, 2)), rng.integers(0, 3, 8), rng.random(8))
-    counts, next_step = bank.support_counts(), bank._next_step
+    counts, next_step = bank.counts.copy(), bank._next_step
     held = {j: [(r.entropy, r.step, r.feature.copy()) for r in v]
             for j, v in bank.supports.items()}
     # the bad label comes after rows that would otherwise be inserted
     with pytest.raises(DimensionError, match="label 3 out of range"):
         insert_and_select(bank, np.zeros((4, 2)), [0, 1, 2, 3], [0.0] * 4)
-    assert bank.support_counts() == counts
+    npt.assert_array_equal(bank.counts, counts)
     assert bank._next_step == next_step
     for j, v in bank.supports.items():
         assert [(r.entropy, r.step) for r in v] == [h[:2] for h in held[j]]
