@@ -292,8 +292,10 @@ def write_csv(datasets, path) -> str:
         for ds in datasets:
             if ds.features.shape[1] != dim:
                 raise DataError("write_csv: feature widths differ across domains")
-            for row, lab in zip(ds.features, ds.labels):
-                writer.writerow([repr(float(v)) for v in row] + [int(lab), ds.domain_id])
+            writer.writerows(
+                [*map(repr, row), lab, ds.domain_id]
+                for row, lab in zip(ds.features.tolist(), ds.labels.tolist())
+            )
     return str(path)
 
 

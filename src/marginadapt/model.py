@@ -234,7 +234,7 @@ class LinearClassifier:
             )
         out = z @ self.omega
         if self.bias is not None:
-            out = out + self.bias
+            out += self.bias
         return _finite(out, "logits")
 
     def backward(self, z, upstream):

@@ -9,6 +9,11 @@ check only the shapes of their inputs, so callers pass finite float64
 arrays of the right rank. Values entering the package are checked at its
 entry points: `DomainDataset`, `NormLayerState`, the `LinearClassifier`
 constructor, `MlpEncoder.encode`'s input, `diagnostics`, `load_checkpoint`.
+
+Batch normalization takes its statistics once per forward: the batch is
+centred once and that centred batch gives both the variance and x_hat, by
+the same reductions `np.mean` and `np.var` run, so the values are theirs
+bit for bit. The forward caches `denom = sqrt(var + eps)` for the backward.
 """
 
 from __future__ import annotations
@@ -115,6 +120,7 @@ class _NormCache:
     x_hat: Array
     mean: Array  # batch mean (train) or running mean (eval)
     var: Array  # batch variance (train) or running variance (eval)
+    denom: Array  # sqrt(var + eps)
     m: int
 
 
@@ -187,17 +193,23 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
             raise BatchTooSmallError(
                 f"batchnorm_forward: train mode needs >= 2 rows, got {m}"
             )
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
-        x_hat = (x - mu) / np.sqrt(var + state.eps)
-        state.cache = _NormCache(mode="train", x_hat=x_hat, mean=mu, var=var, m=m)
+        # np.mean and np.var's own arithmetic, with the centring done once
+        mu = np.add.reduce(x, axis=0) / m
+        xc = x - mu
+        var = np.add.reduce(xc * xc, axis=0) / m
+        denom = np.sqrt(var + state.eps)
+        x_hat = xc / denom
+        state.cache = _NormCache(mode="train", x_hat=x_hat, mean=mu, var=var,
+                                 denom=denom, m=m)
     elif mode == "eval":
-        x_hat = (x - state.running_mean) / np.sqrt(state.running_var + state.eps)
+        denom = np.sqrt(state.running_var + state.eps)
+        x_hat = (x - state.running_mean) / denom
         state.cache = _NormCache(
             mode="eval",
             x_hat=x_hat,
             mean=state.running_mean,
             var=state.running_var,
+            denom=denom,
             m=x.shape[0],
         )
     else:
@@ -228,8 +240,9 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
 
     For a train-mode cache with m rows:
       gx = (m*g - sum(g) - x_hat * sum(g*x_hat)) / (m*sqrt(var+eps))
-    with g = upstream*gamma. Eval-mode caches reduce to the affine shortcut
-    gx = g / sqrt(running_var + eps). ggamma/gbeta are the usual reductions.
+    with g = upstream*gamma and sqrt(var+eps) read from the cache. Eval-mode
+    caches reduce to the affine shortcut gx = g / sqrt(running_var + eps).
+    ggamma/gbeta are the usual reductions.
     """
     if state.cache is None:
         raise StateError("batchnorm_backward: no forward cache present")
@@ -239,17 +252,15 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
             f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
         )
     gxhat = upstream * state.gamma
-    denom = np.sqrt(c.var + state.eps)
     if c.mode == "train":
-        gx = (
-            c.m * gxhat
-            - gxhat.sum(axis=0)
-            - c.x_hat * (gxhat * c.x_hat).sum(axis=0)
-        ) / (c.m * denom)
+        gx = c.m * gxhat
+        gx -= np.add.reduce(gxhat, axis=0)
+        gx -= c.x_hat * np.add.reduce(gxhat * c.x_hat, axis=0)
+        gx /= c.m * c.denom
     else:
-        gx = gxhat / denom
-    ggamma = (upstream * c.x_hat).sum(axis=0)
-    gbeta = upstream.sum(axis=0)
+        gx = gxhat / c.denom
+    ggamma = np.add.reduce(upstream * c.x_hat, axis=0)
+    gbeta = np.add.reduce(upstream, axis=0)
     return (
         _finite(gx, "batchnorm_backward"),
         _finite(ggamma, "batchnorm_backward"),

@@ -55,11 +55,14 @@ class Adam:
     owned by the caller. Each parameter holds a fixed slice of the flat
     moment buffers, in the order given. A step gathers the gradients into
     one flat buffer, runs the moment update and the step once over it, and
-    scatters the step back into the parameters. A parameter missing from the
-    gradient dict is left untouched for that step, its moments included; a
-    zero gradient on fresh moments gives an exactly zero update. Either way
-    the step counter advances. A gradient of the wrong shape raises before
-    anything moves. First step with constant gradient g moves by
+    scatters the step back into the parameters; gather and scatter go
+    through views of each parameter's slice, shaped like it and made once,
+    and the step lands in a flat buffer allocated with the moments (with
+    weight decay it first gathers the parameters). A parameter missing from
+    the gradient dict is left untouched for that step, its moments included;
+    a zero gradient on fresh moments gives an exactly zero update. Either
+    way the step counter advances. A gradient of the wrong shape raises
+    before anything moves. First step with constant gradient g moves by
     lr * g / (|g| + eps), i.e. ~lr per coordinate."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
@@ -78,14 +81,17 @@ class Adam:
             self._slices.append(slice(size, size + p.size))
             size += p.size
         self._g = np.zeros(size)
-        self._p = np.zeros(size) if weight_decay else None
+        self._a = np.zeros(size)
+        # each parameter's slice of _g and of _a, viewed in its own shape
+        self._views = [(self._g[sl].reshape(p.shape), self._a[sl].reshape(p.shape))
+                       for (_, p), sl in zip(self.params, self._slices)]
         self.state = AdamState(
             m=np.zeros(size), v=np.zeros(size), beta1=beta1, beta2=beta2, eps=eps,
         )
 
     def step(self, grads: dict) -> None:
         held = []
-        for (name, p), sl in zip(self.params, self._slices):
+        for (name, p), (g_view, a_view), sl in zip(self.params, self._views, self._slices):
             g = grads.get(name)
             if g is None:
                 continue
@@ -94,14 +100,14 @@ class Adam:
                 raise DimensionError(
                     f"Adam: gradient for {name} has shape {g.shape}, param {p.shape}"
                 )
-            self._g[sl] = g.ravel()
+            g_view[...] = g
             if self.weight_decay:
-                self._p[sl] = p.ravel()
-            held.append((p, sl))
+                a_view[...] = p
+            held.append((p, a_view, sl))
         mask = True
         if len(held) < len(self.params):
             mask = np.zeros(self._g.shape, dtype=bool)
-            for _, sl in held:
+            for _, _, sl in held:
                 mask[sl] = True
 
         st = self.state
@@ -110,15 +116,16 @@ class Adam:
         c2 = 1.0 - st.beta2 ** st.t
         g = self._g
         if self.weight_decay:
-            g = g + self.weight_decay * self._p
+            g = g + self.weight_decay * self._a  # _a holds the parameters here
         m, v = st.m, st.v
         np.multiply(m, st.beta1, out=m, where=mask)
         np.add(m, (1.0 - st.beta1) * g, out=m, where=mask)
         np.multiply(v, st.beta2, out=v, where=mask)
         np.add(v, (1.0 - st.beta2) * (g * g), out=v, where=mask)
-        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + st.eps)
-        for p, sl in held:
-            p -= upd[sl].reshape(p.shape)
+        # the step lands in _a, which the per-parameter views read
+        np.divide(self.lr * (m / c1), np.sqrt(v / c2) + st.eps, out=self._a)
+        for p, a_view, _ in held:
+            p -= a_view
 
 
 def cross_entropy_loss(probs: Array, labels):
@@ -128,12 +135,13 @@ def cross_entropy_loss(probs: Array, labels):
     n, c = probs.shape
     if y.shape != (n,):
         raise DimensionError(f"cross_entropy_loss: labels shape {y.shape} != ({n},)")
-    if y.size and (y.min() < 0 or y.max() >= c):
+    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
         raise DataError(f"cross_entropy_loss: labels outside [0, {c})")
-    picked = probs[np.arange(n), y]
-    value = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    rows = np.arange(n)
+    log_picked = np.log(np.maximum(probs[rows, y], 1e-300))
+    value = float(-(np.add.reduce(log_picked) / n))
     grad_logits = probs.copy()
-    grad_logits[np.arange(n), y] -= 1.0
+    grad_logits[rows, y] -= 1.0
     grad_logits /= n
     if not np.isfinite(value):
         raise NumericalFailure("cross_entropy_loss: non-finite value")

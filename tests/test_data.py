@@ -1,5 +1,7 @@
 """Generator geometry, shift invariants, CSV round-trips, holdout splits."""
 
+import csv
+import hashlib
 import math
 
 import numpy as np
@@ -188,6 +190,28 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
     for ds in sources + [target]:
         npt.assert_array_equal(back[ds.domain_id].features, ds.features)
         npt.assert_array_equal(back[ds.domain_id].labels, ds.labels)
+
+
+def test_csv_bytes_match_a_per_value_repr_writer(tmp_path):
+    sources, target = gen_synthetic_shift(ShiftSpec(seed=16, samples_per_domain=24))
+    odd = DomainDataset(
+        features=np.resize([-0.0, 5e-324, 1e300, 0.1, 1.0 / 3.0, -2.5e-8, 7.0, -1e-300],
+                           (2, 16)),
+        labels=np.array([3, 0]), num_classes=4, domain_id="odd",
+    )
+    datasets = sources + [target, odd]
+    path = tmp_path / "mixed.csv"
+    write_csv(datasets, path)
+    # reference writer: one repr(float(v)) per value, one row at a time
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"f{i}" for i in range(16)] + ["label", "domain"])
+        for ds in datasets:
+            for row, lab in zip(ds.features, ds.labels):
+                writer.writerow([repr(float(v)) for v in row] + [int(lab), ds.domain_id])
+    digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, ref)]
+    assert digest[0] == digest[1]
 
 
 def test_load_csv_single_domain_selection(tmp_path):

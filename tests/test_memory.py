@@ -224,3 +224,32 @@ def test_out_of_range_label_leaves_the_bank_untouched():
         assert [(r.entropy, r.step) for r in v] == [h[:2] for h in held[j]]
         for r, h in zip(v, held[j]):
             npt.assert_array_equal(r.feature, h[2])
+
+
+@pytest.mark.parametrize("dim", [1, 7])
+@pytest.mark.parametrize("capacity, top_k", [(5, 3), (24, 12)])
+def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, capacity, top_k):
+    # 200 inserts: classes 0-2 overflow many times, class 3 holds 3 rows, class
+    # 4 one row, class 5 none. With top_k 12 and one column numpy sums a class
+    # pairwise, in an order set by the number of rows summed, so a reduction
+    # over all classes at once would not match the per-class mean there
+    rng = np.random.default_rng(13)
+    num_classes = 6
+    bank = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=top_k)
+    start = rng.standard_normal((num_classes, dim))
+    bank.prototypes[:] = start
+    labels = rng.integers(0, 3, size=200)
+    labels[[20, 90, 150]] = 3
+    labels[60] = 4
+    for batch in labels.reshape(25, 8):
+        feats = rng.standard_normal((8, dim)) * 10.0 ** rng.uniform(-3, 6, size=(8, 1))
+        entropies = np.round(rng.uniform(0.0, 1.0, size=8) * 4) / 4
+        insert_and_select(bank, feats, batch, entropies)
+        compute_prototypes(bank)
+        for j, n_held in enumerate(bank.counts.tolist()):
+            k = min(n_held, top_k)
+            want = bank.features[j, :k].mean(axis=0) if k else start[j]
+            npt.assert_array_equal(bank.prototypes[j], want)
+            # slots past the count have never been written
+            assert (bank.features[j, n_held:].view(np.uint64) == 0).all()
+    assert bank.counts.tolist() == [capacity] * 3 + [3, 1, 0]

@@ -102,6 +102,46 @@ def test_batchnorm_train_statistics_are_biased():
     npt.assert_allclose(state.cache.var, x.var(axis=0), atol=1e-12)  # ddof=0
 
 
+@pytest.mark.parametrize("shape, offset", [
+    ((2, 1), 0.0), ((32, 48), 0.0), ((6000, 48), 0.0), ((32, 48), 1e6),
+])
+def test_batchnorm_train_forward_is_bit_exact_against_textbook(shape, offset):
+    rng = np.random.default_rng(40)
+    x = rng.standard_normal(shape)
+    x[:, 0] += offset
+    state = NormLayerState(gamma=rng.standard_normal(shape[1]) + 2.0,
+                           beta=rng.standard_normal(shape[1]))
+    out = batchnorm_forward(x, state, mode="train")
+    x_hat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + state.eps)
+    npt.assert_array_equal(out, state.gamma * x_hat + state.beta)
+    npt.assert_array_equal(state.cache.mean, x.mean(axis=0))
+    npt.assert_array_equal(state.cache.var, x.var(axis=0))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_backward_with_cached_denom_is_bit_exact(mode):
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((32, 48))
+    state = NormLayerState(gamma=rng.standard_normal(48) + 2.0, beta=rng.standard_normal(48),
+                           running_mean=rng.standard_normal(48),
+                           running_var=rng.random(48) + 0.5)
+    up = rng.standard_normal((32, 48))
+    batchnorm_forward(x, state, mode=mode)
+    gx, ggamma, gbeta = batchnorm_backward(state, up)
+    # the closed form with sqrt(var + eps) recomputed from the cached var
+    c = state.cache
+    gxhat = up * state.gamma
+    denom = np.sqrt(c.var + state.eps)
+    if mode == "train":
+        want = (c.m * gxhat - gxhat.sum(axis=0)
+                - c.x_hat * (gxhat * c.x_hat).sum(axis=0)) / (c.m * denom)
+    else:
+        want = gxhat / denom
+    npt.assert_array_equal(gx, want)
+    npt.assert_array_equal(ggamma, (up * c.x_hat).sum(axis=0))
+    npt.assert_array_equal(gbeta, up.sum(axis=0))
+
+
 def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((4, 2))
