@@ -23,13 +23,15 @@ from . import __version__
 from .adapt import METHODS, AdaptConfig, run_method
 from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_domains, write_csv, DomainDataset
 from .diagnostics import kernel_comparison_sweep, verify_bn_gradient
-from .errors import ConfigError, DataError, MarginAdaptError
+from .errors import ConfigError, DataError, MarginAdaptError, SchemaError
 from .model import (
     LinearClassifier,
     MlpEncoder,
     CHECKPOINT_VERSION,
+    classification_accuracy,
     clone_for_adaptation,
     load_checkpoint,
+    model_fingerprint,
     save_checkpoint,
 )
 from .numeric import NormLayerState
@@ -209,7 +211,10 @@ def _sidecar_num_classes(data_dir):
     if not os.path.exists(path):
         return None
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as e:
+            raise SchemaError(f"{path}: not valid JSON ({e})") from e
     return doc.get("spec", {}).get("num_classes")
 
 
@@ -320,22 +325,38 @@ def cmd_adapt(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    trials = args.trials
+    if trials < 1:
+        raise ConfigError(f"ablate needs --trials >= 1, got {trials}")
     base = _adapt_config(args)
     if base.method != "unidg":
         raise ConfigError("ablate sweeps the combined method; do not set method")
     encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
-    trials = args.trials
-    rows = []
     started = time.perf_counter()
+    # one source pass per distinct model state: `none`, `bank` and `lm`
+    # never move a fresh clone, and while the hinge is idle `lm+le` and
+    # `all` repeat `le` and `le+refresh` bit for bit
+    source_scores = {}
+
+    def source_accuracy(enc, clf):
+        key = model_fingerprint(enc, clf)
+        if key not in source_scores:
+            source_scores[key] = classification_accuracy(
+                enc, clf, source_eval.features, source_eval.labels)
+        return source_scores[key]
+
+    source_before = None if source_eval is None else source_accuracy(encoder, classifier)
+    rows = []
     for name, switches in ABLATION_GRID:
         finals, drops = [], []
         for trial in range(trials):
             cfg = replace(base, seed=base.seed + trial, **switches)
             pair = clone_for_adaptation(encoder.copy(), classifier.copy())
-            _, curve, _ = run_method(pair, target, cfg, source_eval=source_eval)
+            pair, curve, _ = run_method(pair, target, cfg)
             finals.append(curve.final_accuracy)
-            if curve.source_before is not None:
-                drops.append(curve.source_before - curve.source_after)
+            if source_eval is not None:
+                drops.append(source_before - source_accuracy(
+                    pair.adapted_encoder, pair.adapted_classifier))
         rows.append({
             "variant": name,
             "switches": switches,

@@ -9,6 +9,7 @@ map). Everything is seeded and reproducible down to the byte.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -280,26 +281,53 @@ def bayes_accuracy_binary(mean_a, mean_b, std: float) -> float:
 
 def write_csv(datasets, path) -> str:
     """Write one or several domains into a single CSV. Floats are serialized
-    with repr so a read back is bit-exact."""
+    with repr so a read back is bit-exact. A row is one repr of its value
+    list with the label appended; csv encodes the `,domain` tail once per
+    dataset, so its quoting stays csv's."""
     if isinstance(datasets, DomainDataset):
         datasets = [datasets]
     if not datasets:
         raise DataError("write_csv: nothing to write")
     dim = datasets[0].features.shape[1]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(dim)] + ["label", "domain"])
+        csv.writer(fh).writerow([f"f{i}" for i in range(dim)] + ["label", "domain"])
         for ds in datasets:
             if ds.features.shape[1] != dim:
                 raise DataError("write_csv: feature widths differ across domains")
-            writer.writerows(
-                [*map(repr, row), lab, ds.domain_id]
-                for row, lab in zip(ds.features.tolist(), ds.labels.tolist())
-            )
+            buf = io.StringIO()
+            csv.writer(buf).writerow(["", ds.domain_id])
+            tail = buf.getvalue()
+            rows = ds.features.tolist()
+            for row, lab in zip(rows, ds.labels.tolist()):
+                row.append(lab)
+            fh.writelines(repr(row)[1:-1].replace(" ", "") + tail for row in rows)
     return str(path)
 
 
+_BLOCK_ROWS = 256  # feature rows per numpy conversion; bounds the reader's peak
+
+
+def _float_block(path, block, lines):
+    """The (rows, dim) float64 array of a block of feature strings. numpy
+    parses a str exactly as float() does; when the block fails, its rows are
+    parsed one at a time so the error names the line."""
+    try:
+        return np.array(block, dtype=np.float64)
+    except ValueError:
+        pass
+    rows = []
+    for row, lineno in zip(block, lines):
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as e:
+            raise ParseError(f"{path}: line {lineno}: bad float ({e})") from None
+    return np.array(rows, dtype=np.float64)
+
+
 def _parse_rows(path):
+    """(features, labels, domains, lines) of a CSV's data rows: one float64
+    array, and per row its int label, its domain and the line it came from.
+    The first bad row in file order raises, naming its line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -314,56 +342,68 @@ def _parse_rows(path):
         expected = [f"f{i}" for i in range(dim)]
         if header[:dim] != expected:
             raise SchemaError(f"{path}: feature columns must be named f0..f{dim - 1}")
-        rows = []
+        blocks, block, labels, domains, lines = [], [], [], [], []
+
+        def convert():
+            # rows before a structural or label error are converted first,
+            # so an earlier bad float is still the error raised
+            if block:
+                blocks.append(_float_block(path, block, lines[-len(block):]))
+                block.clear()
+
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != dim + 2:
+                convert()
                 raise SchemaError(
                     f"{path}: line {lineno}: expected {dim + 2} columns, got {len(row)}"
                 )
+            block.append(row[:dim])
+            lines.append(lineno)
             try:
-                feats = [float(v) for v in row[:dim]]
-            except ValueError as e:
-                raise ParseError(f"{path}: line {lineno}: bad float ({e})") from None
-            try:
-                label = int(row[dim])
+                labels.append(int(row[dim]))
             except ValueError:
+                convert()
                 raise ParseError(
                     f"{path}: line {lineno}: label {row[dim]!r} is not an integer"
                 ) from None
-            rows.append((feats, label, row[dim + 1], lineno))
-    if not rows:
+            domains.append(row[dim + 1])
+            if len(block) == _BLOCK_ROWS:
+                convert()
+        convert()
+    if not lines:
         raise DataError(f"{path}: no data rows")
-    return dim, rows
+    return np.concatenate(blocks), labels, domains, lines
 
 
 def load_csv_domains(path, num_classes: int | None = None) -> dict:
     """Read a CSV into one DomainDataset per distinct domain value."""
-    dim, rows = _parse_rows(path)
-    max_label = max(r[1] for r in rows)
-    min_label = min(r[1] for r in rows)
+    features, labels, domains, lines = _parse_rows(path)
+    max_label = max(labels)
+    min_label = min(labels)
     if min_label < 0:
         raise DataError(f"{path}: negative label {min_label}")
     if num_classes is None:
         num_classes = max_label + 1
     elif max_label >= num_classes:
-        bad = next(r for r in rows if r[1] >= num_classes)
+        i = next(i for i, lab in enumerate(labels) if lab >= num_classes)
         raise DataError(
-            f"{path}: line {bad[3]}: label {bad[1]} outside [0, {num_classes})"
+            f"{path}: line {lines[i]}: label {labels[i]} outside [0, {num_classes})"
         )
-    by_domain: dict[str, list] = {}
-    for feats, label, domain, _ in rows:
-        by_domain.setdefault(domain, []).append((feats, label))
-    out = {}
-    for domain, items in by_domain.items():
-        out[domain] = DomainDataset(
-            features=np.asarray([f for f, _ in items], dtype=np.float64),
-            labels=np.asarray([l for _, l in items], dtype=np.int64),
+    rows_of: dict[str, list] = {}
+    for i, domain in enumerate(domains):
+        rows_of.setdefault(domain, []).append(i)
+    labels = np.asarray(labels, dtype=np.int64)
+    return {
+        domain: DomainDataset(
+            features=features[rows],
+            labels=labels[rows],
             num_classes=num_classes,
             domain_id=domain,
         )
-    return out
+        for domain, rows in rows_of.items()
+    }
 
 
 def load_csv(path, num_classes: int | None = None, domain: str | None = None) -> DomainDataset:

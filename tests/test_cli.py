@@ -2,11 +2,25 @@
 
 import json
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from marginadapt import ConfigError
+from marginadapt import (
+    AdaptConfig,
+    ConfigError,
+    DomainDataset,
+    clone_for_adaptation,
+    load_checkpoint,
+    load_csv,
+    load_csv_domains,
+    run_method,
+)
+from marginadapt import adapt as adapt_module
+from marginadapt import cli
 from marginadapt.cli import (
+    ABLATION_GRID,
     OUT_ENV_VAR,
     canonical_record_bytes,
     main,
@@ -25,12 +39,12 @@ def _gen(tmp_path, seed=0):
     return data
 
 
-def _train(tmp_path, data, seed=0):
+def _train(tmp_path, data, seed=0, extra=()):
     run = str(tmp_path / "run")
     rc = main([
         "train-source", "--data", data, "--out", run, "--seed", str(seed),
         "--epochs", "2", "--lr", "0.01", "--hidden-dims", "16",
-        "--feature-dim", "16",
+        "--feature-dim", "16", *extra,
     ])
     assert rc == 0
     return run, os.path.join(run, "checkpoint.json")
@@ -239,3 +253,100 @@ def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     ])
     assert rc == 1
     assert "encoder.weights[1] contains NaN or Inf" in capsys.readouterr().err
+
+
+def test_ablate_rejects_zero_trials_before_loading(tmp_path, capsys):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data)
+    capsys.readouterr()
+    rc = main([
+        "ablate", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", run, "--trials", "0",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "--trials >= 1" in err
+    assert "Mean of empty slice" not in err
+    assert not [f for f in os.listdir(run) if f.startswith("run_")]
+    # nothing is read first: a missing checkpoint is not what fails
+    rc = main([
+        "ablate", "--checkpoint", str(tmp_path / "nope.json"), "--target",
+        str(tmp_path / "nope.csv"), "--out", run, "--trials", "-1",
+    ])
+    assert rc == 1
+    assert "--trials >= 1" in capsys.readouterr().err
+
+
+def test_train_source_names_a_malformed_shift_spec(tmp_path, capsys):
+    data = _gen(tmp_path)
+    sidecar = os.path.join(data, "shift_spec.json")
+    with open(sidecar, "w") as fh:
+        fh.write('{"spec": {"num_classes": 4,')
+    capsys.readouterr()
+    rc = main(["train-source", "--data", data, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and sidecar in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])
+def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extra):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data, extra=extra)
+    target_path = os.path.join(data, "target.csv")
+
+    # reference: run_method scores the source pool before and after every trial
+    encoder, classifier, _ = load_checkpoint(ckpt)
+    target = load_csv(target_path, num_classes=classifier.num_classes)
+    sources = []
+    for name in ("source_0.csv", "source_1.csv"):
+        sources.extend(load_csv_domains(os.path.join(data, name),
+                                        num_classes=classifier.num_classes).values())
+    pool = DomainDataset(
+        features=np.vstack([d.features for d in sources]),
+        labels=np.concatenate([d.labels for d in sources]),
+        num_classes=classifier.num_classes, domain_id="source_pool",
+    )
+    expected = {}
+    for name, switches in ABLATION_GRID:
+        finals, drops = [], []
+        for trial in range(2):
+            cfg = replace(AdaptConfig(), seed=trial, **switches)
+            pair = clone_for_adaptation(encoder.copy(), classifier.copy())
+            _, curve, _ = run_method(pair, target, cfg, source_eval=pool)
+            finals.append(curve.final_accuracy)
+            drops.append(curve.source_before - curve.source_after)
+        expected[name] = (finals, float(np.mean(drops)))
+
+    # spy: attribute each source-pool pass to the grid row being run
+    passes = {"before any run": 0}
+    running = ["before any run"]
+
+    def spy_run_method(pair, target, cfg, **kwargs):
+        running[0] = next(name for name, sw in ABLATION_GRID
+                          if all(getattr(cfg, k) == v for k, v in sw.items()))
+        passes.setdefault(running[0], 0)
+        return run_method(pair, target, cfg, **kwargs)
+
+    def spy_accuracy(encoder, classifier, features, labels, **kwargs):
+        if features.shape[0] == pool.n:
+            passes[running[0]] += 1
+        return real_accuracy(encoder, classifier, features, labels, **kwargs)
+
+    real_accuracy = adapt_module.classification_accuracy
+    monkeypatch.setattr(cli, "run_method", spy_run_method)
+    monkeypatch.setattr(adapt_module, "classification_accuracy", spy_accuracy)
+    monkeypatch.setattr(cli, "classification_accuracy", spy_accuracy, raising=False)
+    rc = main([
+        "ablate", "--checkpoint", ckpt, "--target", target_path,
+        "--source-data", data, "--out", run, "--trials", "2",
+    ])
+    assert rc == 0
+    record = json.load(open(os.path.join(run, "run_0001.json")))
+    for row in record["rows"]:
+        finals, drop = expected[row["variant"]]
+        assert row["final_accuracies"] == finals
+        assert row["mean_source_drop"] == drop
+    # `none` and `bank` never move the frozen model, which is scored once
+    assert passes["none"] == 0 and passes["bank"] == 0
+    assert passes["before any run"] == 1

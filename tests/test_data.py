@@ -199,7 +199,12 @@ def test_csv_bytes_match_a_per_value_repr_writer(tmp_path):
                            (2, 16)),
         labels=np.array([3, 0]), num_classes=4, domain_id="odd",
     )
-    datasets = sources + [target, odd]
+    # csv quotes this domain id and doubles its quote
+    quoted = DomainDataset(
+        features=np.arange(48.0).reshape(3, 16) / 7.0,
+        labels=np.array([1, 2, 0]), num_classes=4, domain_id='a,"b',
+    )
+    datasets = sources + [target, odd, quoted]
     path = tmp_path / "mixed.csv"
     write_csv(datasets, path)
     # reference writer: one repr(float(v)) per value, one row at a time
@@ -212,6 +217,12 @@ def test_csv_bytes_match_a_per_value_repr_writer(tmp_path):
                 writer.writerow([repr(float(v)) for v in row] + [int(lab), ds.domain_id])
     digest = [hashlib.sha256(p.read_bytes()).hexdigest() for p in (path, ref)]
     assert digest[0] == digest[1]
+    assert '"a,""b"' in path.read_text()
+    back = load_csv_domains(path, num_classes=4)
+    assert list(back) == [ds.domain_id for ds in datasets]
+    for ds in datasets:
+        assert back[ds.domain_id].features.tobytes() == ds.features.tobytes()
+        npt.assert_array_equal(back[ds.domain_id].labels, ds.labels)
 
 
 def test_load_csv_single_domain_selection(tmp_path):
@@ -237,6 +248,27 @@ def test_csv_parse_errors_carry_line_numbers(tmp_path):
     with pytest.raises(SchemaError) as err:  # wrong width is structural
         load_csv(short)
     assert "line 2" in str(err.value)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("f0,f1,label,domain\n1.0,2.0,0,d\n1.0,2.0,1.5,d\n")
+    with pytest.raises(ParseError, match="line 3: label '1.5' is not an integer"):
+        load_csv(labels)
+    labels.write_text("f0,f1,label,domain\n1.0,2.0,0,d\n1.0,2.0,1,d\n1.0,2.0,7,d\n")
+    with pytest.raises(DataError, match=r"line 4: label 7 outside \[0, 4\)"):
+        load_csv(labels, num_classes=4)
+    # blank lines count: the bad value sits on line 5
+    blank = tmp_path / "blank.csv"
+    blank.write_text("f0,f1,label,domain\n\n1.0,2.0,0,d\n\n1.0,x,1,d\n")
+    with pytest.raises(ParseError, match="line 5: bad float"):
+        load_csv(blank)
+    # an error past the first block of converted rows still names its line,
+    # and an earlier bad float wins over a later wrong width
+    rows = ["1.0,2.0,0,d"] * 600
+    rows[400] = "1.0,2.0e,0,d"
+    rows[450] = "1.0,0,d"
+    late = tmp_path / "late.csv"
+    late.write_text("\n".join(["f0,f1,label,domain"] + rows) + "\n")
+    with pytest.raises(ParseError, match="line 402: bad float .*'2.0e'"):
+        load_csv(late)
 
 
 def test_csv_label_bounds_checked(tmp_path):
