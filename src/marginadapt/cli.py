@@ -215,7 +215,13 @@ def _sidecar_num_classes(data_dir):
             doc = json.load(fh)
         except ValueError as e:
             raise SchemaError(f"{path}: not valid JSON ({e})") from e
-    return doc.get("spec", {}).get("num_classes")
+    spec = doc.get("spec", {}) if isinstance(doc, dict) else None
+    if not isinstance(spec, dict):
+        raise SchemaError(f'{path}: expected a JSON object with a "spec" object')
+    num_classes = spec.get("num_classes")
+    if num_classes is not None and type(num_classes) is not int:
+        raise SchemaError(f"{path}: spec.num_classes {num_classes!r} is not an integer")
+    return num_classes
 
 
 def cmd_train_source(args) -> int:

@@ -12,16 +12,19 @@ The bank is a set of fixed arrays: `features (C, capacity, d)`,
 first `counts[j]` slots in selection order, so its Top-K is a leading
 slice. Eviction is a total order (higher entropy is worse, then the older
 row), so inserting a batch row by row keeps exactly the `capacity` best rows
-of (held + new): one sort per class replaces the row loop.
+of (held + new). An insert sorts the batch once by (class, entropy, arrival)
+and then makes one stable sort per class it touches; a full class that no
+new row can enter is skipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NumericalFailure
 from .numeric import Array
 
 
@@ -97,9 +100,14 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     """Insert one record per row under its pseudo-class, evicting the worst
     (highest entropy, oldest first among ties) once a class is full.
 
-    Every input is checked before the bank changes. Each class present in
-    the batch is merged with its held rows by one sort that keeps the
-    `capacity` best and one that puts them in selection order."""
+    Every input is checked before the bank changes. The batch is grouped
+    once: one stable sort puts its rows in class, then entropy, then arrival
+    order. A full class whose best new entropy is above its worst held one
+    is left as it is. Otherwise the class's held entropies, already in
+    selection order, are followed by its new ones, which are newer and in
+    order too, so one stable sort gives the selection order and its first
+    `capacity` rows are the keep set. Only when a tie straddles that cut
+    (the newest of the tied rows are kept) does the class take two sorts."""
     labels = np.asarray(labels).astype(np.int64, copy=False)
     entropies = np.asarray(entropies, dtype=np.float64)
     n, d = features.shape
@@ -112,32 +120,47 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     bad = (labels < 0) | (labels >= bank.num_classes)
     if bad.any():
         raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
-    steps = np.arange(bank._next_step, bank._next_step + n, dtype=np.int64)
+    if np.count_nonzero(np.isfinite(entropies)) != entropies.size:
+        raise NumericalFailure("insert_and_select: entropies contains NaN or Inf")
+    order = np.lexsort((entropies, labels))
+    new_ent = entropies[order]
+    new_stp = order + bank._next_step
+    new_feats = features.take(order, axis=0)
     bank._next_step += n
-    for j in np.unique(labels).tolist():
-        rows = labels == j
-        held = bank.counts[j]
-        ent = np.concatenate((bank.entropies[j, :held], entropies[rows]))
-        stp = np.concatenate((bank.steps[j, :held], steps[rows]))
-        feats = np.concatenate((bank.features[j, :held], features[rows]))
-        # best first: lowest entropy, then the newest row among equals
-        keep = np.lexsort((-stp, ent))[: bank.capacity_per_class]
-        keep = keep[np.lexsort((stp[keep], ent[keep]))]
-        m = keep.shape[0]
-        bank.features[j, :m] = feats[keep]
-        bank.entropies[j, :m] = ent[keep]
-        bank.steps[j, :m] = stp[keep]
+    cap = bank.capacity_per_class
+    counts = bank.counts.tolist()
+    stop = 0
+    for j, run in groupby(labels[order].tolist()):
+        start, stop = stop, stop + len(list(run))
+        held = counts[j]
+        if held == cap and new_ent[start] > bank.entropies[j, cap - 1]:
+            continue  # every new row is worse than every held one
+        ent = np.concatenate((bank.entropies[j, :held], new_ent[start:stop]))
+        stp = np.concatenate((bank.steps[j, :held], new_stp[start:stop]))
+        sel = np.argsort(ent, kind="stable")
+        if sel.shape[0] > cap and ent[sel[cap - 1]] == ent[sel[cap]]:
+            # best first: lowest entropy, then the newest row among equals
+            sel = np.lexsort((-stp, ent))[:cap]
+            sel = sel[np.lexsort((stp[sel], ent[sel]))]
+        else:
+            sel = sel[:cap]
+        m = sel.shape[0]
+        feats = np.concatenate((bank.features[j, :held], new_feats[start:stop]))
+        bank.features[j, :m] = feats.take(sel, axis=0)
+        bank.entropies[j, :m] = ent[sel]
+        bank.steps[j, :m] = stp[sel]
         bank.counts[j] = m
     return bank
 
 
 def compute_prototypes(bank: MemoryBank) -> Array:
     """Mean of each class's selected supports, written into its row of
-    `bank.prototypes`. Classes without supports keep their current row."""
+    `bank.prototypes`. Classes without supports keep their current row. The
+    sum and division are the ones `np.mean` runs, without its wrapper."""
     for j, n in enumerate(bank.counts.tolist()):
         k = min(bank.top_k, n)
         if k:
-            bank.prototypes[j] = bank.features[j, :k].mean(axis=0)
+            bank.prototypes[j] = np.add.reduce(bank.features[j, :k], axis=0) / k
     return bank.prototypes
 
 

@@ -376,8 +376,10 @@ def load_checkpoint(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise SchemaError(f"checkpoint {path}: not valid JSON ({e})") from e
+    if not isinstance(doc, dict):
+        raise SchemaError(f"checkpoint {path}: expected a JSON object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise SchemaError(
@@ -416,7 +418,7 @@ def load_checkpoint(path):
             array(clf_doc["omega"], "classifier.omega"),
             None if bias is None else array(bias, "classifier.bias"),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"checkpoint {path}: missing or malformed field ({e})") from e
     meta = {"seed": doc.get("seed"), "format_version": version}
     return encoder, classifier, meta

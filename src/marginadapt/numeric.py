@@ -39,7 +39,7 @@ def as_matrix(x, name: str = "array") -> Array:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2:
         raise DimensionError(f"{name}: expected a 2-D array, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise NumericalFailure(f"{name}: contains NaN or Inf")
     return a
 
@@ -48,13 +48,14 @@ def as_vector(x, name: str = "array") -> Array:
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 1:
         raise DimensionError(f"{name}: expected a 1-D array, got shape {a.shape}")
-    if a.size and not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise NumericalFailure(f"{name}: contains NaN or Inf")
     return a
 
 
 def _finite(out: Array, op: str) -> Array:
-    if not np.isfinite(out).all():
+    # count_nonzero has no Python-level wrapper, unlike `.all()`
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         raise NumericalFailure(f"{op}: produced non-finite values")
     return out
 

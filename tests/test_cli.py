@@ -255,6 +255,28 @@ def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     assert "encoder.weights[1] contains NaN or Inf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("layer_dims", "abc"),
+    ("weights", [[[1.0, 2.0], [3.0]]]),
+    ("weights", ["x"]),
+], ids=["dims-string", "ragged-weights", "weights-string"])
+def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data)
+    doc = json.load(open(ckpt))
+    doc["encoder"][field] = value
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main([
+        "adapt", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", run,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ckpt in err and "malformed field" in err
+
+
 def test_ablate_rejects_zero_trials_before_loading(tmp_path, capsys):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
@@ -287,6 +309,42 @@ def test_train_source_names_a_malformed_shift_spec(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and sidecar in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("content, why", [
+    (b"[]", "JSON object"),
+    (b'{"spec": 3}', "JSON object"),
+    (b'{"spec": {"num_classes": "4"}}', "spec.num_classes '4' is not an integer"),
+], ids=["array", "spec-number", "count-string"])
+def test_train_source_names_a_shift_spec_of_the_wrong_shape(tmp_path, capsys, content, why):
+    data = _gen(tmp_path)
+    sidecar = os.path.join(data, "shift_spec.json")
+    with open(sidecar, "wb") as fh:
+        fh.write(content)
+    capsys.readouterr()
+    rc = main(["train-source", "--data", data, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and sidecar in err and why in err
+
+
+@pytest.mark.parametrize("content, why", [
+    (b"[]", "expected a JSON object, got list"),
+    (b"\xff\xfe{", "not valid JSON"),
+], ids=["array", "not-utf8"])
+def test_adapt_names_a_checkpoint_that_is_not_a_json_object(tmp_path, capsys, content, why):
+    data = _gen(tmp_path)
+    ckpt = str(tmp_path / "checkpoint.json")
+    with open(ckpt, "wb") as fh:
+        fh.write(content)
+    capsys.readouterr()
+    rc = main([
+        "adapt", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", str(tmp_path / "run"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ckpt in err and why in err
 
 
 @pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])

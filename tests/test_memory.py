@@ -11,6 +11,7 @@ from marginadapt import (
     DimensionError,
     LinearClassifier,
     MemoryBank,
+    NumericalFailure,
     compute_prototypes,
     init_from_classifier,
     insert_and_select,
@@ -253,3 +254,95 @@ def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, capa
             # slots past the count have never been written
             assert (bank.features[j, n_held:].view(np.uint64) == 0).all()
     assert bank.counts.tolist() == [capacity] * 3 + [3, 1, 0]
+
+
+def _two_sort_insert(bank, features, labels, entropies):
+    """The insert as it was before the batch was grouped once: for each class
+    a masked gather, one sort for the keep set, one for selection order."""
+    labels = np.asarray(labels).astype(np.int64, copy=False)
+    entropies = np.asarray(entropies, dtype=np.float64)
+    n = features.shape[0]
+    steps = np.arange(bank._next_step, bank._next_step + n, dtype=np.int64)
+    bank._next_step += n
+    for j in np.unique(labels).tolist():
+        rows = labels == j
+        held = bank.counts[j]
+        ent = np.concatenate((bank.entropies[j, :held], entropies[rows]))
+        stp = np.concatenate((bank.steps[j, :held], steps[rows]))
+        feats = np.concatenate((bank.features[j, :held], features[rows]))
+        keep = np.lexsort((-stp, ent))[: bank.capacity_per_class]
+        keep = keep[np.lexsort((stp[keep], ent[keep]))]
+        m = keep.shape[0]
+        bank.features[j, :m] = feats[keep]
+        bank.entropies[j, :m] = ent[keep]
+        bank.steps[j, :m] = stp[keep]
+        bank.counts[j] = m
+
+
+def _assert_same_bank(got, want):
+    # bits, so -0.0 against 0.0 or a NaN payload would show
+    npt.assert_array_equal(got.features.view(np.uint64), want.features.view(np.uint64))
+    npt.assert_array_equal(got.entropies.view(np.uint64), want.entropies.view(np.uint64))
+    npt.assert_array_equal(got.steps, want.steps)
+    npt.assert_array_equal(got.counts, want.counts)
+    assert got._next_step == want._next_step
+
+
+@pytest.mark.parametrize("capacity", range(1, 9))
+def test_grouped_insert_is_bit_identical_to_the_two_sort_insert(capacity):
+    rng = np.random.default_rng(100 + capacity)
+    num_classes, dim = 4, 3
+    got = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=2)
+    want = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=2)
+    for _ in range(60):
+        n = int(rng.integers(0, 13))
+        feats = rng.standard_normal((n, dim))
+        feats[rng.random((n, dim)) < 0.1] = -0.0
+        labels = rng.integers(0, num_classes, size=n)
+        entropies = np.round(rng.uniform(0.0, 1.5, size=n) * 4) / 4  # many ties
+        insert_and_select(got, feats, labels, entropies)
+        _two_sort_insert(want, feats, labels, entropies)
+        _assert_same_bank(got, want)
+
+
+def test_full_class_that_gets_only_worse_rows_is_left_as_it_is():
+    bank = MemoryBank(2, 2, capacity_per_class=3, top_k=2)
+    insert_and_select(bank, np.arange(6.0).reshape(3, 2), [0, 0, 0], [0.1, 0.2, 0.3])
+    before = (bank.features.copy(), bank.entropies.copy(), bank.steps.copy())
+    insert_and_select(bank, np.ones((2, 2)), [0, 0], [0.5, 0.30000000000000004])
+    npt.assert_array_equal(bank.features, before[0])
+    npt.assert_array_equal(bank.entropies, before[1])
+    npt.assert_array_equal(bank.steps, before[2])
+    assert bank.counts.tolist() == [3, 0]
+    assert bank._next_step == 5
+
+
+def test_new_row_that_ties_the_worst_held_entropy_enters():
+    bank = MemoryBank(2, 1, capacity_per_class=3, top_k=2)
+    insert_and_select(bank, np.array([[0.0], [1.0], [2.0]]), [0, 0, 0], [0.1, 0.3, 0.3])
+    insert_and_select(bank, np.array([[9.0], [5.0]]), [1, 0], [0.0, 0.3])
+    # the oldest of the three rows at 0.3 (step 1) leaves, the new one enters
+    assert bank.steps[0].tolist() == [0, 2, 4]
+    assert bank.entropies[0].tolist() == [0.1, 0.3, 0.3]
+    assert bank.features[0, :, 0].tolist() == [0.0, 2.0, 5.0]
+    assert bank.counts.tolist() == [3, 1]
+    want = MemoryBank(2, 1, capacity_per_class=3, top_k=2)
+    _two_sort_insert(want, np.array([[0.0], [1.0], [2.0]]), [0, 0, 0], [0.1, 0.3, 0.3])
+    _two_sort_insert(want, np.array([[9.0], [5.0]]), [1, 0], [0.0, 0.3])
+    _assert_same_bank(bank, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_non_finite_entropy_leaves_the_bank_untouched(bad):
+    rng = np.random.default_rng(14)
+    bank = MemoryBank(3, 2, capacity_per_class=2, top_k=2)
+    insert_and_select(bank, rng.standard_normal((8, 2)), rng.integers(0, 3, 8), rng.random(8))
+    before = (bank.features.copy(), bank.entropies.copy(), bank.steps.copy(),
+              bank.counts.copy(), bank._next_step)
+    with pytest.raises(NumericalFailure, match="insert_and_select: entropies"):
+        insert_and_select(bank, np.zeros((3, 2)), [0, 1, 2], [0.0, bad, 0.0])
+    npt.assert_array_equal(bank.features, before[0])
+    npt.assert_array_equal(bank.entropies, before[1])
+    npt.assert_array_equal(bank.steps, before[2])
+    npt.assert_array_equal(bank.counts, before[3])
+    assert bank._next_step == before[4]

@@ -22,6 +22,7 @@ from marginadapt import (
     softmax_rows,
     update_running_stats,
 )
+from marginadapt.numeric import _finite, as_matrix, as_vector
 
 
 def test_linear_forward_matches_manual():
@@ -263,3 +264,20 @@ def test_frobenius_distance_sq_oracle():
     assert frobenius_distance_sq(a, a) == 0.0
     with pytest.raises(DimensionError):
         frobenius_distance_sq(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("check, shape, name", [
+    (lambda a: as_matrix(a, "feats"), (3, 4), "feats"),
+    (lambda a: as_vector(a, "labels"), (5,), "labels"),
+    (lambda a: _finite(a, "some_op"), (3, 4), "some_op"),
+])
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_finite_checks_reject_any_non_finite_entry_and_accept_empty(check, shape, name, where, bad):
+    a = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+    npt.assert_array_equal(check(a), a)
+    a.flat[where] = bad
+    with pytest.raises(NumericalFailure, match=f"^{name}: "):
+        check(a)
+    empty = np.zeros((0,) + shape[1:])
+    assert check(empty).shape == empty.shape
