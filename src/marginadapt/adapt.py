@@ -178,8 +178,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             opt.step(egrads)
             # the adapted model keeps the stream's normalization afterwards
             enc.update_running_stats()
-            return LossReport(l_m=0.0, l_e=l_e, l_i=0.0, total=l_e,
-                              sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
+            return LossReport(l_m=0.0, l_e=l_e, l_i=0.0, total=l_e)
 
         return entropy_norm_step
 
@@ -191,8 +190,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             gz, cgrads = clf.backward(feats, g_logits)
             _, egrads = enc.backward(gz)
             opt.step({**egrads, **cgrads})
-            return LossReport(l_m=0.0, l_e=0.0, l_i=0.0, total=loss,
-                              sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
+            return LossReport(l_m=0.0, l_e=0.0, l_i=0.0, total=loss)
 
         return pseudo_label_step
 
@@ -248,8 +246,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m}, l_i={l_i})")
         _, egrads = enc.backward(g_feats)
         opt.step({**egrads, **grads})
-        return LossReport(l_m=l_m, l_e=l_e, l_i=l_i, total=total,
-                          sigma=cfg.sigma, lambda_weight=cfg.lambda_weight)
+        return LossReport(l_m=l_m, l_e=l_e, l_i=l_i, total=total)
 
     return unidg_step
 

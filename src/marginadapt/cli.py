@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -41,25 +41,25 @@ RESULTS_SCHEMA_VERSION = 1
 OUT_ENV_VAR = "MARGINADAPT_OUT"
 NONDETERMINISTIC_KEYS = ("wall_clock_seconds",)
 
+# the adapt switches, each a `--X/--no-X` flag setting `enable_X`
+_SWITCHES = ("lm", "le", "li", "bank", "refresh")
+
+
+def _switches(*on) -> dict:
+    return {f"enable_{name}": name in on for name in _SWITCHES}
+
+
 # the component grid cmd_ablate sweeps: endpoints, each single component,
 # and the two natural pairs (refresh mechanically requires the bank)
 ABLATION_GRID = [
-    ("none", dict(enable_lm=False, enable_le=False, enable_li=False,
-                  enable_bank=False, enable_refresh=False)),
-    ("lm", dict(enable_lm=True, enable_le=False, enable_li=False,
-                enable_bank=False, enable_refresh=False)),
-    ("le", dict(enable_lm=False, enable_le=True, enable_li=False,
-                enable_bank=False, enable_refresh=False)),
-    ("bank", dict(enable_lm=False, enable_le=False, enable_li=False,
-                  enable_bank=True, enable_refresh=False)),
-    ("refresh", dict(enable_lm=False, enable_le=False, enable_li=False,
-                     enable_bank=True, enable_refresh=True)),
-    ("lm+le", dict(enable_lm=True, enable_le=True, enable_li=False,
-                   enable_bank=False, enable_refresh=False)),
-    ("le+refresh", dict(enable_lm=False, enable_le=True, enable_li=False,
-                        enable_bank=True, enable_refresh=True)),
-    ("all", dict(enable_lm=True, enable_le=True, enable_li=False,
-                 enable_bank=True, enable_refresh=True)),
+    ("none", _switches()),
+    ("lm", _switches("lm")),
+    ("le", _switches("le")),
+    ("bank", _switches("bank")),
+    ("refresh", _switches("bank", "refresh")),
+    ("lm+le", _switches("lm", "le")),
+    ("le+refresh", _switches("le", "bank", "refresh")),
+    ("all", _switches("lm", "le", "bank", "refresh")),
 ]
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
@@ -119,8 +119,29 @@ def _convert(key, value, where):
         raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
 
-def _pick(table: dict, names) -> dict:
-    return {k: v for k, v in table.items() if k in names}
+def _setting(args, file_cfg: dict, name, default):
+    """The flag when it is set, else the --config file's value, else default."""
+    flag = getattr(args, name, None)
+    return flag if flag is not None else file_cfg.get(name, default)
+
+
+def _settings(args, cls):
+    """A validated `cls` config: each field's flag, else its --config file
+    value, else its default. Also returns the file's values, for keys that
+    are not fields of `cls`."""
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    base = cls()
+    values = {f.name: _setting(args, file_cfg, f.name, getattr(base, f.name))
+              for f in fields(cls)}
+    return replace(base, **values).validate(), file_cfg
+
+
+def _layer_dims(args, file_cfg: dict, input_dim: int):
+    """[input, hidden..., feature] sizes and use_norm of a fresh encoder."""
+    hidden = _setting(args, file_cfg, "hidden_dims", "64,64")
+    feature_dim = _setting(args, file_cfg, "feature_dim", 32)
+    dims = [input_dim] + [int(h) for h in hidden.split(",") if h] + [feature_dim]
+    return dims, _setting(args, file_cfg, "use_norm", False)
 
 
 def canonical_record_bytes(record: dict) -> bytes:
@@ -145,6 +166,22 @@ def write_run_record(out_dir, record: dict) -> str:
             n += 1
 
 
+def _write_record(args, kind: str, started: float, **body) -> str:
+    """Writes a `kind` run record with the common header, versions and wall
+    clock since `started` to the output directory; returns its path."""
+    return write_run_record(_out_dir(args), {
+        "schema_version": RESULTS_SCHEMA_VERSION,
+        "kind": kind,
+        **body,
+        "versions": {
+            "package": __version__,
+            "results_schema": RESULTS_SCHEMA_VERSION,
+            "checkpoint_format": CHECKPOINT_VERSION,
+        },
+        "wall_clock_seconds": time.perf_counter() - started,
+    })
+
+
 def _out_dir(args) -> str:
     if args.out is not None:
         return args.out
@@ -160,18 +197,7 @@ def _log(msg: str) -> None:
 
 
 def cmd_gen_data(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    spec_fields = (
-        "num_classes input_dim class_separation within_class_std shift_kind "
-        "angle_deg translation_std samples_per_domain num_source_domains "
-        "source_angle_max_deg seed"
-    ).split()
-    values = _pick(file_cfg, spec_fields)
-    for name in spec_fields:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    spec = replace(ShiftSpec(), **values).validate()
+    spec, _ = _settings(args, ShiftSpec)
     sources, target = gen_synthetic_shift(spec)
     out = _out_dir(args)
     os.makedirs(out, exist_ok=True)
@@ -225,27 +251,11 @@ def _sidecar_num_classes(data_dir):
 
 
 def cmd_train_source(args) -> int:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    train_fields = "lr weight_decay batch_size epochs holdout_fraction seed".split()
-    values = _pick(file_cfg, train_fields)
-    for name in train_fields:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    cfg = replace(TrainConfig(), **values).validate()
-
-    num_classes = _sidecar_num_classes(args.data)
-    sources = _load_sources(args.data, num_classes=num_classes)
-    num_classes = sources[0].num_classes
-    input_dim = sources[0].features.shape[1]
-
-    hidden = args.hidden_dims if args.hidden_dims is not None else file_cfg.get("hidden_dims", "64,64")
-    feature_dim = args.feature_dim if args.feature_dim is not None else file_cfg.get("feature_dim", 32)
-    use_norm = args.use_norm or bool(file_cfg.get("use_norm", False))
-    dims = [input_dim] + [int(h) for h in str(hidden).split(",") if h] + [int(feature_dim)]
-
+    cfg, file_cfg = _settings(args, TrainConfig)
+    sources = _load_sources(args.data, num_classes=_sidecar_num_classes(args.data))
+    dims, use_norm = _layer_dims(args, file_cfg, sources[0].features.shape[1])
     encoder = MlpEncoder.create(dims, use_norm=use_norm, seed=cfg.seed)
-    classifier = LinearClassifier.create(int(feature_dim), num_classes, seed=cfg.seed + 1)
+    classifier = LinearClassifier.create(dims[-1], sources[0].num_classes, seed=cfg.seed + 1)
     _log(f"training on {sum(d.n for d in sources)} rows across {len(sources)} domains")
     report = train_source_erm(encoder, classifier, sources, cfg)
 
@@ -256,20 +266,6 @@ def cmd_train_source(args) -> int:
     print(f"holdout accuracy: {report.val_accuracy:.4f} (best epoch {report.best_epoch})")
     print(f"wrote {path}")
     return 0
-
-
-def _adapt_config(args) -> AdaptConfig:
-    file_cfg = parse_config_file(args.config) if args.config else {}
-    fields = (
-        "sigma lambda_weight top_k capacity_per_class lr batch_size steps "
-        "seed method enable_lm enable_le enable_li enable_bank enable_refresh"
-    ).split()
-    values = _pick(file_cfg, fields)
-    for name in fields:
-        flag = getattr(args, name, None)
-        if flag is not None:
-            values[name] = flag
-    return replace(AdaptConfig(), **values).validate()
 
 
 def _load_adapt_inputs(args):
@@ -287,41 +283,23 @@ def _load_adapt_inputs(args):
     return encoder, classifier, meta, target, source_eval
 
 
-def _run_record(kind, cfg, args, curve, reports, started):
-    return {
-        "schema_version": RESULTS_SCHEMA_VERSION,
-        "kind": kind,
-        "method": cfg.method,
-        "config": cfg.to_dict(),
-        "data": {
-            "checkpoint": args.checkpoint,
-            "target": args.target,
-            "source_data": getattr(args, "source_data", None),
-        },
-        "curve": curve.to_dict(),
-        "loss_trace": {
-            "l_m": [r.l_m for r in reports],
-            "l_e": [r.l_e for r in reports],
-            "l_i": [r.l_i for r in reports],
-            "total": [r.total for r in reports],
-        },
-        "versions": {
-            "package": __version__,
-            "results_schema": RESULTS_SCHEMA_VERSION,
-            "checkpoint_format": CHECKPOINT_VERSION,
-        },
-        "wall_clock_seconds": time.perf_counter() - started,
-    }
+def _data_paths(args) -> dict:
+    return {"checkpoint": args.checkpoint, "target": args.target,
+            "source_data": args.source_data}
 
 
 def cmd_adapt(args) -> int:
-    cfg = _adapt_config(args)
+    cfg, _ = _settings(args, AdaptConfig)
     encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
     pair = clone_for_adaptation(encoder, classifier)
     started = time.perf_counter()
     pair, curve, reports = run_method(pair, target, cfg, source_eval=source_eval)
-    record = _run_record("adapt", cfg, args, curve, reports, started)
-    path = write_run_record(_out_dir(args), record)
+    path = _write_record(
+        args, "adapt", started, method=cfg.method, config=cfg.to_dict(),
+        data=_data_paths(args), curve=curve.to_dict(),
+        loss_trace={key: [getattr(r, key) for r in reports]
+                    for key in ("l_m", "l_e", "l_i", "total")},
+    )
     print(f"method {cfg.method}: final target accuracy {curve.final_accuracy:.4f} "
           f"over {len(curve.cumulative)} batches")
     if curve.source_before is not None:
@@ -334,7 +312,7 @@ def cmd_ablate(args) -> int:
     trials = args.trials
     if trials < 1:
         raise ConfigError(f"ablate needs --trials >= 1, got {trials}")
-    base = _adapt_config(args)
+    base, _ = _settings(args, AdaptConfig)
     if base.method != "unidg":
         raise ConfigError("ablate sweeps the combined method; do not set method")
     encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
@@ -375,34 +353,22 @@ def cmd_ablate(args) -> int:
     for row in rows:
         gain = row["mean_final_accuracy"] - baseline
         print(f"{row['variant']:<12} {row['mean_final_accuracy']:>9.4f} {gain:>+8.4f}")
-    record = {
-        "schema_version": RESULTS_SCHEMA_VERSION,
-        "kind": "ablation",
-        "config": base.to_dict(),
-        "trials": trials,
-        "data": {"checkpoint": args.checkpoint, "target": args.target,
-                 "source_data": args.source_data},
-        "rows": rows,
-        "versions": {"package": __version__,
-                     "results_schema": RESULTS_SCHEMA_VERSION,
-                     "checkpoint_format": CHECKPOINT_VERSION},
-        "wall_clock_seconds": time.perf_counter() - started,
-    }
-    path = write_run_record(_out_dir(args), record)
+    path = _write_record(args, "ablation", started, config=base.to_dict(),
+                         trials=trials, data=_data_paths(args), rows=rows)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    if args.seed is None:
-        args.seed = 0
-    rng = np.random.default_rng(args.seed)
+    file_cfg = parse_config_file(args.config) if args.config else {}
+    seed = _setting(args, file_cfg, "seed", 0)
+    rng = np.random.default_rng(seed)
     if args.checkpoint:
         encoder, _, _ = load_checkpoint(args.checkpoint)
     else:
-        hidden = [int(h) for h in args.hidden_dims.split(",") if h]
-        dims = [args.input_dim] + hidden + [args.feature_dim]
-        encoder = MlpEncoder.create(dims, use_norm=args.use_norm, seed=args.seed)
+        input_dim = _setting(args, file_cfg, "input_dim", 16)
+        dims, use_norm = _layer_dims(args, file_cfg, input_dim)
+        encoder = MlpEncoder.create(dims, use_norm=use_norm, seed=seed)
     started = time.perf_counter()
 
     dim = encoder.input_dim
@@ -410,13 +376,13 @@ def cmd_diagnose(args) -> int:
     state.gamma[...] = rng.uniform(0.5, 1.5, size=dim)
     state.beta[...] = rng.uniform(-0.5, 0.5, size=dim)
     batch = rng.standard_normal((args.batch_rows, dim))
-    bn_error = verify_bn_gradient(batch, state, trials=args.trials, seed=args.seed)
+    bn_error = verify_bn_gradient(batch, state, trials=args.trials, seed=seed)
     print(f"norm backward vs finite differences: max relative error {bn_error:.3e}")
 
     samples_a = rng.standard_normal((max(args.trials, 4), dim))
     samples_b = rng.standard_normal((max(args.trials, 4), dim))
     sweep = kernel_comparison_sweep(
-        encoder, samples_a, samples_b, trials=args.trials, seed=args.seed + 1
+        encoder, samples_a, samples_b, trials=args.trials, seed=seed + 1
     )
     for subset, st in sweep.stats.items():
         if st["count"]:
@@ -425,18 +391,8 @@ def cmd_diagnose(args) -> int:
                   f"over {st['count']} pairs ({sweep.skipped[subset]} degenerate skipped)")
         else:
             print(f"kernel[{subset}]: all {sweep.trials} pairs degenerate")
-    record = {
-        "schema_version": RESULTS_SCHEMA_VERSION,
-        "kind": "diagnostics",
-        "seed": args.seed,
-        "bn_max_relative_error": bn_error,
-        "kernel_sweep": sweep.to_dict(),
-        "versions": {"package": __version__,
-                     "results_schema": RESULTS_SCHEMA_VERSION,
-                     "checkpoint_format": CHECKPOINT_VERSION},
-        "wall_clock_seconds": time.perf_counter() - started,
-    }
-    path = write_run_record(_out_dir(args), record)
+    path = _write_record(args, "diagnostics", started, seed=seed,
+                         bn_max_relative_error=bn_error, kernel_sweep=sweep.to_dict())
     print(f"wrote {path}")
     return 0
 
@@ -485,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--hidden-dims", dest="hidden_dims", default=None,
                    help="comma-separated hidden sizes, e.g. 64,64")
     t.add_argument("--feature-dim", type=int, dest="feature_dim", default=None)
-    t.add_argument("--use-norm", action="store_true", dest="use_norm")
+    t.add_argument("--use-norm", action="store_true", dest="use_norm", default=None)
     t.set_defaults(func=cmd_train_source)
 
     def add_adapt_flags(p):
@@ -507,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(a)
     add_adapt_flags(a)
     a.add_argument("--method", choices=METHODS, default=None)
-    for switch in ("lm", "le", "li", "bank", "refresh"):
+    for switch in _SWITCHES:
         group = a.add_mutually_exclusive_group()
         group.add_argument(f"--{switch}", dest=f"enable_{switch}",
                            action="store_true", default=None)
@@ -524,10 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("diagnose", help="gradient and kernel diagnostics")
     add_common(d)
     d.add_argument("--checkpoint", help="use this model; default fresh random")
-    d.add_argument("--input-dim", type=int, dest="input_dim", default=16)
-    d.add_argument("--hidden-dims", dest="hidden_dims", default="64,64")
-    d.add_argument("--feature-dim", type=int, dest="feature_dim", default=32)
-    d.add_argument("--use-norm", action="store_true", dest="use_norm")
+    d.add_argument("--input-dim", type=int, dest="input_dim")
+    d.add_argument("--hidden-dims", dest="hidden_dims")
+    d.add_argument("--feature-dim", type=int, dest="feature_dim")
+    d.add_argument("--use-norm", action="store_true", dest="use_norm", default=None)
     d.add_argument("--trials", type=int, default=10)
     d.add_argument("--batch-rows", type=int, dest="batch_rows", default=8)
     d.set_defaults(func=cmd_diagnose)

@@ -442,22 +442,11 @@ def split_holdout(ds: DomainDataset, fraction: float, seed: int = 0):
         quotas[c] = q
         total += q
         remainders.append((-(exact - q), c))
+    # round(f * n) tops the floors by at most one row per class, and each
+    # class has that row to spare: floor(f * n_c) < n_c for f < 1
     remainders.sort()
-    i = 0
-    while total < n_val and i < len(remainders):
-        c = remainders[i][1]
-        if quotas[c] < int((ds.labels == c).sum()):
-            quotas[c] += 1
-            total += 1
-        i += 1
-    # rounding can still leave a gap when many classes tie; fill greedily
-    while total < n_val:
-        for c in present:
-            if total >= n_val:
-                break
-            if quotas[c] < int((ds.labels == c).sum()):
-                quotas[c] += 1
-                total += 1
+    for _, c in remainders[: n_val - total]:
+        quotas[c] += 1
     val_idx = []
     for c in present:
         idx = np.flatnonzero(ds.labels == c)

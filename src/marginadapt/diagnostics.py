@@ -13,7 +13,7 @@ ordering between the two.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -41,17 +41,7 @@ class KernelReport:
     sample_fingerprint_b: str
 
     def to_dict(self) -> dict:
-        return {
-            "raw_kernel": self.raw_kernel,
-            "cosine_kernel": self.cosine_kernel,
-            "self_a": self.self_a,
-            "self_b": self.self_b,
-            "parameter_subset": self.parameter_subset,
-            "degenerate": self.degenerate,
-            "model_fingerprint": self.model_fingerprint,
-            "sample_fingerprint_a": self.sample_fingerprint_a,
-            "sample_fingerprint_b": self.sample_fingerprint_b,
-        }
+        return asdict(self)
 
 
 def parameter_names(model: MlpEncoder, subset: str) -> list:
@@ -136,12 +126,7 @@ class SweepSummary:
     reports: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "skipped": self.skipped,
-            "stats": self.stats,
-            "reports": [r.to_dict() for r in self.reports],
-        }
+        return asdict(self)
 
 
 def kernel_comparison_sweep(model: MlpEncoder, source_samples, target_samples,

@@ -39,8 +39,6 @@ class LossReport:
     l_e: float
     l_i: float
     total: float
-    sigma: float
-    lambda_weight: float
 
 
 def marginal_loss(adapted: Array, source: Array, sigma: float):

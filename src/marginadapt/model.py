@@ -22,6 +22,7 @@ from .numeric import (
     as_matrix,
     batchnorm_backward,
     batchnorm_forward,
+    check_norm_settings,
     linear_backward,
     linear_forward,
     relu_backward,
@@ -43,6 +44,7 @@ class MlpEncoder:
     def __init__(self, layer_dims, weights, biases, norms, eps=1e-5, momentum=0.1):
         if len(layer_dims) < 2:
             raise ConfigError("layer_dims needs at least input and output sizes")
+        check_norm_settings(eps, momentum)
         self.layer_dims = [int(d) for d in layer_dims]
         self.weights = weights
         self.biases = biases
@@ -292,9 +294,8 @@ class ModelPair:
             self.adapted_encoder.state_arrays() + self.adapted_classifier.parameters()
         )
 
-    def predict_probs(self, x, use_batch_stats: bool = False):
-        mode = "train" if use_batch_stats else "eval"
-        feats = self.adapted_encoder.encode(x, mode=mode, retain_cache=False)
+    def predict_probs(self, x):
+        feats = self.adapted_encoder.encode(x, mode="eval", retain_cache=False)
         return softmax_rows(self.adapted_classifier.logits(feats))
 
 
@@ -318,10 +319,9 @@ def model_fingerprint(encoder: MlpEncoder, classifier: LinearClassifier | None =
     return _fingerprint(arrays)
 
 
-def classification_accuracy(encoder, classifier, features, labels, use_batch_stats=False):
+def classification_accuracy(encoder, classifier, features, labels):
     """Fraction of argmax predictions matching labels."""
-    mode = "train" if use_batch_stats else "eval"
-    feats = encoder.encode(features, mode=mode, retain_cache=False)
+    feats = encoder.encode(features, mode="eval", retain_cache=False)
     preds = np.argmax(classifier.logits(feats), axis=1)
     return float(np.mean(preds == np.asarray(labels)))
 

@@ -125,6 +125,15 @@ class _NormCache:
     m: int
 
 
+def check_norm_settings(eps, momentum) -> None:
+    """The norm layers' rule: eps >= 0 and momentum in [0, 1]. A non-numeric
+    value raises TypeError."""
+    if eps < 0.0:
+        raise ConfigError(f"eps must be >= 0, got {eps}")
+    if not 0.0 <= momentum <= 1.0:
+        raise ConfigError(f"momentum must lie in [0, 1], got {momentum}")
+
+
 @dataclass
 class NormLayerState:
     """Per-feature normalization state: affine params, running stats, cache."""
@@ -142,10 +151,7 @@ class NormLayerState:
         self.beta = as_vector(self.beta, "beta")
         if self.gamma.shape != self.beta.shape:
             raise DimensionError("gamma and beta must have the same length")
-        if self.eps < 0.0:
-            raise ConfigError(f"eps must be >= 0, got {self.eps}")
-        if not 0.0 <= self.momentum <= 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1], got {self.momentum}")
+        check_norm_settings(self.eps, self.momentum)
         if self.running_mean is None:
             self.running_mean = np.zeros_like(self.gamma)
         else:

@@ -2,7 +2,7 @@
 
 import json
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,9 @@ from marginadapt import (
     AdaptConfig,
     ConfigError,
     DomainDataset,
+    SchemaError,
+    ShiftSpec,
+    TrainConfig,
     clone_for_adaptation,
     load_checkpoint,
     load_csv,
@@ -408,3 +411,114 @@ def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extr
     # `none` and `bank` never move the frozen model, which is scored once
     assert passes["none"] == 0 and passes["bank"] == 0
     assert passes["before any run"] == 1
+
+
+@pytest.mark.parametrize("field, value, why", [
+    ("eps", "x", "malformed field"),
+    ("eps", -1.0, "eps must be >= 0"),
+    ("momentum", 2.0, "momentum must lie in [0, 1]"),
+    ("momentum", "y", "malformed field"),
+], ids=["eps-string", "eps-negative", "momentum-above-one", "momentum-string"])
+@pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])
+def test_adapt_refuses_bad_norm_settings_for_both_encoder_kinds(
+        tmp_path, capsys, extra, field, value, why):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data, extra=extra)
+    doc = json.load(open(ckpt))
+    doc["encoder"][field] = value
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    if isinstance(value, str):
+        with pytest.raises(SchemaError, match="malformed field"):
+            load_checkpoint(ckpt)
+    capsys.readouterr()
+    rc = main([
+        "adapt", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", run,
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and why in err
+    assert not [f for f in os.listdir(run) if f.startswith("run_")]
+
+
+def test_gen_data_config_file_fills_in_and_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("num_classes = 3\nangle_deg = 45\nsamples_per_domain = 60\n")
+    out = str(tmp_path / "task")
+    rc = main(["gen-data", "--out", out, "--config", str(cfg), "--num-classes", "5",
+               "--num-source-domains", "1"])
+    assert rc == 0
+    spec = json.load(open(os.path.join(out, "shift_spec.json")))["spec"]
+    assert spec["num_classes"] == 5  # flag wins
+    assert spec["angle_deg"] == 45.0 and spec["samples_per_domain"] == 60  # file
+    assert spec["within_class_std"] == ShiftSpec().within_class_std  # default
+
+
+def test_train_source_config_file_fills_in_and_flags_win(tmp_path, capsys, monkeypatch):
+    data = _gen(tmp_path)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("epochs = 1\nlr = 0.5\nhidden_dims = 12,8\nsigma = 0.3\n")
+    seen = []
+
+    def spy_train(encoder, classifier, sources, train_cfg):
+        seen.append(train_cfg)
+        return real_train(encoder, classifier, sources, train_cfg)
+
+    real_train = cli.train_source_erm
+    monkeypatch.setattr(cli, "train_source_erm", spy_train)
+    rc = main(["train-source", "--data", data, "--out", str(tmp_path / "run"),
+               "--config", str(cfg), "--lr", "0.02"])
+    assert rc == 0
+    assert seen == [replace(TrainConfig(), epochs=1, lr=0.02)]
+    encoder, classifier, _ = load_checkpoint(str(tmp_path / "run" / "checkpoint.json"))
+    assert encoder.layer_dims == [16, 12, 8, 32] and not encoder.has_norm_layers
+
+
+def _diagnose(tmp_path, *argv):
+    out = str(tmp_path / "diag")
+    rc = main(["diagnose", "--out", out, "--trials", "2", "--batch-rows", "4", *argv])
+    records = sorted(f for f in os.listdir(out) if f.startswith("run_")) if rc == 0 else []
+    return rc, (json.load(open(os.path.join(out, records[-1]))) if records else None)
+
+
+def test_diagnose_config_file_fills_in_and_flags_win(tmp_path, capsys):
+    cfg = tmp_path / "diag.cfg"
+    cfg.write_text("seed = 5\ninput_dim = 6\nhidden_dims = 8\nfeature_dim = 5\n"
+                   "use_norm = true\n")
+    _, from_file = _diagnose(tmp_path, "--config", str(cfg))
+    assert from_file["seed"] == 5
+    assert "norm_only" in from_file["kernel_sweep"]["stats"]
+    _, from_flags = _diagnose(tmp_path, "--seed", "5", "--input-dim", "6",
+                              "--hidden-dims", "8", "--feature-dim", "5", "--use-norm")
+    assert canonical_record_bytes(from_file) == canonical_record_bytes(from_flags)
+    _, flag_wins = _diagnose(tmp_path, "--config", str(cfg), "--seed", "7")
+    assert flag_wins["seed"] == 7
+    _, defaults = _diagnose(tmp_path)
+    _, explicit = _diagnose(tmp_path, "--seed", "0", "--input-dim", "16",
+                            "--hidden-dims", "64,64", "--feature-dim", "32")
+    assert defaults["seed"] == 0
+    assert canonical_record_bytes(defaults) == canonical_record_bytes(explicit)
+
+
+@pytest.mark.parametrize("content", [None, "seed = five\n", "depth = 3\n"],
+                         ids=["missing", "bad-value", "unknown-key"])
+def test_diagnose_refuses_a_missing_or_malformed_config_file(tmp_path, capsys, content):
+    cfg = tmp_path / "diag.cfg"
+    if content is not None:
+        cfg.write_text(content)
+    rc, record = _diagnose(tmp_path, "--config", str(cfg))
+    assert rc == 1 and record is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(cfg) in err
+
+
+@pytest.mark.parametrize("cls", [AdaptConfig, TrainConfig, ShiftSpec])
+def test_every_config_field_is_a_config_file_key(cls):
+    defaults = cls()
+    for f in fields(cls):
+        if f.name in ("translation", "affine_matrix"):  # lists: no file key
+            continue
+        assert f.name in cli._KEY_TYPES
+        default = getattr(defaults, f.name)
+        assert cli._convert(f.name, str(default), "default") == default

@@ -311,6 +311,69 @@ def test_split_holdout_degenerate_fractions():
         split_holdout(ds, 0.05)  # rounds to an empty holdout
 
 
+def _holdout_indices_with_greedy_fill(labels, fraction, seed):
+    """The (train, val) row indices of split_holdout as it was written with
+    a per-class spare-row test and a greedy fill after the largest-remainder
+    pass; kept to show that neither step ever changed a split."""
+    n = labels.shape[0]
+    n_val = int(round(fraction * n))
+    if n_val < 1 or n_val >= n:
+        return None
+    rng = np.random.default_rng(seed)
+    present = sorted(int(c) for c in np.unique(labels))
+    quotas, remainders, total = {}, [], 0
+    for c in present:
+        exact = fraction * int((labels == c).sum())
+        quotas[c] = int(math.floor(exact))
+        total += quotas[c]
+        remainders.append((-(exact - quotas[c]), c))
+    remainders.sort()
+    i = 0
+    while total < n_val and i < len(remainders):
+        c = remainders[i][1]
+        if quotas[c] < int((labels == c).sum()):
+            quotas[c] += 1
+            total += 1
+        i += 1
+    while total < n_val:
+        for c in present:
+            if total >= n_val:
+                break
+            if quotas[c] < int((labels == c).sum()):
+                quotas[c] += 1
+                total += 1
+    val_idx = []
+    for c in present:
+        idx = np.flatnonzero(labels == c)
+        val_idx.extend(idx[rng.permutation(idx.shape[0])[: quotas[c]]].tolist())
+    val_mask = np.zeros(n, dtype=bool)
+    val_mask[val_idx] = True
+    return np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
+
+
+def test_split_holdout_matches_the_greedy_fill_version():
+    fractions = [0.05, 0.1, 0.15, 0.2, 0.25, 1 / 3, 0.4, 0.5, 0.6, 2 / 3, 0.75, 0.9]
+    rng = np.random.default_rng(18)
+    compared = 0
+    for num_classes in range(2, 9):
+        for start in range(13):
+            counts = [(start + 5 * j) % 13 + 1 for j in range(num_classes)]
+            labels = rng.permutation(np.repeat(np.arange(num_classes), counts))
+            ds = DomainDataset(np.arange(labels.shape[0], dtype=float)[:, None],
+                               labels, num_classes, "d")
+            for k, fraction in enumerate(fractions):
+                expected = _holdout_indices_with_greedy_fill(labels, fraction, seed=k)
+                if expected is None:
+                    with pytest.raises(DataError):
+                        split_holdout(ds, fraction, seed=k)
+                    continue
+                train, val = split_holdout(ds, fraction, seed=k)
+                npt.assert_array_equal(train.features[:, 0], expected[0])
+                npt.assert_array_equal(val.features[:, 0], expected[1])
+                compared += 1
+    assert compared > 900
+
+
 def test_domain_dataset_validation():
     with pytest.raises(DataError):
         DomainDataset(np.ones((2, 2)), [0], 2, "d")
