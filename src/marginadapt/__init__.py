@@ -48,13 +48,7 @@ from .errors import (
     SchemaError,
     StateError,
 )
-from .losses import (
-    LossReport,
-    combined_loss,
-    entropy_loss,
-    marginal_loss,
-    memory_term_loss,
-)
+from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import (
     MemoryBank,
     SupportRecord,

@@ -15,10 +15,9 @@ The steps (`_make_step`):
   pseudo_label  cross-entropy against the batch's own argmax labels.
   unidg         pseudo-label the batch, push features into the memory bank,
                 rebuild prototypes and refresh the classifier columns; then
-                one Adam step on the entropy of the refreshed predictions,
-                the margin hinge between adapted and frozen-source features,
-                both encoded in the stream's mode (+ optional memory
-                alignment term).
+                one Adam step on the entropy of the refreshed predictions
+                plus the margin hinge between adapted and frozen-source
+                features, both encoded in the stream's mode.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .losses import LossReport, combined_loss, entropy_loss, marginal_loss, memory_term_loss
+from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
 from .model import ModelPair, classification_accuracy
 from .numeric import softmax_rows
@@ -50,9 +49,7 @@ class AdaptConfig:
     method: str = "unidg"
     enable_lm: bool = True
     enable_le: bool = True
-    enable_li: bool = False
     enable_bank: bool = True
-    enable_refresh: bool = True
 
     def validate(self) -> "AdaptConfig":
         if self.sigma < 0.0:
@@ -178,7 +175,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             opt.step(egrads)
             # the adapted model keeps the stream's normalization afterwards
             enc.update_running_stats()
-            return LossReport(l_m=0.0, l_e=l_e, l_i=0.0, total=l_e)
+            return LossReport(l_m=0.0, l_e=l_e, total=l_e)
 
         return entropy_norm_step
 
@@ -190,33 +187,29 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             gz, cgrads = clf.backward(feats, g_logits)
             _, egrads = enc.backward(gz)
             opt.step({**egrads, **cgrads})
-            return LossReport(l_m=0.0, l_e=0.0, l_i=0.0, total=loss)
+            return LossReport(l_m=0.0, l_e=0.0, total=loss)
 
         return pseudo_label_step
 
-    any_gradients = cfg.enable_lm or cfg.enable_le or cfg.enable_li
+    any_gradients = cfg.enable_lm or cfg.enable_le
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
-    # the bank and the pseudo-labels feed only the bank itself and l_i
-    uses_bank = cfg.enable_bank or cfg.enable_li
     bank = init_from_classifier(
         pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
         top_k=cfg.top_k,
-    ) if uses_bank else None
+    ) if cfg.enable_bank else None
     opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
 
     def unidg_step(xb, feats, probs, preds):
-        if uses_bank:
-            labels_hat, entropies = pseudo_label(probs)
         if cfg.enable_bank:
+            labels_hat, entropies = pseudo_label(probs)
             insert_and_select(bank, feats, labels_hat, entropies)
             compute_prototypes(bank)
-            if cfg.enable_refresh:
-                refresh_classifier(bank, clf)
+            refresh_classifier(bank, clf)
         if opt is None:
             return None  # bank-only step
 
-        l_m = l_e = l_i = 0.0
+        l_m = l_e = 0.0
         g_feats = np.zeros_like(feats)
         grads = {}
         if cfg.enable_le:
@@ -231,22 +224,12 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             source_feats = pair.source_encoder.encode(xb, mode=mode, retain_cache=False)
             l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
             g_feats += cfg.lambda_weight * g_lm
-        if cfg.enable_li:
-            l_i, g_li, proto_grads = memory_term_loss(feats, bank.prototypes, labels_hat)
-            g_feats += g_li
-            if cfg.enable_bank and cfg.enable_refresh:
-                # after a refresh the held prototypes ARE the classifier
-                # columns, so their gradient lands on omega; otherwise the
-                # prototypes are no learnable parameter and it is dropped
-                held = bank.counts > 0
-                g_w = grads.setdefault("clf.w", np.zeros_like(clf.omega))
-                g_w[:, held] += proto_grads[held].T
-        total = combined_loss(l_e, l_m, l_i, cfg.lambda_weight)
+        total = l_e + cfg.lambda_weight * l_m
         if not np.isfinite(total):
-            raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m}, l_i={l_i})")
+            raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")
         _, egrads = enc.backward(g_feats)
         opt.step({**egrads, **grads})
-        return LossReport(l_m=l_m, l_e=l_e, l_i=l_i, total=total)
+        return LossReport(l_m=l_m, l_e=l_e, total=total)
 
     return unidg_step
 

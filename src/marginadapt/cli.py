@@ -42,7 +42,7 @@ OUT_ENV_VAR = "MARGINADAPT_OUT"
 NONDETERMINISTIC_KEYS = ("wall_clock_seconds",)
 
 # the adapt switches, each a `--X/--no-X` flag setting `enable_X`
-_SWITCHES = ("lm", "le", "li", "bank", "refresh")
+_SWITCHES = ("lm", "le", "bank")
 
 
 def _switches(*on) -> dict:
@@ -50,16 +50,16 @@ def _switches(*on) -> dict:
 
 
 # the component grid cmd_ablate sweeps: endpoints, each single component,
-# and the two natural pairs (refresh mechanically requires the bank)
+# and the two natural pairs; rows with the bank are named after its only
+# effect on the model, the classifier refresh
 ABLATION_GRID = [
     ("none", _switches()),
     ("lm", _switches("lm")),
     ("le", _switches("le")),
-    ("bank", _switches("bank")),
-    ("refresh", _switches("bank", "refresh")),
+    ("refresh", _switches("bank")),
     ("lm+le", _switches("lm", "le")),
-    ("le+refresh", _switches("le", "bank", "refresh")),
-    ("all", _switches("lm", "le", "bank", "refresh")),
+    ("le+refresh", _switches("le", "bank")),
+    ("all", _switches("lm", "le", "bank")),
 ]
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
@@ -70,8 +70,7 @@ _KEY_TYPES = {
     "sigma": float, "lambda_weight": float, "top_k": int,
     "capacity_per_class": int, "lr": float, "batch_size": int,
     "steps": "optional_int", "seed": int, "method": str,
-    "enable_lm": bool, "enable_le": bool, "enable_li": bool,
-    "enable_bank": bool, "enable_refresh": bool,
+    "enable_lm": bool, "enable_le": bool, "enable_bank": bool,
     # source training
     "weight_decay": float, "epochs": int, "holdout_fraction": float,
     # model architecture
@@ -140,7 +139,10 @@ def _layer_dims(args, file_cfg: dict, input_dim: int):
     """[input, hidden..., feature] sizes and use_norm of a fresh encoder."""
     hidden = _setting(args, file_cfg, "hidden_dims", "64,64")
     feature_dim = _setting(args, file_cfg, "feature_dim", 32)
-    dims = [input_dim] + [int(h) for h in hidden.split(",") if h] + [feature_dim]
+    try:
+        dims = [input_dim] + [int(h) for h in hidden.split(",") if h] + [feature_dim]
+    except ValueError as e:
+        raise ConfigError(f"bad value for hidden_dims: {e}") from None
     return dims, _setting(args, file_cfg, "use_norm", False)
 
 
@@ -298,7 +300,7 @@ def cmd_adapt(args) -> int:
         args, "adapt", started, method=cfg.method, config=cfg.to_dict(),
         data=_data_paths(args), curve=curve.to_dict(),
         loss_trace={key: [getattr(r, key) for r in reports]
-                    for key in ("l_m", "l_e", "l_i", "total")},
+                    for key in ("l_m", "l_e", "total")},
     )
     print(f"method {cfg.method}: final target accuracy {curve.final_accuracy:.4f} "
           f"over {len(curve.cumulative)} batches")
@@ -317,9 +319,9 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate sweeps the combined method; do not set method")
     encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
     started = time.perf_counter()
-    # one source pass per distinct model state: `none`, `bank` and `lm`
-    # never move a fresh clone, and while the hinge is idle `lm+le` and
-    # `all` repeat `le` and `le+refresh` bit for bit
+    # one source pass per distinct model state: `none` and `lm` never move a
+    # fresh clone, and while the hinge is idle `lm+le` and `all` repeat `le`
+    # and `le+refresh` bit for bit
     source_scores = {}
 
     def source_accuracy(enc, clf):
@@ -360,6 +362,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"diagnose needs --trials >= 1, got {args.trials}")
     file_cfg = parse_config_file(args.config) if args.config else {}
     seed = _setting(args, file_cfg, "seed", 0)
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,6 @@ from marginadapt import (
     linear_backward,
     linear_forward,
     marginal_loss,
-    memory_term_loss,
     relu_backward,
     relu_forward,
     run_method,
@@ -128,20 +128,6 @@ def _check_entropy(rng):
     return rel_error(grad, numeric_grad(f, logits))
 
 
-def _check_memory_term(rng):
-    feats = rng.standard_normal((6, 5))
-    protos = np.stack([rng.standard_normal(5) for j in range(4)])
-    labels = rng.integers(0, 4, size=6)
-
-    def f():
-        return memory_term_loss(feats, protos, labels)[0]
-
-    _, grad, _ = memory_term_loss(feats, protos, labels)
-    # the term's gradients sit ~1e5 below the loss value, so the difference
-    # quotient needs a larger step to climb above float64 roundoff
-    return rel_error(grad, numeric_grad(f, feats, h=1e-5), atol=1e-7)
-
-
 def _check_cross_entropy(rng):
     logits = rng.standard_normal((6, 4))
     labels = rng.integers(0, 4, size=6)
@@ -161,12 +147,12 @@ def test_criterion_1_gradient_suite():
         ("norm", _check_norm, 1e-6),
         ("margin", _check_margin, 1e-4),
         ("entropy", _check_entropy, 1e-4),
-        ("memory_term", _check_memory_term, 1e-4),
         ("cross_entropy", _check_cross_entropy, 1e-4),
     ]
     worst = {}
     for name, check, tol in families:
-        rng = np.random.default_rng(hash(name) % 2**32)
+        # a per-family seed that is the same in every process
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         errs = [check(rng) for _ in range(TRIALS)]
         worst[name] = max(errs)
         assert worst[name] <= tol, f"{name}: worst rel error {worst[name]:.3e} > {tol}"
@@ -296,10 +282,7 @@ def test_criterion_4_no_op_contracts():
         _, curve_zero, _ = run_method(pair, target, AdaptConfig(steps=0))
         assert pair.adapted_fingerprint() == before
 
-        all_off = AdaptConfig(
-            enable_lm=False, enable_le=False, enable_li=False,
-            enable_bank=False, enable_refresh=False,
-        )
+        all_off = AdaptConfig(enable_lm=False, enable_le=False, enable_bank=False)
         _, curve_off, _ = run_method(pair, target, all_off)
         assert pair.adapted_fingerprint() == before
         assert curve_off.cumulative == curve_zero.cumulative
@@ -379,18 +362,11 @@ def test_criterion_6_source_preservation():
 
 def test_criterion_7_ablation_monotonicity():
     variants = {
-        "none": dict(enable_lm=False, enable_le=False, enable_li=False,
-                     enable_bank=False, enable_refresh=False),
-        "lm": dict(enable_lm=True, enable_le=False, enable_li=False,
-                   enable_bank=False, enable_refresh=False),
-        "le": dict(enable_lm=False, enable_le=True, enable_li=False,
-                   enable_bank=False, enable_refresh=False),
-        "bank": dict(enable_lm=False, enable_le=False, enable_li=False,
-                     enable_bank=True, enable_refresh=False),
-        "refresh": dict(enable_lm=False, enable_le=False, enable_li=False,
-                        enable_bank=True, enable_refresh=True),
-        "all": dict(enable_lm=True, enable_le=True, enable_li=False,
-                    enable_bank=True, enable_refresh=True),
+        "none": dict(enable_lm=False, enable_le=False, enable_bank=False),
+        "lm": dict(enable_lm=True, enable_le=False, enable_bank=False),
+        "le": dict(enable_lm=False, enable_le=True, enable_bank=False),
+        "refresh": dict(enable_lm=False, enable_le=False, enable_bank=True),
+        "all": dict(enable_lm=True, enable_le=True, enable_bank=True),
     }
     finals = {name: [] for name in variants}
     for seed in range(10):
@@ -401,13 +377,12 @@ def test_criterion_7_ablation_monotonicity():
             _, curve, _ = run_method(pair, target, cfg)
             finals[name].append(100.0 * curve.final_accuracy)
     means = {name: float(np.mean(vals)) for name, vals in finals.items()}
-    for single in ("lm", "le", "bank", "refresh"):
+    for single in ("lm", "le", "refresh"):
         assert means["all"] >= means[single] - 1.0, (
             f"all-on {means['all']:.2f} fell below {single} {means[single]:.2f} - 1"
         )
-    # contract facts: an inactive hinge and an unrefreshed bank change nothing
+    # contract fact: an inactive hinge changes nothing
     assert finals["lm"] == finals["none"]
-    assert finals["bank"] == finals["none"]
     summary = ", ".join(f"{k} {v:.2f}" for k, v in means.items())
     print(f"criterion 7 PASS: {summary}")
 

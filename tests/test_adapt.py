@@ -1,7 +1,5 @@
 """Streaming adaptation protocol: pairing, switch semantics, label hygiene."""
 
-from dataclasses import replace
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -110,10 +108,7 @@ def test_scoring_failure_names_the_step(method):
 def test_all_switches_off_is_pure_evaluation():
     pair, target = _tiny(1)
     before = pair.adapted_fingerprint()
-    cfg = AdaptConfig(
-        enable_lm=False, enable_le=False, enable_li=False,
-        enable_bank=False, enable_refresh=False, seed=3,
-    )
+    cfg = AdaptConfig(enable_lm=False, enable_le=False, enable_bank=False, seed=3)
     _, curve, reports = run_method(pair, target, cfg)
     assert pair.adapted_fingerprint() == before
     assert reports == []
@@ -145,58 +140,16 @@ def test_margin_alone_cannot_move_a_fresh_clone(use_norm):
     # so the hinge and its gradient are exactly zero on every batch
     pair, target = _tiny(4, use_norm=use_norm)
     before = pair.adapted_fingerprint()
-    cfg = AdaptConfig(
-        lr=1e-2, seed=5,
-        enable_lm=True, enable_le=False, enable_li=False,
-        enable_bank=False, enable_refresh=False,
-    )
+    cfg = AdaptConfig(lr=1e-2, seed=5, enable_lm=True, enable_le=False, enable_bank=False)
     _, _, reports = run_method(pair, target, cfg)
     assert pair.adapted_fingerprint() == before
     assert all(r.l_m == 0.0 for r in reports)
 
 
-def test_bank_without_refresh_changes_nothing_observable():
-    pair, target = _tiny(4)
-    before = pair.adapted_fingerprint()
-    cfg = AdaptConfig(
-        seed=5,
-        enable_lm=False, enable_le=False, enable_li=False,
-        enable_bank=True, enable_refresh=False,
-    )
-    _, curve, reports = run_method(pair, target, cfg)
-    assert pair.adapted_fingerprint() == before
-    assert reports == []
-    _, plain, _ = run_method(pair, target, AdaptConfig(steps=0, seed=5))
-    assert curve.cumulative == plain.cumulative
-
-
-def test_prototype_gradient_reaches_only_held_columns(monkeypatch):
-    # with l_e and l_m off the classifier gradient is the routed prototype
-    # gradient alone; after step 0 the bank holds only batch 0's pseudo-classes
-    pair, target = _tiny(4)
-    cfg = AdaptConfig(lr=1e-2, batch_size=2, steps=1, seed=5,
-                      enable_lm=False, enable_le=False, enable_li=True)
-    batch0 = stream_batches(target.n, cfg.batch_size, cfg.seed)[0]
-    held = set(np.argmax(pair.predict_probs(target.features[batch0]), axis=1).tolist())
-    assert 0 < len(held) < 4
-    steps = []
-    monkeypatch.setattr(adapt.Adam, "step", lambda self, grads: steps.append(grads))
-    run_method(pair, target, cfg)
-    g = steps[0]["clf.w"]
-    for j in range(4):
-        if j in held:
-            assert np.any(g[:, j] != 0.0), j
-        else:
-            assert np.all(g[:, j] == 0.0), j
-    # without refresh the prototypes are no parameter: nothing is routed
-    run_method(pair, target, replace(cfg, enable_refresh=False))
-    assert "clf.w" not in steps[1]
-
-
 def test_bankless_unidg_builds_no_bank_and_pseudo_labels_nothing(monkeypatch):
-    # with the bank and l_i both off nothing reads the pseudo-labels, so the
-    # step neither builds a bank nor pseudo-labels the batch
-    cfg = AdaptConfig(lr=1e-2, steps=5, seed=3, enable_bank=False, enable_li=False)
+    # with the bank off nothing reads the pseudo-labels, so the step neither
+    # builds a bank nor pseudo-labels the batch
+    cfg = AdaptConfig(lr=1e-2, steps=5, seed=3, enable_bank=False)
 
     def observed(cfg):
         pair, target = _tiny(6)
@@ -205,8 +158,6 @@ def test_bankless_unidg_builds_no_bank_and_pseudo_labels_nothing(monkeypatch):
 
     expected = observed(cfg)
     assert len(expected[2]) == 5
-    # a bank that is filled but never read is unobservable
-    assert observed(replace(cfg, enable_bank=True, enable_refresh=False)) == expected
 
     calls = []
     for name in ("pseudo_label", "init_from_classifier"):
@@ -226,7 +177,7 @@ def test_huge_sigma_reduces_to_entropy_with_refresh_step_for_step():
     # gradient, so the full method must track the lm-disabled run exactly
     pair_a, target = _tiny(6)
     pair_b, _ = _tiny(6)
-    base = dict(lr=1e-3, seed=9, enable_li=False)
+    base = dict(lr=1e-3, seed=9)
     _, curve_a, rep_a = run_method(pair_a, target, AdaptConfig(sigma=1e6, **base))
     _, curve_b, rep_b = run_method(
         pair_b, target, AdaptConfig(enable_lm=False, **base)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from marginadapt import cli
 from marginadapt.cli import (
     ABLATION_GRID,
     OUT_ENV_VAR,
+    build_parser,
     canonical_record_bytes,
     main,
     parse_config_file,
@@ -86,7 +88,7 @@ def test_end_to_end_workflow(tmp_path, capsys):
     assert "variant" in out
     record = json.load(open(os.path.join(run, "run_0002.json")))
     assert [row["variant"] for row in record["rows"]] == [
-        "none", "lm", "le", "bank", "refresh", "lm+le", "le+refresh", "all",
+        "none", "lm", "le", "refresh", "lm+le", "le+refresh", "all",
     ]
 
     rc = main([
@@ -137,6 +139,24 @@ def test_config_file_rejects_bad_lines(tmp_path):
     bad_bool.write_text("use_norm = maybe\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_file(str(bad_bool))
+
+
+@pytest.mark.parametrize("key", ["enable_li", "enable_refresh"])
+def test_config_file_setting_a_deleted_switch_exits_with_unknown_key(tmp_path, capsys, key):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data)
+    cfg = tmp_path / "adapt.cfg"
+    cfg.write_text(f"enable_bank = on\n{key} = on\n")
+    capsys.readouterr()
+    rc = main([
+        "adapt", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", run,
+        "--config", str(cfg), "--steps", "1",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"unknown key {key!r}" in err
+    assert not [f for f in os.listdir(run) if f.startswith("run_")]
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -280,24 +300,25 @@ def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value
     assert err.startswith("error: ") and ckpt in err and "malformed field" in err
 
 
-def test_ablate_rejects_zero_trials_before_loading(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["ablate", "diagnose"])
+def test_ablate_rejects_zero_trials_before_loading(tmp_path, capsys, command):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
+
+    def argv(checkpoint, trials):
+        inputs = ["--target", os.path.join(data, "target.csv")] if command == "ablate" else []
+        return [command, "--checkpoint", checkpoint, *inputs, "--out", run,
+                "--trials", trials]
+
     capsys.readouterr()
-    rc = main([
-        "ablate", "--checkpoint", ckpt, "--target",
-        os.path.join(data, "target.csv"), "--out", run, "--trials", "0",
-    ])
+    rc = main(argv(ckpt, "0"))
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err and "--trials >= 1" in err
     assert "Mean of empty slice" not in err
     assert not [f for f in os.listdir(run) if f.startswith("run_")]
     # nothing is read first: a missing checkpoint is not what fails
-    rc = main([
-        "ablate", "--checkpoint", str(tmp_path / "nope.json"), "--target",
-        str(tmp_path / "nope.csv"), "--out", run, "--trials", "-1",
-    ])
+    rc = main(argv(str(tmp_path / "nope.json"), "-1"))
     assert rc == 1
     assert "--trials >= 1" in capsys.readouterr().err
 
@@ -408,8 +429,8 @@ def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extr
         finals, drop = expected[row["variant"]]
         assert row["final_accuracies"] == finals
         assert row["mean_source_drop"] == drop
-    # `none` and `bank` never move the frozen model, which is scored once
-    assert passes["none"] == 0 and passes["bank"] == 0
+    # `none` and `lm` never move the frozen model, which is scored once
+    assert passes["none"] == 0 and passes["lm"] == 0
     assert passes["before any run"] == 1
 
 
@@ -522,3 +543,35 @@ def test_every_config_field_is_a_config_file_key(cls):
         assert f.name in cli._KEY_TYPES
         default = getattr(defaults, f.name)
         assert cli._convert(f.name, str(default), "default") == default
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train-source", "diagnose"])
+def test_non_integer_hidden_dims_entry_is_a_config_error(tmp_path, capsys, command, source):
+    out = str(tmp_path / "run")
+    argv = [command, "--out", out]
+    if command == "train-source":
+        argv += ["--data", _gen(tmp_path)]
+    if source == "flag":
+        argv += ["--hidden-dims", "8,x"]
+    else:
+        cfg = tmp_path / "dims.cfg"
+        cfg.write_text("hidden_dims = 8,x\n")
+        argv += ["--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "hidden_dims" in err and "'x'" in err
+    assert not os.path.exists(out) or not os.listdir(out)
+
+
+def test_readme_switches_match_the_adapt_parser():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    named = set(re.findall(r"`--([a-z-]+)/--no-\1`", readme))
+    required = ["adapt", "--checkpoint", "c.json", "--target", "t.csv"]
+    for switch in named:
+        assert getattr(build_parser().parse_args(required + [f"--{switch}"]),
+                       f"enable_{switch}") is True
+        assert getattr(build_parser().parse_args(required + [f"--no-{switch}"]),
+                       f"enable_{switch}") is False
+    assert set(cli._SWITCHES) <= named

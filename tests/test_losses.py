@@ -8,15 +8,11 @@ import pytest
 
 from gradcheck import numeric_grad, rel_error
 from marginadapt import (
-    BatchTooSmallError,
     ConfigError,
     DimensionError,
     InputError,
-    StateError,
-    combined_loss,
     entropy_loss,
     marginal_loss,
-    memory_term_loss,
     softmax_rows,
 )
 
@@ -106,70 +102,3 @@ def test_entropy_loss_rejects_non_distributions():
         entropy_loss(np.array([[0.5, 0.6]]))
     with pytest.raises(InputError):
         entropy_loss(np.array([[-0.1, 1.1]]))
-
-
-def test_memory_term_value_matches_manual():
-    rng = np.random.default_rng(4)
-    feats = rng.standard_normal((5, 3))
-    protos = np.stack([rng.standard_normal(3), rng.standard_normal(3)])
-    labels = np.array([0, 1, 0, 1, 1])
-    eps = 1e-5
-    value, _, _ = memory_term_loss(feats, protos, labels, eps=eps)
-
-    gamma = np.array(
-        [feats[i] @ (protos[labels[i]] / np.linalg.norm(protos[labels[i]])) for i in range(5)]
-    )
-    norm = (gamma - gamma.mean()) / math.sqrt(gamma.var() + eps)
-    soft = np.exp(norm - norm.max())
-    soft = soft / soft.sum()
-    expect = -float(np.mean(norm * np.log(soft)))
-    assert abs(value - expect) < 1e-10
-
-
-def test_memory_term_gradients_match_fd():
-    rng = np.random.default_rng(5)
-    for _ in range(15):
-        feats = rng.standard_normal((6, 4))
-        protos = np.stack([rng.standard_normal(4) + 0.5 for j in range(3)])
-        labels = rng.integers(0, 3, size=6)
-
-        def loss():
-            return memory_term_loss(feats, protos, labels)[0]
-
-        # the loss is O(1) while these gradients are O(1e-5), so central
-        # differences carry ~1e-5 relative roundoff; 1e-4 is the honest bound,
-        # and gradients below 1e-7 in norm are FD noise outright
-        _, gfeats, gprotos = memory_term_loss(feats, protos, labels)
-        assert rel_error(gfeats, numeric_grad(loss, feats, h=1e-5), atol=1e-7) < 1e-4
-        for j, gp in enumerate(gprotos):
-            assert rel_error(gp, numeric_grad(loss, protos[j], h=1e-5), atol=1e-7) < 1e-4, j
-
-
-def test_memory_term_prototype_gradient_is_zero_for_absent_classes():
-    rng = np.random.default_rng(6)
-    feats = rng.standard_normal((6, 4))
-    protos = rng.standard_normal((5, 4))
-    labels = np.array([0, 3, 3, 0, 1, 3])
-    _, _, gprotos = memory_term_loss(feats, protos, labels)
-    assert gprotos.shape == protos.shape
-    for j in range(5):
-        if j in labels:
-            assert np.any(gprotos[j] != 0.0), j
-        else:
-            assert np.all(gprotos[j] == 0.0), j
-
-
-def test_memory_term_requires_prototype_and_batch():
-    feats = np.ones((3, 2))
-    with pytest.raises(StateError):
-        memory_term_loss(feats, np.ones((1, 2)), np.array([0, 1, 0]))
-    with pytest.raises(StateError):
-        memory_term_loss(feats, np.zeros((1, 2)), np.array([0, 0, 0]))
-    with pytest.raises(BatchTooSmallError):
-        memory_term_loss(np.ones((1, 2)), np.ones((1, 2)), np.array([0]))
-
-
-def test_combined_loss_identity():
-    assert combined_loss(1.5, 0.25, 9.0, 2.0) == 1.5 + 2.0 * 0.25 + 9.0
-    # a term that is off enters as 0.0 and leaves the other two bit-exact
-    assert combined_loss(1.5, 0.25, 0.0, 2.0) == 1.5 + 2.0 * 0.25
