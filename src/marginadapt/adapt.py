@@ -30,7 +30,7 @@ from .errors import ConfigError, NumericalFailure
 from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
 from .model import ModelPair, classification_accuracy
-from .numeric import softmax_rows
+from .numeric import check_finite_settings, softmax_rows
 from .train import Adam, cross_entropy_loss
 
 METHODS = ("none", "entropy_norm", "pseudo_label", "unidg")
@@ -52,6 +52,7 @@ class AdaptConfig:
     enable_bank: bool = True
 
     def validate(self) -> "AdaptConfig":
+        check_finite_settings(self, ("sigma", "lambda_weight", "lr"))
         if self.sigma < 0.0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.lambda_weight < 0.0:
@@ -171,7 +172,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
         def entropy_norm_step(xb, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
             gz, _ = clf.backward(feats, g_logits)
-            _, egrads = enc.backward(gz)
+            egrads = enc.backward(gz)
             opt.step(egrads)
             # the adapted model keeps the stream's normalization afterwards
             enc.update_running_stats()
@@ -185,7 +186,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
         def pseudo_label_step(xb, feats, probs, preds):
             loss, g_logits = cross_entropy_loss(probs, preds)
             gz, cgrads = clf.backward(feats, g_logits)
-            _, egrads = enc.backward(gz)
+            egrads = enc.backward(gz)
             opt.step({**egrads, **cgrads})
             return LossReport(l_m=0.0, l_e=0.0, total=loss)
 
@@ -227,7 +228,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
         total = l_e + cfg.lambda_weight * l_m
         if not np.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")
-        _, egrads = enc.backward(g_feats)
+        egrads = enc.backward(g_feats)
         opt.step({**egrads, **grads})
         return LossReport(l_m=l_m, l_e=l_e, total=total)
 

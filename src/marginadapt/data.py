@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, SchemaError
-from .numeric import Array
+from .numeric import Array, check_finite_settings
 
 
 @dataclass
@@ -77,6 +77,8 @@ class ShiftSpec:
     seed: int = 0
 
     def validate(self) -> "ShiftSpec":
+        check_finite_settings(
+            self, ("class_separation", "within_class_std", "translation_std"))
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.input_dim < self.num_classes:

@@ -72,7 +72,7 @@ def parameter_jacobian(model: MlpEncoder, x_row, subset: str = "all") -> Array:
     for k in range(d):
         upstream = np.zeros((1, d))
         upstream[0, k] = 1.0
-        _, grads = model.backward(upstream)
+        grads = model.backward(upstream)
         jac[k] = np.concatenate([grads[n].ravel() for n in names])
     return jac
 

@@ -25,6 +25,7 @@ from .numeric import (
     check_norm_settings,
     linear_backward,
     linear_forward,
+    linear_param_grads,
     relu_backward,
     relu_forward,
     softmax_rows,
@@ -75,10 +76,6 @@ class MlpEncoder:
         return cls(layer_dims, weights, biases, norms, eps=eps, momentum=momentum)
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
 
     @property
     def feature_dim(self) -> int:
@@ -158,42 +155,47 @@ class MlpEncoder:
                 f"encode: input has {h.shape[1]} features, expected {self.input_dim}"
             )
         caches = []
-        for i in range(self.n_layers):
-            pre = linear_forward(h, self.weights[i], self.biases[i])
-            if i == self.n_layers - 1:
-                caches.append({"x": h})
-                h = pre
-            else:
-                a = pre
-                if self.norms[i] is not None:
-                    a = batchnorm_forward(pre, self.norms[i], mode=mode)
-                caches.append({"x": h, "act_in": a})
-                h = relu_forward(a)
+        last = len(self.weights) - 1
+        for i in range(last):
+            a = linear_forward(h, self.weights[i], self.biases[i])
+            if self.norms[i] is not None:
+                a = batchnorm_forward(a, self.norms[i], mode=mode)
+            caches.append({"x": h, "act_in": a})
+            h = relu_forward(a)
+        caches.append({"x": h})
+        h = linear_forward(h, self.weights[last], self.biases[last])
         self._cache = caches if retain_cache else None
         return h
 
     def backward(self, upstream):
-        """Gradients of sum(upstream * features) w.r.t. input and parameters.
+        """Gradients of sum(upstream * features) w.r.t. the parameters, as a
+        dict keyed like `parameters()`.
 
         Requires a cached forward (encode with retain_cache). The cache is
         left intact, so several upstreams can be pushed through one forward.
+        The gradient w.r.t. the input is not computed: nothing reads it, so
+        the first layer takes only its weight and bias gradients.
         """
         if self._cache is None:
             raise StateError("backward: call encode with retain_cache first")
         g = upstream
         grads = {}
-        for i in reversed(range(self.n_layers)):
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
             cache = self._cache[i]
-            if i < self.n_layers - 1:
+            if i < last:
                 g = relu_backward(cache["act_in"], g)
                 if self.norms[i] is not None:
                     g, ggamma, gbeta = batchnorm_backward(self.norms[i], g)
                     grads[f"enc.{i}.gamma"] = ggamma
                     grads[f"enc.{i}.beta"] = gbeta
-            g, gw, gb = linear_backward(cache["x"], self.weights[i], g)
+            if i > 0:
+                g, gw, gb = linear_backward(cache["x"], self.weights[i], g)
+            else:
+                gw, gb = linear_param_grads(cache["x"], self.weights[0], g)
             grads[f"enc.{i}.w"] = gw
             grads[f"enc.{i}.b"] = gb
-        return g, grads
+        return grads
 
     def update_running_stats(self):
         for norm in self.norms:

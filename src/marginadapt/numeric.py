@@ -14,10 +14,17 @@ Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
 the same reductions `np.mean` and `np.var` run, so the values are theirs
 bit for bit. The forward caches `denom = sqrt(var + eps)` for the backward.
+
+The hot ops call the ufuncs behind the array methods (`np.add.reduce` for
+`.sum`, `np.maximum.reduce` for `.max`) and add biases in place; the values
+are those of the method and out-of-place forms bit for bit.
+`linear_param_grads` is `linear_backward` without the input gradient, for
+the encoder's first layer, whose input gradient nothing reads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,21 +81,27 @@ def linear_forward(x: Array, w: Array, b: Array) -> Array:
         raise DimensionError(
             f"linear_forward: bias length {b.shape[0]} != output width {w.shape[1]}"
         )
-    return _finite(x @ w + b, "linear_forward")
+    out = x @ w
+    out += b
+    return _finite(out, "linear_forward")
 
 
 def linear_backward(x: Array, w: Array, upstream: Array):
     """Gradients of sum(upstream * (x @ w + b)) w.r.t. x, w, b."""
+    gw, gb = linear_param_grads(x, w, upstream)
+    return _finite(upstream @ w.T, "linear_backward"), gw, gb
+
+
+def linear_param_grads(x: Array, w: Array, upstream: Array):
+    """The w and b gradients of `linear_backward`, without the x gradient.
+    Failures are reported as linear_backward's."""
     if upstream.shape != (x.shape[0], w.shape[1]):
         raise DimensionError(
             f"linear_backward: upstream shape {upstream.shape} != {(x.shape[0], w.shape[1])}"
         )
-    gx = upstream @ w.T
     gw = x.T @ upstream
-    gb = upstream.sum(axis=0)
-    return _finite(gx, "linear_backward"), _finite(gw, "linear_backward"), _finite(
-        gb, "linear_backward"
-    )
+    gb = np.add.reduce(upstream, axis=0)
+    return _finite(gw, "linear_backward"), _finite(gb, "linear_backward")
 
 
 def relu_forward(x: Array) -> Array:
@@ -106,9 +119,9 @@ def relu_backward(x: Array, upstream: Array) -> Array:
 
 def softmax_rows(z: Array) -> Array:
     """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
     e = np.exp(shifted)
-    return _finite(e / e.sum(axis=1, keepdims=True), "softmax_rows")
+    return _finite(e / np.add.reduce(e, axis=1, keepdims=True), "softmax_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +145,15 @@ def check_norm_settings(eps, momentum) -> None:
         raise ConfigError(f"eps must be >= 0, got {eps}")
     if not 0.0 <= momentum <= 1.0:
         raise ConfigError(f"momentum must lie in [0, 1], got {momentum}")
+
+
+def check_finite_settings(config, names) -> None:
+    """Reject NaN or infinity in the named float fields of a config, naming
+    the field, before any range check or computation sees the value."""
+    for name in names:
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass
@@ -221,7 +243,9 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
         )
     else:
         raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
-    return _finite(state.gamma * x_hat + state.beta, "batchnorm_forward")
+    out = state.gamma * x_hat
+    out += state.beta
+    return _finite(out, "batchnorm_forward")
 
 
 def update_running_stats(state: NormLayerState) -> None:

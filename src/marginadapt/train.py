@@ -9,7 +9,7 @@ import numpy as np
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
 from .model import classification_accuracy
-from .numeric import Array, softmax_rows
+from .numeric import Array, check_finite_settings, softmax_rows
 
 
 @dataclass
@@ -22,6 +22,7 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
+        check_finite_settings(self, ("lr", "weight_decay"))
         # lr == 0 is allowed: it is the documented "no update" degenerate case
         if self.lr < 0.0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
@@ -58,12 +59,16 @@ class Adam:
     scatters the step back into the parameters; gather and scatter go
     through views of each parameter's slice, shaped like it and made once,
     and the step lands in a flat buffer allocated with the moments (with
-    weight decay it first gathers the parameters). A parameter missing from
-    the gradient dict is left untouched for that step, its moments included;
-    a zero gradient on fresh moments gives an exactly zero update. Either
-    way the step counter advances. A gradient of the wrong shape raises
-    before anything moves. First step with constant gradient g moves by
-    lr * g / (|g| + eps), i.e. ~lr per coordinate."""
+    weight decay it first gathers the parameters). The moment update and the
+    step write through `out=` into two scratch buffers, also allocated with
+    the moments, with the formulas' operations in their usual order, so a
+    step allocates no temporaries and its values are bit for bit those of
+    the out-of-place expressions. A parameter missing from the gradient dict
+    is left untouched for that step, its moments included; a zero gradient
+    on fresh moments gives an exactly zero update. Either way the step
+    counter advances. A gradient of the wrong shape raises before anything
+    moves. First step with constant gradient g moves by lr * g / (|g| + eps),
+    i.e. ~lr per coordinate."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
@@ -82,6 +87,9 @@ class Adam:
             size += p.size
         self._g = np.zeros(size)
         self._a = np.zeros(size)
+        # scratch for the moment update and the step
+        self._s = np.zeros(size)
+        self._u = np.zeros(size)
         # each parameter's slice of _g and of _a, viewed in its own shape
         self._views = [(self._g[sl].reshape(p.shape), self._a[sl].reshape(p.shape))
                        for (_, p), sl in zip(self.params, self._slices)]
@@ -114,16 +122,28 @@ class Adam:
         st.t += 1
         c1 = 1.0 - st.beta1 ** st.t
         c2 = 1.0 - st.beta2 ** st.t
+        s, u = self._s, self._u
         g = self._g
         if self.weight_decay:
-            g = g + self.weight_decay * self._a  # _a holds the parameters here
+            # g + weight_decay * p, held in u until v is updated (_a holds p)
+            np.multiply(self._a, self.weight_decay, out=u)
+            g = np.add(g, u, out=u)
         m, v = st.m, st.v
         np.multiply(m, st.beta1, out=m, where=mask)
-        np.add(m, (1.0 - st.beta1) * g, out=m, where=mask)
+        np.multiply(g, 1.0 - st.beta1, out=s)
+        np.add(m, s, out=m, where=mask)
         np.multiply(v, st.beta2, out=v, where=mask)
-        np.add(v, (1.0 - st.beta2) * (g * g), out=v, where=mask)
-        # the step lands in _a, which the per-parameter views read
-        np.divide(self.lr * (m / c1), np.sqrt(v / c2) + st.eps, out=self._a)
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - st.beta2, out=s)
+        np.add(v, s, out=v, where=mask)
+        # lr * (m / c1) / (sqrt(v / c2) + eps), landing in _a, which the
+        # per-parameter views read
+        np.divide(m, c1, out=s)
+        np.multiply(s, self.lr, out=s)
+        np.divide(v, c2, out=u)
+        np.sqrt(u, out=u)
+        np.add(u, st.eps, out=u)
+        np.divide(s, u, out=self._a)
         for p, a_view, _ in held:
             p -= a_view
 
@@ -168,11 +188,18 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     Each domain is split into train/holdout; training minimizes softmax
     cross-entropy with Adam; the parameters kept at the end are from the
     epoch with the best holdout accuracy (ties keep the earlier epoch).
-    epochs=0 leaves the model exactly at its initialization.
+    epochs=0 leaves the model exactly at its initialization. Norm layers need
+    batch statistics, so an encoder with them needs batch_size >= 2, and a
+    one-row last batch of an epoch is skipped.
     """
     cfg.validate()
     if not sources:
         raise DataError("train_source_erm: no source domains given")
+    norm = encoder.has_norm_layers
+    if norm and cfg.batch_size < 2:
+        raise ConfigError(
+            f"batch_size must be >= 2 for an encoder with norm layers, got {cfg.batch_size}"
+        )
     trains, vals = [], []
     for k, ds in enumerate(sources):
         tr, va = split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)
@@ -200,19 +227,22 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     val_history = []
 
     n = x_train.shape[0]
+    bs = cfg.batch_size
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        for step, start in enumerate(range(0, n, cfg.batch_size)):
-            idx = order[start : start + cfg.batch_size]
-            if idx.shape[0] < 2 and encoder.has_norm_layers:
+        # one gather per epoch; each batch is then a contiguous slice of it
+        x_epoch, y_epoch = x_train[order], y_train[order]
+        for step, start in enumerate(range(0, n, bs)):
+            xb = x_epoch[start : start + bs]
+            if norm and xb.shape[0] < 2:
                 continue  # a single row cannot feed batch statistics
-            xb, yb = x_train[idx], y_train[idx]
+            yb = y_epoch[start : start + bs]
             try:
                 feats = encoder.encode(xb, mode="train")
                 probs = softmax_rows(classifier.logits(feats))
                 loss, g_logits = cross_entropy_loss(probs, yb)
                 gz, cgrads = classifier.backward(feats, g_logits)
-                _, egrads = encoder.backward(gz)
+                egrads = encoder.backward(gz)
                 encoder.update_running_stats()
                 opt.step({**egrads, **cgrads})
             except NumericalFailure as e:

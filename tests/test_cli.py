@@ -575,3 +575,61 @@ def test_readme_switches_match_the_adapt_parser():
         assert getattr(build_parser().parse_args(required + [f"--no-{switch}"]),
                        f"enable_{switch}") is False
     assert set(cli._SWITCHES) <= named
+
+
+@pytest.fixture(scope="module")
+def trained_task(tmp_path_factory):
+    """A generated task and a linear checkpoint trained on it; read only."""
+    root = tmp_path_factory.mktemp("trained")
+    data = _gen(root)
+    _, ckpt = _train(root, data)
+    return data, ckpt
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("adapt", "--lr", "nan", "lr"),
+    ("adapt", "--lambda-weight", "inf", "lambda_weight"),
+    ("ablate", "--sigma", "nan", "sigma"),
+    ("train-source", "--lr", "inf", "lr"),
+    ("train-source", "--weight-decay", "nan", "weight_decay"),
+    ("gen-data", "--class-separation", "nan", "class_separation"),
+    ("gen-data", "--within-class-std", "inf", "within_class_std"),
+    ("gen-data", "--translation-std", "-inf", "translation_std"),
+])
+def test_non_finite_setting_is_refused_before_any_file_is_read(
+        tmp_path, capsys, trained_task, command, flag, value, field):
+    def inputs(data, ckpt):
+        if command == "gen-data":
+            return []
+        if command == "train-source":
+            return ["--data", data]
+        return ["--checkpoint", ckpt, "--target", os.path.join(data, "target.csv")]
+
+    out = tmp_path / "out"
+    missing = str(tmp_path / "missing")
+    # the second run's inputs do not exist: nothing is read before the check
+    for args in (inputs(*trained_task), inputs(missing, missing)):
+        capsys.readouterr()
+        rc = main([command, *args, "--out", str(out), f"{flag}={value}"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {field} must be finite, got {float(value)}\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_train_source_refuses_one_row_batches_for_a_norm_encoder(tmp_path, capsys, source):
+    data = _gen(tmp_path)
+    if source == "flags":
+        settings = ["--batch-size", "1", "--use-norm"]
+    else:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("batch_size = 1\nuse_norm = true\n")
+        settings = ["--config", str(cfg)]
+    run = tmp_path / "run"
+    capsys.readouterr()
+    rc = main(["train-source", "--data", data, "--out", str(run), "--epochs", "1", *settings])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        "error: batch_size must be >= 2 for an encoder with norm layers, got 1")
+    assert not run.exists()

@@ -22,7 +22,7 @@ from marginadapt import (
     softmax_rows,
     update_running_stats,
 )
-from marginadapt.numeric import _finite, as_matrix, as_vector
+from marginadapt.numeric import _finite, as_matrix, as_vector, linear_param_grads
 
 
 def test_linear_forward_matches_manual():
@@ -55,6 +55,24 @@ def test_linear_backward_matches_fd():
         assert rel_error(gx, numeric_grad(lambda: np.sum(r * linear_forward(x, w, b)), x)) < 1e-6
         assert rel_error(gw, numeric_grad(lambda: np.sum(r * linear_forward(x, w, b)), w)) < 1e-6
         assert rel_error(gb, numeric_grad(lambda: np.sum(r * linear_forward(x, w, b)), b)) < 1e-6
+
+
+def test_linear_param_grads_is_linear_backward_without_the_input_gradient():
+    rng = np.random.default_rng(2)
+    x = rng.standard_normal((4, 6))
+    w = rng.standard_normal((6, 3))
+    r = rng.standard_normal((4, 3))
+    _, gw, gb = linear_backward(x, w, r)
+    pw, pb = linear_param_grads(x, w, r)
+    npt.assert_array_equal(pw, gw)
+    npt.assert_array_equal(pb, gb)
+    npt.assert_array_equal(pb, r.sum(axis=0))
+    # its failures are reported as linear_backward's
+    with pytest.raises(DimensionError, match="^linear_backward: upstream shape"):
+        linear_param_grads(x, w, r[:, :2])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFailure, match="^linear_backward: produced non-finite"):
+        linear_param_grads(x * 1e300, w, r * 1e300)
 
 
 def test_relu_forward_clamps():

@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from gradcheck import numeric_grad, rel_error
+from marginadapt import train as train_module
 from marginadapt import (
     Adam,
     ConfigError,
@@ -271,6 +272,60 @@ def test_training_improves_holdout_accuracy():
     assert len(report.val_history) == 8 and len(report.loss_history) > 0
     # the parameters left in the model are the ones the report scored
     assert classification_accuracy(enc, clf, x_val, y_val) == report.val_accuracy
+
+
+@pytest.mark.parametrize("hidden, use_norm", [([], False), ([8], True)], ids=["linear", "norm"])
+def test_training_batches_are_slices_of_each_epoch_permutation(monkeypatch, hidden, use_norm):
+    sources, _, _ = _tiny_task(7)
+    enc = MlpEncoder.create([16, *hidden, 16], use_norm=use_norm, seed=7)
+    clf = LinearClassifier.create(16, 4, seed=8)
+    cfg = TrainConfig(lr=1e-2, epochs=2, batch_size=29, seed=7)
+    batches, labels = [], []
+    encode, loss = MlpEncoder.encode, train_module.cross_entropy_loss
+
+    def spy_encode(self, x, mode="train", retain_cache=None):
+        if mode == "train":  # accuracy passes encode in eval mode
+            batches.append(np.array(x))
+        return encode(self, x, mode=mode, retain_cache=retain_cache)
+
+    def spy_loss(probs, y):
+        labels.append(np.array(y))
+        return loss(probs, y)
+
+    monkeypatch.setattr(MlpEncoder, "encode", spy_encode)
+    monkeypatch.setattr(train_module, "cross_entropy_loss", spy_loss)
+    train_source_erm(enc, clf, sources, cfg)
+
+    trains = [split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)[0]
+              for k, ds in enumerate(sources)]
+    x_train = np.vstack([t.features for t in trains])
+    y_train = np.concatenate([t.labels for t in trains])
+    n, bs = x_train.shape[0], cfg.batch_size
+    assert n % bs == 1  # each epoch ends on a one-row batch
+    rng = np.random.default_rng(cfg.seed)
+    want = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, bs):
+            idx = order[start : start + bs]
+            if use_norm and idx.shape[0] < 2:
+                continue  # batch statistics need two rows
+            want.append(idx)
+    assert len(batches) == len(labels) == len(want)
+    for xb, yb, idx in zip(batches, labels, want):
+        npt.assert_array_equal(xb, x_train[idx])
+        npt.assert_array_equal(yb, y_train[idx])
+
+
+def test_norm_training_rejects_one_row_batches():
+    sources, _, _ = _tiny_task(8)
+    enc = MlpEncoder.create([16, 8, 16], use_norm=True, seed=8)
+    clf = LinearClassifier.create(16, 4, seed=9)
+    before = [(n, a.copy()) for n, a in enc.parameters() + clf.parameters()]
+    with pytest.raises(ConfigError, match="^batch_size must be >= 2 for an encoder with norm"):
+        train_source_erm(enc, clf, sources, TrainConfig(batch_size=1, epochs=1, seed=8))
+    for (name, old), (_, new) in zip(before, enc.parameters() + clf.parameters()):
+        assert np.array_equal(old, new), name
 
 
 def test_train_rejects_empty_source_list():
