@@ -41,7 +41,6 @@ class AdaptConfig:
     sigma: float = 0.15
     lambda_weight: float = 1.0
     top_k: int = 20
-    capacity_per_class: int = 64
     lr: float = 5e-5
     batch_size: int = 32
     steps: int | None = None  # None: adapt on every batch; 0: evaluate only
@@ -59,8 +58,6 @@ class AdaptConfig:
             raise ConfigError(f"lambda_weight must be >= 0, got {self.lambda_weight}")
         if self.top_k < 1:
             raise ConfigError(f"top_k must be >= 1, got {self.top_k}")
-        if self.capacity_per_class < 1:
-            raise ConfigError("capacity_per_class must be >= 1")
         if self.lr <= 0.0:
             raise ConfigError(f"lr must be > 0, got {self.lr}")
         if self.batch_size < 2:
@@ -195,10 +192,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
     any_gradients = cfg.enable_lm or cfg.enable_le
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
-    bank = init_from_classifier(
-        pair.source_classifier, capacity_per_class=cfg.capacity_per_class,
-        top_k=cfg.top_k,
-    ) if cfg.enable_bank else None
+    bank = init_from_classifier(pair.source_classifier, cfg.top_k) if cfg.enable_bank else None
     opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
 
     def unidg_step(xb, feats, probs, preds):

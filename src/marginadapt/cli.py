@@ -67,8 +67,7 @@ _BOOL_FALSE = {"false", "0", "no", "off"}
 
 _KEY_TYPES = {
     # adaptation
-    "sigma": float, "lambda_weight": float, "top_k": int,
-    "capacity_per_class": int, "lr": float, "batch_size": int,
+    "sigma": float, "lambda_weight": float, "top_k": int, "lr": float, "batch_size": int,
     "steps": "optional_int", "seed": int, "method": str,
     "enable_lm": bool, "enable_le": bool, "enable_bank": bool,
     # source training
@@ -457,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--lambda-weight", "--lambda", type=float,
                        dest="lambda_weight", default=None)
         p.add_argument("--top-k", type=int, dest="top_k", default=None)
-        p.add_argument("--capacity-per-class", type=int, dest="capacity_per_class",
-                       default=None)
         p.add_argument("--lr", type=float, default=None)
         p.add_argument("--batch-size", type=int, dest="batch_size", default=None)
         p.add_argument("--steps", type=int, default=None)

@@ -1,20 +1,18 @@
 """Per-class support memory and prototype refresh for the classifier.
 
-The bank keeps the most confident (lowest entropy) feature vectors seen per
-pseudo-class, averages the best K into a prototype, and overwrites the
-matching classifier column with it. All tie-breaks are deterministic:
-pseudo-labels break toward the lowest class index, eviction prefers the
-oldest record among equals, selection orders by (entropy, arrival step).
+The bank keeps, per pseudo-class, the K most confident (lowest entropy)
+feature vectors it has seen, averages them into a prototype, and overwrites
+the matching classifier column with it (T3A's support filter). One total
+order decides everything: lower entropy first, and among equal entropies
+the newer row first. Pseudo-labels break ties toward the lowest class index.
 
-The bank is a set of fixed arrays: `features (C, capacity, d)`,
-`entropies (C, capacity)`, `steps (C, capacity)`, `counts (C,)` and
-`prototypes (C, d)`, whose row j is class j's prototype. Class j holds its
-first `counts[j]` slots in selection order, so its Top-K is a leading
-slice. Eviction is a total order (higher entropy is worse, then the older
-row), so inserting a batch row by row keeps exactly the `capacity` best rows
-of (held + new). An insert sorts the batch once by (class, entropy, arrival)
-and then makes one stable sort per class it touches; a full class that no
-new row can enter is skipped.
+The bank is a set of fixed arrays: `features (C, K, d)`, `entropies (C, K)`,
+`steps (C, K)`, `counts (C,)` and `prototypes (C, d)`, whose row j is class
+j's prototype. Class j holds its first `counts[j]` slots in that order, and
+the prototype is their mean. An insert sorts the batch once by class, then
+entropy, then newest first, and then makes one stable sort per class it
+touches; a full class that no new row can enter is skipped. `steps` records
+each row's arrival for inspection (`supports`); no decision reads it.
 """
 
 from __future__ import annotations
@@ -37,22 +35,19 @@ class SupportRecord:
 
 class MemoryBank:
     """Per-class support arrays plus `prototypes (C, d)`; see the module
-    docstring for the layout. Prototypes start at zero."""
+    docstring for the layout. `capacity_per_class` is K: the rows each class
+    holds and its prototype averages. Prototypes start at zero."""
 
-    def __init__(self, num_classes: int, feature_dim: int,
-                 capacity_per_class: int = 64, top_k: int = 20):
+    def __init__(self, num_classes: int, feature_dim: int, capacity_per_class: int = 20):
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
         if capacity_per_class < 1:
             raise ConfigError("capacity_per_class must be >= 1")
-        if top_k < 1:
-            raise ConfigError("top_k must be >= 1")
         self.num_classes = num_classes
         self.feature_dim = feature_dim
         self.capacity_per_class = capacity_per_class
-        self.top_k = top_k
         self.features = np.zeros((num_classes, capacity_per_class, feature_dim))
         self.entropies = np.zeros((num_classes, capacity_per_class))
         self.steps = np.zeros((num_classes, capacity_per_class), dtype=np.int64)
@@ -70,19 +65,14 @@ class MemoryBank:
 
     @property
     def supports(self) -> dict[int, list[SupportRecord]]:
-        """Every held row per class, in selection order."""
+        """Every held row per class, in bank order."""
         return {j: self._records(j, int(n)) for j, n in enumerate(self.counts)}
 
 
-def init_from_classifier(classifier, capacity_per_class: int = 64,
-                         top_k: int = 20) -> MemoryBank:
-    """Empty bank whose prototypes start as the classifier's weight columns."""
-    bank = MemoryBank(
-        num_classes=classifier.num_classes,
-        feature_dim=classifier.feature_dim,
-        capacity_per_class=capacity_per_class,
-        top_k=top_k,
-    )
+def init_from_classifier(classifier, top_k: int = 20) -> MemoryBank:
+    """Empty bank of `top_k` rows per class whose prototypes start as the
+    classifier's weight columns."""
+    bank = MemoryBank(classifier.num_classes, classifier.feature_dim, top_k)
     bank.prototypes[:] = classifier.omega.T
     return bank
 
@@ -97,17 +87,17 @@ def pseudo_label(probs: Array):
 
 
 def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> MemoryBank:
-    """Insert one record per row under its pseudo-class, evicting the worst
-    (highest entropy, oldest first among ties) once a class is full.
+    """Insert one record per row under its pseudo-class; a full class keeps
+    its `capacity_per_class` best rows of held + new in the bank's order
+    (lower entropy first, the newer row first among equals).
 
     Every input is checked before the bank changes. The batch is grouped
-    once: one stable sort puts its rows in class, then entropy, then arrival
-    order. A full class whose best new entropy is above its worst held one
-    is left as it is. Otherwise the class's held entropies, already in
-    selection order, are followed by its new ones, which are newer and in
-    order too, so one stable sort gives the selection order and its first
-    `capacity` rows are the keep set. Only when a tie straddles that cut
-    (the newest of the tied rows are kept) does the class take two sorts."""
+    once: one stable sort of the reversed batch puts its rows in class, then
+    entropy, then newest-first order. A full class whose best new entropy is
+    above its worst held one is left as it is. Otherwise the class's new
+    rows, all newer than its held ones, go before them; both runs are in
+    bank order, so one stable sort on entropy gives the bank order and its
+    first `capacity_per_class` rows are the keep set."""
     labels = np.asarray(labels).astype(np.int64, copy=False)
     entropies = np.asarray(entropies, dtype=np.float64)
     n, d = features.shape
@@ -122,7 +112,7 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
         raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
     if np.count_nonzero(np.isfinite(entropies)) != entropies.size:
         raise NumericalFailure("insert_and_select: entropies contains NaN or Inf")
-    order = np.lexsort((entropies, labels))
+    order = (n - 1) - np.lexsort((entropies[::-1], labels[::-1]))
     new_ent = entropies[order]
     new_stp = order + bank._next_step
     new_feats = features.take(order, axis=0)
@@ -135,17 +125,11 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
         held = counts[j]
         if held == cap and new_ent[start] > bank.entropies[j, cap - 1]:
             continue  # every new row is worse than every held one
-        ent = np.concatenate((bank.entropies[j, :held], new_ent[start:stop]))
-        stp = np.concatenate((bank.steps[j, :held], new_stp[start:stop]))
-        sel = np.argsort(ent, kind="stable")
-        if sel.shape[0] > cap and ent[sel[cap - 1]] == ent[sel[cap]]:
-            # best first: lowest entropy, then the newest row among equals
-            sel = np.lexsort((-stp, ent))[:cap]
-            sel = sel[np.lexsort((stp[sel], ent[sel]))]
-        else:
-            sel = sel[:cap]
+        ent = np.concatenate((new_ent[start:stop], bank.entropies[j, :held]))
+        sel = np.argsort(ent, kind="stable")[:cap]
         m = sel.shape[0]
-        feats = np.concatenate((bank.features[j, :held], new_feats[start:stop]))
+        stp = np.concatenate((new_stp[start:stop], bank.steps[j, :held]))
+        feats = np.concatenate((new_feats[start:stop], bank.features[j, :held]))
         bank.features[j, :m] = feats.take(sel, axis=0)
         bank.entropies[j, :m] = ent[sel]
         bank.steps[j, :m] = stp[sel]
@@ -154,13 +138,12 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
 
 
 def compute_prototypes(bank: MemoryBank) -> Array:
-    """Mean of each class's selected supports, written into its row of
-    `bank.prototypes`. Classes without supports keep their current row. The
+    """Mean of each class's held rows, written into its row of
+    `bank.prototypes`. Classes without rows keep their current row. The
     sum and division are the ones `np.mean` runs, without its wrapper."""
     for j, n in enumerate(bank.counts.tolist()):
-        k = min(bank.top_k, n)
-        if k:
-            bank.prototypes[j] = np.add.reduce(bank.features[j, :k], axis=0) / k
+        if n:
+            bank.prototypes[j] = np.add.reduce(bank.features[j, :n], axis=0) / n
     return bank.prototypes
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,8 +73,9 @@ class Adam:
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
-        if lr < 0.0:
-            raise ConfigError(f"Adam lr must be >= 0, got {lr}")
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if not 0.0 <= value < math.inf:  # also refuses NaN
+                raise ConfigError(f"Adam {name} must be finite and >= 0, got {value}")
         self.params = list(params)
         names = [n for n, _ in self.params]
         if len(set(names)) != len(names):

@@ -216,7 +216,8 @@ class OracleBank:
             rows.pop(0)
 
     def top_k_rows(self, label):
-        return sorted(self.rows[label], key=lambda r: (r[0], r[1]))[: self.top_k]
+        # lowest entropy first, the newest first among equals
+        return sorted(self.rows[label], key=lambda r: (r[0], -r[1]))[: self.top_k]
 
     def prototype(self, label):
         sel = self.top_k_rows(label)
@@ -226,7 +227,9 @@ class OracleBank:
 def test_criterion_3_memory_bank_oracle():
     rng = np.random.default_rng(3)
     clf = LinearClassifier.create(6, 4, seed=3)
-    bank = init_from_classifier(clf, capacity_per_class=17, top_k=5)
+    # the oracle keeps 17 rows per class, the bank top_k = 5: rows past
+    # top_k are never read, ties included
+    bank = init_from_classifier(clf, top_k=5)
     oracle = OracleBank(4, capacity=17, top_k=5)
 
     step = 0
@@ -241,7 +244,7 @@ def test_criterion_3_memory_bank_oracle():
             oracle.insert(feats[i], int(labels[i]), float(entropies[i]), step)
             step += 1
         for j in range(4):
-            k = min(bank.top_k, bank.counts[j])
+            k = bank.counts[j]
             want = oracle.top_k_rows(j)
             got = list(zip(bank.entropies[j, :k].tolist(), bank.steps[j, :k].tolist()))
             assert got == [w[:2] for w in want]
@@ -263,7 +266,7 @@ def test_criterion_3_memory_bank_oracle():
     # init fixed point: refreshing straight after init leaves omega unchanged
     clf2 = LinearClassifier.create(6, 4, seed=9)
     omega_0 = clf2.omega.copy()
-    fresh = init_from_classifier(clf2, capacity_per_class=17, top_k=5)
+    fresh = init_from_classifier(clf2, top_k=5)
     refresh_classifier(fresh, clf2)
     npt.assert_array_equal(clf2.omega, omega_0)
     print("criterion 3 PASS: 1000 insertions match the full-sort oracle exactly")

@@ -141,8 +141,8 @@ def test_config_file_rejects_bad_lines(tmp_path):
         parse_config_file(str(bad_bool))
 
 
-@pytest.mark.parametrize("key", ["enable_li", "enable_refresh"])
-def test_config_file_setting_a_deleted_switch_exits_with_unknown_key(tmp_path, capsys, key):
+@pytest.mark.parametrize("key", ["enable_li", "enable_refresh", "capacity_per_class"])
+def test_config_file_setting_a_deleted_setting_exits_with_unknown_key(tmp_path, capsys, key):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
     cfg = tmp_path / "adapt.cfg"
@@ -545,6 +545,12 @@ def test_every_config_field_is_a_config_file_key(cls):
         assert cli._convert(f.name, str(default), "default") == default
 
 
+def test_every_config_file_key_is_a_setting():
+    names = {f.name for cls in (AdaptConfig, TrainConfig, ShiftSpec) for f in fields(cls)}
+    names |= {"hidden_dims", "feature_dim", "use_norm"}
+    assert set(cli._KEY_TYPES) <= names
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("command", ["train-source", "diagnose"])
 def test_non_integer_hidden_dims_entry_is_a_config_error(tmp_path, capsys, command, source):
@@ -575,6 +581,17 @@ def test_readme_switches_match_the_adapt_parser():
         assert getattr(build_parser().parse_args(required + [f"--no-{switch}"]),
                        f"enable_{switch}") is False
     assert set(cli._SWITCHES) <= named
+
+
+def test_readme_adapt_value_flags_parse_on_adapt():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    sentence = readme[readme.index("`adapt` selects the method"):]
+    sentence = sentence[:sentence.index("\n\n")]
+    flags = re.findall(r"`--([a-z-]+)`", sentence)
+    assert "top-k" in flags
+    required = ["adapt", "--checkpoint", "c.json", "--target", "t.csv"]
+    for flag in flags:
+        build_parser().parse_args(required + [f"--{flag}", "1"])
 
 
 @pytest.fixture(scope="module")

@@ -38,7 +38,8 @@ class OracleBank:
             rows.pop(0)
 
     def top_k_rows(self, label):
-        return sorted(self.rows[label], key=lambda r: (r[0], r[1]))[: self.top_k]
+        # lowest entropy first, the newest first among equals
+        return sorted(self.rows[label], key=lambda r: (r[0], -r[1]))[: self.top_k]
 
     def prototype(self, label):
         sel = self.top_k_rows(label)
@@ -47,8 +48,10 @@ class OracleBank:
 
 def test_insert_and_select_matches_oracle_on_thousand_insertions():
     rng = np.random.default_rng(0)
+    # the oracle keeps 17 rows per class, the bank top_k = 5: rows past
+    # top_k are never read, ties included
     num_classes, dim, capacity, top_k = 4, 6, 17, 5
-    bank = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=top_k)
+    bank = MemoryBank(num_classes, dim, capacity_per_class=top_k)
     oracle = OracleBank(num_classes, capacity, top_k)
 
     step = 0
@@ -63,8 +66,8 @@ def test_insert_and_select_matches_oracle_on_thousand_insertions():
             step += 1
 
     for j in range(num_classes):
-        assert len(bank.supports[j]) == len(oracle.rows[j])
-        k = min(bank.top_k, bank.counts[j])
+        k = bank.counts[j]
+        assert len(bank.supports[j]) == k == min(top_k, len(oracle.rows[j]))
         got = list(zip(bank.entropies[j, :k].tolist(), bank.steps[j, :k].tolist()))
         want = [(e, s) for e, s, _ in oracle.top_k_rows(j)]
         assert got == want, f"class {j} selection order"
@@ -78,7 +81,7 @@ def test_insert_and_select_matches_oracle_on_thousand_insertions():
 
 def test_capacity_never_exceeded():
     rng = np.random.default_rng(1)
-    bank = MemoryBank(2, 3, capacity_per_class=5, top_k=2)
+    bank = MemoryBank(2, 3, capacity_per_class=5)
     for _ in range(30):
         insert_and_select(
             bank, rng.standard_normal((4, 3)), rng.integers(0, 2, 4), rng.random(4)
@@ -87,12 +90,26 @@ def test_capacity_never_exceeded():
 
 
 def test_eviction_prefers_oldest_among_entropy_ties():
-    bank = MemoryBank(2, 2, capacity_per_class=2, top_k=2)
+    bank = MemoryBank(2, 2, capacity_per_class=2)
     feats = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
     insert_and_select(bank, feats, [0, 0, 0], [0.7, 0.7, 0.1])
     # third insert overflows; both residents tie at 0.7 so the older (step 0) leaves
-    kept = sorted(r.step for r in bank.supports[0])
-    assert kept == [1, 2]
+    assert [r.step for r in bank.supports[0]] == [2, 1]
+
+
+@pytest.mark.parametrize("same_batch", [False, True], ids=["separate", "same-batch"])
+def test_prototype_takes_the_newer_of_two_tied_rows(same_batch):
+    clf = LinearClassifier.create(2, 2, seed=3)
+    bank = init_from_classifier(clf, top_k=1)
+    feats = np.array([[1.0, 1.0], [2.0, 2.0]])
+    if same_batch:
+        insert_and_select(bank, feats, [0, 0], [0.25, 0.25])
+    else:
+        insert_and_select(bank, feats[:1], [0], [0.25])
+        insert_and_select(bank, feats[1:], [0], [0.25])
+    compute_prototypes(bank)
+    assert bank.prototypes[0].tolist() == [2.0, 2.0]
+    assert bank.steps[0].tolist() == [1]
 
 
 def test_pseudo_label_ties_pick_lowest_class():
@@ -110,7 +127,7 @@ def test_pseudo_label_entropy_matches_definition():
 
 def test_init_from_classifier_copies_columns():
     clf = LinearClassifier.create(4, 3, seed=3)
-    bank = init_from_classifier(clf, capacity_per_class=8, top_k=2)
+    bank = init_from_classifier(clf, top_k=2)
     for j in range(3):
         npt.assert_array_equal(bank.prototypes[j], clf.omega[:, j])
     bank.prototypes[0][0] += 1.0
@@ -182,9 +199,9 @@ def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction(
     # capacity 3 with 10-row batches over 2 classes: every batch overflows
     # each class more than once, and entropies in steps of 0.5 tie often
     rng = np.random.default_rng(11)
-    num_classes, dim, capacity, top_k = 2, 4, 3, 2
-    bank = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=top_k)
-    oracle = OracleBank(num_classes, capacity, top_k)
+    num_classes, dim, capacity = 2, 4, 3
+    bank = MemoryBank(num_classes, dim, capacity_per_class=capacity)
+    oracle = OracleBank(num_classes, capacity, capacity)
 
     step = 0
     for _ in range(40):
@@ -200,7 +217,7 @@ def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction(
         for j in range(num_classes):
             held = sorted((r.entropy, r.step) for r in bank.supports[j])
             assert held == sorted(w[:2] for w in oracle.rows[j])
-            k = min(bank.top_k, bank.counts[j])
+            k = bank.counts[j]
             want = oracle.top_k_rows(j)
             got = list(zip(bank.entropies[j, :k].tolist(), bank.steps[j, :k].tolist()))
             assert got == [w[:2] for w in want]
@@ -211,7 +228,7 @@ def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction(
 
 def test_out_of_range_label_leaves_the_bank_untouched():
     rng = np.random.default_rng(12)
-    bank = MemoryBank(3, 2, capacity_per_class=4, top_k=2)
+    bank = MemoryBank(3, 2, capacity_per_class=4)
     insert_and_select(bank, rng.standard_normal((8, 2)), rng.integers(0, 3, 8), rng.random(8))
     counts, next_step = bank.counts.copy(), bank._next_step
     held = {j: [(r.entropy, r.step, r.feature.copy()) for r in v]
@@ -228,15 +245,15 @@ def test_out_of_range_label_leaves_the_bank_untouched():
 
 
 @pytest.mark.parametrize("dim", [1, 7])
-@pytest.mark.parametrize("capacity, top_k", [(5, 3), (24, 12)])
-def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, capacity, top_k):
+@pytest.mark.parametrize("top_k", [3, 12])
+def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, top_k):
     # 200 inserts: classes 0-2 overflow many times, class 3 holds 3 rows, class
     # 4 one row, class 5 none. With top_k 12 and one column numpy sums a class
     # pairwise, in an order set by the number of rows summed, so a reduction
     # over all classes at once would not match the per-class mean there
     rng = np.random.default_rng(13)
     num_classes = 6
-    bank = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=top_k)
+    bank = MemoryBank(num_classes, dim, capacity_per_class=top_k)
     start = rng.standard_normal((num_classes, dim))
     bank.prototypes[:] = start
     labels = rng.integers(0, 3, size=200)
@@ -248,17 +265,16 @@ def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, capa
         insert_and_select(bank, feats, batch, entropies)
         compute_prototypes(bank)
         for j, n_held in enumerate(bank.counts.tolist()):
-            k = min(n_held, top_k)
-            want = bank.features[j, :k].mean(axis=0) if k else start[j]
+            want = bank.features[j, :n_held].mean(axis=0) if n_held else start[j]
             npt.assert_array_equal(bank.prototypes[j], want)
             # slots past the count have never been written
             assert (bank.features[j, n_held:].view(np.uint64) == 0).all()
-    assert bank.counts.tolist() == [capacity] * 3 + [3, 1, 0]
+    assert bank.counts.tolist() == [top_k] * 3 + [3, 1, 0]
 
 
-def _two_sort_insert(bank, features, labels, entropies):
-    """The insert as it was before the batch was grouped once: for each class
-    a masked gather, one sort for the keep set, one for selection order."""
+def _full_sort_insert(bank, features, labels, entropies):
+    """The insert without grouping: for each class a masked gather and one
+    full sort of held + new rows by (entropy, newest first)."""
     labels = np.asarray(labels).astype(np.int64, copy=False)
     entropies = np.asarray(entropies, dtype=np.float64)
     n = features.shape[0]
@@ -271,7 +287,6 @@ def _two_sort_insert(bank, features, labels, entropies):
         stp = np.concatenate((bank.steps[j, :held], steps[rows]))
         feats = np.concatenate((bank.features[j, :held], features[rows]))
         keep = np.lexsort((-stp, ent))[: bank.capacity_per_class]
-        keep = keep[np.lexsort((stp[keep], ent[keep]))]
         m = keep.shape[0]
         bank.features[j, :m] = feats[keep]
         bank.entropies[j, :m] = ent[keep]
@@ -289,11 +304,11 @@ def _assert_same_bank(got, want):
 
 
 @pytest.mark.parametrize("capacity", range(1, 9))
-def test_grouped_insert_is_bit_identical_to_the_two_sort_insert(capacity):
+def test_grouped_insert_is_bit_identical_to_a_full_sort_insert(capacity):
     rng = np.random.default_rng(100 + capacity)
     num_classes, dim = 4, 3
-    got = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=2)
-    want = MemoryBank(num_classes, dim, capacity_per_class=capacity, top_k=2)
+    got = MemoryBank(num_classes, dim, capacity_per_class=capacity)
+    want = MemoryBank(num_classes, dim, capacity_per_class=capacity)
     for _ in range(60):
         n = int(rng.integers(0, 13))
         feats = rng.standard_normal((n, dim))
@@ -301,12 +316,12 @@ def test_grouped_insert_is_bit_identical_to_the_two_sort_insert(capacity):
         labels = rng.integers(0, num_classes, size=n)
         entropies = np.round(rng.uniform(0.0, 1.5, size=n) * 4) / 4  # many ties
         insert_and_select(got, feats, labels, entropies)
-        _two_sort_insert(want, feats, labels, entropies)
+        _full_sort_insert(want, feats, labels, entropies)
         _assert_same_bank(got, want)
 
 
 def test_full_class_that_gets_only_worse_rows_is_left_as_it_is():
-    bank = MemoryBank(2, 2, capacity_per_class=3, top_k=2)
+    bank = MemoryBank(2, 2, capacity_per_class=3)
     insert_and_select(bank, np.arange(6.0).reshape(3, 2), [0, 0, 0], [0.1, 0.2, 0.3])
     before = (bank.features.copy(), bank.entropies.copy(), bank.steps.copy())
     insert_and_select(bank, np.ones((2, 2)), [0, 0], [0.5, 0.30000000000000004])
@@ -318,24 +333,25 @@ def test_full_class_that_gets_only_worse_rows_is_left_as_it_is():
 
 
 def test_new_row_that_ties_the_worst_held_entropy_enters():
-    bank = MemoryBank(2, 1, capacity_per_class=3, top_k=2)
+    bank = MemoryBank(2, 1, capacity_per_class=3)
     insert_and_select(bank, np.array([[0.0], [1.0], [2.0]]), [0, 0, 0], [0.1, 0.3, 0.3])
     insert_and_select(bank, np.array([[9.0], [5.0]]), [1, 0], [0.0, 0.3])
     # the oldest of the three rows at 0.3 (step 1) leaves, the new one enters
-    assert bank.steps[0].tolist() == [0, 2, 4]
+    # ahead of the held row it ties
+    assert bank.steps[0].tolist() == [0, 4, 2]
     assert bank.entropies[0].tolist() == [0.1, 0.3, 0.3]
-    assert bank.features[0, :, 0].tolist() == [0.0, 2.0, 5.0]
+    assert bank.features[0, :, 0].tolist() == [0.0, 5.0, 2.0]
     assert bank.counts.tolist() == [3, 1]
-    want = MemoryBank(2, 1, capacity_per_class=3, top_k=2)
-    _two_sort_insert(want, np.array([[0.0], [1.0], [2.0]]), [0, 0, 0], [0.1, 0.3, 0.3])
-    _two_sort_insert(want, np.array([[9.0], [5.0]]), [1, 0], [0.0, 0.3])
+    want = MemoryBank(2, 1, capacity_per_class=3)
+    _full_sort_insert(want, np.array([[0.0], [1.0], [2.0]]), [0, 0, 0], [0.1, 0.3, 0.3])
+    _full_sort_insert(want, np.array([[9.0], [5.0]]), [1, 0], [0.0, 0.3])
     _assert_same_bank(bank, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_non_finite_entropy_leaves_the_bank_untouched(bad):
     rng = np.random.default_rng(14)
-    bank = MemoryBank(3, 2, capacity_per_class=2, top_k=2)
+    bank = MemoryBank(3, 2, capacity_per_class=2)
     insert_and_select(bank, rng.standard_normal((8, 2)), rng.integers(0, 3, 8), rng.random(8))
     before = (bank.features.copy(), bank.entropies.copy(), bank.steps.copy(),
               bank.counts.copy(), bank._next_step)

@@ -184,6 +184,15 @@ def test_adam_rejects_bad_setups():
         opt.step({"p": np.zeros((3, 1))})
 
 
+@pytest.mark.parametrize("setting, value", [
+    ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
+    ("weight_decay", -math.inf), ("weight_decay", -5.0),
+])
+def test_adam_refuses_a_non_finite_or_negative_setting(setting, value):
+    with pytest.raises(ConfigError, match=f"^Adam {setting} must be finite and >= 0"):
+        Adam([("w", np.ones(3))], **{"lr": 1e-3, setting: value})
+
+
 def test_cross_entropy_on_uniform_probs_is_log_num_classes():
     for c in (2, 4, 11):
         probs = np.full((6, c), 1.0 / c)
