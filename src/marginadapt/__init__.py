@@ -19,7 +19,6 @@ from .adapt import (
 from .data import (
     DomainDataset,
     ShiftSpec,
-    bayes_accuracy_binary,
     gen_synthetic_shift,
     load_csv,
     load_csv_domains,

@@ -76,7 +76,7 @@ _KEY_TYPES = {
     "hidden_dims": str, "feature_dim": int, "use_norm": bool,
     # data generation
     "num_classes": int, "input_dim": int, "class_separation": float,
-    "within_class_std": float, "shift_kind": str, "angle_deg": float,
+    "within_class_std": float, "angle_deg": float,
     "translation_std": float, "samples_per_domain": int,
     "num_source_domains": int, "source_angle_max_deg": float,
 }
@@ -213,7 +213,7 @@ def cmd_gen_data(args) -> int:
         fh.write("\n")
     paths.append(sidecar)
     print(f"task: {spec.num_classes} classes, dim {spec.input_dim}, "
-          f"shift {spec.shift_kind} ({spec.angle_deg} deg)")
+          f"shift rotation ({spec.angle_deg} deg)")
     for p in paths:
         print(f"wrote {p}")
     return 0
@@ -423,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--input-dim", type=int, dest="input_dim")
     g.add_argument("--class-separation", type=float, dest="class_separation")
     g.add_argument("--within-class-std", type=float, dest="within_class_std")
-    g.add_argument("--shift-kind", dest="shift_kind",
-                   choices=["rotation", "mean_translation", "affine"])
     g.add_argument("--angle-deg", type=float, dest="angle_deg")
     g.add_argument("--translation-std", type=float, dest="translation_std")
     g.add_argument("--samples-per-domain", type=int, dest="samples_per_domain")
@@ -480,7 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("diagnose", help="gradient and kernel diagnostics")
     add_common(d)
-    d.add_argument("--checkpoint", help="use this model; default fresh random")
+    d.add_argument("--checkpoint", help="take only the architecture of this model; "
+                   "the sweep re-initialises its weights (default: the layer flags)")
     d.add_argument("--input-dim", type=int, dest="input_dim")
     d.add_argument("--hidden-dims", dest="hidden_dims")
     d.add_argument("--feature-dim", type=int, dest="feature_dim")

@@ -1,9 +1,9 @@
 """Synthetic domain-shift tasks and dataset IO.
 
 Tasks are class-conditional spherical Gaussians. Source domains are mild
-random rotations of a shared base task; the target applies a controlled
-shift (plane rotation by a set angle, mean translation, or a given affine
-map). Everything is seeded and reproducible down to the byte.
+random rotations of a shared base task; the target turns the span of the
+class means by a set angle and adds a random mean translation. Everything
+is seeded and reproducible down to the byte.
 """
 
 from __future__ import annotations
@@ -66,11 +66,8 @@ class ShiftSpec:
     input_dim: int = 16
     class_separation: float = 4.0
     within_class_std: float = 1.0
-    shift_kind: str = "rotation"  # rotation | mean_translation | affine
     angle_deg: float = 30.0
     translation_std: float = 1.0
-    translation: list | None = None
-    affine_matrix: list | None = None
     samples_per_domain: int = 2000
     num_source_domains: int = 3
     source_angle_max_deg: float = 10.0
@@ -89,8 +86,6 @@ class ShiftSpec:
             raise ConfigError("class_separation must be > 0")
         if self.within_class_std <= 0.0:
             raise ConfigError("within_class_std must be > 0")
-        if self.shift_kind not in ("rotation", "mean_translation", "affine"):
-            raise ConfigError(f"unknown shift_kind {self.shift_kind!r}")
         if not 0.0 <= self.angle_deg <= 180.0:
             raise ConfigError(f"angle_deg must lie in [0, 180], got {self.angle_deg}")
         if self.translation_std < 0.0:
@@ -101,8 +96,6 @@ class ShiftSpec:
             raise ConfigError("num_source_domains must be >= 1")
         if not 0.0 <= self.source_angle_max_deg <= 180.0:
             raise ConfigError("source_angle_max_deg must lie in [0, 180]")
-        if self.shift_kind == "affine" and self.affine_matrix is None:
-            raise ConfigError("affine shift needs affine_matrix")
         return self
 
     def to_dict(self) -> dict:
@@ -181,18 +174,13 @@ def _sample_domain(rng, spec, means, rotation, translation, domain_id, extra_met
             means[j] + spec.within_class_std * rng.standard_normal((nj, spec.input_dim))
         )
         labels.extend([j] * nj)
-    x = np.vstack(blocks)
-    if rotation is not None:
-        x = x @ rotation.T
+    x = np.vstack(blocks) @ rotation.T
+    moved_means = means @ rotation.T
     if translation is not None:
         x = x + translation
+        moved_means = moved_means + translation
     y = np.asarray(labels, dtype=np.int64)
     perm = rng.permutation(x.shape[0])
-    moved_means = means.copy()
-    if rotation is not None:
-        moved_means = moved_means @ rotation.T
-    if translation is not None:
-        moved_means = moved_means + translation
     meta = {
         "class_means": moved_means.tolist(),
         "base_class_means": means.tolist(),
@@ -212,10 +200,10 @@ def gen_synthetic_shift(spec: ShiftSpec):
     """Build (sources, target) domain datasets for the configured task.
 
     Sources share base class means up to mild random rotations (angle drawn
-    in [0, source_angle_max_deg]). The rotation-kind target turns the whole
-    class-mean span by angle_deg (see span_rotation) and adds a random mean
-    translation of translation_std * within_class_std; the other kinds apply
-    the configured translation or affine map. Same seed, same bytes.
+    in [0, source_angle_max_deg]). The target turns the whole class-mean
+    span by angle_deg (see span_rotation) and adds a random mean translation
+    of length translation_std * within_class_std; at 0 deg it is a pure
+    translation. Same seed, same bytes.
     """
     spec.validate()
     rng = np.random.default_rng(spec.seed)
@@ -234,47 +222,19 @@ def gen_synthetic_shift(spec: ShiftSpec):
             )
         )
 
-    if spec.shift_kind == "rotation":
-        rot = span_rotation(rng, means, spec.angle_deg)
-        translation = _target_translation(rng, spec)
-        extra = {"transform": {"kind": "rotation", "angle_deg": spec.angle_deg,
-                               "rotation": rot.tolist(),
-                               "translation": translation.tolist()}}
-    elif spec.shift_kind == "mean_translation":
-        rot = None
-        translation = _target_translation(rng, spec)
-        extra = {"transform": {"kind": "mean_translation",
-                               "translation": translation.tolist()}}
-    else:
-        rot = np.asarray(spec.affine_matrix, dtype=np.float64)
-        if rot.shape != (spec.input_dim, spec.input_dim):
-            raise ConfigError(
-                f"affine_matrix must be {spec.input_dim}x{spec.input_dim}"
-            )
-        translation = _target_translation(rng, spec)
-        extra = {"transform": {"kind": "affine", "matrix": rot.tolist(),
-                               "translation": translation.tolist()}}
+    rot = span_rotation(rng, means, spec.angle_deg)
+    translation = _target_translation(rng, spec)
+    extra = {"transform": {"kind": "rotation", "angle_deg": spec.angle_deg,
+                           "rotation": rot.tolist(),
+                           "translation": translation.tolist()}}
     target = _sample_domain(rng, spec, means, rot, translation, "target", extra)
     return sources, target
 
 
 def _target_translation(rng, spec: ShiftSpec) -> Array:
-    if spec.translation is not None:
-        t = np.asarray(spec.translation, dtype=np.float64)
-        if t.shape != (spec.input_dim,):
-            raise ConfigError(f"translation must have length {spec.input_dim}")
-        return t
     direction = rng.standard_normal(spec.input_dim)
     direction = direction / np.linalg.norm(direction)
     return spec.translation_std * spec.within_class_std * direction
-
-
-def bayes_accuracy_binary(mean_a, mean_b, std: float) -> float:
-    """Exact Bayes accuracy of two equally likely spherical Gaussians:
-    Phi(||mu_a - mu_b|| / (2 std))."""
-    gap = float(np.linalg.norm(np.asarray(mean_a) - np.asarray(mean_b)))
-    z = gap / (2.0 * std)
-    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,16 @@ class MlpEncoder:
             raise DimensionError("weights/biases do not match layer_dims")
         if len(norms) != n_layers - 1:
             raise DimensionError("norms must have one slot per hidden layer")
+        dims = self.layer_dims
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.shape != (dims[i], dims[i + 1]) or b.shape != (dims[i + 1],):
+                raise DimensionError(
+                    f"layer {i}: weights {w.shape} and biases {b.shape} do not "
+                    f"match layer_dims {dims[i]} -> {dims[i + 1]}")
+        for i, norm in enumerate(norms):
+            if norm is not None and norm.dim != dims[i + 1]:
+                raise DimensionError(
+                    f"norm {i}: dim {norm.dim} does not match layer_dims {dims[i + 1]}")
 
     @classmethod
     def create(cls, layer_dims, use_norm=False, seed=0, eps=1e-5, momentum=0.1):
@@ -420,7 +430,7 @@ def load_checkpoint(path):
             array(clf_doc["omega"], "classifier.omega"),
             None if bias is None else array(bias, "classifier.bias"),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, DimensionError) as e:
         raise SchemaError(f"checkpoint {path}: missing or malformed field ({e})") from e
     meta = {"seed": doc.get("seed"), "format_version": version}
     return encoder, classifier, meta

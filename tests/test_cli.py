@@ -141,7 +141,8 @@ def test_config_file_rejects_bad_lines(tmp_path):
         parse_config_file(str(bad_bool))
 
 
-@pytest.mark.parametrize("key", ["enable_li", "enable_refresh", "capacity_per_class"])
+@pytest.mark.parametrize("key", ["enable_li", "enable_refresh", "capacity_per_class",
+                                 "shift_kind"])
 def test_config_file_setting_a_deleted_setting_exits_with_unknown_key(tmp_path, capsys, key):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
@@ -282,8 +283,10 @@ def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     ("layer_dims", "abc"),
     ("weights", [[[1.0, 2.0], [3.0]]]),
     ("weights", ["x"]),
-], ids=["dims-string", "ragged-weights", "weights-string"])
-def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value):
+    ("layer_dims", [16, 7, 5]),
+], ids=["dims-string", "ragged-weights", "weights-string", "dims-not-the-weights"])
+@pytest.mark.parametrize("command", ["adapt", "diagnose"])
+def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value, command):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
     doc = json.load(open(ckpt))
@@ -291,13 +294,21 @@ def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
-    rc = main([
-        "adapt", "--checkpoint", ckpt, "--target",
-        os.path.join(data, "target.csv"), "--out", run,
-    ])
+    target = ["--target", os.path.join(data, "target.csv")] if command == "adapt" else []
+    rc = main([command, "--checkpoint", ckpt, *target, "--out", run])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and ckpt in err and "malformed field" in err
+    assert not [f for f in os.listdir(run) if f.startswith("run_")]
+
+
+def test_gen_data_shift_kind_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "data"
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--out", str(out), "--shift-kind", "rotation"])
+    assert exc.value.code == 2
+    assert "--shift-kind" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["ablate", "diagnose"])
@@ -538,8 +549,6 @@ def test_diagnose_refuses_a_missing_or_malformed_config_file(tmp_path, capsys, c
 def test_every_config_field_is_a_config_file_key(cls):
     defaults = cls()
     for f in fields(cls):
-        if f.name in ("translation", "affine_matrix"):  # lists: no file key
-            continue
         assert f.name in cli._KEY_TYPES
         default = getattr(defaults, f.name)
         assert cli._convert(f.name, str(default), "default") == default

@@ -8,6 +8,7 @@ import pytest
 
 from gradcheck import numeric_grad, rel_error
 from marginadapt.numeric import (
+    NormLayerState,
     batchnorm_backward,
     batchnorm_forward,
     linear_backward,
@@ -17,6 +18,7 @@ from marginadapt.numeric import (
 )
 from marginadapt import (
     ConfigError,
+    DimensionError,
     LinearClassifier,
     MlpEncoder,
     NumericalFailure,
@@ -229,6 +231,19 @@ def test_reinitialized_changes_weights_but_not_shape():
     npt.assert_array_equal(
         MlpEncoder.create([6, 5, 4], use_norm=True, seed=99).weights[0], fresh.weights[0]
     )
+
+
+def test_encoder_refuses_arrays_that_do_not_match_layer_dims():
+    enc = MlpEncoder.create([6, 5, 4], use_norm=True, seed=0)
+    parts = dict(weights=enc.weights, biases=enc.biases, norms=enc.norms)
+    MlpEncoder([6, 5, 4], **parts)
+    for dims in ([6, 7, 4], [6, 5, 3], [5, 5, 4]):
+        with pytest.raises(DimensionError, match="layer 0|layer 1"):
+            MlpEncoder(dims, **parts)
+    with pytest.raises(DimensionError, match="layer 1"):
+        MlpEncoder([6, 5, 4], **{**parts, "biases": [enc.biases[0], np.zeros(5)]})
+    with pytest.raises(DimensionError, match="norm 0"):
+        MlpEncoder([6, 5, 4], **{**parts, "norms": [NormLayerState.create(4)]})
 
 
 def test_classification_accuracy_on_separable_points():
