@@ -52,6 +52,8 @@ class AdaptConfig:
 
     def validate(self) -> "AdaptConfig":
         check_finite_settings(self, ("sigma", "lambda_weight", "lr"))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sigma < 0.0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.lambda_weight < 0.0:

@@ -2,6 +2,9 @@
 
 Subcommands: gen-data, train-source, adapt, ablate, diagnose. Reports go to
 stdout, diagnostics and errors to stderr, and every failure exits nonzero.
+The fields of AdaptConfig, TrainConfig and ShiftSpec, plus the encoder's
+architecture keys, are the one list of settings: each is a config-file key
+under its field name and a `--field-name` flag, both typed by its annotation.
 Run records are JSON, written append-only (run_0001.json, run_0002.json, ...);
 reruns never overwrite an existing record. Records are byte-reproducible for
 a fixed seed once the wall-clock field is stripped (see
@@ -41,20 +44,30 @@ RESULTS_SCHEMA_VERSION = 1
 OUT_ENV_VAR = "MARGINADAPT_OUT"
 NONDETERMINISTIC_KEYS = ("wall_clock_seconds",)
 
+# the fresh encoder's architecture: config keys that are no config's field
+_ARCHITECTURE = {"hidden_dims": "str", "feature_dim": "int", "use_norm": "bool"}
+# every config key, typed by its field's annotation (a string under
+# `from __future__ import annotations`)
+_KEY_TYPES = {f.name: f.type for cls in (AdaptConfig, TrainConfig, ShiftSpec)
+              for f in fields(cls)} | _ARCHITECTURE
+# the flag and value parser of each annotation but "bool"
+_PARSERS = {"float": float, "int": int, "int | None": int, "str": str}
 # the adapt switches, each a `--X/--no-X` flag setting `enable_X`
-_SWITCHES = ("lm", "le", "bank")
+_SWITCHES = tuple(f.name[len("enable_"):] for f in fields(AdaptConfig)
+                  if f.name.startswith("enable_"))
 
 
 def _switches(*on) -> dict:
     return {f"enable_{name}": name in on for name in _SWITCHES}
 
 
-# the component grid cmd_ablate sweeps: endpoints, each single component,
-# and the two natural pairs; rows with the bank are named after its only
-# effect on the model, the classifier refresh
+# the component grid cmd_ablate sweeps: endpoints, each single component
+# that can move a fresh clone, and the two natural pairs; `lm` alone is not
+# a row, as the hinge is zero on a fresh clone and nothing else moves it;
+# rows with the bank are named after its only effect on the model, the
+# classifier refresh
 ABLATION_GRID = [
     ("none", _switches()),
-    ("lm", _switches("lm")),
     ("le", _switches("le")),
     ("refresh", _switches("bank")),
     ("lm+le", _switches("lm", "le")),
@@ -64,22 +77,6 @@ ABLATION_GRID = [
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
-
-_KEY_TYPES = {
-    # adaptation
-    "sigma": float, "lambda_weight": float, "top_k": int, "lr": float, "batch_size": int,
-    "steps": "optional_int", "seed": int, "method": str,
-    "enable_lm": bool, "enable_le": bool, "enable_bank": bool,
-    # source training
-    "weight_decay": float, "epochs": int, "holdout_fraction": float,
-    # model architecture
-    "hidden_dims": str, "feature_dim": int, "use_norm": bool,
-    # data generation
-    "num_classes": int, "input_dim": int, "class_separation": float,
-    "within_class_std": float, "angle_deg": float,
-    "translation_std": float, "samples_per_domain": int,
-    "num_source_domains": int, "source_angle_max_deg": float,
-}
 
 
 def parse_config_file(path) -> dict:
@@ -103,16 +100,16 @@ def parse_config_file(path) -> dict:
 def _convert(key, value, where):
     kind = _KEY_TYPES[key]
     try:
-        if kind == "optional_int":
-            return None if value.lower() == "none" else int(value)
-        if kind is bool:
+        if kind == "int | None" and value.lower() == "none":
+            return None
+        if kind == "bool":
             low = value.lower()
             if low in _BOOL_TRUE:
                 return True
             if low in _BOOL_FALSE:
                 return False
             raise ValueError(f"not a boolean: {value!r}")
-        return kind(value)
+        return _PARSERS[kind](value)
     except ValueError as e:
         raise ConfigError(f"{where}: bad value for {key}: {e}") from None
 
@@ -228,8 +225,12 @@ def _load_sources(data_dir, num_classes=None):
         raise DataError(f"{data_dir}: no source_*.csv files")
     out = []
     for name in names:
-        domains = load_csv_domains(os.path.join(data_dir, name), num_classes=num_classes)
+        path = os.path.join(data_dir, name)
+        domains = load_csv_domains(path, num_classes=num_classes)
         out.extend(domains[d] for d in sorted(domains))
+        width, first = out[-1].features.shape[1], out[0].features.shape[1]
+        if width != first:
+            raise DataError(f"{path}: {width} feature columns, but {names[0]} has {first}")
     return out
 
 
@@ -318,9 +319,9 @@ def cmd_ablate(args) -> int:
         raise ConfigError("ablate sweeps the combined method; do not set method")
     encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
     started = time.perf_counter()
-    # one source pass per distinct model state: `none` and `lm` never move a
-    # fresh clone, and while the hinge is idle `lm+le` and `all` repeat `le`
-    # and `le+refresh` bit for bit
+    # one source pass per distinct model state: `none` never moves a fresh
+    # clone, and while the hinge is idle `lm+le` and `all` repeat `le` and
+    # `le+refresh` bit for bit
     source_scores = {}
 
     def source_accuracy(enc, clf):
@@ -363,8 +364,12 @@ def cmd_ablate(args) -> int:
 def cmd_diagnose(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"diagnose needs --trials >= 1, got {args.trials}")
+    if args.batch_rows < 2:
+        raise ConfigError(f"diagnose needs --batch-rows >= 2, got {args.batch_rows}")
     file_cfg = parse_config_file(args.config) if args.config else {}
     seed = _setting(args, file_cfg, "seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     if args.checkpoint:
         encoder, _, _ = load_checkpoint(args.checkpoint)
@@ -404,6 +409,30 @@ def cmd_diagnose(args) -> int:
 # parser
 
 
+# flag extras of a config key: aliases and help text
+_ALIASES = {"lambda_weight": ("--lambda",)}
+_HELP = {"hidden_dims": "comma-separated hidden sizes, e.g. 64,64"}
+
+
+def _value_fields(cls) -> list:
+    """Fields of `cls` with a plain value flag: all but the hand-written
+    --seed, --method and switch pairs."""
+    return [f.name for f in fields(cls)
+            if f.name not in ("seed", "method") and not f.name.startswith("enable_")]
+
+
+def _add_value_flags(p, names) -> None:
+    """One `--name-with-dashes` flag per config key, None when not given."""
+    for name in names:
+        flags = (f"--{name.replace('_', '-')}", *_ALIASES.get(name, ()))
+        kind = _KEY_TYPES[name]
+        if kind == "bool":
+            p.add_argument(*flags, dest=name, action="store_true", default=None)
+        else:
+            p.add_argument(*flags, dest=name, type=_PARSERS[kind], default=None,
+                           help=_HELP.get(name))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="marginadapt",
@@ -419,30 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-data", help="generate a synthetic shift task")
     add_common(g)
-    g.add_argument("--num-classes", type=int, dest="num_classes")
-    g.add_argument("--input-dim", type=int, dest="input_dim")
-    g.add_argument("--class-separation", type=float, dest="class_separation")
-    g.add_argument("--within-class-std", type=float, dest="within_class_std")
-    g.add_argument("--angle-deg", type=float, dest="angle_deg")
-    g.add_argument("--translation-std", type=float, dest="translation_std")
-    g.add_argument("--samples-per-domain", type=int, dest="samples_per_domain")
-    g.add_argument("--num-source-domains", type=int, dest="num_source_domains")
-    g.add_argument("--source-angle-max-deg", type=float, dest="source_angle_max_deg")
+    _add_value_flags(g, _value_fields(ShiftSpec))
     g.set_defaults(func=cmd_gen_data)
 
     t = sub.add_parser("train-source", help="train the source model")
     add_common(t)
     t.add_argument("--data", required=True, help="directory with source_*.csv")
     t.add_argument("--checkpoint", help="checkpoint path (default <out>/checkpoint.json)")
-    t.add_argument("--lr", type=float, default=None)
-    t.add_argument("--weight-decay", type=float, dest="weight_decay", default=None)
-    t.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--holdout-fraction", type=float, dest="holdout_fraction", default=None)
-    t.add_argument("--hidden-dims", dest="hidden_dims", default=None,
-                   help="comma-separated hidden sizes, e.g. 64,64")
-    t.add_argument("--feature-dim", type=int, dest="feature_dim", default=None)
-    t.add_argument("--use-norm", action="store_true", dest="use_norm", default=None)
+    _add_value_flags(t, [*_value_fields(TrainConfig), *_ARCHITECTURE])
     t.set_defaults(func=cmd_train_source)
 
     def add_adapt_flags(p):
@@ -450,13 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--target", required=True, help="target-domain csv")
         p.add_argument("--source-data", dest="source_data",
                        help="source csv directory for preservation metrics")
-        p.add_argument("--sigma", type=float, default=None)
-        p.add_argument("--lambda-weight", "--lambda", type=float,
-                       dest="lambda_weight", default=None)
-        p.add_argument("--top-k", type=int, dest="top_k", default=None)
-        p.add_argument("--lr", type=float, default=None)
-        p.add_argument("--batch-size", type=int, dest="batch_size", default=None)
-        p.add_argument("--steps", type=int, default=None)
+        _add_value_flags(p, _value_fields(AdaptConfig))
 
     a = sub.add_parser("adapt", help="adapt to a target stream")
     add_common(a)
@@ -480,10 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(d)
     d.add_argument("--checkpoint", help="take only the architecture of this model; "
                    "the sweep re-initialises its weights (default: the layer flags)")
-    d.add_argument("--input-dim", type=int, dest="input_dim")
-    d.add_argument("--hidden-dims", dest="hidden_dims")
-    d.add_argument("--feature-dim", type=int, dest="feature_dim")
-    d.add_argument("--use-norm", action="store_true", dest="use_norm", default=None)
+    _add_value_flags(d, ["input_dim", *_ARCHITECTURE])
     d.add_argument("--trials", type=int, default=10)
     d.add_argument("--batch-rows", type=int, dest="batch_rows", default=8)
     d.set_defaults(func=cmd_diagnose)

@@ -76,6 +76,8 @@ class ShiftSpec:
     def validate(self) -> "ShiftSpec":
         check_finite_settings(
             self, ("class_separation", "within_class_std", "translation_std"))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.input_dim < self.num_classes:

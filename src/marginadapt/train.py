@@ -24,6 +24,8 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         check_finite_settings(self, ("lr", "weight_decay"))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # lr == 0 is allowed: it is the documented "no update" degenerate case
         if self.lr < 0.0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")

@@ -1,9 +1,11 @@
 """Command-line workflow: subcommands, config files, run records."""
 
+import argparse
 import json
 import os
 import re
-from dataclasses import fields, replace
+import shutil
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -88,7 +90,7 @@ def test_end_to_end_workflow(tmp_path, capsys):
     assert "variant" in out
     record = json.load(open(os.path.join(run, "run_0002.json")))
     assert [row["variant"] for row in record["rows"]] == [
-        "none", "lm", "le", "refresh", "lm+le", "le+refresh", "all",
+        "none", "le", "refresh", "lm+le", "le+refresh", "all",
     ]
 
     rc = main([
@@ -440,8 +442,8 @@ def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extr
         finals, drop = expected[row["variant"]]
         assert row["final_accuracies"] == finals
         assert row["mean_source_drop"] == drop
-    # `none` and `lm` never move the frozen model, which is scored once
-    assert passes["none"] == 0 and passes["lm"] == 0
+    # `none` never moves the frozen model, which is scored once
+    assert passes["none"] == 0
     assert passes["before any run"] == 1
 
 
@@ -659,3 +661,108 @@ def test_train_source_refuses_one_row_batches_for_a_norm_encoder(tmp_path, capsy
     assert err.splitlines()[-1] == (
         "error: batch_size must be >= 2 for an encoder with norm layers, got 1")
     assert not run.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["gen-data", "train-source", "adapt", "diagnose"])
+def test_negative_seed_is_refused_before_any_file_is_read(
+        tmp_path, capsys, trained_task, command, source):
+    data, ckpt = trained_task
+    inputs = {
+        "gen-data": [],
+        "train-source": ["--data", data],
+        "adapt": ["--checkpoint", ckpt, "--target", os.path.join(data, "target.csv")],
+        "diagnose": ["--checkpoint", ckpt],
+    }[command]
+    if source == "flag":
+        settings = ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        settings = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([command, *inputs, "--out", str(out), *settings])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["1", "0", "-1"])
+def test_diagnose_refuses_fewer_than_two_batch_rows_before_loading(tmp_path, capsys, rows):
+    out = tmp_path / "out"
+    rc = main(["diagnose", "--checkpoint", str(tmp_path / "missing.json"),
+               "--out", str(out), "--batch-rows", rows])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: diagnose needs --batch-rows >= 2, got {rows}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-source", "adapt"])
+def test_source_csvs_of_different_widths_are_a_data_error(tmp_path, capsys, trained_task, command):
+    data, ckpt = trained_task
+    mixed = tmp_path / "mixed"
+    shutil.copytree(data, mixed)
+    narrow = str(tmp_path / "narrow")
+    assert main(["gen-data", "--out", narrow, "--input-dim", "8",
+                 "--samples-per-domain", "40", "--num-source-domains", "1"]) == 0
+    shutil.copy(os.path.join(narrow, "source_0.csv"), mixed / "source_1.csv")
+    if command == "train-source":
+        argv = ["train-source", "--data", str(mixed)]
+    else:
+        argv = ["adapt", "--checkpoint", ckpt, "--target", os.path.join(data, "target.csv"),
+                "--source-data", str(mixed)]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([*argv, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {mixed / 'source_1.csv'}: 8 feature columns, but source_0.csv has 16\n")
+    assert not out.exists()
+
+
+_OPTION_STRINGS = {
+    "gen-data": "--angle-deg --class-separation --config --help --input-dim --num-classes "
+                "--num-source-domains --out --samples-per-domain --seed "
+                "--source-angle-max-deg --translation-std --within-class-std -h",
+    "train-source": "--batch-size --checkpoint --config --data --epochs --feature-dim --help "
+                    "--hidden-dims --holdout-fraction --lr --out --seed --use-norm "
+                    "--weight-decay -h",
+    "adapt": "--bank --batch-size --checkpoint --config --help --lambda --lambda-weight --le "
+             "--lm --lr --method --no-bank --no-le --no-lm --out --seed --sigma "
+             "--source-data --steps --target --top-k -h",
+    "ablate": "--batch-size --checkpoint --config --help --lambda --lambda-weight --lr --out "
+              "--seed --sigma --source-data --steps --target --top-k --trials -h",
+    "diagnose": "--batch-rows --checkpoint --config --feature-dim --help --hidden-dims "
+                "--input-dim --out --seed --trials --use-norm -h",
+}
+_REQUIRED = {"train-source": ["--data", "d"],
+             "adapt": ["--checkpoint", "c.json", "--target", "t.csv"],
+             "ablate": ["--checkpoint", "c.json", "--target", "t.csv"]}
+
+
+@pytest.mark.parametrize("command", sorted(_OPTION_STRINGS))
+def test_each_subcommand_has_its_flags_and_each_setting_flag_parses_its_type(command):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    assert sorted(s for a in actions for s in a.option_strings) == \
+        _OPTION_STRINGS[command].split()
+
+    defaults = {"hidden_dims": "64,64", "feature_dim": 32}
+    for cls in (AdaptConfig, TrainConfig, ShiftSpec):
+        defaults.update(asdict(cls()))
+    required = [command, *_REQUIRED.get(command, [])]
+    unset = parser.parse_args(required)
+    settings = [a for a in actions if a.dest in cli._KEY_TYPES]
+    assert settings and all(getattr(unset, a.dest) is None for a in settings)
+    for action in settings:
+        flag = action.option_strings[0]
+        if isinstance(action, argparse._StoreAction):
+            # `steps` defaults to None, which is the unset flag itself
+            default = 0 if defaults[action.dest] is None else defaults[action.dest]
+            parsed = getattr(parser.parse_args(required + [flag, str(default)]), action.dest)
+            assert parsed == default and type(parsed) is type(default), flag
+        else:
+            parsed = getattr(parser.parse_args(required + [flag]), action.dest)
+            assert parsed is (not flag.startswith("--no-")), flag
