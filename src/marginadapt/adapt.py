@@ -8,16 +8,29 @@ batches. Labels are consumed exclusively by the accuracy bookkeeping; no
 gradient ever sees them. A NumericalFailure while scoring or stepping on a
 batch names that batch's step.
 
-The steps (`_make_step`):
+Batches that no step follows (every batch of a pass that never steps, and
+those after the step budget) see fixed parameters, so they are scored in
+stacked calls: one (B, n, d) encode, logits and softmax per run of
+equal-sized batches, at most _STACK_ROWS rows per call. Each slice gets the
+predictions its own call would give, bit for bit (see numeric). A failing
+stacked call is scored again one batch at a time, so that the failure names
+the first failing batch's step.
+
+The steps (`_make_step`), and what each backpropagates:
   none          no step; a pure evaluation pass.
   entropy_norm  Tent: entropy on the norm-layer affine parameters, with the
-                batch statistics folded into the running estimates.
-  pseudo_label  cross-entropy against the batch's own argmax labels.
+                batch statistics folded into the running estimates. The
+                backward computes only the gradients Adam holds: through the
+                classifier and the layers above the lowest norm to that
+                norm's gamma and beta, and no weight gradient.
+  pseudo_label  cross-entropy against the batch's own argmax labels; every
+                parameter's gradient.
   unidg         pseudo-label the batch, push features into the memory bank,
                 rebuild prototypes and refresh the classifier columns; then
                 one Adam step on the entropy of the refreshed predictions
                 plus the margin hinge between adapted and frozen-source
-                features, both encoded in the stream's mode.
+                features, both encoded in the stream's mode; every
+                parameter's gradient.
 """
 
 from __future__ import annotations
@@ -34,6 +47,7 @@ from .numeric import check_finite_settings, softmax_rows
 from .train import Adam, cross_entropy_loss
 
 METHODS = ("none", "entropy_norm", "pseudo_label", "unidg")
+_STACK_ROWS = 1024  # target rows per stacked scoring call; bounds its peak
 
 
 @dataclass
@@ -123,27 +137,33 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     # norm layers use the batch's own statistics on the target stream
     mode = "train" if enc.has_norm_layers else "eval"
     step = _make_step(pair, cfg, mode) if limit > 0 else None
+    if step is None:
+        limit = 0
     source_before = _source_accuracy(pair, source_eval)
 
-    cumulative = []
-    correct = 0
-    seen = 0
+    hits = []  # correct predictions per batch
     reports = []
-    for t, idx in enumerate(batches):
+    for t, idx in enumerate(batches[:limit]):
         xb = target.features[idx]
         try:
             feats = enc.encode(xb, mode=mode, retain_cache=True)
             probs = softmax_rows(clf.logits(feats))
             preds = np.argmax(probs, axis=1)
-            report = None if step is None or t >= limit else step(xb, feats, probs, preds)
+            report = step(xb, feats, probs, preds)
         except NumericalFailure as e:
             raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-        correct += int((preds == target.labels[idx]).sum())
-        seen += idx.shape[0]
-        cumulative.append(correct / seen)
+        hits.append(int((preds == target.labels[idx]).sum()))
         if report is not None:
             reports.append(report)
+    hits += _stacked_hits(pair, target, batches, limit, mode)
 
+    cumulative = []
+    correct = 0
+    seen = 0
+    for idx, hit in zip(batches, hits):
+        correct += hit
+        seen += idx.shape[0]
+        cumulative.append(correct / seen)
     final = cumulative[-1] if cumulative else 0.0
     curve = AccuracyCurve(
         cumulative=cumulative,
@@ -155,6 +175,39 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     return pair, curve, reports
 
 
+def _stacked_hits(pair, target, batches, start, mode):
+    """Correct predictions of each of batches[start:], which no step
+    follows, scored in stacked calls (see the module docstring)."""
+    enc = pair.adapted_encoder
+    clf = pair.adapted_classifier
+
+    def predict(idx, t):
+        try:
+            feats = enc.encode(target.features[idx], mode=mode, retain_cache=False)
+            return np.argmax(softmax_rows(clf.logits(feats)), axis=-1)
+        except NumericalFailure as e:
+            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
+
+    hits = []
+    t = start
+    while t < len(batches):
+        n = batches[t].shape[0]
+        end = t + 1
+        while (end < len(batches) and batches[end].shape[0] == n
+               and (end - t + 1) * n <= _STACK_ROWS):
+            end += 1
+        idx = np.stack(batches[t:end])
+        try:
+            preds = predict(idx, t)
+        except NumericalFailure:
+            for s in range(t, end):
+                predict(batches[s], s)  # raises at the first failing batch
+            raise
+        hits += np.add.reduce(preds == target.labels[idx], axis=-1).tolist()
+        t = end
+    return hits
+
+
 def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
     """The update `step(xb, feats, probs, preds)` that cfg.method takes on a
     batch it has just scored in encoder `mode`, or None when the method never
@@ -164,14 +217,16 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
     clf = pair.adapted_classifier
 
     if cfg.method == "entropy_norm":
-        # Adam holds only the norm affine parameters and skips every other
-        # gradient, so the linear weights and the classifier stay fixed
+        # Adam holds only the norm affine parameters, and the backward
+        # computes no other gradient, so the linear weights and the
+        # classifier stay fixed
         opt = Adam(enc.norm_parameters(), lr=cfg.lr)
+        held = frozenset(n for n, _ in opt.params)
 
         def entropy_norm_step(xb, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
-            gz, _ = clf.backward(feats, g_logits)
-            egrads = enc.backward(gz)
+            gz, _ = clf.backward(feats, g_logits, held)
+            egrads = enc.backward(gz, held)
             opt.step(egrads)
             # the adapted model keeps the stream's normalization afterwards
             enc.update_running_stats()
@@ -220,7 +275,10 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             # mode, so the hinge measures parameter drift, not a mode gap
             source_feats = pair.source_encoder.encode(xb, mode=mode, retain_cache=False)
             l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
-            g_feats += cfg.lambda_weight * g_lm
+            # a g_lm with no nonzero entry (no row active) would change no
+            # bit: x + 0.0 is x for every x but -0.0, and g_feats holds none
+            if np.count_nonzero(g_lm):
+                g_feats += cfg.lambda_weight * g_lm
         total = l_e + cfg.lambda_weight * l_m
         if not np.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")

@@ -58,9 +58,17 @@ class DomainDataset:
         return self.features.shape[0]
 
 
+_MAX_INPUT_DIM = 1024  # the rotations are dense input_dim x input_dim matrices
+
+
 @dataclass
 class ShiftSpec:
-    """Parameters of one synthetic shift task."""
+    """Parameters of one synthetic shift task.
+
+    Each domain's rotation is a dense input_dim x input_dim float64 matrix,
+    built whole and recorded in the domain's metadata, so input_dim is
+    capped at 1024 (8 MiB per matrix); validate refuses a larger one before
+    anything is allocated."""
 
     num_classes: int = 4
     input_dim: int = 16
@@ -84,6 +92,11 @@ class ShiftSpec:
             raise ConfigError(
                 "input_dim must be >= num_classes so class means can be orthogonal"
             )
+        if self.input_dim > _MAX_INPUT_DIM:
+            raise ConfigError(
+                f"input_dim must be <= {_MAX_INPUT_DIM}, got {self.input_dim}: each "
+                f"rotation is a dense {self.input_dim} x {self.input_dim} matrix of "
+                f"{8 * self.input_dim ** 2} bytes")
         if self.class_separation <= 0.0:
             raise ConfigError("class_separation must be > 0")
         if self.within_class_std <= 0.0:

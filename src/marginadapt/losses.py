@@ -12,6 +12,7 @@ Each returns (value, gradient); gradients are exact, not estimated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,11 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
         raise ConfigError(f"marginal_loss: sigma must be >= 0, got {sigma}")
     n = adapted.shape[0]
     diff = adapted - source
-    dist_sq = np.sum(diff * diff, axis=1)
+    dist_sq = np.add.reduce(diff * diff, axis=1)
     active = dist_sq > sigma
-    value = float(np.sum(np.maximum(dist_sq - sigma, 0.0)) / n)
-    grad = np.zeros_like(adapted)
-    if active.any():
-        grad[active] = (2.0 / n) * diff[active]
-    if not np.isfinite(value):
+    value = float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / n)
+    grad = np.where(active[:, None], (2.0 / n) * diff, 0.0)
+    if not math.isfinite(value):
         raise NumericalFailure("marginal_loss: non-finite value")
     return value, grad
 

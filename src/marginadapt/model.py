@@ -22,9 +22,10 @@ from .numeric import (
     as_matrix,
     batchnorm_backward,
     batchnorm_forward,
+    batchnorm_param_grads,
     check_norm_settings,
-    linear_backward,
     linear_forward,
+    linear_input_grad,
     linear_param_grads,
     relu_backward,
     relu_forward,
@@ -33,6 +34,7 @@ from .numeric import (
 )
 
 CHECKPOINT_VERSION = 1
+_LAYER_PARAMS = ("w", "b", "gamma", "beta")  # an encoder layer's parameter suffixes
 
 
 class MlpEncoder:
@@ -153,16 +155,19 @@ class MlpEncoder:
 
         mode selects which statistics norm layers use ("train": batch,
         "eval": running). The layer cache needed by backward() is kept when
-        retain_cache is true (default: only in train mode).
+        retain_cache is true (default: only in train mode). x may also be a
+        (B, n, d) stack of batches, each encoded as its own 2-D call would
+        be; a stack keeps no cache.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"encode: unknown mode {mode!r}")
+        h = as_matrix(x, "x", stacked=True)
         if retain_cache is None:
             retain_cache = mode == "train"
-        h = as_matrix(x, "x")
-        if h.shape[1] != self.input_dim:
+        retain_cache = retain_cache and h.ndim == 2
+        if h.shape[-1] != self.input_dim:
             raise DimensionError(
-                f"encode: input has {h.shape[1]} features, expected {self.input_dim}"
+                f"encode: input has {h.shape[-1]} features, expected {self.input_dim}"
             )
         caches = []
         last = len(self.weights) - 1
@@ -177,34 +182,55 @@ class MlpEncoder:
         self._cache = caches if retain_cache else None
         return h
 
-    def backward(self, upstream):
-        """Gradients of sum(upstream * features) w.r.t. the parameters, as a
-        dict keyed like `parameters()`.
+    def backward(self, upstream, names=None):
+        """Gradients of sum(upstream * features) w.r.t. the parameters named
+        in `names` (default: all of them), as a dict keyed like
+        `parameters()`.
 
         Requires a cached forward (encode with retain_cache). The cache is
         left intact, so several upstreams can be pushed through one forward.
-        The gradient w.r.t. the input is not computed: nothing reads it, so
-        the first layer takes only its weight and bias gradients.
+        A layer's gradients are computed only for its named parameters, and
+        the pass descends no lower than the lowest layer holding one: below
+        it nothing reads a gradient. The gradient w.r.t. the input is never
+        computed, for the same reason.
         """
         if self._cache is None:
             raise StateError("backward: call encode with retain_cache first")
+        last = len(self.weights) - 1
+        if names is None:
+            held, lowest = [_LAYER_PARAMS] * (last + 1), 0
+        else:
+            held = [{s for s in _LAYER_PARAMS if f"enc.{i}.{s}" in names}
+                    for i in range(last + 1)]
+            lowest = next((i for i, h in enumerate(held) if h), last + 1)
         g = upstream
         grads = {}
-        last = len(self.weights) - 1
-        for i in range(last, -1, -1):
+        for i in range(last, lowest - 1, -1):
             cache = self._cache[i]
+            linear = "w" in held[i] or "b" in held[i]
+            # the gradient below layer i's norm is read by this layer's w and
+            # b and, through its linear map, by the layers below
+            through_norm = i > lowest or linear
             if i < last:
                 g = relu_backward(cache["act_in"], g)
-                if self.norms[i] is not None:
-                    g, ggamma, gbeta = batchnorm_backward(self.norms[i], g)
-                    grads[f"enc.{i}.gamma"] = ggamma
-                    grads[f"enc.{i}.beta"] = gbeta
-            if i > 0:
-                g, gw, gb = linear_backward(cache["x"], self.weights[i], g)
-            else:
-                gw, gb = linear_param_grads(cache["x"], self.weights[0], g)
-            grads[f"enc.{i}.w"] = gw
-            grads[f"enc.{i}.b"] = gb
+                norm = self.norms[i]
+                if norm is not None:
+                    if through_norm:
+                        g, ggamma, gbeta = batchnorm_backward(norm, g)
+                    else:
+                        ggamma, gbeta = batchnorm_param_grads(norm, g)
+                    if "gamma" in held[i]:
+                        grads[f"enc.{i}.gamma"] = ggamma
+                    if "beta" in held[i]:
+                        grads[f"enc.{i}.beta"] = gbeta
+            if linear:
+                gw, gb = linear_param_grads(cache["x"], self.weights[i], g)
+                if "w" in held[i]:
+                    grads[f"enc.{i}.w"] = gw
+                if "b" in held[i]:
+                    grads[f"enc.{i}.b"] = gb
+            if i > lowest:
+                g = linear_input_grad(self.weights[i], g)
         return grads
 
     def update_running_stats(self):
@@ -242,24 +268,28 @@ class LinearClassifier:
         return self.omega.shape[0]
 
     def logits(self, z):
-        if z.shape[1] != self.feature_dim:
+        """z @ omega + bias for a batch of feature rows or a stack of them."""
+        if z.shape[-1] != self.feature_dim:
             raise DimensionError(
-                f"logits: features have width {z.shape[1]}, expected {self.feature_dim}"
+                f"logits: features have width {z.shape[-1]}, expected {self.feature_dim}"
             )
         out = z @ self.omega
         if self.bias is not None:
             out += self.bias
         return _finite(out, "logits")
 
-    def backward(self, z, upstream):
-        """Gradients of sum(upstream * logits) w.r.t. features and params."""
-        gz, gw, gb = linear_backward(
-            z, self.omega, upstream
-        )
-        grads = {"clf.w": gw}
-        if self.bias is not None:
-            grads["clf.b"] = gb
-        return gz, grads
+    def backward(self, z, upstream, names=None):
+        """Gradients of sum(upstream * logits) w.r.t. the features and the
+        parameters named in `names` (default: all of them)."""
+        grads = {}
+        if names is None or "clf.w" in names or "clf.b" in names:
+            gw, gb = linear_param_grads(z, self.omega, upstream)
+            grads["clf.w"] = gw
+            if self.bias is not None:
+                grads["clf.b"] = gb
+            if names is not None:
+                grads = {n: g for n, g in grads.items() if n in names}
+        return linear_input_grad(self.omega, upstream), grads
 
     def parameters(self):
         out = [("clf.w", self.omega)]

@@ -18,8 +18,18 @@ bit for bit. The forward caches `denom = sqrt(var + eps)` for the backward.
 The hot ops call the ufuncs behind the array methods (`np.add.reduce` for
 `.sum`, `np.maximum.reduce` for `.max`) and add biases in place; the values
 are those of the method and out-of-place forms bit for bit.
-`linear_param_grads` is `linear_backward` without the input gradient, for
-the encoder's first layer, whose input gradient nothing reads.
+`linear_backward` is `linear_param_grads` (the w and b gradients) plus
+`linear_input_grad` (the x gradient); a backward that needs only some of
+them calls only those, and a failure in either is reported as
+linear_backward's. `batchnorm_param_grads` is likewise `batchnorm_backward`
+without the input gradient.
+
+The forward ops (`linear_forward`, `batchnorm_forward`, `relu_forward`,
+`softmax_rows`) also take a (B, n, d) stack of B batches. Each slice gets
+the value its own 2-D call would give, bit for bit: numpy's stacked matmul
+runs the same product per slice, and reductions over the last two axes run
+per slice in the same order. Train-mode normalization takes each slice's
+own batch statistics, and a stacked forward caches nothing for a backward.
 """
 
 from __future__ import annotations
@@ -40,12 +50,14 @@ from .errors import (
 Array = np.ndarray
 
 
-def as_matrix(x, name: str = "array") -> Array:
-    """Coerce a value entering the package to a 2-D float64 array; reject
-    wrong rank and non-finite entries. Ops do not call it on their inputs."""
+def as_matrix(x, name: str = "array", stacked: bool = False) -> Array:
+    """Coerce a value entering the package to a 2-D float64 array, or with
+    `stacked` also to a (B, n, d) stack of them; reject wrong rank and
+    non-finite entries. Ops do not call it on their inputs."""
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise DimensionError(f"{name}: expected a 2-D array, got shape {a.shape}")
+    if a.ndim != 2 and not (stacked and a.ndim == 3):
+        ranks = "2-D or 3-D" if stacked else "2-D"
+        raise DimensionError(f"{name}: expected a {ranks} array, got shape {a.shape}")
     if np.count_nonzero(np.isfinite(a)) != a.size:
         raise NumericalFailure(f"{name}: contains NaN or Inf")
     return a
@@ -72,10 +84,10 @@ def _finite(out: Array, op: str) -> Array:
 
 
 def linear_forward(x: Array, w: Array, b: Array) -> Array:
-    """x @ w + b for a batch of rows."""
-    if x.shape[1] != w.shape[0]:
+    """x @ w + b for a batch of rows, or a stack of batches."""
+    if x.shape[-1] != w.shape[0]:
         raise DimensionError(
-            f"linear_forward: x has {x.shape[1]} features but w expects {w.shape[0]}"
+            f"linear_forward: x has {x.shape[-1]} features but w expects {w.shape[0]}"
         )
     if b.shape[0] != w.shape[1]:
         raise DimensionError(
@@ -89,7 +101,17 @@ def linear_forward(x: Array, w: Array, b: Array) -> Array:
 def linear_backward(x: Array, w: Array, upstream: Array):
     """Gradients of sum(upstream * (x @ w + b)) w.r.t. x, w, b."""
     gw, gb = linear_param_grads(x, w, upstream)
-    return _finite(upstream @ w.T, "linear_backward"), gw, gb
+    return linear_input_grad(w, upstream), gw, gb
+
+
+def linear_input_grad(w: Array, upstream: Array) -> Array:
+    """The x gradient of `linear_backward`, without the w and b gradients.
+    Failures are reported as linear_backward's."""
+    if upstream.shape[-1] != w.shape[1]:
+        raise DimensionError(
+            f"linear_backward: upstream width {upstream.shape[-1]} != {w.shape[1]}"
+        )
+    return _finite(upstream @ w.T, "linear_backward")
 
 
 def linear_param_grads(x: Array, w: Array, upstream: Array):
@@ -119,9 +141,9 @@ def relu_backward(x: Array, upstream: Array) -> Array:
 
 def softmax_rows(z: Array) -> Array:
     """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return _finite(e / np.add.reduce(e, axis=1, keepdims=True), "softmax_rows")
+    return _finite(e / np.add.reduce(e, axis=-1, keepdims=True), "softmax_rows")
 
 
 # ---------------------------------------------------------------------------
@@ -208,41 +230,36 @@ class NormLayerState:
 def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> Array:
     """Normalize columns and apply the affine map.
 
-    Train mode uses biased batch statistics and stores the backward cache;
-    eval mode uses the running statistics. Running statistics are never
-    updated here; call update_running_stats explicitly.
+    Train mode uses biased batch statistics (per slice of a stack) and
+    stores the backward cache; eval mode uses the running statistics. A
+    stacked forward stores no cache. Running statistics are never updated
+    here; call update_running_stats explicitly.
     """
-    if x.shape[1] != state.dim:
+    if x.shape[-1] != state.dim:
         raise DimensionError(
-            f"batchnorm_forward: {x.shape[1]} columns but state has {state.dim}"
+            f"batchnorm_forward: {x.shape[-1]} columns but state has {state.dim}"
         )
+    m = x.shape[-2]
+    stacked = x.ndim == 3
     if mode == "train":
-        m = x.shape[0]
         if m < 2:
             raise BatchTooSmallError(
                 f"batchnorm_forward: train mode needs >= 2 rows, got {m}"
             )
         # np.mean and np.var's own arithmetic, with the centring done once
-        mu = np.add.reduce(x, axis=0) / m
+        mu = np.add.reduce(x, axis=-2, keepdims=stacked) / m
         xc = x - mu
-        var = np.add.reduce(xc * xc, axis=0) / m
+        var = np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m
         denom = np.sqrt(var + state.eps)
         x_hat = xc / denom
-        state.cache = _NormCache(mode="train", x_hat=x_hat, mean=mu, var=var,
-                                 denom=denom, m=m)
     elif mode == "eval":
-        denom = np.sqrt(state.running_var + state.eps)
-        x_hat = (x - state.running_mean) / denom
-        state.cache = _NormCache(
-            mode="eval",
-            x_hat=x_hat,
-            mean=state.running_mean,
-            var=state.running_var,
-            denom=denom,
-            m=x.shape[0],
-        )
+        mu, var = state.running_mean, state.running_var
+        denom = np.sqrt(var + state.eps)
+        x_hat = (x - mu) / denom
     else:
         raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
+    state.cache = None if stacked else _NormCache(
+        mode=mode, x_hat=x_hat, mean=mu, var=var, denom=denom, m=m)
     out = state.gamma * x_hat
     out += state.beta
     return _finite(out, "batchnorm_forward")
@@ -275,13 +292,8 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
     caches reduce to the affine shortcut gx = g / sqrt(running_var + eps).
     ggamma/gbeta are the usual reductions.
     """
-    if state.cache is None:
-        raise StateError("batchnorm_backward: no forward cache present")
+    ggamma, gbeta = batchnorm_param_grads(state, upstream)
     c = state.cache
-    if upstream.shape != c.x_hat.shape:
-        raise DimensionError(
-            f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
-        )
     gxhat = upstream * state.gamma
     if c.mode == "train":
         gx = c.m * gxhat
@@ -290,13 +302,22 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
         gx /= c.m * c.denom
     else:
         gx = gxhat / c.denom
+    return _finite(gx, "batchnorm_backward"), ggamma, gbeta
+
+
+def batchnorm_param_grads(state: NormLayerState, upstream: Array):
+    """The gamma and beta gradients of `batchnorm_backward`, without the x
+    gradient. Failures are reported as batchnorm_backward's."""
+    if state.cache is None:
+        raise StateError("batchnorm_backward: no forward cache present")
+    c = state.cache
+    if upstream.shape != c.x_hat.shape:
+        raise DimensionError(
+            f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
+        )
     ggamma = np.add.reduce(upstream * c.x_hat, axis=0)
     gbeta = np.add.reduce(upstream, axis=0)
-    return (
-        _finite(gx, "batchnorm_backward"),
-        _finite(ggamma, "batchnorm_backward"),
-        _finite(gbeta, "batchnorm_backward"),
-    )
+    return _finite(ggamma, "batchnorm_backward"), _finite(gbeta, "batchnorm_backward")
 
 
 def frobenius_distance_sq(a: Array, b: Array) -> float:

@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from marginadapt import (
+    Adam,
     AdaptConfig,
     ConfigError,
     DomainDataset,
@@ -17,6 +18,7 @@ from marginadapt import (
     clone_for_adaptation,
     gen_synthetic_shift,
     run_method,
+    softmax_rows,
     stream_batches,
     train_source_erm,
 )
@@ -87,7 +89,7 @@ def test_zero_steps_is_pure_evaluation_for_every_method(method):
 def test_backward_failure_names_the_step(method, monkeypatch):
     pair, target = _tiny(5, use_norm=True)
 
-    def fail(self, upstream):
+    def fail(self, upstream, names=None):
         raise NumericalFailure("backward: non-finite gradient")
 
     monkeypatch.setattr(MlpEncoder, "backward", fail)
@@ -103,6 +105,85 @@ def test_scoring_failure_names_the_step(method):
     with pytest.raises(NumericalFailure,
                        match="aborted at step 0: linear_forward: produced non-finite"):
         run_method(pair, target, AdaptConfig(method=method, seed=1))
+
+
+def _per_batch_run(pair, target, cfg):
+    """run_method's protocol one batch at a time: score the batch alone, then
+    step on it while the budget lasts."""
+    enc, clf = pair.adapted_encoder, pair.adapted_classifier
+    batches = stream_batches(target.n, cfg.batch_size, cfg.seed)
+    if enc.has_norm_layers:
+        batches = [b for b in batches if b.shape[0] >= 2]
+    mode = "train" if enc.has_norm_layers else "eval"
+    limit = len(batches) if cfg.steps is None else cfg.steps
+    step = adapt._make_step(pair, cfg, mode) if limit > 0 else None
+    cumulative, reports, correct, seen = [], [], 0, 0
+    for t, idx in enumerate(batches):
+        xb = target.features[idx]
+        feats = enc.encode(xb, mode=mode, retain_cache=True)
+        probs = softmax_rows(clf.logits(feats))
+        preds = np.argmax(probs, axis=1)
+        if step is not None and t < limit:
+            reports.append(step(xb, feats, probs, preds))
+        correct += int((preds == target.labels[idx]).sum())
+        seen += idx.shape[0]
+        cumulative.append(correct / seen)
+    return cumulative, [r for r in reports if r is not None]
+
+
+@pytest.mark.parametrize("cap", [80, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])
+@pytest.mark.parametrize("settings", [
+    dict(method="none"),
+    dict(method="none", batch_size=37),
+    dict(steps=0),
+    dict(steps=5),
+    dict(steps=5, batch_size=37),
+    dict(method="entropy_norm", steps=5),
+    dict(method="pseudo_label", steps=3),
+    dict(enable_lm=False, enable_le=False, enable_bank=False),
+], ids=["none", "none-b37", "steps0", "steps5", "steps5-b37", "tent-steps5", "pl-steps3",
+        "switches-off"])
+def test_stacked_scoring_equals_a_per_batch_loop(settings, cap, monkeypatch):
+    monkeypatch.setattr(adapt, "_STACK_ROWS", cap)
+    cfg = AdaptConfig(lr=1e-2, seed=4, **settings)
+    for use_norm in (False, True):
+        if cfg.method == "entropy_norm" and not use_norm:
+            continue
+        pair, target = _tiny(7, use_norm=use_norm)
+        _, curve, reports = run_method(pair, target, cfg)
+        ref_pair, _ = _tiny(7, use_norm=use_norm)
+        cumulative, ref_reports = _per_batch_run(ref_pair, target, cfg)
+        assert curve.cumulative == cumulative
+        assert reports == ref_reports
+        assert pair.adapted_fingerprint() == ref_pair.adapted_fingerprint()
+
+
+def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):
+    pair, target = _tiny(3, use_norm=True)
+    seen = []
+    original = Adam.step
+
+    def spy(self, grads):
+        seen.append(sorted(grads))
+        return original(self, grads)
+
+    monkeypatch.setattr(Adam, "step", spy)
+    run_method(pair, target, AdaptConfig(method="entropy_norm", lr=1e-2, steps=4, seed=1))
+    assert seen == [sorted(n for n, _ in pair.adapted_encoder.norm_parameters())] * 4
+
+
+@pytest.mark.parametrize("cap", [64, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])
+def test_an_overflow_in_a_later_stacked_batch_names_its_step(cap, monkeypatch):
+    monkeypatch.setattr(adapt, "_STACK_ROWS", cap)
+    pair, target = _tiny(5)
+    pair.adapted_encoder.weights[0][...] = 1.0
+    cfg = AdaptConfig(method="none", seed=1)
+    row = stream_batches(target.n, cfg.batch_size, cfg.seed)[5][3]
+    target.features[row] = 1e308  # finite, but its row sum is not
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalFailure,
+            match="^adaptation aborted at step 5: linear_forward: produced non-finite"):
+        run_method(pair, target, cfg)
 
 
 def test_all_switches_off_is_pure_evaluation():

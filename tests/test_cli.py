@@ -313,6 +313,16 @@ def test_gen_data_shift_kind_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_gen_data_refuses_a_huge_input_dim_before_allocating(tmp_path, capsys):
+    # refused by ShiftSpec.validate, so no d x d matrix is ever requested
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--input-dim", "100000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: input_dim must be <= 1024, got 100000: each rotation is a dense "
+        "100000 x 100000 matrix of 80000000000 bytes\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["ablate", "diagnose"])
 def test_ablate_rejects_zero_trials_before_loading(tmp_path, capsys, command):
     data = _gen(tmp_path)

@@ -128,6 +128,13 @@ def test_source_rotations_stay_under_the_cap():
         assert 0.0 <= ds.metadata["transform"]["angle_deg"] <= 10.0
 
 
+def test_spec_refuses_an_input_dim_whose_rotations_are_too_large():
+    ShiftSpec(input_dim=1024).validate()
+    with pytest.raises(ConfigError, match=r"^input_dim must be <= 1024, got 1025: .* "
+                                          r"dense 1025 x 1025 matrix of 8405000 bytes$"):
+        ShiftSpec(input_dim=1025).validate()
+
+
 def test_spec_validation_errors():
     for bad in (
         ShiftSpec(num_classes=1),

@@ -151,3 +151,21 @@ def test_sweep_is_deterministic_and_accounts_for_every_trial():
         assert a.stats[subset]["count"] + a.skipped[subset] == 6
     c = kernel_comparison_sweep(model, src, tgt, trials=6, seed=4)
     assert c.to_dict()["stats"] != a.to_dict()["stats"]
+
+
+def test_norm_only_jacobian_is_the_full_jacobians_norm_columns():
+    # the subset's backward computes only its own gradients, with the values
+    # of the full backward
+    rng = np.random.default_rng(17)
+    model = MlpEncoder.create([5, 6, 6, 3], use_norm=True, seed=18)
+    for norm in model.norms:
+        norm.running_mean[...] = rng.standard_normal(norm.dim)
+        norm.running_var[...] = rng.uniform(0.5, 2.0, size=norm.dim)
+    x = rng.standard_normal(5)
+    full = parameter_jacobian(model, x, "all")
+    sizes = [(n, p.size) for n, p in model.parameters()]
+    starts = np.cumsum([0] + [size for _, size in sizes])
+    cols = np.concatenate([np.arange(start, start + size)
+                           for (n, size), start in zip(sizes, starts)
+                           if n in parameter_names(model, "norm_only")])
+    npt.assert_array_equal(parameter_jacobian(model, x, "norm_only"), full[:, cols])

@@ -34,6 +34,26 @@ def test_marginal_loss_matches_brute_force():
         assert abs(value - brute_margin(a, s, sigma)) < 1e-12
 
 
+def test_marginal_loss_equals_the_masked_write_form_bit_for_bit():
+    # np.add.reduce and one np.where give the values of np.sum and a
+    # zeros_like buffer with the active rows written into it
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        n, d = (int(v) for v in rng.integers(1, 40, size=2))
+        a = rng.standard_normal((n, d))
+        s = a + float(rng.uniform(0.0, 1.0)) * rng.standard_normal((n, d))
+        sigma = float(rng.choice([0.0, rng.uniform(0.0, 2.0 * d), 1e9]))
+        diff = a - s
+        dist_sq = np.sum(diff * diff, axis=1)
+        active = dist_sq > sigma
+        want = np.zeros_like(a)
+        want[active] = (2.0 / n) * diff[active]
+        value, grad = marginal_loss(a, s, sigma)
+        assert value == float(np.sum(np.maximum(dist_sq - sigma, 0.0)) / n)
+        npt.assert_array_equal(grad, want)
+        assert not np.signbit(grad[~active]).any()
+
+
 def test_marginal_loss_inside_margin_is_exactly_zero():
     rng = np.random.default_rng(1)
     for _ in range(50):

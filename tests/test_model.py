@@ -7,6 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from gradcheck import numeric_grad, rel_error
+from marginadapt import model
 from marginadapt.numeric import (
     NormLayerState,
     batchnorm_backward,
@@ -156,6 +157,97 @@ def test_encoder_backward_is_bit_identical_to_linear_backward_at_every_layer(
     assert sorted(grads) == sorted(name for name, _ in enc.parameters())
     for name in want:
         npt.assert_array_equal(grads[name], want[name], err_msg=name)
+
+
+def _varied_encoder(dims, use_norm, rng):
+    enc = MlpEncoder.create(dims, use_norm=use_norm, seed=12)
+    for norm in enc.norms:
+        if norm is not None:  # eval mode reads non-trivial running stats
+            norm.running_mean[...] = rng.standard_normal(norm.dim)
+            norm.running_var[...] = rng.uniform(0.5, 2.0, size=norm.dim)
+    return enc
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("dims, use_norm", [
+    ([6, 4], False), ([6, 5, 5, 4], False), ([6, 5, 5, 4], True),
+], ids=["one-layer", "linear", "norm"])
+def test_encoder_backward_on_a_name_set_equals_the_full_backward(dims, use_norm, mode):
+    rng = np.random.default_rng(13)
+    enc = _varied_encoder(dims, use_norm, rng)
+    x = rng.standard_normal((9, dims[0]))
+    upstream = rng.standard_normal((9, dims[-1]))
+    enc.encode(x, mode=mode, retain_cache=True)
+    full = enc.backward(upstream)
+    names = [n for n, _ in enc.parameters()]
+    subsets = [[], names, [n for n, _ in enc.norm_parameters()],
+               [n for n in names if n.startswith(f"enc.{len(dims) - 2}.")]]
+    subsets += [[n] for n in names]
+    for held in subsets:
+        grads = enc.backward(upstream, frozenset(held))
+        assert sorted(grads) == sorted(held)
+        for name in held:
+            npt.assert_array_equal(grads[name], full[name], err_msg=name)
+
+
+def test_norm_only_backward_computes_no_weight_gradient(monkeypatch):
+    # Tent's name set: the pass stops at the lowest norm's gamma and beta
+    rng = np.random.default_rng(14)
+    enc = _varied_encoder([6, 5, 5, 4], True, rng)
+    enc.encode(rng.standard_normal((9, 6)), mode="train", retain_cache=True)
+    calls = []
+    for name in ("linear_param_grads", "linear_input_grad",
+                 "batchnorm_backward", "batchnorm_param_grads"):
+        original = getattr(model, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(model, name, counted)
+    held = frozenset(n for n, _ in enc.norm_parameters())
+    grads = enc.backward(rng.standard_normal((9, 4)), held)
+    assert sorted(grads) == sorted(held)
+    assert calls == ["linear_input_grad", "batchnorm_backward",
+                     "linear_input_grad", "batchnorm_param_grads"]
+
+
+def test_classifier_backward_on_a_name_set():
+    rng = np.random.default_rng(15)
+    z = rng.standard_normal((7, 5))
+    up = rng.standard_normal((7, 3))
+    for bias in (True, False):
+        clf = LinearClassifier.create(5, 3, seed=2, with_bias=bias)
+        gz, full = clf.backward(z, up)
+        for held in ([], ["clf.w"], ["clf.b"], ["clf.w", "clf.b"]):
+            hz, grads = clf.backward(z, up, frozenset(held))
+            npt.assert_array_equal(hz, gz)
+            assert sorted(grads) == sorted(n for n in held if n in full)
+            for name in grads:
+                npt.assert_array_equal(grads[name], full[name])
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+def test_stacked_encode_and_logits_equal_their_per_batch_calls(use_norm, mode):
+    rng = np.random.default_rng(16)
+    enc = _varied_encoder([6, 5, 5, 4], use_norm, rng)
+    clf = LinearClassifier.create(4, 3, seed=4)
+    x = rng.standard_normal((5, 9, 6))
+    feats = enc.encode(x, mode=mode, retain_cache=True)
+    logits = clf.logits(feats)
+    # a stack keeps no backward cache, in the encoder or its norm layers
+    with pytest.raises(StateError):
+        enc.backward(np.zeros((9, 4)))
+    if use_norm:
+        with pytest.raises(StateError, match="update_running_stats"):
+            enc.update_running_stats()
+    for i in range(x.shape[0]):
+        one = enc.encode(x[i], mode=mode)
+        npt.assert_array_equal(feats[i], one)
+        npt.assert_array_equal(logits[i], clf.logits(one))
+    with pytest.raises(DimensionError, match="expected a 2-D or 3-D array"):
+        enc.encode(x[None], mode=mode)
 
 
 def test_encoder_backward_requires_cache():

@@ -22,7 +22,14 @@ from marginadapt import (
     softmax_rows,
     update_running_stats,
 )
-from marginadapt.numeric import _finite, as_matrix, as_vector, linear_param_grads
+from marginadapt.numeric import (
+    _finite,
+    as_matrix,
+    as_vector,
+    batchnorm_param_grads,
+    linear_input_grad,
+    linear_param_grads,
+)
 
 
 def test_linear_forward_matches_manual():
@@ -299,3 +306,95 @@ def test_finite_checks_reject_any_non_finite_entry_and_accept_empty(check, shape
         check(a)
     empty = np.zeros((0,) + shape[1:])
     assert check(empty).shape == empty.shape
+
+
+def test_numpy_runs_stacked_products_and_reductions_per_slice():
+    # the stacked ops rest on this: a (B, n, d) matmul and a reduction over
+    # one of the last two axes give each slice its own 2-D value, bit for bit
+    rng = np.random.default_rng(21)
+    for _ in range(60):
+        b, n, d, k = (int(v) for v in rng.integers(1, 70, size=4))
+        x = rng.standard_normal((b, n + 1, d))
+        w = rng.standard_normal((d, k))
+        prod = x @ w
+        rows = np.add.reduce(x, axis=-2, keepdims=True)
+        cols = np.maximum.reduce(x, axis=-1, keepdims=True)
+        for i in range(b):
+            npt.assert_array_equal(prod[i], x[i] @ w)
+            npt.assert_array_equal(rows[i, 0], np.add.reduce(x[i], axis=0))
+            npt.assert_array_equal(cols[i], np.maximum.reduce(x[i], axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 3), (5, 32, 48), (7, 37, 16), (3, 2, 1)])
+def test_stacked_forward_ops_equal_their_per_slice_calls(shape):
+    rng = np.random.default_rng(shape[1])
+    x = rng.standard_normal(shape)
+    d = shape[-1]
+    w = rng.standard_normal((d, 5))
+    b = rng.standard_normal(5)
+    state = NormLayerState(gamma=rng.uniform(0.5, 2.0, d), beta=rng.standard_normal(d),
+                           running_mean=rng.standard_normal(d),
+                           running_var=rng.uniform(0.5, 2.0, d))
+    stacked = {
+        "linear": linear_forward(x, w, b),
+        "relu": relu_forward(x),
+        "softmax": softmax_rows(x),
+        "train": batchnorm_forward(x, state, mode="train"),
+        "eval": batchnorm_forward(x, state, mode="eval"),
+    }
+    for i in range(shape[0]):
+        npt.assert_array_equal(stacked["linear"][i], linear_forward(x[i], w, b))
+        npt.assert_array_equal(stacked["relu"][i], relu_forward(x[i]))
+        npt.assert_array_equal(stacked["softmax"][i], softmax_rows(x[i]))
+        for mode in ("train", "eval"):
+            npt.assert_array_equal(stacked[mode][i], batchnorm_forward(x[i], state, mode=mode))
+
+
+def test_stacked_norm_forward_caches_nothing_so_running_stats_refuse_it():
+    rng = np.random.default_rng(4)
+    state = NormLayerState.create(3)
+    batchnorm_forward(rng.standard_normal((6, 3)), state, mode="train")
+    assert state.cache.mean.shape == (3,) and state.cache.x_hat.shape == (6, 3)
+    for mode in ("train", "eval"):
+        batchnorm_forward(rng.standard_normal((2, 6, 3)), state, mode=mode)
+        assert state.cache is None
+        with pytest.raises(StateError, match="update_running_stats"):
+            update_running_stats(state)
+        with pytest.raises(StateError, match="batchnorm_backward"):
+            batchnorm_backward(state, np.zeros((6, 3)))
+    npt.assert_array_equal(state.running_mean, np.zeros(3))
+    npt.assert_array_equal(state.running_var, np.ones(3))
+
+
+def test_stacked_norm_forward_needs_two_rows_per_slice():
+    with pytest.raises(BatchTooSmallError, match="got 1"):
+        batchnorm_forward(np.zeros((4, 1, 3)), NormLayerState.create(3), mode="train")
+
+
+def test_linear_input_grad_is_linear_backward_without_the_param_grads():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((6, 4))
+    w = rng.standard_normal((4, 3))
+    r = rng.standard_normal((6, 3))
+    gx, _, _ = linear_backward(x, w, r)
+    npt.assert_array_equal(linear_input_grad(w, r), gx)
+    # its failures are reported as linear_backward's
+    with pytest.raises(DimensionError, match="^linear_backward: upstream width"):
+        linear_input_grad(w, r[:, :2])
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailure, match="^linear_backward: produced non-finite"):
+        linear_input_grad(w * 1e300, r * 1e300)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_param_grads_is_batchnorm_backward_without_the_input_grad(mode):
+    rng = np.random.default_rng(6)
+    state = NormLayerState(gamma=rng.uniform(0.5, 2.0, 4), beta=rng.standard_normal(4))
+    batchnorm_forward(rng.standard_normal((7, 4)), state, mode=mode)
+    up = rng.standard_normal((7, 4))
+    _, ggamma, gbeta = batchnorm_backward(state, up)
+    pg, pb = batchnorm_param_grads(state, up)
+    npt.assert_array_equal(pg, ggamma)
+    npt.assert_array_equal(pb, gbeta)
+    with pytest.raises(DimensionError, match="^batchnorm_backward: upstream shape"):
+        batchnorm_param_grads(state, up[:, :2])
