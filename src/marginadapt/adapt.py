@@ -262,6 +262,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             return None  # bank-only step
 
         l_m = l_e = 0.0
+        hinge_rows = 0
         g_feats = np.zeros_like(feats)
         grads = {}
         if cfg.enable_le:
@@ -278,13 +279,14 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
             # a g_lm with no nonzero entry (no row active) would change no
             # bit: x + 0.0 is x for every x but -0.0, and g_feats holds none
             if np.count_nonzero(g_lm):
+                hinge_rows = int(np.count_nonzero(g_lm.any(axis=1)))
                 g_feats += cfg.lambda_weight * g_lm
         total = l_e + cfg.lambda_weight * l_m
         if not np.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")
         egrads = enc.backward(g_feats)
         opt.step({**egrads, **grads})
-        return LossReport(l_m=l_m, l_e=l_e, total=total)
+        return LossReport(l_m=l_m, l_e=l_e, total=total, hinge_rows=hinge_rows)
 
     return unidg_step
 

@@ -74,6 +74,10 @@ ABLATION_GRID = [
     ("le+refresh", _switches("le", "bank")),
     ("all", _switches("lm", "le", "bank")),
 ]
+# each row without the hinge and its twin with it: while no step of the twin
+# has a row outside the margin, the hinge adds no gradient and l_m is 0.0, so
+# the twin takes this row's steps bit for bit
+_MARGIN_TWINS = {"le": "lm+le", "le+refresh": "all"}
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
@@ -320,8 +324,7 @@ def cmd_ablate(args) -> int:
     encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
     started = time.perf_counter()
     # one source pass per distinct model state: `none` never moves a fresh
-    # clone, and while the hinge is idle `lm+le` and `all` repeat `le` and
-    # `le+refresh` bit for bit
+    # clone, and a row that repeats its margin twin is not run at all
     source_scores = {}
 
     def source_accuracy(enc, clf):
@@ -332,23 +335,34 @@ def cmd_ablate(args) -> int:
         return source_scores[key]
 
     source_before = None if source_eval is None else source_accuracy(encoder, classifier)
+    switches_of = dict(ABLATION_GRID)
+
+    def run(name, trial):
+        """(final accuracy, source drop, whether the hinge bound) of a run."""
+        cfg = replace(base, seed=base.seed + trial, **switches_of[name])
+        pair = clone_for_adaptation(encoder.copy(), classifier.copy())
+        pair, curve, reports = run_method(pair, target, cfg)
+        drop = None if source_eval is None else source_before - source_accuracy(
+            pair.adapted_encoder, pair.adapted_classifier)
+        return curve.final_accuracy, drop, any(r.hinge_rows for r in reports)
+
+    runs = {}  # (variant, trial) -> run(variant, trial)
     rows = []
     for name, switches in ABLATION_GRID:
-        finals, drops = [], []
+        twin = _MARGIN_TWINS.get(name)
         for trial in range(trials):
-            cfg = replace(base, seed=base.seed + trial, **switches)
-            pair = clone_for_adaptation(encoder.copy(), classifier.copy())
-            pair, curve, _ = run_method(pair, target, cfg)
-            finals.append(curve.final_accuracy)
-            if source_eval is not None:
-                drops.append(source_before - source_accuracy(
-                    pair.adapted_encoder, pair.adapted_classifier))
+            if twin is not None and (twin, trial) not in runs:
+                runs[twin, trial] = run(twin, trial)
+            if (name, trial) not in runs:
+                idle = twin is not None and not runs[twin, trial][2]
+                runs[name, trial] = runs[twin, trial] if idle else run(name, trial)
+        finals, drops, _ = zip(*(runs[name, trial] for trial in range(trials)))
         rows.append({
             "variant": name,
             "switches": switches,
             "mean_final_accuracy": float(np.mean(finals)),
-            "final_accuracies": finals,
-            "mean_source_drop": float(np.mean(drops)) if drops else None,
+            "final_accuracies": list(finals),
+            "mean_source_drop": None if source_eval is None else float(np.mean(drops)),
         })
     baseline = rows[0]["mean_final_accuracy"]
     print(f"{'variant':<12} {'accuracy':>9} {'gain':>8}")

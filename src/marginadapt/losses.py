@@ -24,11 +24,15 @@ from .numeric import Array
 @dataclass
 class LossReport:
     """Per-step record of the objective. `total` is whatever the step
-    optimized; for the combined method it equals l_e + lambda_weight * l_m."""
+    optimized; for the combined method it equals l_e + lambda_weight * l_m.
+    `hinge_rows` counts the batch rows whose hinge gradient is nonzero, the
+    rows outside the margin. It is 0 when the margin is off; when the margin
+    is on and it is 0, l_m is 0.0 and the step added no hinge gradient."""
 
     l_m: float
     l_e: float
     total: float
+    hinge_rows: int = 0
 
 
 def marginal_loss(adapted: Array, source: Array, sigma: float):

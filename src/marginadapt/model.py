@@ -8,6 +8,7 @@ so an optimizer can hold references.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -200,9 +201,7 @@ class MlpEncoder:
         if names is None:
             held, lowest = [_LAYER_PARAMS] * (last + 1), 0
         else:
-            held = [{s for s in _LAYER_PARAMS if f"enc.{i}.{s}" in names}
-                    for i in range(last + 1)]
-            lowest = next((i for i, h in enumerate(held) if h), last + 1)
+            held, lowest = _held_per_layer(frozenset(names), last + 1)
         g = upstream
         grads = {}
         for i in range(last, lowest - 1, -1):
@@ -237,6 +236,15 @@ class MlpEncoder:
         for norm in self.norms:
             if norm is not None:
                 update_running_stats(norm)
+
+
+@functools.lru_cache(maxsize=64)
+def _held_per_layer(names: frozenset, n_layers: int):
+    """The parameter suffixes `names` holds in each of n_layers encoder
+    layers, and the lowest layer holding one (n_layers when none does)."""
+    held = tuple(frozenset(s for s in _LAYER_PARAMS if f"enc.{i}.{s}" in names)
+                 for i in range(n_layers))
+    return held, next((i for i, h in enumerate(held) if h), n_layers)
 
 
 class LinearClassifier:

@@ -269,6 +269,32 @@ def test_huge_sigma_reduces_to_entropy_with_refresh_step_for_step():
     assert curve_a.cumulative == curve_b.cumulative
 
 
+def test_hinge_rows_counts_the_rows_outside_the_margin(monkeypatch):
+    # an lr large enough for the adapted features to leave the margin on
+    # some steps and not on others
+    outside = []
+
+    def spy(adapted, source, sigma):
+        diff = adapted - source
+        outside.append(int(np.count_nonzero((diff * diff).sum(axis=1) > sigma)))
+        return real(adapted, source, sigma)
+
+    real = adapt.marginal_loss
+    monkeypatch.setattr(adapt, "marginal_loss", spy)
+    pair, target = _tiny(6)
+    _, _, reports = run_method(pair, target, AdaptConfig(lr=1e-2, sigma=0.05, seed=2))
+    assert [r.hinge_rows for r in reports] == outside
+    assert 0 < sum(outside) and 0 in outside
+    assert all((r.hinge_rows == 0) == (r.l_m == 0.0) for r in reports)
+
+    # no margin, no hinge rows
+    for cfg in (AdaptConfig(lr=1e-2, sigma=0.0, enable_lm=False),
+                AdaptConfig(lr=1e-2, method="pseudo_label")):
+        pair, target = _tiny(6)
+        _, _, reports = run_method(pair, target, cfg)
+        assert reports and all(r.hinge_rows == 0 for r in reports)
+
+
 def test_entropy_norm_requires_norm_layers():
     pair, target = _tiny(0)
     with pytest.raises(ConfigError):

@@ -457,6 +457,70 @@ def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extr
     assert passes["before any run"] == 1
 
 
+@pytest.mark.parametrize("sigma", [None, "0"], ids=["idle", "binding"])
+def test_ablate_runs_a_margin_twin_only_where_its_hinge_bound(tmp_path, capsys,
+                                                             monkeypatch, sigma):
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data)
+    target_path = os.path.join(data, "target.csv")
+    sigma_flag = [] if sigma is None else ["--sigma", sigma]
+    base = AdaptConfig() if sigma is None else AdaptConfig(sigma=float(sigma))
+
+    # reference: every row and trial run on its own
+    encoder, classifier, _ = load_checkpoint(ckpt)
+    target = load_csv(target_path, num_classes=classifier.num_classes)
+    expected, bound = {}, {}
+    for name, switches in ABLATION_GRID:
+        expected[name] = []
+        for trial in range(2):
+            cfg = replace(base, seed=trial, **switches)
+            pair = clone_for_adaptation(encoder.copy(), classifier.copy())
+            _, curve, reports = run_method(pair, target, cfg)
+            expected[name].append(curve.final_accuracy)
+            bound[name, trial] = any(r.hinge_rows for r in reports)
+
+    ran = []
+
+    def spy_run_method(pair, target, cfg, **kwargs):
+        ran.append((next(name for name, sw in ABLATION_GRID
+                         if all(getattr(cfg, k) == v for k, v in sw.items())), cfg.seed))
+        return run_method(pair, target, cfg, **kwargs)
+
+    monkeypatch.setattr(cli, "run_method", spy_run_method)
+    rc = main(["ablate", "--checkpoint", ckpt, "--target", target_path,
+               "--out", run, "--trials", "2", *sigma_flag])
+    assert rc == 0
+    record = json.load(open(os.path.join(run, "run_0001.json")))
+    assert [row["variant"] for row in record["rows"]] == [n for n, _ in ABLATION_GRID]
+    for row in record["rows"]:
+        assert row["final_accuracies"] == expected[row["variant"]]
+        assert row["mean_source_drop"] is None
+
+    # each twin with the hinge runs once; the row without it runs only
+    # where the twin's hinge bound
+    twins = {"le": "lm+le", "le+refresh": "all"}
+    assert sorted(ran) == sorted(
+        (name, trial) for name, _ in ABLATION_GRID for trial in range(2)
+        if name not in twins or bound[twins[name], trial])
+    if sigma is None:
+        # at the default margin `all` never binds on this task
+        assert not any(bound["all", trial] for trial in range(2))
+        assert ("le+refresh", 0) not in ran and ("le+refresh", 1) not in ran
+    else:
+        assert all(bound[twin, trial] for twin in twins.values() for trial in range(2))
+
+
+def test_adapt_record_loss_trace_keeps_its_three_keys(trained_task, tmp_path, capsys):
+    data, ckpt = trained_task
+    run = str(tmp_path / "run")
+    rc = main(["adapt", "--checkpoint", ckpt, "--target", os.path.join(data, "target.csv"),
+               "--out", run, "--steps", "4", "--lr", "5e-3", "--sigma", "0"])
+    assert rc == 0
+    record = json.load(open(os.path.join(run, "run_0001.json")))
+    assert sorted(record["loss_trace"]) == ["l_e", "l_m", "total"]
+    assert all(len(trace) == 4 for trace in record["loss_trace"].values())
+
+
 @pytest.mark.parametrize("field, value, why", [
     ("eps", "x", "malformed field"),
     ("eps", -1.0, "eps must be >= 0"),

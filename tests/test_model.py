@@ -190,6 +190,22 @@ def test_encoder_backward_on_a_name_set_equals_the_full_backward(dims, use_norm,
             npt.assert_array_equal(grads[name], full[name], err_msg=name)
 
 
+def test_one_name_set_serves_encoders_of_different_depths():
+    # the per-layer split of a name set depends on the layer count too
+    rng = np.random.default_rng(15)
+    names = frozenset({"enc.0.gamma", "enc.1.beta", "enc.2.w"})
+    for dims in ([6, 5, 5, 4], [6, 5, 4], [6, 5, 5, 5, 4], [6, 5, 4]):
+        enc = _varied_encoder(dims, True, rng)
+        enc.encode(rng.standard_normal((9, 6)), mode="train", retain_cache=True)
+        upstream = rng.standard_normal((9, 4))
+        full = enc.backward(upstream)
+        for held in (names, set(names), sorted(names)):
+            grads = enc.backward(upstream, held)
+            assert sorted(grads) == sorted(names & set(full))
+            for name in grads:
+                npt.assert_array_equal(grads[name], full[name], err_msg=name)
+
+
 def test_norm_only_backward_computes_no_weight_gradient(monkeypatch):
     # Tent's name set: the pass stops at the lowest norm's gamma and beta
     rng = np.random.default_rng(14)
