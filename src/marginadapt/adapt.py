@@ -136,7 +136,9 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
     # norm layers use the batch's own statistics on the target stream
     mode = "train" if enc.has_norm_layers else "eval"
-    step = _make_step(pair, cfg, mode) if limit > 0 else None
+    # a class never holds more rows than the stream has, so a bank of
+    # min(top_k, n) rows per class keeps and skips exactly what top_k would
+    step = _make_step(pair, cfg, mode, min(cfg.top_k, target.n)) if limit > 0 else None
     if step is None:
         limit = 0
     source_before = _source_accuracy(pair, source_eval)
@@ -208,11 +210,11 @@ def _stacked_hits(pair, target, batches, start, mode):
     return hits
 
 
-def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
+def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     """The update `step(xb, feats, probs, preds)` that cfg.method takes on a
     batch it has just scored in encoder `mode`, or None when the method never
     adapts. A step returns the batch's LossReport, or None when it optimised
-    nothing."""
+    nothing. A unidg bank holds `bank_rows` rows per class."""
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
 
@@ -249,7 +251,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str):
     any_gradients = cfg.enable_lm or cfg.enable_le
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
-    bank = init_from_classifier(pair.source_classifier, cfg.top_k) if cfg.enable_bank else None
+    bank = init_from_classifier(pair.source_classifier, bank_rows) if cfg.enable_bank else None
     opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
 
     def unidg_step(xb, feats, probs, preds):

@@ -30,7 +30,6 @@ from .numeric import (
     linear_param_grads,
     relu_backward,
     relu_forward,
-    softmax_rows,
     update_running_stats,
 )
 
@@ -116,9 +115,6 @@ class MlpEncoder:
     def norm_parameters(self):
         return [(n, p) for n, p in self.parameters() if n.endswith((".gamma", ".beta"))]
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
     def state_arrays(self):
         """All persistent arrays, learnable or not (for copies/fingerprints)."""
         out = list(self.parameters())
@@ -155,10 +151,14 @@ class MlpEncoder:
         """Map inputs to features.
 
         mode selects which statistics norm layers use ("train": batch,
-        "eval": running). The layer cache needed by backward() is kept when
-        retain_cache is true (default: only in train mode). x may also be a
-        (B, n, d) stack of batches, each encoded as its own 2-D call would
-        be; a stack keeps no cache.
+        "eval": running). The layer cache needed by backward() and
+        update_running_stats() is kept when retain_cache is true (default:
+        only in train mode). x may also be a (B, n, d) stack of batches, each
+        encoded as its own 2-D call would be; a stack never retains.
+
+        A forward that does not retain caches nothing: it leaves no layer
+        cache and every norm layer's cache at None, and drops each
+        intermediate as soon as the next op has read it.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"encode: unknown mode {mode!r}")
@@ -170,18 +170,28 @@ class MlpEncoder:
             raise DimensionError(
                 f"encode: input has {h.shape[-1]} features, expected {self.input_dim}"
             )
+        self._cache = None  # an earlier forward's cache, freed before this one allocates
         caches = []
         last = len(self.weights) - 1
         for i in range(last):
             a = linear_forward(h, self.weights[i], self.biases[i])
-            if self.norms[i] is not None:
-                a = batchnorm_forward(a, self.norms[i], mode=mode)
-            caches.append({"x": h, "act_in": a})
+            if retain_cache:
+                caches.append({"x": h})
+            del h
+            norm = self.norms[i]
+            if norm is not None:
+                a = batchnorm_forward(a, norm, mode=mode)
+                if not retain_cache:
+                    norm.cache = None
+            if retain_cache:
+                caches[-1]["act_in"] = a
             h = relu_forward(a)
-        caches.append({"x": h})
-        h = linear_forward(h, self.weights[last], self.biases[last])
-        self._cache = caches if retain_cache else None
-        return h
+            del a
+        out = linear_forward(h, self.weights[last], self.biases[last])
+        if retain_cache:
+            caches.append({"x": h})
+            self._cache = caches
+        return out
 
     def backward(self, upstream, names=None):
         """Gradients of sum(upstream * features) w.r.t. the parameters named
@@ -233,6 +243,10 @@ class MlpEncoder:
         return grads
 
     def update_running_stats(self):
+        """Fold the batch statistics of the last forward into each norm
+        layer's running statistics. That forward must have retained its
+        cache in train mode; after one that did not, nothing is cached and
+        this raises StateError."""
         for norm in self.norms:
             if norm is not None:
                 update_running_stats(norm)
@@ -305,9 +319,6 @@ class LinearClassifier:
             out.append(("clf.b", self.bias))
         return out
 
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
     def copy(self) -> "LinearClassifier":
         return LinearClassifier(
             self.omega.copy(), None if self.bias is None else self.bias.copy()
@@ -343,10 +354,6 @@ class ModelPair:
         return _fingerprint(
             self.adapted_encoder.state_arrays() + self.adapted_classifier.parameters()
         )
-
-    def predict_probs(self, x):
-        feats = self.adapted_encoder.encode(x, mode="eval", retain_cache=False)
-        return softmax_rows(self.adapted_classifier.logits(feats))
 
 
 def clone_for_adaptation(encoder: MlpEncoder, classifier: LinearClassifier) -> ModelPair:

@@ -29,7 +29,13 @@ The forward ops (`linear_forward`, `batchnorm_forward`, `relu_forward`,
 the value its own 2-D call would give, bit for bit: numpy's stacked matmul
 runs the same product per slice, and reductions over the last two axes run
 per slice in the same order. Train-mode normalization takes each slice's
-own batch statistics, and a stacked forward caches nothing for a backward.
+own batch statistics.
+
+A forward that does not retain caches nothing: `MlpEncoder.encode` without
+`retain_cache` (eval mode by default, or a stacked input) leaves every norm
+layer's `cache` at None and keeps no layer cache, so no array outlives the
+layer that reads it. Only a retaining forward feeds a backward or
+`update_running_stats`.
 """
 
 from __future__ import annotations
@@ -271,7 +277,9 @@ def update_running_stats(state: NormLayerState) -> None:
 
     Exponential moving average with the state's momentum. Kept separate from
     the forward pass so that inference-time adaptation can use batch
-    statistics without silently drifting the stored ones.
+    statistics without silently drifting the stored ones. Only a retaining
+    train-mode forward leaves the statistics to fold; after a forward that
+    does not retain (see the module docstring) this raises StateError.
     """
     if state.cache is None or state.cache.mode != "train":
         raise StateError("update_running_stats: no train-mode forward cached")

@@ -186,6 +186,18 @@ def _pool(datasets):
     return feats, labels
 
 
+def _pooled_splits(sources, cfg: TrainConfig):
+    """Each domain's train/holdout split, pooled across domains as
+    ((x_train, y_train), (x_val, y_val)). The per-domain splits are freed on
+    return, so training holds only the pooled copies."""
+    trains, vals = [], []
+    for k, ds in enumerate(sources):
+        tr, va = split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)
+        trains.append(tr)
+        vals.append(va)
+    return _pool(trains), _pool(vals)
+
+
 def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainReport:
     """Pooled empirical-risk training over the source domains.
 
@@ -204,13 +216,7 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
         raise ConfigError(
             f"batch_size must be >= 2 for an encoder with norm layers, got {cfg.batch_size}"
         )
-    trains, vals = [], []
-    for k, ds in enumerate(sources):
-        tr, va = split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)
-        trains.append(tr)
-        vals.append(va)
-    x_train, y_train = _pool(trains)
-    x_val, y_val = _pool(vals)
+    (x_train, y_train), (x_val, y_val) = _pooled_splits(sources, cfg)
 
     params = encoder.parameters() + classifier.parameters()
     opt = Adam(params, lr=cfg.lr, weight_decay=cfg.weight_decay)

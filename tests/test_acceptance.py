@@ -482,7 +482,10 @@ def test_criterion_9_determinism(tmp_path, capsys):
         f for f in os.listdir(run) if f.startswith("run_") and f.endswith(".json")
     )
     assert records == [f"run_{n:04d}.json" for n in range(1, 5)]
-    loaded = [json.load(open(os.path.join(run, f))) for f in records]
+    loaded = []
+    for f in records:
+        with open(os.path.join(run, f)) as fh:
+            loaded.append(json.load(fh))
     pairs = [(loaded[0], loaded[1]), (loaded[2], loaded[3])]
     for first, second in pairs:
         assert canonical_record_bytes(first) == canonical_record_bytes(second)

@@ -52,7 +52,8 @@ def test_first_batch_predictions_come_from_the_frozen_parameters():
     pair, target = _tiny(0)
     cfg = AdaptConfig(lr=1e-2, batch_size=32, seed=7)
     batch0 = stream_batches(target.n, cfg.batch_size, cfg.seed)[0]
-    frozen_probs = pair.predict_probs(target.features[batch0])
+    feats = pair.adapted_encoder.encode(target.features[batch0], mode="eval")
+    frozen_probs = softmax_rows(pair.adapted_classifier.logits(feats))
     frozen_acc = float(
         (np.argmax(frozen_probs, axis=1) == target.labels[batch0]).mean()
     )
@@ -116,7 +117,7 @@ def _per_batch_run(pair, target, cfg):
         batches = [b for b in batches if b.shape[0] >= 2]
     mode = "train" if enc.has_norm_layers else "eval"
     limit = len(batches) if cfg.steps is None else cfg.steps
-    step = adapt._make_step(pair, cfg, mode) if limit > 0 else None
+    step = adapt._make_step(pair, cfg, mode, min(cfg.top_k, target.n)) if limit > 0 else None
     cumulative, reports, correct, seen = [], [], 0, 0
     for t, idx in enumerate(batches):
         xb = target.features[idx]
@@ -293,6 +294,29 @@ def test_hinge_rows_counts_the_rows_outside_the_margin(monkeypatch):
         pair, target = _tiny(6)
         _, _, reports = run_method(pair, target, cfg)
         assert reports and all(r.hinge_rows == 0 for r in reports)
+
+
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+def test_a_top_k_past_the_stream_runs_like_one_equal_to_it(use_norm, monkeypatch):
+    # no class can hold more rows than the stream has, so the bank is sized
+    # by the stream and top_k = 10**12 allocates no more than top_k = n
+    sizes = []
+
+    def spy(classifier, top_k):
+        sizes.append(top_k)
+        return init(classifier, top_k)
+
+    init = adapt.init_from_classifier
+    monkeypatch.setattr(adapt, "init_from_classifier", spy)
+    runs = []
+    for top_k in (10**12, None):
+        pair, target = _tiny(5, use_norm=use_norm)
+        cfg = AdaptConfig(lr=1e-2, seed=3, top_k=top_k or target.n)
+        _, curve, reports = run_method(pair, target, cfg)
+        hexed = [(r.l_m.hex(), r.l_e.hex(), r.total.hex(), r.hinge_rows) for r in reports]
+        runs.append((curve.to_dict(), hexed, pair.adapted_fingerprint()))
+    assert sizes == [target.n, target.n]
+    assert runs[0] == runs[1]
 
 
 def test_entropy_norm_requires_norm_layers():

@@ -36,6 +36,11 @@ from marginadapt.cli import (
 )
 
 
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
 def _gen(tmp_path, seed=0):
     data = str(tmp_path / "data")
     rc = main([
@@ -75,7 +80,7 @@ def test_end_to_end_workflow(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "final target accuracy" in out and "source accuracy" in out
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     assert record["kind"] == "adapt" and record["method"] == "unidg"
     assert len(record["curve"]["cumulative"]) > 0
     assert len(record["loss_trace"]["total"]) == 3
@@ -88,7 +93,7 @@ def test_end_to_end_workflow(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "variant" in out
-    record = json.load(open(os.path.join(run, "run_0002.json")))
+    record = json.loads(_read(os.path.join(run, "run_0002.json")))
     assert [row["variant"] for row in record["rows"]] == [
         "none", "le", "refresh", "lm+le", "le+refresh", "all",
     ]
@@ -100,7 +105,7 @@ def test_end_to_end_workflow(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "finite differences" in out and "kernel[all]" in out
-    record = json.load(open(os.path.join(run, "run_0003.json")))
+    record = json.loads(_read(os.path.join(run, "run_0003.json")))
     assert record["kind"] == "diagnostics"
     assert record["bn_max_relative_error"] <= 1e-6
 
@@ -173,7 +178,7 @@ def test_flags_override_config_file(tmp_path, capsys):
         "--config", str(cfg), "--lr", "0.0005", "--steps", "1",
     ])
     assert rc == 0
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     assert record["config"]["lr"] == 0.0005  # flag wins
     assert record["config"]["sigma"] == 0.9  # file fills the rest
 
@@ -187,7 +192,7 @@ def test_lambda_flag_alias(tmp_path, capsys):
         "--lambda", "0.5", "--steps", "1",
     ])
     assert rc == 0
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     assert record["config"]["lambda_weight"] == 0.5
 
 
@@ -199,7 +204,7 @@ def test_method_none_reports_frozen_accuracy(tmp_path, capsys):
         os.path.join(data, "target.csv"), "--out", run, "--method", "none",
     ])
     assert rc == 0
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     assert record["method"] == "none"
     assert record["loss_trace"]["total"] == []
 
@@ -214,8 +219,8 @@ def test_rerun_with_same_seed_is_byte_reproducible(tmp_path, capsys):
     ]
     assert main(argv) == 0
     assert main(argv) == 0
-    rec1 = json.load(open(os.path.join(run, "run_0001.json")))
-    rec2 = json.load(open(os.path.join(run, "run_0002.json")))
+    rec1 = json.loads(_read(os.path.join(run, "run_0001.json")))
+    rec2 = json.loads(_read(os.path.join(run, "run_0002.json")))
     assert canonical_record_bytes(rec1) == canonical_record_bytes(rec2)
     # volatile timing stays out of the canonical form
     assert b"wall_clock" not in canonical_record_bytes(rec1)
@@ -247,8 +252,8 @@ def test_run_records_never_overwrite(tmp_path):
     p1 = write_run_record(out, {"x": 1})
     p2 = write_run_record(out, {"x": 2})
     assert p1.endswith("run_0001.json") and p2.endswith("run_0002.json")
-    assert json.load(open(p1)) == {"x": 1}
-    assert json.load(open(p2)) == {"x": 2}
+    assert json.loads(_read(p1)) == {"x": 1}
+    assert json.loads(_read(p2)) == {"x": 2}
 
 
 def test_ablate_rejects_explicit_method(tmp_path, capsys):
@@ -268,7 +273,7 @@ def test_ablate_rejects_explicit_method(tmp_path, capsys):
 def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
-    doc = json.load(open(ckpt))
+    doc = json.loads(_read(ckpt))
     doc["encoder"]["weights"][1][0][0] = float("nan")
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
@@ -291,7 +296,7 @@ def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
 def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value, command):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
-    doc = json.load(open(ckpt))
+    doc = json.loads(_read(ckpt))
     doc["encoder"][field] = value
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
@@ -447,7 +452,7 @@ def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extr
         "--source-data", data, "--out", run, "--trials", "2",
     ])
     assert rc == 0
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     for row in record["rows"]:
         finals, drop = expected[row["variant"]]
         assert row["final_accuracies"] == finals
@@ -490,7 +495,7 @@ def test_ablate_runs_a_margin_twin_only_where_its_hinge_bound(tmp_path, capsys,
     rc = main(["ablate", "--checkpoint", ckpt, "--target", target_path,
                "--out", run, "--trials", "2", *sigma_flag])
     assert rc == 0
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     assert [row["variant"] for row in record["rows"]] == [n for n, _ in ABLATION_GRID]
     for row in record["rows"]:
         assert row["final_accuracies"] == expected[row["variant"]]
@@ -516,9 +521,24 @@ def test_adapt_record_loss_trace_keeps_its_three_keys(trained_task, tmp_path, ca
     rc = main(["adapt", "--checkpoint", ckpt, "--target", os.path.join(data, "target.csv"),
                "--out", run, "--steps", "4", "--lr", "5e-3", "--sigma", "0"])
     assert rc == 0
-    record = json.load(open(os.path.join(run, "run_0001.json")))
+    record = json.loads(_read(os.path.join(run, "run_0001.json")))
     assert sorted(record["loss_trace"]) == ["l_e", "l_m", "total"]
     assert all(len(trace) == 4 for trace in record["loss_trace"].values())
+
+
+def test_adapt_with_a_top_k_past_the_stream_runs_like_one_equal_to_it(
+        trained_task, tmp_path, capsys):
+    data, ckpt = trained_task
+    target = os.path.join(data, "target.csv")
+    run = str(tmp_path / "run")
+    for top_k in (10**9, load_csv(target).n):
+        rc = main(["adapt", "--checkpoint", ckpt, "--target", target, "--out", run,
+                   "--steps", "4", "--lr", "5e-3", "--top-k", str(top_k)])
+        assert rc == 0
+    records = [json.loads(_read(os.path.join(run, f"run_000{n}.json"))) for n in (1, 2)]
+    for record in records:
+        del record["config"]["top_k"]
+    assert canonical_record_bytes(records[0]) == canonical_record_bytes(records[1])
 
 
 @pytest.mark.parametrize("field, value, why", [
@@ -532,7 +552,7 @@ def test_adapt_refuses_bad_norm_settings_for_both_encoder_kinds(
         tmp_path, capsys, extra, field, value, why):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data, extra=extra)
-    doc = json.load(open(ckpt))
+    doc = json.loads(_read(ckpt))
     doc["encoder"][field] = value
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
@@ -557,7 +577,7 @@ def test_gen_data_config_file_fills_in_and_flags_win(tmp_path, capsys):
     rc = main(["gen-data", "--out", out, "--config", str(cfg), "--num-classes", "5",
                "--num-source-domains", "1"])
     assert rc == 0
-    spec = json.load(open(os.path.join(out, "shift_spec.json")))["spec"]
+    spec = json.loads(_read(os.path.join(out, "shift_spec.json")))["spec"]
     assert spec["num_classes"] == 5  # flag wins
     assert spec["angle_deg"] == 45.0 and spec["samples_per_domain"] == 60  # file
     assert spec["within_class_std"] == ShiftSpec().within_class_std  # default
@@ -587,7 +607,7 @@ def _diagnose(tmp_path, *argv):
     out = str(tmp_path / "diag")
     rc = main(["diagnose", "--out", out, "--trials", "2", "--batch-rows", "4", *argv])
     records = sorted(f for f in os.listdir(out) if f.startswith("run_")) if rc == 0 else []
-    return rc, (json.load(open(os.path.join(out, records[-1]))) if records else None)
+    return rc, (json.loads(_read(os.path.join(out, records[-1]))) if records else None)
 
 
 def test_diagnose_config_file_fills_in_and_flags_win(tmp_path, capsys):
@@ -657,7 +677,7 @@ def test_non_integer_hidden_dims_entry_is_a_config_error(tmp_path, capsys, comma
 
 
 def test_readme_switches_match_the_adapt_parser():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = _read(os.path.join(os.path.dirname(__file__), "..", "README.md"))
     named = set(re.findall(r"`--([a-z-]+)/--no-\1`", readme))
     required = ["adapt", "--checkpoint", "c.json", "--target", "t.csv"]
     for switch in named:
@@ -669,7 +689,7 @@ def test_readme_switches_match_the_adapt_parser():
 
 
 def test_readme_adapt_value_flags_parse_on_adapt():
-    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    readme = _read(os.path.join(os.path.dirname(__file__), "..", "README.md"))
     sentence = readme[readme.index("`adapt` selects the method"):]
     sentence = sentence[:sentence.index("\n\n")]
     flags = re.findall(r"`--([a-z-]+)`", sentence)

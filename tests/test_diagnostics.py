@@ -45,7 +45,7 @@ def test_parameter_jacobian_matches_difference_quotients():
         x = rng.standard_normal(4)
         names = parameter_names(model, "all")
         jac = parameter_jacobian(model, x, subset="all")
-        assert jac.shape == (3, model.param_count())
+        assert jac.shape == (3, sum(p.size for _, p in model.parameters()))
         assert rel_error(jac, fd_jacobian(model, x, names)) < 1e-6
 
 

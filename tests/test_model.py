@@ -1,6 +1,7 @@
 """Encoder/classifier mechanics: shapes, gradients, freezing, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,7 +31,6 @@ from marginadapt import (
     load_checkpoint,
     model_fingerprint,
     save_checkpoint,
-    softmax_rows,
 )
 
 
@@ -38,11 +38,12 @@ def test_encoder_create_shapes_and_param_count():
     enc = MlpEncoder.create([16, 8, 4], seed=0)
     assert enc.input_dim == 16 and enc.feature_dim == 4
     assert [w.shape for w in enc.weights] == [(16, 8), (8, 4)]
-    assert enc.param_count() == 16 * 8 + 8 + 8 * 4 + 4
+    n_params = sum(p.size for _, p in enc.parameters())
+    assert n_params == 16 * 8 + 8 + 8 * 4 + 4
     assert not enc.has_norm_layers
     norm = MlpEncoder.create([16, 8, 4], use_norm=True, seed=0)
     # norm layers sit on hidden activations only, not the feature output
-    assert norm.param_count() == enc.param_count() + 2 * 8
+    assert sum(p.size for _, p in norm.parameters()) == n_params + 2 * 8
 
 
 def test_encoder_create_rejects_bad_dims():
@@ -266,6 +267,52 @@ def test_stacked_encode_and_logits_equal_their_per_batch_calls(use_norm, mode):
         enc.encode(x[None], mode=mode)
 
 
+def test_a_forward_that_does_not_retain_caches_nothing():
+    rng = np.random.default_rng(17)
+    enc = _varied_encoder([6, 5, 5, 4], True, rng)
+    x = rng.standard_normal((9, 6))
+    forwards = [
+        ("eval", x, None, enc.encode(x, mode="eval", retain_cache=True)),
+        ("train", x, False, enc.encode(x, mode="train", retain_cache=True)),
+        ("train", np.stack([x, x]), True, None),
+    ]
+    for mode, xs, retain, want in forwards:
+        # a retaining forward first, so that there is a cache to drop
+        enc.encode(x, mode="train", retain_cache=True)
+        feats = enc.encode(xs, mode=mode, retain_cache=retain)
+        if want is not None:
+            npt.assert_array_equal(feats, want)
+        assert enc._cache is None
+        assert all(norm.cache is None for norm in enc.norms)
+        with pytest.raises(StateError, match="update_running_stats"):
+            enc.update_running_stats()
+
+
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+def test_an_accuracy_pass_holds_few_activations_and_keeps_none(use_norm):
+    rng = np.random.default_rng(18)
+    rows, width = 2000, 256
+    enc = _varied_encoder([16, width, width, width], use_norm, rng)
+    clf = LinearClassifier.create(width, 4, seed=18)
+    x = rng.standard_normal((rows, 16))
+    y = rng.integers(0, 4, rows)
+    classification_accuracy(enc, clf, x, y)  # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        classification_accuracy(enc, clf, x, y)
+        kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    activation = rows * width * 8
+    # a layer's input and output and the output's finiteness mask (1/8 of
+    # it), plus inside a norm layer its centred input; numpy keeps ~100
+    # bytes of its own between calls
+    assert peak < (3.5 if use_norm else 2.5) * activation
+    assert kept < 1024
+
+
 def test_encoder_backward_requires_cache():
     enc = MlpEncoder.create([4, 3], seed=7)
     enc.encode(np.zeros((2, 4)), mode="eval")  # eval drops the cache by default
@@ -319,16 +366,6 @@ def test_clone_fingerprints_start_equal_then_diverge():
     assert pair.source_fingerprint() == pair.adapted_fingerprint()
     pair.adapted_classifier.omega[0, 0] += 1.0
     assert pair.source_fingerprint() != pair.adapted_fingerprint()
-
-
-def test_predict_probs_matches_pipeline():
-    enc = MlpEncoder.create([4, 3], seed=15)
-    clf = LinearClassifier.create(3, 2, seed=16)
-    pair = clone_for_adaptation(enc, clf)
-    rng = np.random.default_rng(15)
-    x = rng.standard_normal((6, 4))
-    expect = softmax_rows(clf.logits(enc.encode(x, mode="eval")))
-    npt.assert_allclose(pair.predict_probs(x), expect, atol=1e-12)
 
 
 def test_reinitialized_changes_weights_but_not_shape():
@@ -398,8 +435,9 @@ def test_logits_reject_a_non_finite_output():
     pair = clone_for_adaptation(enc, clf)
     pair.adapted_classifier.omega[0, 0] = np.inf
     x = np.random.default_rng(22).standard_normal((6, 4))
+    feats = pair.adapted_encoder.encode(x, mode="eval")
     with pytest.raises(NumericalFailure, match="logits"):
-        pair.predict_probs(x)
+        pair.adapted_classifier.logits(feats)
 
 
 def test_checkpoint_rejects_non_finite_arrays_naming_the_field(tmp_path):

@@ -1,6 +1,7 @@
 """Optimizer and source-training loop: reference Adam, loss oracle, degenerate runs."""
 
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -281,6 +282,37 @@ def test_training_improves_holdout_accuracy():
     assert len(report.val_history) == 8 and len(report.loss_history) > 0
     # the parameters left in the model are the ones the report scored
     assert classification_accuracy(enc, clf, x_val, y_val) == report.val_accuracy
+
+
+def test_training_leaves_no_forward_cache_behind():
+    sources, _, _ = _tiny_task(5)
+    enc = MlpEncoder.create([16, 12, 12, 16], use_norm=True, seed=5)
+    clf = LinearClassifier.create(16, 4, seed=6)
+    for epochs in (0, 2):
+        train_source_erm(enc, clf, sources, TrainConfig(lr=1e-2, epochs=epochs, seed=5))
+        assert enc._cache is None
+        assert all(norm.cache is None for norm in enc.norms)
+
+
+def test_training_frees_the_per_domain_splits_once_pooled(monkeypatch):
+    sources, enc, clf = _tiny_task(6)
+    splits, alive = [], []
+    split, loss = train_module.split_holdout, train_module.cross_entropy_loss
+
+    def spy_split(ds, fraction, seed=0):
+        parts = split(ds, fraction, seed=seed)
+        splits.extend(weakref.ref(part.features) for part in parts)
+        return parts
+
+    def spy_loss(probs, y):
+        alive.append(sum(ref() is not None for ref in splits))
+        return loss(probs, y)
+
+    monkeypatch.setattr(train_module, "split_holdout", spy_split)
+    monkeypatch.setattr(train_module, "cross_entropy_loss", spy_loss)
+    train_source_erm(enc, clf, sources, TrainConfig(lr=1e-2, epochs=1, seed=6))
+    assert len(splits) == 2 * len(sources)
+    assert alive and not any(alive)
 
 
 @pytest.mark.parametrize("hidden, use_norm", [([], False), ([8], True)], ids=["linear", "norm"])
