@@ -8,13 +8,19 @@ batches. Labels are consumed exclusively by the accuracy bookkeeping; no
 gradient ever sees them. A NumericalFailure while scoring or stepping on a
 batch names that batch's step.
 
-Batches that no step follows (every batch of a pass that never steps, and
-those after the step budget) see fixed parameters, so they are scored in
-stacked calls: one (B, n, d) encode, logits and softmax per run of
-equal-sized batches, at most _STACK_ROWS rows per call. Each slice gets the
-predictions its own call would give, bit for bit (see numeric). A failing
-stacked call is scored again one batch at a time, so that the failure names
-the first failing batch's step.
+The batches are taken in runs of equal-sized batches, at most _STACK_ROWS
+rows each (`_runs`), and each run's rows are gathered once as a (B, n, d)
+stack. Whatever does not depend on a step is computed for the whole run in
+one stacked call, and each slice gets the value its own 2-D call would give,
+bit for bit (see numeric):
+  - the frozen source's hinge features of the batches that step, since the
+    source never changes during a pass; each step then reads its slice;
+  - the predictions of the batches that no step follows (every batch of a
+    pass that never steps, and those after the step budget), which see
+    fixed parameters: one encode, logits and softmax per run.
+A failing stacked call is made again one batch at a time, each as its
+batch comes up, so that the failure names the first failing batch's step
+and every earlier step still runs.
 
 The steps (`_make_step`), and what each backpropagates:
   none          no step; a pure evaluation pass.
@@ -29,8 +35,8 @@ The steps (`_make_step`), and what each backpropagates:
                 rebuild prototypes and refresh the classifier columns; then
                 one Adam step on the entropy of the refreshed predictions
                 plus the margin hinge between adapted and frozen-source
-                features, both encoded in the stream's mode; every
-                parameter's gradient.
+                features, both encoded in the stream's mode (the source's
+                from the run's stacked call); every parameter's gradient.
 """
 
 from __future__ import annotations
@@ -143,20 +149,37 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
         limit = 0
     source_before = _source_accuracy(pair, source_eval)
 
+    # the frozen source's features feed only the unidg hinge
+    hinge = cfg.method == "unidg" and cfg.enable_lm
+    source = pair.source_encoder
     hits = []  # correct predictions per batch
     reports = []
-    for t, idx in enumerate(batches[:limit]):
-        xb = target.features[idx]
-        try:
-            feats = enc.encode(xb, mode=mode, retain_cache=True)
-            probs = softmax_rows(clf.logits(feats))
-            preds = np.argmax(probs, axis=1)
-            report = step(xb, feats, probs, preds)
-        except NumericalFailure as e:
-            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-        hits.append(int((preds == target.labels[idx]).sum()))
-        if report is not None:
-            reports.append(report)
+    for start, end in _runs(batches, 0, limit):
+        idx = np.stack(batches[start:end])
+        xs, labels = target.features[idx], target.labels[idx]
+        stacked = None
+        if hinge:
+            try:
+                stacked = source.encode(xs, mode=mode, retain_cache=False)
+            except NumericalFailure:
+                pass  # encoded batch by batch below, so the failure names its step
+        for i, xb in enumerate(xs):
+            t = start + i
+            try:
+                feats = enc.encode(xb, mode=mode, retain_cache=True)
+                probs = softmax_rows(clf.logits(feats))
+                preds = np.argmax(probs, axis=1)
+                source_feats = None
+                if stacked is not None:
+                    source_feats = stacked[i]
+                elif hinge:
+                    source_feats = source.encode(xb, mode=mode, retain_cache=False)
+                report = step(source_feats, feats, probs, preds)
+            except NumericalFailure as e:
+                raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
+            hits.append(int(np.count_nonzero(preds == labels[i])))
+            if report is not None:
+                reports.append(report)
     hits += _stacked_hits(pair, target, batches, limit, mode)
 
     cumulative = []
@@ -177,8 +200,8 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     return pair, curve, reports
 
 
-def _stacked_hits(pair, target, batches, start, mode):
-    """Correct predictions of each of batches[start:], which no step
+def _stacked_hits(pair, target, batches, first, mode):
+    """Correct predictions of each of batches[first:], which no step
     follows, scored in stacked calls (see the module docstring)."""
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
@@ -191,30 +214,38 @@ def _stacked_hits(pair, target, batches, start, mode):
             raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
 
     hits = []
-    t = start
-    while t < len(batches):
-        n = batches[t].shape[0]
-        end = t + 1
-        while (end < len(batches) and batches[end].shape[0] == n
-               and (end - t + 1) * n <= _STACK_ROWS):
-            end += 1
-        idx = np.stack(batches[t:end])
+    for start, end in _runs(batches, first, len(batches)):
+        idx = np.stack(batches[start:end])
         try:
-            preds = predict(idx, t)
+            preds = predict(idx, start)
         except NumericalFailure:
-            for s in range(t, end):
-                predict(batches[s], s)  # raises at the first failing batch
+            for t in range(start, end):
+                predict(batches[t], t)  # raises at the first failing batch
             raise
         hits += np.add.reduce(preds == target.labels[idx], axis=-1).tolist()
-        t = end
     return hits
 
 
+def _runs(batches, start, stop):
+    """(start, end) of each run of equal-sized batches in batches[start:stop]
+    that one stacked call takes: at most _STACK_ROWS rows, and at least one
+    batch."""
+    while start < stop:
+        n = batches[start].shape[0]
+        end = start + 1
+        while end < stop and batches[end].shape[0] == n and (end - start + 1) * n <= _STACK_ROWS:
+            end += 1
+        yield start, end
+        start = end
+
+
 def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
-    """The update `step(xb, feats, probs, preds)` that cfg.method takes on a
-    batch it has just scored in encoder `mode`, or None when the method never
-    adapts. A step returns the batch's LossReport, or None when it optimised
-    nothing. A unidg bank holds `bank_rows` rows per class."""
+    """The update `step(source_feats, feats, probs, preds)` that cfg.method
+    takes on a batch it has just scored in encoder `mode`, or None when the
+    method never adapts. `source_feats` are the frozen source's features of
+    the batch in the same mode when the step uses the hinge, else None. A
+    step returns the batch's LossReport, or None when it optimised nothing.
+    A unidg bank holds `bank_rows` rows per class."""
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
 
@@ -225,7 +256,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         opt = Adam(enc.norm_parameters(), lr=cfg.lr)
         held = frozenset(n for n, _ in opt.params)
 
-        def entropy_norm_step(xb, feats, probs, preds):
+        def entropy_norm_step(source_feats, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
             gz, _ = clf.backward(feats, g_logits, held)
             egrads = enc.backward(gz, held)
@@ -239,7 +270,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     if cfg.method == "pseudo_label":
         opt = Adam(pair.parameters(), lr=cfg.lr)
 
-        def pseudo_label_step(xb, feats, probs, preds):
+        def pseudo_label_step(source_feats, feats, probs, preds):
             loss, g_logits = cross_entropy_loss(probs, preds)
             gz, cgrads = clf.backward(feats, g_logits)
             egrads = enc.backward(gz)
@@ -254,7 +285,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     bank = init_from_classifier(pair.source_classifier, bank_rows) if cfg.enable_bank else None
     opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
 
-    def unidg_step(xb, feats, probs, preds):
+    def unidg_step(source_feats, feats, probs, preds):
         if cfg.enable_bank:
             labels_hat, entropies = pseudo_label(probs)
             insert_and_select(bank, feats, labels_hat, entropies)
@@ -265,18 +296,18 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
 
         l_m = l_e = 0.0
         hinge_rows = 0
-        g_feats = np.zeros_like(feats)
         grads = {}
         if cfg.enable_le:
             # entropy is taken through the refreshed classifier
             probs_post = softmax_rows(clf.logits(feats))
             l_e, g_logits = entropy_loss(probs_post)
             gz, grads = clf.backward(feats, g_logits)
-            g_feats += gz
+            g_feats = gz + 0.0  # -0.0 becomes 0.0, the bits zeros + gz gives
+        else:
+            g_feats = np.zeros_like(feats)
         if cfg.enable_lm:
-            # like for like: the source sees the batch in the adapted copy's
+            # like for like: the source saw the batch in the adapted copy's
             # mode, so the hinge measures parameter drift, not a mode gap
-            source_feats = pair.source_encoder.encode(xb, mode=mode, retain_cache=False)
             l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
             # a g_lm with no nonzero entry (no row active) would change no
             # bit: x + 0.0 is x for every x but -0.0, and g_feats holds none

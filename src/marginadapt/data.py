@@ -408,12 +408,15 @@ def split_holdout(ds: DomainDataset, fraction: float, seed: int = 0):
             f"holdout of {fraction} on {ds.n} rows leaves an empty split"
         )
     rng = np.random.default_rng(seed)
-    present = sorted(int(c) for c in np.unique(ds.labels))
+    # labels lie in [0, C) (DomainDataset checks), so bincount needs no
+    # np.unique, whose first call imports numpy.ma
+    sizes = np.bincount(ds.labels).tolist()
+    present = [c for c, nc in enumerate(sizes) if nc]
     quotas = {}
     remainders = []
     total = 0
     for c in present:
-        nc = int((ds.labels == c).sum())
+        nc = sizes[c]
         exact = fraction * nc
         q = int(math.floor(exact))
         quotas[c] = q

@@ -7,7 +7,12 @@ Two terms, both computed per batch:
                    a margin of the source.
 * entropy_loss  -- mean Shannon entropy of the softmax predictions.
 
-Each returns (value, gradient); gradients are exact, not estimated.
+Each returns (value, gradient); gradients are exact, not estimated. Both
+call the ufuncs behind the array methods (`np.add.reduce` for `.sum` and
+`.mean`'s sum, `np.minimum.reduce`/`np.maximum.reduce` for the range checks),
+as `numeric` does; the values are the methods' bit for bit. A batch with no
+row outside the margin returns the hinge's (0.0, zeros) without computing
+it.
 """
 
 from __future__ import annotations
@@ -51,6 +56,10 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
     n = adapted.shape[0]
     diff = adapted - source
     dist_sq = np.add.reduce(diff * diff, axis=1)
+    if n and np.maximum.reduce(dist_sq) <= sigma:
+        # no row outside the margin: the general form's exact (0.0, zeros);
+        # a NaN distance fails the test and is caught below
+        return 0.0, np.zeros(adapted.shape)
     active = dist_sq > sigma
     value = float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / n)
     grad = np.where(active[:, None], (2.0 / n) * diff, 0.0)
@@ -66,18 +75,17 @@ def entropy_loss(probs: Array):
     value = -(1/N) sum_i sum_c p log p, with 0 log 0 = 0.
     dL/dz_ic = -(1/N) p_ic (log p_ic + H_i).
     """
-    if (probs < 0.0).any():
+    if np.minimum.reduce(probs, axis=None, initial=0.0) < 0.0:
         raise InputError("entropy_loss: probabilities must be nonnegative")
-    row_sums = probs.sum(axis=1)
-    if np.abs(row_sums - 1.0).max() > 1e-6:
+    worst = np.maximum.reduce(np.abs(np.add.reduce(probs, axis=1) - 1.0))
+    if worst > 1e-6:
         raise InputError(
-            "entropy_loss: rows must sum to 1 within 1e-6 "
-            f"(worst deviation {np.abs(row_sums - 1.0).max():.3e})"
+            f"entropy_loss: rows must sum to 1 within 1e-6 (worst deviation {worst:.3e})"
         )
     n = probs.shape[0]
     logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
-    row_entropy = -(probs * logp).sum(axis=1)
-    value = float(row_entropy.mean())
+    row_entropy = -np.add.reduce(probs * logp, axis=1)
+    value = float(np.add.reduce(row_entropy) / n)
     grad_logits = -(probs * (logp + row_entropy[:, None])) / n
     if not np.isfinite(value):
         raise NumericalFailure("entropy_loss: non-finite value")

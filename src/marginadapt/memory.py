@@ -9,10 +9,17 @@ the newer row first. Pseudo-labels break ties toward the lowest class index.
 The bank is a set of fixed arrays: `features (C, K, d)`, `entropies (C, K)`,
 `steps (C, K)`, `counts (C,)` and `prototypes (C, d)`, whose row j is class
 j's prototype. Class j holds its first `counts[j]` slots in that order, and
-the prototype is their mean. An insert sorts the batch once by class, then
-entropy, then newest first, and then makes one stable sort per class it
-touches; a full class that no new row can enter is skipped. `steps` records
-each row's arrival for inspection (`supports`); no decision reads it.
+the prototype is their mean; the slots past `counts[j]` are never written
+and stay 0.0. An insert sorts the batch once by class, then entropy, then
+newest first, and then makes one stable sort per class it touches; a full
+class that no new row can enter is skipped. `steps` records each row's
+arrival for inspection (`supports`); no decision reads it.
+
+The prototypes and the refresh are whole-array ops: one sum over the K
+axis and one masked division give every class's mean, and one masked copy
+writes every supported column. The code calls the ufuncs behind the array
+methods (`np.add.reduce` for `.sum`, `arr.argsort` for `np.argsort`), as
+`numeric` does; the values are the same bit for bit.
 """
 
 from __future__ import annotations
@@ -82,7 +89,7 @@ def pseudo_label(probs: Array):
     class index (np.argmax convention)."""
     labels = np.argmax(probs, axis=1)
     logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
-    entropies = -(probs * logp).sum(axis=1)
+    entropies = -np.add.reduce(probs * logp, axis=1)
     return labels, entropies
 
 
@@ -126,7 +133,7 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
         if held == cap and new_ent[start] > bank.entropies[j, cap - 1]:
             continue  # every new row is worse than every held one
         ent = np.concatenate((new_ent[start:stop], bank.entropies[j, :held]))
-        sel = np.argsort(ent, kind="stable")[:cap]
+        sel = ent.argsort(kind="stable")[:cap]
         m = sel.shape[0]
         stp = np.concatenate((new_stp[start:stop], bank.steps[j, :held]))
         feats = np.concatenate((new_feats[start:stop], bank.features[j, :held]))
@@ -139,11 +146,21 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
 
 def compute_prototypes(bank: MemoryBank) -> Array:
     """Mean of each class's held rows, written into its row of
-    `bank.prototypes`. Classes without rows keep their current row. The
-    sum and division are the ones `np.mean` runs, without its wrapper."""
-    for j, n in enumerate(bank.counts.tolist()):
-        if n:
-            bank.prototypes[j] = np.add.reduce(bank.features[j, :n], axis=0) / n
+    `bank.prototypes`. Classes without rows keep their current row.
+
+    The sum and division are the ones `np.mean` runs, for every class at
+    once: one sum over the K axis, then a division where the count is
+    nonzero. The slots past a class's count have never been written, so
+    they add 0.0, and x + 0.0 is x (numpy's sum also starts from 0.0). A
+    single column is the exception: numpy sums it pairwise, in an order set
+    by the number of rows summed, so each class is summed over its own rows."""
+    counts = bank.counts
+    if bank.feature_dim == 1:
+        sums = np.array([np.add.reduce(bank.features[j, :n], axis=0)
+                         for j, n in enumerate(counts.tolist())])
+    else:
+        sums = np.add.reduce(bank.features, axis=1)
+    np.divide(sums, counts[:, None], out=bank.prototypes, where=counts[:, None] > 0)
     return bank.prototypes
 
 
@@ -157,7 +174,7 @@ def refresh_classifier(bank: MemoryBank, classifier):
     if classifier.num_classes != bank.num_classes:
         raise DimensionError("refresh_classifier: class counts differ")
     held = bank.counts > 0
-    classifier.omega[:, held] = bank.prototypes[held].T
+    np.copyto(classifier.omega, bank.prototypes.T, where=held)
     if classifier.bias is not None:
-        classifier.bias[held] = 0.0
+        np.copyto(classifier.bias, 0.0, where=held)
     return classifier

@@ -11,6 +11,7 @@ from marginadapt import (
     DomainDataset,
     LinearClassifier,
     MlpEncoder,
+    ModelPair,
     NumericalFailure,
     ShiftSpec,
     TrainConfig,
@@ -110,7 +111,8 @@ def test_scoring_failure_names_the_step(method):
 
 def _per_batch_run(pair, target, cfg):
     """run_method's protocol one batch at a time: score the batch alone, then
-    step on it while the budget lasts."""
+    step on it while the budget lasts, with the frozen source's features of
+    that batch alone."""
     enc, clf = pair.adapted_encoder, pair.adapted_classifier
     batches = stream_batches(target.n, cfg.batch_size, cfg.seed)
     if enc.has_norm_layers:
@@ -125,7 +127,8 @@ def _per_batch_run(pair, target, cfg):
         probs = softmax_rows(clf.logits(feats))
         preds = np.argmax(probs, axis=1)
         if step is not None and t < limit:
-            reports.append(step(xb, feats, probs, preds))
+            source_feats = pair.source_encoder.encode(xb, mode=mode, retain_cache=False)
+            reports.append(step(source_feats, feats, probs, preds))
         correct += int((preds == target.labels[idx]).sum())
         seen += idx.shape[0]
         cumulative.append(correct / seen)
@@ -142,8 +145,11 @@ def _per_batch_run(pair, target, cfg):
     dict(method="entropy_norm", steps=5),
     dict(method="pseudo_label", steps=3),
     dict(enable_lm=False, enable_le=False, enable_bank=False),
+    dict(sigma=0.0),
+    dict(steps=5, sigma=0.0),
+    dict(enable_le=False, sigma=0.0),
 ], ids=["none", "none-b37", "steps0", "steps5", "steps5-b37", "tent-steps5", "pl-steps3",
-        "switches-off"])
+        "switches-off", "hinge", "hinge-steps5", "hinge-no-le"])
 def test_stacked_scoring_equals_a_per_batch_loop(settings, cap, monkeypatch):
     monkeypatch.setattr(adapt, "_STACK_ROWS", cap)
     cfg = AdaptConfig(lr=1e-2, seed=4, **settings)
@@ -157,6 +163,42 @@ def test_stacked_scoring_equals_a_per_batch_loop(settings, cap, monkeypatch):
         assert curve.cumulative == cumulative
         assert reports == ref_reports
         assert pair.adapted_fingerprint() == ref_pair.adapted_fingerprint()
+        assert _hexed(reports) == _hexed(ref_reports)
+        if cfg.sigma == 0.0 and cfg.enable_le:
+            assert any(r.hinge_rows for r in reports)  # the hinge binds
+
+
+def _hexed(reports):
+    return [(r.l_m.hex(), r.l_e.hex(), r.total.hex(), r.hinge_rows) for r in reports]
+
+
+@pytest.mark.parametrize("cap", [64, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])
+def test_a_source_failure_in_a_later_stacked_batch_names_its_step(cap, monkeypatch):
+    # only the frozen source overflows, on one row of batch 5: its weights on
+    # input 0 are huge and input 0 is zero on every other row
+    monkeypatch.setattr(adapt, "_STACK_ROWS", cap)
+    pair, target = _tiny(5)
+    source = pair.adapted_encoder.copy()
+    source.weights[0][0] = 1e300
+    pair = ModelPair(source, pair.source_classifier,
+                     pair.adapted_encoder, pair.adapted_classifier)
+    cfg = AdaptConfig(seed=1)
+    row = stream_batches(target.n, cfg.batch_size, cfg.seed)[5][3]
+    target.features[:, 0] = 0.0
+    target.features[row, 0] = 1e10
+    steps = []
+    original = Adam.step
+
+    def spy(self, grads):
+        steps.append(grads)
+        return original(self, grads)
+
+    monkeypatch.setattr(Adam, "step", spy)
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericalFailure,
+            match="^adaptation aborted at step 5: linear_forward: produced non-finite"):
+        run_method(pair, target, cfg)
+    assert len(steps) == 5  # every step before the failing one ran
 
 
 def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):

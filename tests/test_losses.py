@@ -11,6 +11,7 @@ from marginadapt import (
     ConfigError,
     DimensionError,
     InputError,
+    NumericalFailure,
     entropy_loss,
     marginal_loss,
     softmax_rows,
@@ -62,6 +63,32 @@ def test_marginal_loss_inside_margin_is_exactly_zero():
         value, grad = marginal_loss(a, s, 0.15)
         assert value == 0.0
         assert np.count_nonzero(grad) == 0
+
+
+@pytest.mark.parametrize("case", ["below", "on-the-margin", "no-drift", "sigma-minus-zero"])
+def test_marginal_loss_on_an_idle_batch_is_the_general_forms_zero(case):
+    # no row outside the margin: the same (0.0, zeros) bits and dtype as the
+    # general form, which computes every row
+    rng = np.random.default_rng(3)
+    s = rng.standard_normal((6, 4))
+    a = s + (1e-3 * rng.standard_normal((6, 4)) if case in ("below", "on-the-margin") else 0.0)
+    diff = a - s
+    dist_sq = np.add.reduce(diff * diff, axis=1)
+    sigma = {"below": 0.15, "on-the-margin": float(dist_sq.max()),
+             "no-drift": 0.0, "sigma-minus-zero": -0.0}[case]
+    want_grad = np.where((dist_sq > sigma)[:, None], (2.0 / 6) * diff, 0.0)
+    want = float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / 6)
+    value, grad = marginal_loss(a, s, sigma)
+    assert value.hex() == want.hex() == (0.0).hex()
+    assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+    npt.assert_array_equal(grad.view(np.uint64), want_grad.view(np.uint64))
+
+
+def test_marginal_loss_still_rejects_a_nan_distance():
+    a = np.zeros((3, 2))
+    a[1, 0] = np.nan  # no row compares above the margin
+    with pytest.raises(NumericalFailure, match="marginal_loss: non-finite value"):
+        marginal_loss(a, np.zeros((3, 2)), 0.15)
 
 
 def test_marginal_loss_gradient_matches_fd_on_active_rows():

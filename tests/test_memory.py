@@ -5,6 +5,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginadapt import (
     ConfigError,
@@ -270,6 +272,37 @@ def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, top_
             # slots past the count have never been written
             assert (bank.features[j, n_held:].view(np.uint64) == 0).all()
     assert bank.counts.tolist() == [top_k] * 3 + [3, 1, 0]
+
+
+@st.composite
+def _filled_banks(draw):
+    """A bank whose classes are empty, partly filled or full, with values
+    over nine decades (so the order of a sum shows) and some -0.0 columns;
+    the slots past each count are left as the bank made them."""
+    num_classes = draw(st.integers(2, 6))
+    cap = draw(st.integers(1, 24))
+    dim = draw(st.sampled_from([1, 2, 3, 7]))
+    bank = MemoryBank(num_classes, dim, capacity_per_class=cap)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bank.prototypes[:] = rng.standard_normal((num_classes, dim))
+    for j in range(num_classes):
+        n = draw(st.sampled_from([0, cap, int(rng.integers(0, cap + 1))]))
+        feats = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 6, size=(n, 1))
+        if rng.random() < 0.3:
+            feats[:, int(rng.integers(dim))] = -0.0
+        bank.features[j, :n] = feats
+        bank.counts[j] = n
+    return bank
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_filled_banks())
+def test_prototypes_equal_the_per_class_means_bit_for_bit(bank):
+    start = bank.prototypes.copy()
+    compute_prototypes(bank)
+    for j, n in enumerate(bank.counts.tolist()):
+        want = bank.features[j, :n].mean(axis=0) if n else start[j]
+        npt.assert_array_equal(bank.prototypes[j].view(np.uint64), want.view(np.uint64))
 
 
 def _full_sort_insert(bank, features, labels, entropies):

@@ -1,13 +1,18 @@
 """Optimizer and source-training loop: reference Adam, loss oracle, degenerate runs."""
 
 import math
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gradcheck import numeric_grad, rel_error
+import marginadapt
 from marginadapt import train as train_module
 from marginadapt import (
     Adam,
@@ -403,3 +408,24 @@ def test_training_failure_names_epoch_and_step(monkeypatch):
     _, enc, clf = _tiny_task(6)
     with pytest.raises(NumericalFailure, match="training aborted at epoch 0, step 0: backward"):
         train_source_erm(enc, clf, sources, TrainConfig(epochs=2, seed=6))
+
+
+def test_training_does_not_import_numpy_ma():
+    # numpy.ma costs every training process import time and heap it keeps;
+    # np.unique is one numpy call that imports it
+    code = (
+        "import sys\n"
+        "from marginadapt import (LinearClassifier, MlpEncoder, ShiftSpec, TrainConfig,\n"
+        "                         gen_synthetic_shift, train_source_erm)\n"
+        "sources, _ = gen_synthetic_shift(ShiftSpec(samples_per_domain=60, seed=0))\n"
+        "enc = MlpEncoder.create([16, 8], use_norm=True, seed=0)\n"
+        "clf = LinearClassifier.create(8, 4, seed=1)\n"
+        "train_source_erm(enc, clf, sources, TrainConfig(epochs=1))\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(Path(marginadapt.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
