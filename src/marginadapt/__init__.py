@@ -58,6 +58,7 @@ from .memory import (
     refresh_classifier,
 )
 from .model import (
+    FlatParameters,
     LinearClassifier,
     MlpEncoder,
     ModelPair,
@@ -65,6 +66,7 @@ from .model import (
     clone_for_adaptation,
     load_checkpoint,
     model_fingerprint,
+    pack,
     save_checkpoint,
 )
 from .numeric import (

@@ -36,7 +36,13 @@ The steps (`_make_step`), and what each backpropagates:
                 one Adam step on the entropy of the refreshed predictions
                 plus the margin hinge between adapted and frozen-source
                 features, both encoded in the stream's mode (the source's
-                from the run's stacked call); every parameter's gradient.
+                from the run's stacked call); every parameter's gradient,
+                the classifier's only with the entropy term.
+Each step's Adam holds one contiguous slice of the adapted pair's packed
+vectors (`ModelPair.flat`): the norm slice for entropy_norm, the encoder's
+slice for unidg without the entropy term, and the whole of them otherwise.
+The backward writes into that slice and the step updates it, with no
+per-parameter bookkeeping.
 """
 
 from __future__ import annotations
@@ -248,19 +254,19 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     A unidg bank holds `bank_rows` rows per class."""
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
+    flat = pair.flat
 
     if cfg.method == "entropy_norm":
-        # Adam holds only the norm affine parameters, and the backward
-        # computes no other gradient, so the linear weights and the
-        # classifier stay fixed
-        opt = Adam(enc.norm_parameters(), lr=cfg.lr)
-        held = frozenset(n for n, _ in opt.params)
+        # Adam holds only the norm affine parameters, the packed vectors'
+        # leading slice, and the backward computes no other gradient, so the
+        # linear weights and the classifier stay fixed
+        opt = Adam(flat.values[flat.norm], flat.grads[flat.norm], lr=cfg.lr)
+        held = frozenset(n for n, _ in enc.norm_parameters())
 
         def entropy_norm_step(source_feats, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
-            gz, _ = clf.backward(feats, g_logits, held)
-            egrads = enc.backward(gz, held)
-            opt.step(egrads)
+            enc.backward(clf.backward(feats, g_logits, held), held)
+            opt.step()
             # the adapted model keeps the stream's normalization afterwards
             enc.update_running_stats()
             return LossReport(l_m=0.0, l_e=l_e, total=l_e)
@@ -268,13 +274,12 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         return entropy_norm_step
 
     if cfg.method == "pseudo_label":
-        opt = Adam(pair.parameters(), lr=cfg.lr)
+        opt = Adam(flat.values, flat.grads, lr=cfg.lr)
 
         def pseudo_label_step(source_feats, feats, probs, preds):
             loss, g_logits = cross_entropy_loss(probs, preds)
-            gz, cgrads = clf.backward(feats, g_logits)
-            egrads = enc.backward(gz)
-            opt.step({**egrads, **cgrads})
+            enc.backward(clf.backward(feats, g_logits))
+            opt.step()
             return LossReport(l_m=0.0, l_e=0.0, total=loss)
 
         return pseudo_label_step
@@ -283,7 +288,10 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
     bank = init_from_classifier(pair.source_classifier, bank_rows) if cfg.enable_bank else None
-    opt = Adam(pair.parameters(), lr=cfg.lr) if any_gradients else None
+    # without the entropy term no gradient reaches the classifier, so Adam
+    # holds the encoder's slice alone
+    part = slice(None) if cfg.enable_le else flat.encoder
+    opt = Adam(flat.values[part], flat.grads[part], lr=cfg.lr) if any_gradients else None
 
     def unidg_step(source_feats, feats, probs, preds):
         if cfg.enable_bank:
@@ -296,13 +304,12 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
 
         l_m = l_e = 0.0
         hinge_rows = 0
-        grads = {}
         if cfg.enable_le:
             # entropy is taken through the refreshed classifier
             probs_post = softmax_rows(clf.logits(feats))
             l_e, g_logits = entropy_loss(probs_post)
-            gz, grads = clf.backward(feats, g_logits)
-            g_feats = gz + 0.0  # -0.0 becomes 0.0, the bits zeros + gz gives
+            # + 0.0 turns -0.0 into 0.0, the bits zeros + gradient gives
+            g_feats = clf.backward(feats, g_logits) + 0.0
         else:
             g_feats = np.zeros_like(feats)
         if cfg.enable_lm:
@@ -317,8 +324,8 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         total = l_e + cfg.lambda_weight * l_m
         if not np.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")
-        egrads = enc.backward(g_feats)
-        opt.step({**egrads, **grads})
+        enc.backward(g_feats)
+        opt.step()
         return LossReport(l_m=l_m, l_e=l_e, total=total, hinge_rows=hinge_rows)
 
     return unidg_step

@@ -266,11 +266,12 @@ def write_csv(datasets, path) -> str:
     if not datasets:
         raise DataError("write_csv: nothing to write")
     dim = datasets[0].features.shape[1]
+    # checked before the file opens, so a refused call writes nothing
+    if any(ds.features.shape[1] != dim for ds in datasets):
+        raise DataError("write_csv: feature widths differ across domains")
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow([f"f{i}" for i in range(dim)] + ["label", "domain"])
         for ds in datasets:
-            if ds.features.shape[1] != dim:
-                raise DataError("write_csv: feature widths differ across domains")
             buf = io.StringIO()
             csv.writer(buf).writerow(["", ds.domain_id])
             tail = buf.getvalue()

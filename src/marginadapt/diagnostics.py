@@ -69,14 +69,13 @@ def parameter_jacobian(model: MlpEncoder, x_row, subset: str = "all") -> Array:
     x = np.asarray(x_row, dtype=np.float64).reshape(1, -1)
     feats = model.encode(x, mode="eval", retain_cache=True)
     d = feats.shape[1]
-    sizes = dict(model.parameters())
-    width = sum(sizes[n].size for n in names)
-    jac = np.empty((d, width))
+    grads = [g for n, g in model.gradients() if n in names]
+    jac = np.empty((d, sum(g.size for g in grads)))
     for k in range(d):
         upstream = np.zeros((1, d))
         upstream[0, k] = 1.0
-        grads = model.backward(upstream, held)
-        jac[k] = np.concatenate([grads[n].ravel() for n in names])
+        model.backward(upstream, held)
+        jac[k] = np.concatenate([g.ravel() for g in grads])
     return jac
 
 

@@ -87,6 +87,6 @@ def entropy_loss(probs: Array):
     row_entropy = -np.add.reduce(probs * logp, axis=1)
     value = float(np.add.reduce(row_entropy) / n)
     grad_logits = -(probs * (logp + row_entropy[:, None])) / n
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise NumericalFailure("entropy_loss: non-finite value")
     return value, grad_logits

@@ -2,8 +2,11 @@
 
 The encoder is a small MLP (linear -> optional norm -> relu per hidden layer,
 plain linear output). Gradients are computed analytically from per-layer
-caches. Parameters are exposed as (name, array) pairs and updated in place,
-so an optimizer can hold references.
+caches. Parameters and their gradients are exposed as (name, array) pairs;
+backward writes each gradient in place into the model's own gradient
+array, and an optimizer updates the parameters in place. `pack` moves a
+network's parameters into one flat vector and its gradients into another,
+so that an optimizer steps the whole network as one vector.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import functools
 import hashlib
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .numeric import (
 )
 
 CHECKPOINT_VERSION = 1
-_LAYER_PARAMS = ("w", "b", "gamma", "beta")  # an encoder layer's parameter suffixes
 
 
 class MlpEncoder:
@@ -70,6 +73,11 @@ class MlpEncoder:
             if norm is not None and norm.dim != dims[i + 1]:
                 raise DimensionError(
                     f"norm {i}: dim {norm.dim} does not match layer_dims {dims[i + 1]}")
+        # where backward writes each parameter's gradient (see gradients())
+        self._weight_grads = [np.zeros(w.shape) for w in weights]
+        self._bias_grads = [np.zeros(b.shape) for b in biases]
+        self._norm_grads = [None if n is None else (np.zeros(n.dim), np.zeros(n.dim))
+                            for n in norms]
 
     @classmethod
     def create(cls, layer_dims, use_norm=False, seed=0, eps=1e-5, momentum=0.1):
@@ -103,14 +111,13 @@ class MlpEncoder:
 
     def parameters(self):
         """Learnable (name, array) pairs in a fixed order."""
-        out = []
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out.append((f"enc.{i}.w", w))
-            out.append((f"enc.{i}.b", b))
-            if i < len(self.norms) and self.norms[i] is not None:
-                out.append((f"enc.{i}.gamma", self.norms[i].gamma))
-                out.append((f"enc.{i}.beta", self.norms[i].beta))
-        return out
+        return _encoder_named(self.weights, self.biases,
+                              [None if n is None else (n.gamma, n.beta) for n in self.norms])
+
+    def gradients(self):
+        """(name, array) pairs aligned with parameters(): the arrays backward
+        writes each parameter's gradient into."""
+        return _encoder_named(self._weight_grads, self._bias_grads, self._norm_grads)
 
     def norm_parameters(self):
         return [(n, p) for n, p in self.parameters() if n.endswith((".gamma", ".beta"))]
@@ -195,52 +202,46 @@ class MlpEncoder:
 
     def backward(self, upstream, names=None):
         """Gradients of sum(upstream * features) w.r.t. the parameters named
-        in `names` (default: all of them), as a dict keyed like
-        `parameters()`.
+        in `names` (default: all of them), written in place into the arrays
+        of `gradients()`.
 
         Requires a cached forward (encode with retain_cache). The cache is
         left intact, so several upstreams can be pushed through one forward.
-        A layer's gradients are computed only for its named parameters, and
-        the pass descends no lower than the lowest layer holding one: below
-        it nothing reads a gradient. The gradient w.r.t. the input is never
-        computed, for the same reason.
+        A layer writes its w and b gradients when `names` holds either, and
+        its gamma and beta gradients when `names` holds either (one op
+        computes each pair); every other array keeps what it held. The pass
+        descends no lower than the lowest layer holding a named parameter:
+        below it nothing reads a gradient. The gradient w.r.t. the input is
+        never computed, for the same reason.
         """
         if self._cache is None:
             raise StateError("backward: call encode with retain_cache first")
         last = len(self.weights) - 1
         if names is None:
-            held, lowest = [_LAYER_PARAMS] * (last + 1), 0
+            held, lowest = ((True, True),) * (last + 1), 0
         else:
             held, lowest = _held_per_layer(frozenset(names), last + 1)
         g = upstream
-        grads = {}
         for i in range(last, lowest - 1, -1):
             cache = self._cache[i]
-            linear = "w" in held[i] or "b" in held[i]
-            # the gradient below layer i's norm is read by this layer's w and
-            # b and, through its linear map, by the layers below
-            through_norm = i > lowest or linear
+            linear, affine = held[i]
             if i < last:
                 g = relu_backward(cache["act_in"], g)
                 norm = self.norms[i]
                 if norm is not None:
-                    if through_norm:
-                        g, ggamma, gbeta = batchnorm_backward(norm, g)
+                    out = self._norm_grads[i] if affine else None
+                    # the gradient below layer i's norm is read by this
+                    # layer's w and b and, through its linear map, by the
+                    # layers below
+                    if i > lowest or linear:
+                        g, _, _ = batchnorm_backward(norm, g, out)
                     else:
-                        ggamma, gbeta = batchnorm_param_grads(norm, g)
-                    if "gamma" in held[i]:
-                        grads[f"enc.{i}.gamma"] = ggamma
-                    if "beta" in held[i]:
-                        grads[f"enc.{i}.beta"] = gbeta
+                        batchnorm_param_grads(norm, g, out)
             if linear:
-                gw, gb = linear_param_grads(cache["x"], self.weights[i], g)
-                if "w" in held[i]:
-                    grads[f"enc.{i}.w"] = gw
-                if "b" in held[i]:
-                    grads[f"enc.{i}.b"] = gb
+                linear_param_grads(cache["x"], self.weights[i], g,
+                                   (self._weight_grads[i], self._bias_grads[i]))
             if i > lowest:
                 g = linear_input_grad(self.weights[i], g)
-        return grads
 
     def update_running_stats(self):
         """Fold the batch statistics of the last forward into each norm
@@ -252,13 +253,26 @@ class MlpEncoder:
                 update_running_stats(norm)
 
 
+def _encoder_named(weights, biases, norm_pairs):
+    """(name, array) pairs of an encoder's per-layer arrays in parameters()
+    order; norm_pairs holds a (gamma, beta) pair per hidden layer, or None."""
+    out = []
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        out += [(f"enc.{i}.w", w), (f"enc.{i}.b", b)]
+        if i < len(norm_pairs) and norm_pairs[i] is not None:
+            out += [(f"enc.{i}.gamma", norm_pairs[i][0]), (f"enc.{i}.beta", norm_pairs[i][1])]
+    return out
+
+
 @functools.lru_cache(maxsize=64)
 def _held_per_layer(names: frozenset, n_layers: int):
-    """The parameter suffixes `names` holds in each of n_layers encoder
-    layers, and the lowest layer holding one (n_layers when none does)."""
-    held = tuple(frozenset(s for s in _LAYER_PARAMS if f"enc.{i}.{s}" in names)
+    """For each of n_layers encoder layers, whether `names` holds its w or b
+    and whether its gamma or beta; and the lowest layer holding one of the
+    four (n_layers when none does)."""
+    held = tuple((f"enc.{i}.w" in names or f"enc.{i}.b" in names,
+                  f"enc.{i}.gamma" in names or f"enc.{i}.beta" in names)
                  for i in range(n_layers))
-    return held, next((i for i, h in enumerate(held) if h), n_layers)
+    return held, next((i for i, h in enumerate(held) if any(h)), n_layers)
 
 
 class LinearClassifier:
@@ -270,6 +284,9 @@ class LinearClassifier:
         self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         if self.bias is not None and self.bias.shape != (self.omega.shape[1],):
             raise DimensionError("bias length must equal the number of classes")
+        # where backward writes the parameters' gradients (see gradients())
+        self._omega_grad = np.zeros(self.omega.shape)
+        self._bias_grad = None if self.bias is None else np.zeros(self.bias.shape)
 
     @classmethod
     def create(cls, feature_dim, num_classes, seed=0, with_bias=True):
@@ -301,23 +318,21 @@ class LinearClassifier:
         return _finite(out, "logits")
 
     def backward(self, z, upstream, names=None):
-        """Gradients of sum(upstream * logits) w.r.t. the features and the
-        parameters named in `names` (default: all of them)."""
-        grads = {}
+        """Gradient of sum(upstream * logits) w.r.t. the features, returned.
+        Unless `names` (default: all parameters) holds neither clf.w nor
+        clf.b, the omega and bias gradients are written in place into the
+        arrays of `gradients()`."""
         if names is None or "clf.w" in names or "clf.b" in names:
-            gw, gb = linear_param_grads(z, self.omega, upstream)
-            grads["clf.w"] = gw
-            if self.bias is not None:
-                grads["clf.b"] = gb
-            if names is not None:
-                grads = {n: g for n, g in grads.items() if n in names}
-        return linear_input_grad(self.omega, upstream), grads
+            linear_param_grads(z, self.omega, upstream, (self._omega_grad, self._bias_grad))
+        return linear_input_grad(self.omega, upstream)
 
     def parameters(self):
-        out = [("clf.w", self.omega)]
-        if self.bias is not None:
-            out.append(("clf.b", self.bias))
-        return out
+        return _classifier_named(self.omega, self.bias)
+
+    def gradients(self):
+        """(name, array) pairs aligned with parameters(): the arrays backward
+        writes each parameter's gradient into."""
+        return _classifier_named(self._omega_grad, self._bias_grad)
 
     def copy(self) -> "LinearClassifier":
         return LinearClassifier(
@@ -325,14 +340,69 @@ class LinearClassifier:
         )
 
 
+def _classifier_named(omega, bias):
+    return [("clf.w", omega)] + ([] if bias is None else [("clf.b", bias)])
+
+
+@dataclass(frozen=True, eq=False)
+class FlatParameters:
+    """A packed network (see `pack`): each learnable array is a view of the
+    1-D float64 vector `values` and its gradient the same view of `grads`.
+    The encoder's norm gammas and betas come first, so `norm` is their
+    slice; its weights and biases follow and close `encoder`, the slice of
+    every encoder parameter; the classifier's omega and bias end it."""
+
+    values: Array
+    grads: Array
+    norm: slice
+    encoder: slice
+
+
+def pack(encoder: MlpEncoder, classifier: LinearClassifier) -> FlatParameters:
+    """Move the learnable arrays of `encoder` and `classifier` into one flat
+    vector and their gradient arrays into a matching one. Each array is
+    replaced by a view of the vector holding its current value, so the
+    models compute as before, bit for bit; backward then fills `grads` in
+    place and an optimizer steps a slice of the two vectors. An array object
+    held from before is no longer the model's."""
+    size = sum(p.size for _, p in encoder.parameters() + classifier.parameters())
+    values, grads = np.empty(size), np.zeros(size)
+    end = 0
+
+    def take(a):
+        nonlocal end
+        start, end = end, end + a.size
+        view = values[start:end].reshape(a.shape)
+        view[...] = a
+        return view, grads[start:end].reshape(a.shape)
+
+    for i, norm in enumerate(encoder.norms):
+        if norm is not None:
+            (norm.gamma, ggamma), (norm.beta, gbeta) = take(norm.gamma), take(norm.beta)
+            encoder._norm_grads[i] = (ggamma, gbeta)
+    norm_end = end
+    for i, (w, b) in enumerate(zip(encoder.weights, encoder.biases)):
+        encoder.weights[i], encoder._weight_grads[i] = take(w)
+        encoder.biases[i], encoder._bias_grads[i] = take(b)
+    encoder_end = end
+    classifier.omega, classifier._omega_grad = take(classifier.omega)
+    if classifier.bias is not None:
+        classifier.bias, classifier._bias_grad = take(classifier.bias)
+    return FlatParameters(values, grads, slice(0, norm_end), slice(0, encoder_end))
+
+
 class ModelPair:
     """Frozen source model next to its learnable adapted copy.
 
     The source arrays are marked read-only; any in-place write raises. The
-    adapted halves start as deep copies and drift under adaptation.
+    adapted halves start as deep copies and drift under adaptation; they
+    are packed as one network, `flat` (see `pack`).
     """
 
     def __init__(self, source_encoder, source_classifier, adapted_encoder, adapted_classifier):
+        if adapted_encoder is source_encoder or adapted_classifier is source_classifier:
+            # packing would give the source writable arrays, adapted with the copy
+            raise ConfigError("ModelPair: the adapted halves must be copies, not the source")
         self.source_encoder = source_encoder
         self.source_classifier = source_classifier
         self.adapted_encoder = adapted_encoder
@@ -341,9 +411,7 @@ class ModelPair:
             arr.flags.writeable = False
         for _, arr in self.source_classifier.parameters():
             arr.flags.writeable = False
-
-    def parameters(self):
-        return self.adapted_encoder.parameters() + self.adapted_classifier.parameters()
+        self.flat = pack(adapted_encoder, adapted_classifier)
 
     def source_fingerprint(self) -> str:
         return _fingerprint(

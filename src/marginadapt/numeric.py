@@ -22,7 +22,10 @@ are those of the method and out-of-place forms bit for bit.
 `linear_input_grad` (the x gradient); a backward that needs only some of
 them calls only those, and a failure in either is reported as
 linear_backward's. `batchnorm_param_grads` is likewise `batchnorm_backward`
-without the input gradient.
+without the input gradient. The parameter-gradient ops take an `out` pair
+of arrays, so a model writes its gradients straight into its own gradient
+storage (see `model.pack`); the values are those of the allocating calls
+bit for bit.
 
 The forward ops (`linear_forward`, `batchnorm_forward`, `relu_forward`,
 `softmax_rows`) also take a (B, n, d) stack of B batches. Each slice gets
@@ -121,15 +124,17 @@ def linear_input_grad(w: Array, upstream: Array) -> Array:
     return _finite(upstream @ w.T, "linear_backward")
 
 
-def linear_param_grads(x: Array, w: Array, upstream: Array):
-    """The w and b gradients of `linear_backward`, without the x gradient.
-    Failures are reported as linear_backward's."""
+def linear_param_grads(x: Array, w: Array, upstream: Array, out=None):
+    """The w and b gradients of `linear_backward`, without the x gradient,
+    written into `out`, a (gw, gb) pair of arrays, when given. Failures are
+    reported as linear_backward's."""
     if upstream.shape != (x.shape[0], w.shape[1]):
         raise DimensionError(
             f"linear_backward: upstream shape {upstream.shape} != {(x.shape[0], w.shape[1])}"
         )
-    gw = x.T @ upstream
-    gb = np.add.reduce(upstream, axis=0)
+    gw, gb = (None, None) if out is None else out
+    gw = np.matmul(x.T, upstream, out=gw)
+    gb = np.add.reduce(upstream, axis=0, out=gb)
     return _finite(gw, "linear_backward"), _finite(gb, "linear_backward")
 
 
@@ -292,16 +297,17 @@ def update_running_stats(state: NormLayerState) -> None:
     state.running_var += mom * c.var
 
 
-def batchnorm_backward(state: NormLayerState, upstream: Array):
+def batchnorm_backward(state: NormLayerState, upstream: Array, out=None):
     """Closed-form gradients through the cached normalization.
 
     For a train-mode cache with m rows:
       gx = (m*g - sum(g) - x_hat * sum(g*x_hat)) / (m*sqrt(var+eps))
     with g = upstream*gamma and sqrt(var+eps) read from the cache. Eval-mode
     caches reduce to the affine shortcut gx = g / sqrt(running_var + eps).
-    ggamma/gbeta are the usual reductions.
+    ggamma/gbeta are the usual reductions, written into `out`, a (ggamma,
+    gbeta) pair of arrays, when given.
     """
-    ggamma, gbeta = batchnorm_param_grads(state, upstream)
+    ggamma, gbeta = batchnorm_param_grads(state, upstream, out)
     c = state.cache
     gxhat = upstream * state.gamma
     if c.mode == "train":
@@ -314,9 +320,10 @@ def batchnorm_backward(state: NormLayerState, upstream: Array):
     return _finite(gx, "batchnorm_backward"), ggamma, gbeta
 
 
-def batchnorm_param_grads(state: NormLayerState, upstream: Array):
+def batchnorm_param_grads(state: NormLayerState, upstream: Array, out=None):
     """The gamma and beta gradients of `batchnorm_backward`, without the x
-    gradient. Failures are reported as batchnorm_backward's."""
+    gradient, written into `out` when given. Failures are reported as
+    batchnorm_backward's."""
     if state.cache is None:
         raise StateError("batchnorm_backward: no forward cache present")
     c = state.cache
@@ -324,8 +331,9 @@ def batchnorm_param_grads(state: NormLayerState, upstream: Array):
         raise DimensionError(
             f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
         )
-    ggamma = np.add.reduce(upstream * c.x_hat, axis=0)
-    gbeta = np.add.reduce(upstream, axis=0)
+    ggamma, gbeta = (None, None) if out is None else out
+    ggamma = np.add.reduce(upstream * c.x_hat, axis=0, out=ggamma)
+    gbeta = np.add.reduce(upstream, axis=0, out=gbeta)
     return _finite(ggamma, "batchnorm_backward"), _finite(gbeta, "batchnorm_backward")
 
 

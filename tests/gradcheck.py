@@ -1,4 +1,4 @@
-"""Central finite differences shared by the gradient tests."""
+"""Central finite differences and gradient read-out shared by the gradient tests."""
 
 import numpy as np
 
@@ -36,3 +36,13 @@ def rel_error(analytic, numeric, atol=1e-9):
     if na < atol and nn < atol:
         return 0.0
     return float(np.linalg.norm(a - n) / max(na, nn, 1e-12))
+
+
+def backward_grads(model, *args):
+    """Run model.backward(*args) with every gradient array of the model set
+    to NaN first. Returns the backward's result and {name: copy} of the
+    gradient arrays it wrote, in gradients() order."""
+    for _, g in model.gradients():
+        g[...] = np.nan
+    result = model.backward(*args)
+    return result, {n: g.copy() for n, g in model.gradients() if not np.isnan(g).all()}

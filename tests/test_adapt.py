@@ -189,9 +189,9 @@ def test_a_source_failure_in_a_later_stacked_batch_names_its_step(cap, monkeypat
     steps = []
     original = Adam.step
 
-    def spy(self, grads):
-        steps.append(grads)
-        return original(self, grads)
+    def spy(self):
+        steps.append(self.state.t)
+        return original(self)
 
     monkeypatch.setattr(Adam, "step", spy)
     with np.errstate(over="ignore"), pytest.raises(
@@ -201,18 +201,70 @@ def test_a_source_failure_in_a_later_stacked_batch_names_its_step(cap, monkeypat
     assert len(steps) == 5  # every step before the failing one ran
 
 
-def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):
-    pair, target = _tiny(3, use_norm=True)
+def _held_by_steps(pair, target, cfg, monkeypatch):
+    """Per Adam step of a pass: (the parameter and gradient vectors Adam
+    holds, as array interfaces, and the names of the adapted model's
+    gradient arrays that lie in its gradient vector)."""
+    grads = pair.adapted_encoder.gradients() + pair.adapted_classifier.gradients()
     seen = []
     original = Adam.step
 
-    def spy(self, grads):
-        seen.append(sorted(grads))
-        return original(self, grads)
+    def spy(self):
+        names = sorted(n for n, g in grads if np.shares_memory(g, self.grads))
+        seen.append((self.params.__array_interface__, self.grads.__array_interface__, names))
+        return original(self)
 
     monkeypatch.setattr(Adam, "step", spy)
-    run_method(pair, target, AdaptConfig(method="entropy_norm", lr=1e-2, steps=4, seed=1))
-    assert seen == [sorted(n for n, _ in pair.adapted_encoder.norm_parameters())] * 4
+    run_method(pair, target, cfg)
+    return seen
+
+
+def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):
+    # Tent's Adam holds exactly the norm slice of the packed vectors, and the
+    # norm gradient arrays tile it
+    pair, target = _tiny(3, use_norm=True)
+    flat = pair.flat
+    names = sorted(n for n, _ in pair.adapted_encoder.norm_parameters())
+    assert flat.norm.stop == sum(p.size for _, p in pair.adapted_encoder.norm_parameters())
+    cfg = AdaptConfig(method="entropy_norm", lr=1e-2, steps=4, seed=1)
+    want = (flat.values[flat.norm].__array_interface__,
+            flat.grads[flat.norm].__array_interface__, names)
+    assert _held_by_steps(pair, target, cfg, monkeypatch) == [want] * 4
+
+
+@pytest.mark.parametrize("settings, part", [
+    (dict(method="pseudo_label"), slice(None)),
+    (dict(method="unidg"), slice(None)),
+    (dict(method="unidg", enable_lm=False), slice(None)),
+    (dict(method="unidg", enable_le=False), "encoder"),
+], ids=["pseudo_label", "unidg", "unidg-no-lm", "unidg-no-le"])
+def test_each_step_holds_one_slice_of_the_packed_vectors(settings, part, monkeypatch):
+    pair, target = _tiny(3, use_norm=True)
+    flat = pair.flat
+    part = flat.encoder if part == "encoder" else part
+    params = pair.adapted_encoder.parameters() + pair.adapted_classifier.parameters()
+    names = sorted(n for n, p in params if np.shares_memory(p, flat.values[part]))
+    cfg = AdaptConfig(lr=1e-2, steps=3, seed=1, **settings)
+    want = (flat.values[part].__array_interface__, flat.grads[part].__array_interface__, names)
+    assert _held_by_steps(pair, target, cfg, monkeypatch) == [want] * 3
+    if part != slice(None):
+        assert not any(n.startswith("clf.") for n in names)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(method=m) for m in METHODS] + [dict(enable_le=False), dict(enable_lm=False)],
+    ids=[*METHODS, "unidg-no-le", "unidg-no-lm"])
+def test_a_pass_leaves_the_source_unchanged_and_read_only(settings):
+    pair, target = _tiny(4, use_norm=True)
+    fingerprint = pair.source_fingerprint()
+    run_method(pair, target, AdaptConfig(lr=1e-2, seed=2, **settings))
+    assert pair.source_fingerprint() == fingerprint
+    source = pair.source_encoder.state_arrays() + pair.source_classifier.parameters()
+    assert not any(a.flags.writeable for _, a in source)
+    # the adapted model's learnable arrays are views of the packed vector
+    adapted = pair.adapted_encoder.parameters() + pair.adapted_classifier.parameters()
+    assert all(np.shares_memory(p, pair.flat.values) for _, p in adapted)
+    assert not any(np.shares_memory(a, pair.flat.values) for _, a in source)
 
 
 @pytest.mark.parametrize("cap", [64, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])

@@ -192,6 +192,24 @@ def test_csv_bytes_match_a_per_value_repr_writer(tmp_path):
         npt.assert_array_equal(back[ds.domain_id].labels, ds.labels)
 
 
+def test_write_csv_refuses_mixed_widths_before_touching_the_file(tmp_path):
+    # a 4-column domain then a 3-column one: nothing may be written, or the
+    # first domain's rows would load back as a valid one-domain file
+    a = DomainDataset(features=np.ones((2, 4)), labels=np.array([0, 1]),
+                      num_classes=2, domain_id="a")
+    b = DomainDataset(features=np.ones((2, 3)), labels=np.array([1, 0]),
+                      num_classes=2, domain_id="b")
+    path = tmp_path / "mixed.csv"
+    with pytest.raises(DataError, match="^write_csv: feature widths differ"):
+        write_csv([a, b], path)
+    assert not path.exists()
+    write_csv([b], path)
+    before = path.read_bytes()
+    with pytest.raises(DataError, match="^write_csv: feature widths differ"):
+        write_csv([a, b], path)
+    assert path.read_bytes() == before
+
+
 def test_load_csv_single_domain_selection(tmp_path):
     sources, target = gen_synthetic_shift(ShiftSpec(seed=15, samples_per_domain=12))
     path = tmp_path / "all.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gradcheck import numeric_grad, rel_error
+from gradcheck import backward_grads, numeric_grad, rel_error
 from marginadapt import model
 from marginadapt.numeric import (
     NormLayerState,
@@ -30,6 +30,7 @@ from marginadapt import (
     clone_for_adaptation,
     load_checkpoint,
     model_fingerprint,
+    pack,
     save_checkpoint,
 )
 
@@ -88,7 +89,7 @@ def test_encoder_backward_matches_fd():
             return float(np.sum(r * enc.encode(x, mode="train")))
 
         loss()
-        grads = enc.backward(r)
+        _, grads = backward_grads(enc, r)
         tol = 1e-4  # relu kinks cap the agreement on the full stack
         for name, p in enc.parameters():
             assert rel_error(grads[name], numeric_grad(loss, p)) < tol, name
@@ -104,7 +105,7 @@ def test_encoder_backward_eval_mode_matches_fd():
         return float(np.sum(r * enc.encode(x, mode="eval", retain_cache=True)))
 
     loss()
-    grads = enc.backward(r)
+    _, grads = backward_grads(enc, r)
     for name, p in enc.parameters():
         assert rel_error(grads[name], numeric_grad(loss, p)) < 1e-4, name
 
@@ -152,10 +153,10 @@ def test_encoder_backward_is_bit_identical_to_linear_backward_at_every_layer(
     x = rng.standard_normal((9, dims[0]))
     upstream = rng.standard_normal((9, dims[-1]))
     enc.encode(x, mode=mode, retain_cache=True)
-    grads = enc.backward(upstream)
+    _, grads = backward_grads(enc, upstream)
     want = reference_encoder_grads(enc, x, mode, upstream)
-    assert list(grads) == list(want)
-    assert sorted(grads) == sorted(name for name, _ in enc.parameters())
+    assert [n for n, _ in enc.gradients()] == [n for n, _ in enc.parameters()]
+    assert sorted(grads) == sorted(want) == sorted(name for name, _ in enc.parameters())
     for name in want:
         npt.assert_array_equal(grads[name], want[name], err_msg=name)
 
@@ -179,16 +180,24 @@ def test_encoder_backward_on_a_name_set_equals_the_full_backward(dims, use_norm,
     x = rng.standard_normal((9, dims[0]))
     upstream = rng.standard_normal((9, dims[-1]))
     enc.encode(x, mode=mode, retain_cache=True)
-    full = enc.backward(upstream)
+    _, full = backward_grads(enc, upstream)
     names = [n for n, _ in enc.parameters()]
     subsets = [[], names, [n for n, _ in enc.norm_parameters()],
                [n for n in names if n.startswith(f"enc.{len(dims) - 2}.")]]
     subsets += [[n] for n in names]
     for held in subsets:
-        grads = enc.backward(upstream, frozenset(held))
-        assert sorted(grads) == sorted(held)
-        for name in held:
+        _, grads = backward_grads(enc, upstream, frozenset(held))
+        assert set(held) <= set(grads)
+        assert {_pair_of(n) for n in grads} == {_pair_of(n) for n in held}
+        for name in grads:
             npt.assert_array_equal(grads[name], full[name], err_msg=name)
+
+
+def _pair_of(name):
+    """The layer of a parameter and whether it is a w/b or a gamma/beta: one
+    op computes both gradients of a pair, so the backward writes both."""
+    layer, kind = name.rsplit(".", 1)
+    return layer, kind in ("w", "b")
 
 
 def test_one_name_set_serves_encoders_of_different_depths():
@@ -199,10 +208,10 @@ def test_one_name_set_serves_encoders_of_different_depths():
         enc = _varied_encoder(dims, True, rng)
         enc.encode(rng.standard_normal((9, 6)), mode="train", retain_cache=True)
         upstream = rng.standard_normal((9, 4))
-        full = enc.backward(upstream)
+        _, full = backward_grads(enc, upstream)
         for held in (names, set(names), sorted(names)):
-            grads = enc.backward(upstream, held)
-            assert sorted(grads) == sorted(names & set(full))
+            _, grads = backward_grads(enc, upstream, held)
+            assert {_pair_of(n) for n in grads} == {_pair_of(n) for n in names & set(full)}
             for name in grads:
                 npt.assert_array_equal(grads[name], full[name], err_msg=name)
 
@@ -223,7 +232,7 @@ def test_norm_only_backward_computes_no_weight_gradient(monkeypatch):
 
         monkeypatch.setattr(model, name, counted)
     held = frozenset(n for n, _ in enc.norm_parameters())
-    grads = enc.backward(rng.standard_normal((9, 4)), held)
+    _, grads = backward_grads(enc, rng.standard_normal((9, 4)), held)
     assert sorted(grads) == sorted(held)
     assert calls == ["linear_input_grad", "batchnorm_backward",
                      "linear_input_grad", "batchnorm_param_grads"]
@@ -235,11 +244,11 @@ def test_classifier_backward_on_a_name_set():
     up = rng.standard_normal((7, 3))
     for bias in (True, False):
         clf = LinearClassifier.create(5, 3, seed=2, with_bias=bias)
-        gz, full = clf.backward(z, up)
+        gz, full = backward_grads(clf, z, up)
         for held in ([], ["clf.w"], ["clf.b"], ["clf.w", "clf.b"]):
-            hz, grads = clf.backward(z, up, frozenset(held))
+            hz, grads = backward_grads(clf, z, up, frozenset(held))
             npt.assert_array_equal(hz, gz)
-            assert sorted(grads) == sorted(n for n in held if n in full)
+            assert sorted(grads) == (sorted(full) if held else [])
             for name in grads:
                 npt.assert_array_equal(grads[name], full[name])
 
@@ -325,8 +334,8 @@ def test_encoder_cache_survives_multiple_backwards():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((5, 4))
     enc.encode(x, mode="train")
-    g1 = enc.backward(np.ones((5, 3)))
-    g2 = enc.backward(np.ones((5, 3)))
+    _, g1 = backward_grads(enc, np.ones((5, 3)))
+    _, g2 = backward_grads(enc, np.ones((5, 3)))
     assert g1.keys() == g2.keys()
     for name in g1:
         npt.assert_array_equal(g1[name], g2[name])
@@ -338,13 +347,48 @@ def test_classifier_backward_matches_fd():
         clf = LinearClassifier.create(5, 3, seed=10, with_bias=with_bias)
         z = rng.standard_normal((6, 5))
         r = rng.standard_normal((6, 3))
-        gz, grads = clf.backward(z, r)
+        gz, grads = backward_grads(clf, z, r)
         assert rel_error(gz, numeric_grad(lambda: np.sum(r * clf.logits(z)), z)) < 1e-6
         assert rel_error(grads["clf.w"], numeric_grad(lambda: np.sum(r * clf.logits(z)), clf.omega)) < 1e-6
         if with_bias:
             assert rel_error(grads["clf.b"], numeric_grad(lambda: np.sum(r * clf.logits(z)), clf.bias)) < 1e-6
         else:
             assert "clf.b" not in grads
+
+
+@pytest.mark.parametrize("use_norm, bias", [(False, True), (True, True), (True, False)],
+                         ids=["linear", "norm", "norm-no-bias"])
+def test_pack_lays_the_parameters_out_norm_first_and_backward_fills_the_gradients(
+        use_norm, bias):
+    rng = np.random.default_rng(19)
+    enc = _varied_encoder([6, 5, 5, 4], use_norm, rng)
+    clf = LinearClassifier.create(4, 3, seed=5, with_bias=bias)
+    x, up = rng.standard_normal((9, 6)), rng.standard_normal((9, 3))
+    ref_enc, ref_clf = enc.copy(), clf.copy()
+    fingerprint = model_fingerprint(enc, clf)
+    flat = pack(enc, clf)
+    assert model_fingerprint(enc, clf) == fingerprint
+    params = enc.parameters() + clf.parameters()
+    norm = [p for _, p in enc.norm_parameters()]
+    linear = [p for n, p in enc.parameters() if n.endswith((".w", ".b"))]
+    layout = norm + linear + [p for _, p in clf.parameters()]
+    npt.assert_array_equal(flat.values, np.concatenate([p.ravel() for p in layout]))
+    assert flat.values.size == flat.grads.size == sum(p.size for _, p in params)
+    assert flat.norm == slice(0, sum(p.size for p in norm))
+    assert flat.encoder == slice(0, flat.norm.stop + sum(p.size for p in linear))
+    for _, p in params:  # each parameter is a view of the vector
+        assert p.base is flat.values
+    # backward writes each gradient into the matching view of `grads`,
+    # with the values of an unpacked model's backward
+    for e, c in ((enc, clf), (ref_enc, ref_clf)):
+        e.backward(c.backward(e.encode(x, mode="train"), up))
+    ref = dict(ref_enc.gradients() + ref_clf.gradients())
+    names = ([n for n, _ in enc.norm_parameters()]
+             + [n for n, _ in enc.parameters() if n.endswith((".w", ".b"))]
+             + [n for n, _ in clf.parameters()])
+    npt.assert_array_equal(flat.grads, np.concatenate([ref[n].ravel() for n in names]))
+    for (_, p), (_, g) in zip(params, enc.gradients() + clf.gradients()):
+        assert g.base is flat.grads and g.shape == p.shape
 
 
 def test_clone_freezes_source_and_frees_adapted():
@@ -357,6 +401,14 @@ def test_clone_freezes_source_and_frees_adapted():
         pair.source_classifier.omega[0, 0] = 1.0
     pair.adapted_encoder.weights[0][0, 0] = 1.0  # adapted copy stays writable
     assert enc.weights[0][0, 0] == 1.0 or True  # source object is the frozen one
+
+
+def test_a_pair_refuses_the_source_as_its_own_adapted_half():
+    enc = MlpEncoder.create([4, 3], seed=15)
+    clf = LinearClassifier.create(3, 2, seed=16)
+    for halves in ((enc, clf.copy()), (enc.copy(), clf)):
+        with pytest.raises(ConfigError, match="^ModelPair: the adapted halves must be copies"):
+            model.ModelPair(enc, clf, *halves)
 
 
 def test_clone_fingerprints_start_equal_then_diverge():

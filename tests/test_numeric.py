@@ -74,6 +74,12 @@ def test_linear_param_grads_is_linear_backward_without_the_input_gradient():
     npt.assert_array_equal(pw, gw)
     npt.assert_array_equal(pb, gb)
     npt.assert_array_equal(pb, r.sum(axis=0))
+    # with `out`, into views of one flat vector, with the same bits
+    flat = np.full(6 * 3 + 3, np.nan)
+    out = (flat[:18].reshape(6, 3), flat[18:])
+    got = linear_param_grads(x, w, r, out)
+    assert got[0] is out[0] and got[1] is out[1]
+    npt.assert_array_equal(flat, np.concatenate([gw.ravel(), gb]))
     # its failures are reported as linear_backward's
     with pytest.raises(DimensionError, match="^linear_backward: upstream shape"):
         linear_param_grads(x, w, r[:, :2])
@@ -392,9 +398,16 @@ def test_batchnorm_param_grads_is_batchnorm_backward_without_the_input_grad(mode
     state = NormLayerState(gamma=rng.uniform(0.5, 2.0, 4), beta=rng.standard_normal(4))
     batchnorm_forward(rng.standard_normal((7, 4)), state, mode=mode)
     up = rng.standard_normal((7, 4))
-    _, ggamma, gbeta = batchnorm_backward(state, up)
+    gx, ggamma, gbeta = batchnorm_backward(state, up)
     pg, pb = batchnorm_param_grads(state, up)
     npt.assert_array_equal(pg, ggamma)
     npt.assert_array_equal(pb, gbeta)
+    # with `out`, into views of one flat vector, with the same bits
+    for op in (batchnorm_param_grads, batchnorm_backward):
+        flat = np.full(8, np.nan)
+        got = op(state, up, (flat[:4], flat[4:]))
+        npt.assert_array_equal(flat, np.concatenate([ggamma, gbeta]))
+        if op is batchnorm_backward:
+            npt.assert_array_equal(got[0], gx)
     with pytest.raises(DimensionError, match="^batchnorm_backward: upstream shape"):
         batchnorm_param_grads(state, up[:, :2])

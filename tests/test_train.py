@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from gradcheck import numeric_grad, rel_error
+from gradcheck import backward_grads, numeric_grad, rel_error
 import marginadapt
 from marginadapt import train as train_module
 from marginadapt import (
@@ -27,6 +27,7 @@ from marginadapt import (
     classification_accuracy,
     cross_entropy_loss,
     gen_synthetic_shift,
+    model_fingerprint,
     softmax_rows,
     split_holdout,
     train_source_erm,
@@ -49,16 +50,22 @@ def reference_adam(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
     return p
 
 
+def _adam(p, lr, **settings):
+    """Adam over the vector p, with its own gradient vector."""
+    return Adam(p, np.zeros_like(p), lr, **settings)
+
+
 def test_adam_first_step_moves_each_coordinate_by_lr():
     # at t=1 the bias corrections cancel the (1-beta) factors exactly,
     # so the update is lr * g / (|g| + eps) ~ lr * sign(g)
     rng = np.random.default_rng(0)
     for lr in (1e-1, 1e-3, 5e-5):
-        p = rng.standard_normal((4, 3))
+        p = rng.standard_normal(12)
         before = p.copy()
         g = rng.uniform(0.5, 2.0, size=p.shape) * rng.choice([-1.0, 1.0], size=p.shape)
-        opt = Adam([("p", p)], lr=lr)
-        opt.step({"p": g})
+        opt = _adam(p, lr)
+        opt.grads[...] = g
+        opt.step()
         npt.assert_allclose(np.abs(before - p), lr, rtol=1e-6)
         npt.assert_array_equal(np.sign(before - p), np.sign(g))
 
@@ -66,39 +73,38 @@ def test_adam_first_step_moves_each_coordinate_by_lr():
 def test_adam_matches_reference_over_many_steps():
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        w0 = rng.standard_normal((5, 2))
-        b0 = rng.standard_normal(7)
-        grads_w = [rng.standard_normal((5, 2)) for _ in range(9)]
-        grads_b = [rng.standard_normal(7) for _ in range(9)]
+        p0 = rng.standard_normal(17)
+        grads = [rng.standard_normal(17) for _ in range(9)]
         for wd in (0.0, 0.01):
-            w = w0.copy()
-            b = b0.copy()
-            opt = Adam([("w", w), ("b", b)], lr=3e-3, weight_decay=wd)
-            for gw, gb in zip(grads_w, grads_b):
-                opt.step({"w": gw, "b": gb})
-            npt.assert_allclose(w, reference_adam(w0, grads_w, 3e-3, wd=wd), rtol=1e-12)
-            npt.assert_allclose(b, reference_adam(b0, grads_b, 3e-3, wd=wd), rtol=1e-12)
+            p = p0.copy()
+            opt = _adam(p, 3e-3, weight_decay=wd)
+            for g in grads:
+                opt.grads[...] = g
+                opt.step()
+            npt.assert_allclose(p, reference_adam(p0, grads, 3e-3, wd=wd), rtol=1e-12)
 
 
-def test_adam_missing_gradient_leaves_parameter_untouched():
+def test_adam_over_a_slice_leaves_the_rest_untouched():
+    # an optimiser holding part of a vector: the rest never moves; and a
+    # zero gradient on fresh moments is an exactly-zero update
     rng = np.random.default_rng(1)
-    w = rng.standard_normal((3, 3))
-    b = rng.standard_normal(3)
-    b_before = b.copy()
-    opt = Adam([("w", w), ("b", b)], lr=1e-2)
-    opt.step({"w": rng.standard_normal((3, 3))})
-    assert np.array_equal(b, b_before)
+    values, grads = rng.standard_normal(12), rng.standard_normal(12)
+    before = values.copy()
+    opt = Adam(values[3:8], grads[3:8], lr=1e-2)
+    opt.step()
+    npt.assert_array_equal(values[:3], before[:3])
+    npt.assert_array_equal(values[8:], before[8:])
+    assert not (values[3:8] == before[3:8]).any()
     assert opt.state.t == 1
-    # zero gradient on fresh moments is also an exactly-zero update
-    w_now = w.copy()
-    opt2 = Adam([("w", w)], lr=1e-2)
-    opt2.step({"w": np.zeros((3, 3))})
-    assert np.array_equal(w, w_now)
+    zero = _adam(values, 1e-2)
+    now = values.copy()
+    zero.step()
+    npt.assert_array_equal(values, now)
 
 
 class PerArrayAdam:
     """Adam with one moment pair per named array, updated in a loop over the
-    arrays: the oracle the flat-buffer optimizer must match bit for bit."""
+    arrays: the oracle the flat-vector optimizer must match bit for bit."""
 
     def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
@@ -133,61 +139,53 @@ class PerArrayAdam:
 def test_flat_adam_is_bit_identical_to_per_array_adam(wd):
     rng = np.random.default_rng(4)
     shapes = {"a": (5, 2), "b": (7,), "c": (3, 3)}
-    # each parameter's fixed slice of the flat moments, in the order given
+    # each array's fixed slice of the flat vectors, in the order given
     slices = {"a": slice(0, 10), "b": slice(10, 17), "c": slice(17, 26)}
     init = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
-    flat = [(n, init[n].copy()) for n in shapes]
+    values, grads = np.empty(26), np.empty(26)
+    flat = [(n, values[slices[n]].reshape(shapes[n])) for n in shapes]
+    for n, p in flat:
+        p[...] = init[n]
     ref = [(n, init[n].copy()) for n in shapes]
-    opt = Adam(flat, lr=3e-2, weight_decay=wd)
+    opt = Adam(values, grads, lr=3e-2, weight_decay=wd)
     oracle = PerArrayAdam(ref, lr=3e-2, weight_decay=wd)
-    skips = [{"c"}, set(), {"a"}, {"b", "c"}, {"a", "b", "c"}, {"b"}]
     for t in range(12):
-        skip = skips[t % len(skips)]
-        grads = {n: rng.standard_normal(shape) for n, shape in shapes.items() if n not in skip}
-        grads["not_held"] = rng.standard_normal(4)
-        m_before = opt.state.m.copy()
-        v_before = opt.state.v.copy()
-        opt.step(grads)
-        oracle.step(grads)
+        step_grads = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
+        for n, g in step_grads.items():
+            grads[slices[n]] = g.ravel()
+        opt.step()
+        oracle.step(step_grads)
         assert opt.state.t == oracle.t == t + 1
         for (name, p), (_, p_ref) in zip(flat, ref):
             sl = slices[name]
             npt.assert_array_equal(p, p_ref)
             npt.assert_array_equal(opt.state.m[sl].reshape(p.shape), oracle.m[name])
             npt.assert_array_equal(opt.state.v[sl].reshape(p.shape), oracle.v[name])
-            if name in skip:
-                npt.assert_array_equal(opt.state.m[sl], m_before[sl])
-                npt.assert_array_equal(opt.state.v[sl], v_before[sl])
     assert opt.state.m.shape == opt.state.v.shape == (26,)
 
 
 def test_adam_without_parameters_only_counts_steps():
-    opt = Adam([], lr=1e-3)
-    opt.step({})
+    opt = _adam(np.zeros(0), 1e-3)
+    opt.step()
     assert opt.state.t == 1
     assert opt.state.m.size == opt.state.v.size == 0
 
 
-def test_adam_shape_error_moves_nothing():
-    w = np.ones((2, 2))
-    b = np.ones(3)
-    opt = Adam([("w", w), ("b", b)], lr=1e-2)
-    with pytest.raises(DimensionError):
-        opt.step({"w": np.ones((2, 2)), "b": np.ones((3, 1))})
-    npt.assert_array_equal(w, np.ones((2, 2)))
-    assert opt.state.t == 0
-    assert not opt.state.m.any() and not opt.state.v.any()
+@pytest.mark.parametrize("params, grads", [
+    (np.zeros(3), np.zeros(4)),
+    (np.zeros((3, 1)), np.zeros((3, 1))),
+    (np.zeros(3), np.zeros(3, dtype=np.float32)),
+    (np.zeros(3, dtype=np.int64), np.zeros(3, dtype=np.int64)),
+    ([0.0, 0.0], np.zeros(2)),
+], ids=["lengths", "2-D", "float32-grads", "int-params", "list"])
+def test_adam_refuses_anything_but_two_float64_vectors_of_one_shape(params, grads):
+    with pytest.raises(DimensionError, match="^Adam: parameters and gradients must be 1-D"):
+        Adam(params, grads, lr=1e-3)
 
 
-def test_adam_rejects_bad_setups():
-    p = np.zeros(3)
+def test_adam_rejects_a_negative_lr():
     with pytest.raises(ConfigError):
-        Adam([("p", p), ("p", np.zeros(2))], lr=1e-3)
-    with pytest.raises(ConfigError):
-        Adam([("p", p)], lr=-1e-3)
-    opt = Adam([("p", p)], lr=1e-3)
-    with pytest.raises(DimensionError):
-        opt.step({"p": np.zeros((3, 1))})
+        _adam(np.zeros(3), -1e-3)
 
 
 @pytest.mark.parametrize("setting, value", [
@@ -196,7 +194,7 @@ def test_adam_rejects_bad_setups():
 ])
 def test_adam_refuses_a_non_finite_or_negative_setting(setting, value):
     with pytest.raises(ConfigError, match=f"^Adam {setting} must be finite and >= 0"):
-        Adam([("w", np.ones(3))], **{"lr": 1e-3, setting: value})
+        _adam(np.ones(3), **{"lr": 1e-3, setting: value})
 
 
 def test_cross_entropy_on_uniform_probs_is_log_num_classes():
@@ -391,6 +389,96 @@ def test_train_config_validation():
         TrainConfig(epochs=-1).validate()
     with pytest.raises(ConfigError):
         TrainConfig(weight_decay=-0.1).validate()
+
+
+def erm_reference(encoder, classifier, sources, cfg):
+    """train_source_erm written per array, in place on the model: the public
+    forward, cross_entropy_loss, each backward's gradients copied out, and
+    PerArrayAdam. Returns the loss history."""
+    pools = [split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)
+             for k, ds in enumerate(sources)]
+    x_train, x_val = (np.vstack([p[j].features for p in pools]) for j in (0, 1))
+    y_train, y_val = (np.concatenate([p[j].labels for p in pools]) for j in (0, 1))
+    opt = PerArrayAdam(encoder.parameters() + classifier.parameters(), cfg.lr,
+                       weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
+
+    def snapshot():
+        return [a.copy() for _, a in encoder.state_arrays() + classifier.parameters()]
+
+    best_acc = classification_accuracy(encoder, classifier, x_val, y_val)
+    best = snapshot()
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(x_train.shape[0])
+        for start in range(0, order.size, cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            if encoder.has_norm_layers and idx.size < 2:
+                continue
+            feats = encoder.encode(x_train[idx], mode="train")
+            probs = softmax_rows(classifier.logits(feats))
+            loss, g_logits = cross_entropy_loss(probs, y_train[idx])
+            gz, cgrads = backward_grads(classifier, feats, g_logits)
+            _, egrads = backward_grads(encoder, gz)
+            encoder.update_running_stats()
+            opt.step({**egrads, **cgrads})
+            losses.append(loss)
+        acc = classification_accuracy(encoder, classifier, x_val, y_val)
+        if acc > best_acc:
+            best_acc, best = acc, snapshot()
+    for (_, live), arr in zip(encoder.state_arrays() + classifier.parameters(), best):
+        live[...] = arr
+    return losses
+
+
+@pytest.mark.parametrize("wd", [0.0, 1e-3])
+@pytest.mark.parametrize("hidden, use_norm", [([], False), ([12], False), ([12], True)],
+                         ids=["one-layer", "linear", "norm"])
+def test_training_equals_a_per_array_reference_loop(hidden, use_norm, wd):
+    sources, _, _ = _tiny_task(10)
+    cfg = TrainConfig(lr=1e-2, epochs=3, batch_size=29, weight_decay=wd, seed=10)
+    n = sum(split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)[0].n
+            for k, ds in enumerate(sources))
+    assert n % cfg.batch_size == 1  # each epoch ends on a one-row batch
+    models = [(MlpEncoder.create([16, *hidden, 16], use_norm=use_norm, seed=10),
+               LinearClassifier.create(16, 4, seed=11)) for _ in range(2)]
+    report = train_source_erm(*models[0], sources, cfg)
+    losses = erm_reference(*models[1], sources, cfg)
+    assert report.best_epoch >= 0  # the kept state is a trained one
+    assert model_fingerprint(*models[0]) == model_fingerprint(*models[1])
+    assert [v.hex() for v in report.loss_history] == [v.hex() for v in losses]
+
+
+def test_training_keeps_the_callers_arrays_and_leaves_the_trained_state_in_them():
+    sources, _, _ = _tiny_task(11)
+    enc = MlpEncoder.create([16, 12, 16], use_norm=True, seed=11)
+    clf = LinearClassifier.create(16, 4, seed=12)
+    arrays = [a for _, a in enc.state_arrays() + clf.parameters()]
+    ref_enc, ref_clf = enc.copy(), clf.copy()
+    cfg = TrainConfig(lr=1e-2, epochs=2, seed=11)
+    train_source_erm(enc, clf, sources, cfg)
+    erm_reference(ref_enc, ref_clf, sources, cfg)
+    after = [a for _, a in enc.state_arrays() + clf.parameters()]
+    assert len(after) == len(arrays) and all(a is b for a, b in zip(after, arrays))
+    assert all(a.flags.owndata and a.flags.writeable for a in after)
+    assert model_fingerprint(enc, clf) == model_fingerprint(ref_enc, ref_clf)
+
+
+def test_a_failed_training_leaves_the_state_it_failed_in():
+    # the first step blows the weights up and the second one's forward
+    # overflows: the caller's model holds what training in place leaves
+    sources, _, _ = _tiny_task(6)
+    enc = MlpEncoder.create([16, 12, 16], use_norm=True, seed=6)
+    clf = LinearClassifier.create(16, 4, seed=7)
+    ref_enc, ref_clf = enc.copy(), clf.copy()
+    initial = model_fingerprint(enc, clf)
+    cfg = TrainConfig(lr=1e300, epochs=2, seed=6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailure, match="^training aborted at epoch 0, step 1: "):
+            train_source_erm(enc, clf, sources, cfg)
+        with pytest.raises(NumericalFailure, match="produced non-finite values$"):
+            erm_reference(ref_enc, ref_clf, sources, cfg)
+    assert model_fingerprint(enc, clf) == model_fingerprint(ref_enc, ref_clf) != initial
 
 
 def test_training_failure_names_epoch_and_step(monkeypatch):
