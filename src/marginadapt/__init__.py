@@ -73,7 +73,6 @@ from .numeric import (
     NormLayerState,
     batchnorm_backward,
     batchnorm_forward,
-    frobenius_distance_sq,
     linear_backward,
     linear_forward,
     relu_backward,

@@ -26,9 +26,9 @@ The steps (`_make_step`), and what each backpropagates:
   none          no step; a pure evaluation pass.
   entropy_norm  Tent: entropy on the norm-layer affine parameters, with the
                 batch statistics folded into the running estimates. The
-                backward computes only the gradients Adam holds: through the
-                classifier and the layers above the lowest norm to that
-                norm's gamma and beta, and no weight gradient.
+                `norm_only` backward computes only the gradients Adam holds:
+                through the classifier and the layers above the lowest norm
+                to that norm's gamma and beta, and no weight gradient.
   pseudo_label  cross-entropy against the batch's own argmax labels; every
                 parameter's gradient.
   unidg         pseudo-label the batch, push features into the memory bank,
@@ -261,11 +261,10 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         # leading slice, and the backward computes no other gradient, so the
         # linear weights and the classifier stay fixed
         opt = Adam(flat.values[flat.norm], flat.grads[flat.norm], lr=cfg.lr)
-        held = frozenset(n for n, _ in enc.norm_parameters())
 
         def entropy_norm_step(source_feats, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
-            enc.backward(clf.backward(feats, g_logits, held), held)
+            enc.backward(clf.backward(feats, g_logits, norm_only=True), norm_only=True)
             opt.step()
             # the adapted model keeps the stream's normalization afterwards
             enc.update_running_stats()

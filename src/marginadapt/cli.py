@@ -340,7 +340,7 @@ def cmd_ablate(args) -> int:
     def run(name, trial):
         """(final accuracy, source drop, whether the hinge bound) of a run."""
         cfg = replace(base, seed=base.seed + trial, **switches_of[name])
-        pair = clone_for_adaptation(encoder.copy(), classifier.copy())
+        pair = clone_for_adaptation(encoder, classifier)
         pair, curve, reports = run_method(pair, target, cfg)
         drop = None if source_eval is None else source_before - source_accuracy(
             pair.adapted_encoder, pair.adapted_classifier)

@@ -65,7 +65,6 @@ def parameter_jacobian(model: MlpEncoder, x_row, subset: str = "all") -> Array:
     order. Norm layers run with their running statistics so a single sample
     is well-defined. The backward computes only the subset's gradients."""
     names = parameter_names(model, subset)
-    held = None if subset == "all" else frozenset(names)  # None: every parameter
     x = np.asarray(x_row, dtype=np.float64).reshape(1, -1)
     feats = model.encode(x, mode="eval", retain_cache=True)
     d = feats.shape[1]
@@ -74,7 +73,7 @@ def parameter_jacobian(model: MlpEncoder, x_row, subset: str = "all") -> Array:
     for k in range(d):
         upstream = np.zeros((1, d))
         upstream[0, k] = 1.0
-        model.backward(upstream, held)
+        model.backward(upstream, norm_only=subset == "norm_only")
         jac[k] = np.concatenate([g.ravel() for g in grads])
     return jac
 

@@ -6,12 +6,12 @@ caches. Parameters and their gradients are exposed as (name, array) pairs;
 backward writes each gradient in place into the model's own gradient
 array, and an optimizer updates the parameters in place. `pack` moves a
 network's parameters into one flat vector and its gradients into another,
-so that an optimizer steps the whole network as one vector.
+so that an optimizer steps the whole network, or its leading norm slice,
+as one vector; a `norm_only` backward fills only that slice.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
@@ -200,44 +200,35 @@ class MlpEncoder:
             self._cache = caches
         return out
 
-    def backward(self, upstream, names=None):
-        """Gradients of sum(upstream * features) w.r.t. the parameters named
-        in `names` (default: all of them), written in place into the arrays
-        of `gradients()`.
+    def backward(self, upstream, norm_only=False):
+        """Gradients of sum(upstream * features) w.r.t. the parameters,
+        written in place into the arrays of `gradients()`.
 
         Requires a cached forward (encode with retain_cache). The cache is
         left intact, so several upstreams can be pushed through one forward.
-        A layer writes its w and b gradients when `names` holds either, and
-        its gamma and beta gradients when `names` holds either (one op
-        computes each pair); every other array keeps what it held. The pass
-        descends no lower than the lowest layer holding a named parameter:
-        below it nothing reads a gradient. The gradient w.r.t. the input is
-        never computed, for the same reason.
+        With `norm_only` only the norm layers' gamma and beta gradients are
+        computed, every other array keeps what it held, and the pass stops
+        at the lowest norm layer: below it nothing reads a gradient. The
+        gradient w.r.t. the input is never computed, for the same reason.
         """
         if self._cache is None:
             raise StateError("backward: call encode with retain_cache first")
         last = len(self.weights) - 1
-        if names is None:
-            held, lowest = ((True, True),) * (last + 1), 0
-        else:
-            held, lowest = _held_per_layer(frozenset(names), last + 1)
+        lowest = 0
+        if norm_only:
+            lowest = next((i for i, n in enumerate(self.norms) if n is not None), last + 1)
         g = upstream
         for i in range(last, lowest - 1, -1):
             cache = self._cache[i]
-            linear, affine = held[i]
             if i < last:
                 g = relu_backward(cache["act_in"], g)
                 norm = self.norms[i]
                 if norm is not None:
-                    out = self._norm_grads[i] if affine else None
-                    # the gradient below layer i's norm is read by this
-                    # layer's w and b and, through its linear map, by the
-                    # layers below
-                    if i > lowest or linear:
-                        g, _, _ = batchnorm_backward(norm, g, out)
+                    if norm_only and i == lowest:
+                        batchnorm_param_grads(norm, g, self._norm_grads[i])
                     else:
-                        batchnorm_param_grads(norm, g, out)
-            if linear:
+                        g, _, _ = batchnorm_backward(norm, g, self._norm_grads[i])
+            if not norm_only:
                 linear_param_grads(cache["x"], self.weights[i], g,
                                    (self._weight_grads[i], self._bias_grads[i]))
             if i > lowest:
@@ -262,17 +253,6 @@ def _encoder_named(weights, biases, norm_pairs):
         if i < len(norm_pairs) and norm_pairs[i] is not None:
             out += [(f"enc.{i}.gamma", norm_pairs[i][0]), (f"enc.{i}.beta", norm_pairs[i][1])]
     return out
-
-
-@functools.lru_cache(maxsize=64)
-def _held_per_layer(names: frozenset, n_layers: int):
-    """For each of n_layers encoder layers, whether `names` holds its w or b
-    and whether its gamma or beta; and the lowest layer holding one of the
-    four (n_layers when none does)."""
-    held = tuple((f"enc.{i}.w" in names or f"enc.{i}.b" in names,
-                  f"enc.{i}.gamma" in names or f"enc.{i}.beta" in names)
-                 for i in range(n_layers))
-    return held, next((i for i, h in enumerate(held) if any(h)), n_layers)
 
 
 class LinearClassifier:
@@ -317,12 +297,12 @@ class LinearClassifier:
             out += self.bias
         return _finite(out, "logits")
 
-    def backward(self, z, upstream, names=None):
+    def backward(self, z, upstream, norm_only=False):
         """Gradient of sum(upstream * logits) w.r.t. the features, returned.
-        Unless `names` (default: all parameters) holds neither clf.w nor
-        clf.b, the omega and bias gradients are written in place into the
-        arrays of `gradients()`."""
-        if names is None or "clf.w" in names or "clf.b" in names:
+        Unless `norm_only` (the classifier has no norm parameter), the omega
+        and bias gradients are written in place into the arrays of
+        `gradients()`."""
+        if not norm_only:
             linear_param_grads(z, self.omega, upstream, (self._omega_grad, self._bias_grad))
         return linear_input_grad(self.omega, upstream)
 
@@ -364,8 +344,13 @@ def pack(encoder: MlpEncoder, classifier: LinearClassifier) -> FlatParameters:
     replaced by a view of the vector holding its current value, so the
     models compute as before, bit for bit; backward then fills `grads` in
     place and an optimizer steps a slice of the two vectors. An array object
-    held from before is no longer the model's."""
-    size = sum(p.size for _, p in encoder.parameters() + classifier.parameters())
+    held from before is no longer the model's. A read-only array (a frozen
+    source's) is refused before anything moves: packing would unfreeze it."""
+    params = encoder.parameters() + classifier.parameters()
+    frozen = [n for n, p in params if not p.flags.writeable]
+    if frozen:
+        raise ConfigError(f"pack: {frozen[0]} is read-only; a frozen model cannot be trained")
+    size = sum(p.size for _, p in params)
     values, grads = np.empty(size), np.zeros(size)
     end = 0
 

@@ -20,12 +20,12 @@ The hot ops call the ufuncs behind the array methods (`np.add.reduce` for
 are those of the method and out-of-place forms bit for bit.
 `linear_backward` is `linear_param_grads` (the w and b gradients) plus
 `linear_input_grad` (the x gradient); a backward that needs only some of
-them calls only those, and a failure in either is reported as
-linear_backward's. `batchnorm_param_grads` is likewise `batchnorm_backward`
-without the input gradient. The parameter-gradient ops take an `out` pair
-of arrays, so a model writes its gradients straight into its own gradient
-storage (see `model.pack`); the values are those of the allocating calls
-bit for bit.
+them (the encoder's `norm_only` pass needs no w or b gradient) calls only
+those, and a failure in either is reported as linear_backward's.
+`batchnorm_param_grads` is likewise `batchnorm_backward` without the input
+gradient. The parameter-gradient ops take an `out` pair of arrays, so a
+model writes its gradients straight into its own gradient storage (see
+`model.pack`); the values are those of the allocating calls bit for bit.
 
 The forward ops (`linear_forward`, `batchnorm_forward`, `relu_forward`,
 `softmax_rows`) also take a (B, n, d) stack of B batches. Each slice gets
@@ -335,16 +335,3 @@ def batchnorm_param_grads(state: NormLayerState, upstream: Array, out=None):
     ggamma = np.add.reduce(upstream * c.x_hat, axis=0, out=ggamma)
     gbeta = np.add.reduce(upstream, axis=0, out=gbeta)
     return _finite(ggamma, "batchnorm_backward"), _finite(gbeta, "batchnorm_backward")
-
-
-def frobenius_distance_sq(a: Array, b: Array) -> float:
-    """Squared Frobenius distance ||a - b||_F^2."""
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"frobenius_distance_sq: shapes differ, {a.shape} vs {b.shape}"
-        )
-    d = a - b
-    out = float(np.sum(d * d))
-    if not np.isfinite(out):
-        raise NumericalFailure("frobenius_distance_sq: produced non-finite value")
-    return out

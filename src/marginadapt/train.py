@@ -42,16 +42,6 @@ class TrainConfig:
         return self
 
 
-@dataclass
-class AdamState:
-    m: np.ndarray  # first moments, one per coordinate of the parameter vector
-    v: np.ndarray  # second moments
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
 class Adam:
     """Adam with bias correction over one parameter vector.
 
@@ -65,7 +55,8 @@ class Adam:
     its values are bit for bit those of the out-of-place expressions. A zero
     gradient on fresh moments gives an exactly zero update. First step with
     constant gradient g moves by lr * g / (|g| + eps), i.e. ~lr per
-    coordinate."""
+    coordinate. `m` and `v` hold the first and second moments, one per
+    coordinate, and `t` counts the steps taken."""
 
     def __init__(self, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
@@ -82,39 +73,36 @@ class Adam:
         self.grads = grads
         self.lr = lr
         self.weight_decay = weight_decay
-        size = params.size
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = np.zeros(params.size), np.zeros(params.size)
         # scratch for the moment update and the step
-        self._s = np.zeros(size)
-        self._u = np.zeros(size)
-        self.state = AdamState(
-            m=np.zeros(size), v=np.zeros(size), beta1=beta1, beta2=beta2, eps=eps,
-        )
+        self._s, self._u = np.zeros(params.size), np.zeros(params.size)
 
     def step(self) -> None:
-        st = self.state
-        st.t += 1
-        c1 = 1.0 - st.beta1 ** st.t
-        c2 = 1.0 - st.beta2 ** st.t
+        self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
         s, u = self._s, self._u
         g = self.grads
         if self.weight_decay:
             # g + weight_decay * p, held in u until v is updated
             np.multiply(self.params, self.weight_decay, out=u)
             g = np.add(g, u, out=u)
-        m, v = st.m, st.v
-        np.multiply(m, st.beta1, out=m)
-        np.multiply(g, 1.0 - st.beta1, out=s)
+        m, v = self.m, self.v
+        np.multiply(m, self.beta1, out=m)
+        np.multiply(g, 1.0 - self.beta1, out=s)
         np.add(m, s, out=m)
-        np.multiply(v, st.beta2, out=v)
+        np.multiply(v, self.beta2, out=v)
         np.multiply(g, g, out=s)
-        np.multiply(s, 1.0 - st.beta2, out=s)
+        np.multiply(s, 1.0 - self.beta2, out=s)
         np.add(v, s, out=v)
         # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
         np.divide(m, c1, out=s)
         np.multiply(s, self.lr, out=s)
         np.divide(v, c2, out=u)
         np.sqrt(u, out=u)
-        np.add(u, st.eps, out=u)
+        np.add(u, self.eps, out=u)
         np.divide(s, u, out=s)
         np.subtract(self.params, s, out=self.params)
 
@@ -175,11 +163,11 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     batch statistics, so an encoder with them needs batch_size >= 2, and a
     one-row last batch of an epoch is skipped.
 
-    Training runs on a packed copy of the model (see `model.pack`), one Adam
-    over its whole vector. On return the kept state is written into the
-    caller's own arrays, which stay the model's; when a step fails, the
-    state the copy failed in is written there, as training in place would
-    leave it.
+    Training packs the model in place (see `model.pack`) and steps its
+    whole vector with one Adam, so on return each learnable array of the
+    caller's model is a view of that vector. A failed step leaves the model
+    in the state it failed in. A frozen model (read-only arrays, as a
+    `ModelPair`'s source) is refused (ConfigError) before anything moves.
     """
     cfg.validate()
     if not sources:
@@ -190,16 +178,14 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
             f"batch_size must be >= 2 for an encoder with norm layers, got {cfg.batch_size}"
         )
     (x_train, y_train), (x_val, y_val) = _pooled_splits(sources, cfg)
-
-    enc, clf = encoder.copy(), classifier.copy()
-    flat = pack(enc, clf)
+    flat = pack(encoder, classifier)
     opt = Adam(flat.values, flat.grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
 
     def state():
-        return [a for _, a in enc.state_arrays() + clf.parameters()]
+        return [a for _, a in encoder.state_arrays() + classifier.parameters()]
 
-    best_acc = classification_accuracy(enc, clf, x_val, y_val)
+    best_acc = classification_accuracy(encoder, classifier, x_val, y_val)
     best = [a.copy() for a in state()]
     best_epoch = -1
     loss_history = []
@@ -207,39 +193,34 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
 
     n = x_train.shape[0]
     bs = cfg.batch_size
-    try:
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            # one gather per epoch; each batch is then a contiguous slice of it
-            x_epoch, y_epoch = x_train[order], y_train[order]
-            for step, start in enumerate(range(0, n, bs)):
-                xb = x_epoch[start : start + bs]
-                if norm and xb.shape[0] < 2:
-                    continue  # a single row cannot feed batch statistics
-                yb = y_epoch[start : start + bs]
-                try:
-                    feats = enc.encode(xb, mode="train")
-                    probs = softmax_rows(clf.logits(feats))
-                    loss, g_logits = cross_entropy_loss(probs, yb)
-                    enc.backward(clf.backward(feats, g_logits))
-                    enc.update_running_stats()
-                    opt.step()
-                except NumericalFailure as e:
-                    msg = f"training aborted at epoch {epoch}, step {step}: {e}"
-                    raise NumericalFailure(msg) from e
-                loss_history.append(loss)
-            acc = classification_accuracy(enc, clf, x_val, y_val)
-            val_history.append(acc)
-            if acc > best_acc:
-                best_acc = acc
-                best = [a.copy() for a in state()]
-                best_epoch = epoch
-    except BaseException:
-        best = state()  # what training in place would leave in the caller's model
-        raise
-    finally:
-        for (_, live), arr in zip(encoder.state_arrays() + classifier.parameters(), best):
-            live[...] = arr
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        # one gather per epoch; each batch is then a contiguous slice of it
+        x_epoch, y_epoch = x_train[order], y_train[order]
+        for step, start in enumerate(range(0, n, bs)):
+            xb = x_epoch[start : start + bs]
+            if norm and xb.shape[0] < 2:
+                continue  # a single row cannot feed batch statistics
+            yb = y_epoch[start : start + bs]
+            try:
+                feats = encoder.encode(xb, mode="train")
+                probs = softmax_rows(classifier.logits(feats))
+                loss, g_logits = cross_entropy_loss(probs, yb)
+                encoder.backward(classifier.backward(feats, g_logits))
+                encoder.update_running_stats()
+                opt.step()
+            except NumericalFailure as e:
+                msg = f"training aborted at epoch {epoch}, step {step}: {e}"
+                raise NumericalFailure(msg) from e
+            loss_history.append(loss)
+        acc = classification_accuracy(encoder, classifier, x_val, y_val)
+        val_history.append(acc)
+        if acc > best_acc:
+            best_acc = acc
+            best = [a.copy() for a in state()]
+            best_epoch = epoch
+    for live, arr in zip(state(), best):
+        live[...] = arr
     return TrainReport(
         val_accuracy=best_acc,
         best_epoch=best_epoch,

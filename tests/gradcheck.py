@@ -38,11 +38,12 @@ def rel_error(analytic, numeric, atol=1e-9):
     return float(np.linalg.norm(a - n) / max(na, nn, 1e-12))
 
 
-def backward_grads(model, *args):
-    """Run model.backward(*args) with every gradient array of the model set
-    to NaN first. Returns the backward's result and {name: copy} of the
-    gradient arrays it wrote, in gradients() order."""
+def backward_grads(model, *args, **kwargs):
+    """Run model.backward(*args, **kwargs) with every gradient array of the
+    model set to NaN first. Returns the backward's result and {name: copy}
+    of the gradient arrays it wrote, in gradients() order; every array left
+    out was not touched."""
     for _, g in model.gradients():
         g[...] = np.nan
-    result = model.backward(*args)
+    result = model.backward(*args, **kwargs)
     return result, {n: g.copy() for n, g in model.gradients() if not np.isnan(g).all()}

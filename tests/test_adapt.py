@@ -91,7 +91,7 @@ def test_zero_steps_is_pure_evaluation_for_every_method(method):
 def test_backward_failure_names_the_step(method, monkeypatch):
     pair, target = _tiny(5, use_norm=True)
 
-    def fail(self, upstream, names=None):
+    def fail(self, upstream, norm_only=False):
         raise NumericalFailure("backward: non-finite gradient")
 
     monkeypatch.setattr(MlpEncoder, "backward", fail)
@@ -190,7 +190,7 @@ def test_a_source_failure_in_a_later_stacked_batch_names_its_step(cap, monkeypat
     original = Adam.step
 
     def spy(self):
-        steps.append(self.state.t)
+        steps.append(self.t)
         return original(self)
 
     monkeypatch.setattr(Adam, "step", spy)

@@ -170,56 +170,43 @@ def _varied_encoder(dims, use_norm, rng):
     return enc
 
 
+def _upper_norm_only(enc):
+    """The encoder with its lowest hidden layer's norm removed."""
+    return MlpEncoder(enc.layer_dims, enc.weights, enc.biases, [None] + enc.norms[1:])
+
+
 @pytest.mark.parametrize("mode", ["train", "eval"])
-@pytest.mark.parametrize("dims, use_norm", [
-    ([6, 4], False), ([6, 5, 5, 4], False), ([6, 5, 5, 4], True),
-], ids=["one-layer", "linear", "norm"])
-def test_encoder_backward_on_a_name_set_equals_the_full_backward(dims, use_norm, mode):
+@pytest.mark.parametrize("dims, norms", [
+    ([6, 4], None), ([6, 5, 5, 4], None), ([6, 5, 5, 4], "all"), ([6, 5, 5, 5, 4], "all"),
+    ([6, 5, 5, 4], "upper"),
+], ids=["one-layer", "linear", "norm", "norm-deep", "norm-upper"])
+def test_encoder_backward_under_norm_only_equals_the_full_backward(dims, norms, mode):
+    # gamma and beta as the full backward computes them; no other array written
     rng = np.random.default_rng(13)
-    enc = _varied_encoder(dims, use_norm, rng)
+    enc = _varied_encoder(dims, norms is not None, rng)
+    if norms == "upper":
+        enc = _upper_norm_only(enc)
     x = rng.standard_normal((9, dims[0]))
     upstream = rng.standard_normal((9, dims[-1]))
     enc.encode(x, mode=mode, retain_cache=True)
     _, full = backward_grads(enc, upstream)
-    names = [n for n, _ in enc.parameters()]
-    subsets = [[], names, [n for n, _ in enc.norm_parameters()],
-               [n for n in names if n.startswith(f"enc.{len(dims) - 2}.")]]
-    subsets += [[n] for n in names]
-    for held in subsets:
-        _, grads = backward_grads(enc, upstream, frozenset(held))
-        assert set(held) <= set(grads)
-        assert {_pair_of(n) for n in grads} == {_pair_of(n) for n in held}
-        for name in grads:
-            npt.assert_array_equal(grads[name], full[name], err_msg=name)
+    _, grads = backward_grads(enc, upstream, norm_only=True)
+    assert sorted(grads) == sorted(n for n, _ in enc.norm_parameters())
+    for name in grads:
+        npt.assert_array_equal(grads[name], full[name], err_msg=name)
 
 
-def _pair_of(name):
-    """The layer of a parameter and whether it is a w/b or a gamma/beta: one
-    op computes both gradients of a pair, so the backward writes both."""
-    layer, kind = name.rsplit(".", 1)
-    return layer, kind in ("w", "b")
-
-
-def test_one_name_set_serves_encoders_of_different_depths():
-    # the per-layer split of a name set depends on the layer count too
-    rng = np.random.default_rng(15)
-    names = frozenset({"enc.0.gamma", "enc.1.beta", "enc.2.w"})
-    for dims in ([6, 5, 5, 4], [6, 5, 4], [6, 5, 5, 5, 4], [6, 5, 4]):
-        enc = _varied_encoder(dims, True, rng)
-        enc.encode(rng.standard_normal((9, 6)), mode="train", retain_cache=True)
-        upstream = rng.standard_normal((9, 4))
-        _, full = backward_grads(enc, upstream)
-        for held in (names, set(names), sorted(names)):
-            _, grads = backward_grads(enc, upstream, held)
-            assert {_pair_of(n) for n in grads} == {_pair_of(n) for n in names & set(full)}
-            for name in grads:
-                npt.assert_array_equal(grads[name], full[name], err_msg=name)
-
-
-def test_norm_only_backward_computes_no_weight_gradient(monkeypatch):
-    # Tent's name set: the pass stops at the lowest norm's gamma and beta
+@pytest.mark.parametrize("norms, want", [
+    ("all", ["linear_input_grad", "batchnorm_backward",
+             "linear_input_grad", "batchnorm_param_grads"]),
+    ("upper", ["linear_input_grad", "batchnorm_param_grads"]),
+], ids=["norm", "norm-upper"])
+def test_norm_only_backward_computes_no_weight_gradient(norms, want, monkeypatch):
+    # Tent's pass stops at the lowest norm's gamma and beta
     rng = np.random.default_rng(14)
     enc = _varied_encoder([6, 5, 5, 4], True, rng)
+    if norms == "upper":
+        enc = _upper_norm_only(enc)
     enc.encode(rng.standard_normal((9, 6)), mode="train", retain_cache=True)
     calls = []
     for name in ("linear_param_grads", "linear_input_grad",
@@ -231,26 +218,22 @@ def test_norm_only_backward_computes_no_weight_gradient(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(model, name, counted)
-    held = frozenset(n for n, _ in enc.norm_parameters())
-    _, grads = backward_grads(enc, rng.standard_normal((9, 4)), held)
-    assert sorted(grads) == sorted(held)
-    assert calls == ["linear_input_grad", "batchnorm_backward",
-                     "linear_input_grad", "batchnorm_param_grads"]
+    _, grads = backward_grads(enc, rng.standard_normal((9, 4)), norm_only=True)
+    assert sorted(grads) == sorted(n for n, _ in enc.norm_parameters())
+    assert calls == want
 
 
-def test_classifier_backward_on_a_name_set():
+def test_classifier_backward_under_norm_only_writes_no_gradient():
     rng = np.random.default_rng(15)
     z = rng.standard_normal((7, 5))
     up = rng.standard_normal((7, 3))
     for bias in (True, False):
         clf = LinearClassifier.create(5, 3, seed=2, with_bias=bias)
         gz, full = backward_grads(clf, z, up)
-        for held in ([], ["clf.w"], ["clf.b"], ["clf.w", "clf.b"]):
-            hz, grads = backward_grads(clf, z, up, frozenset(held))
-            npt.assert_array_equal(hz, gz)
-            assert sorted(grads) == (sorted(full) if held else [])
-            for name in grads:
-                npt.assert_array_equal(grads[name], full[name])
+        assert sorted(full) == sorted(n for n, _ in clf.parameters())
+        hz, grads = backward_grads(clf, z, up, norm_only=True)
+        npt.assert_array_equal(hz, gz)
+        assert grads == {}
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])

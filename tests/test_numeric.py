@@ -14,7 +14,6 @@ from marginadapt import (
     StateError,
     batchnorm_backward,
     batchnorm_forward,
-    frobenius_distance_sq,
     linear_backward,
     linear_forward,
     relu_backward,
@@ -284,17 +283,6 @@ def test_norm_state_validation():
         NormLayerState(gamma=np.ones(2), beta=np.zeros(2), momentum=1.5)
     with pytest.raises(DimensionError):
         NormLayerState(gamma=np.ones(2), beta=np.zeros(3))
-
-
-def test_frobenius_distance_sq_oracle():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        a = rng.standard_normal((5, 4))
-        b = rng.standard_normal((5, 4))
-        assert abs(frobenius_distance_sq(a, b) - float(((a - b) ** 2).sum())) < 1e-12
-    assert frobenius_distance_sq(a, a) == 0.0
-    with pytest.raises(DimensionError):
-        frobenius_distance_sq(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("check, shape, name", [

@@ -25,6 +25,7 @@ from marginadapt import (
     ShiftSpec,
     TrainConfig,
     classification_accuracy,
+    clone_for_adaptation,
     cross_entropy_loss,
     gen_synthetic_shift,
     model_fingerprint,
@@ -95,7 +96,7 @@ def test_adam_over_a_slice_leaves_the_rest_untouched():
     npt.assert_array_equal(values[:3], before[:3])
     npt.assert_array_equal(values[8:], before[8:])
     assert not (values[3:8] == before[3:8]).any()
-    assert opt.state.t == 1
+    assert opt.t == 1
     zero = _adam(values, 1e-2)
     now = values.copy()
     zero.step()
@@ -155,20 +156,20 @@ def test_flat_adam_is_bit_identical_to_per_array_adam(wd):
             grads[slices[n]] = g.ravel()
         opt.step()
         oracle.step(step_grads)
-        assert opt.state.t == oracle.t == t + 1
+        assert opt.t == oracle.t == t + 1
         for (name, p), (_, p_ref) in zip(flat, ref):
             sl = slices[name]
             npt.assert_array_equal(p, p_ref)
-            npt.assert_array_equal(opt.state.m[sl].reshape(p.shape), oracle.m[name])
-            npt.assert_array_equal(opt.state.v[sl].reshape(p.shape), oracle.v[name])
-    assert opt.state.m.shape == opt.state.v.shape == (26,)
+            npt.assert_array_equal(opt.m[sl].reshape(p.shape), oracle.m[name])
+            npt.assert_array_equal(opt.v[sl].reshape(p.shape), oracle.v[name])
+    assert opt.m.shape == opt.v.shape == (26,)
 
 
 def test_adam_without_parameters_only_counts_steps():
     opt = _adam(np.zeros(0), 1e-3)
     opt.step()
-    assert opt.state.t == 1
-    assert opt.state.m.size == opt.state.v.size == 0
+    assert opt.t == 1
+    assert opt.m.size == opt.v.size == 0
 
 
 @pytest.mark.parametrize("params, grads", [
@@ -449,19 +450,51 @@ def test_training_equals_a_per_array_reference_loop(hidden, use_norm, wd):
     assert [v.hex() for v in report.loss_history] == [v.hex() for v in losses]
 
 
-def test_training_keeps_the_callers_arrays_and_leaves_the_trained_state_in_them():
+def test_training_packs_the_callers_model_and_leaves_the_trained_state_in_it():
+    # the caller's parameters become views of the one vector Adam stepped;
+    # the running statistics, not parameters, stay the caller's arrays
     sources, _, _ = _tiny_task(11)
     enc = MlpEncoder.create([16, 12, 16], use_norm=True, seed=11)
     clf = LinearClassifier.create(16, 4, seed=12)
-    arrays = [a for _, a in enc.state_arrays() + clf.parameters()]
+    stats = [norm.running_mean for norm in enc.norms] + [norm.running_var for norm in enc.norms]
     ref_enc, ref_clf = enc.copy(), clf.copy()
     cfg = TrainConfig(lr=1e-2, epochs=2, seed=11)
     train_source_erm(enc, clf, sources, cfg)
     erm_reference(ref_enc, ref_clf, sources, cfg)
-    after = [a for _, a in enc.state_arrays() + clf.parameters()]
-    assert len(after) == len(arrays) and all(a is b for a, b in zip(after, arrays))
-    assert all(a.flags.owndata and a.flags.writeable for a in after)
+    params = [p for _, p in enc.parameters() + clf.parameters()]
+    vector = params[0].base
+    assert vector.ndim == 1 and vector.size == sum(p.size for p in params)
+    assert all(p.base is vector and p.flags.writeable for p in params)
+    after = [norm.running_mean for norm in enc.norms] + [norm.running_var for norm in enc.norms]
+    assert all(a is b for a, b in zip(after, stats))
     assert model_fingerprint(enc, clf) == model_fingerprint(ref_enc, ref_clf)
+
+
+def test_training_ends_on_the_best_epochs_state():
+    # seed 1 at lr 3e-2 peaks at epoch 1 of 6; training for 2 epochs ends there
+    sources, _, _ = _tiny_task(1)
+    runs = []
+    for epochs in (6, 2):
+        enc = MlpEncoder.create([16, 12, 16], seed=1)
+        clf = LinearClassifier.create(16, 4, seed=2)
+        report = train_source_erm(enc, clf, sources, TrainConfig(lr=3e-2, epochs=epochs, seed=1))
+        runs.append((report.best_epoch, model_fingerprint(enc, clf)))
+    assert runs[0] == runs[1] and runs[0][0] == 1
+
+
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+def test_training_refuses_a_frozen_source_and_leaves_it_frozen(use_norm):
+    sources, _, _ = _tiny_task(12)
+    enc = MlpEncoder.create([16, 12, 16], use_norm=use_norm, seed=12)
+    clf = LinearClassifier.create(16, 4, seed=13)
+    pair = clone_for_adaptation(enc, clf)
+    fingerprint = pair.source_fingerprint()
+    before = [a for _, a in enc.state_arrays() + clf.parameters()]
+    with pytest.raises(ConfigError, match="^pack: enc.0.w is read-only"):
+        train_source_erm(enc, clf, sources, TrainConfig(lr=1e-2, epochs=1, seed=12))
+    assert pair.source_fingerprint() == fingerprint
+    after = [a for _, a in enc.state_arrays() + clf.parameters()]
+    assert all(a is b and not a.flags.writeable for a, b in zip(after, before))
 
 
 def test_a_failed_training_leaves_the_state_it_failed_in():
@@ -479,6 +512,23 @@ def test_a_failed_training_leaves_the_state_it_failed_in():
         with pytest.raises(NumericalFailure, match="produced non-finite values$"):
             erm_reference(ref_enc, ref_clf, sources, cfg)
     assert model_fingerprint(enc, clf) == model_fingerprint(ref_enc, ref_clf) != initial
+
+
+@pytest.mark.parametrize("where, op", [
+    ("gamma", "batchnorm_forward: produced non-finite values"),
+    ("running_var", "batchnorm_forward: produced non-finite values"),
+    ("omega", "logits: produced non-finite values"),
+])
+def test_a_non_finite_model_is_refused_by_the_first_holdout_pass(where, op):
+    # before any step, so the failure names the op but no epoch or step
+    sources, _, _ = _tiny_task(9)
+    enc = MlpEncoder.create([16, 12, 16], use_norm=True, seed=9)
+    clf = LinearClassifier.create(16, 4, seed=10)
+    arrays = {"gamma": enc.norms[0].gamma, "running_var": enc.norms[0].running_var,
+              "omega": clf.omega}
+    arrays[where][0] = np.nan
+    with pytest.raises(NumericalFailure, match=f"^{op}$"):
+        train_source_erm(enc, clf, sources, TrainConfig(epochs=1, seed=9))
 
 
 def test_training_failure_names_epoch_and_step(monkeypatch):
