@@ -9,18 +9,17 @@ gradient ever sees them. A NumericalFailure while scoring or stepping on a
 batch names that batch's step.
 
 The batches are taken in runs of equal-sized batches, at most _STACK_ROWS
-rows each (`_runs`), and each run's rows are gathered once as a (B, n, d)
-stack. Whatever does not depend on a step is computed for the whole run in
-one stacked call, and each slice gets the value its own 2-D call would give,
-bit for bit (see numeric):
-  - the frozen source's hinge features of the batches that step, since the
-    source never changes during a pass; each step then reads its slice;
-  - the predictions of the batches that no step follows (every batch of a
-    pass that never steps, and those after the step budget), which see
-    fixed parameters: one encode, logits and softmax per run.
-A failing stacked call is made again one batch at a time, each as its
-batch comes up, so that the failure names the first failing batch's step
-and every earlier step still runs.
+rows each and never across the step budget (`_runs`), so either every batch
+of a run steps or none does. Each run's rows are gathered once as a
+(B, n, d) stack, and what no step of the run changes is computed for the
+whole run in one stacked call, each slice bit for bit what its own 2-D call
+would give (see numeric): for a run that steps, the frozen source's hinge
+features, since the source never changes during a pass; for a run that
+does not (every run of a pass that never steps, and those after the step
+budget), its predictions, whose hits one reduce then counts. Should that
+call fail, each batch is encoded alone when its turn comes (`_by_batch`),
+so the failure names the first failing batch's step and every earlier step
+still runs.
 
 The steps (`_make_step`), and what each backpropagates:
   none          no step; a pure evaluation pass.
@@ -38,23 +37,25 @@ The steps (`_make_step`), and what each backpropagates:
                 features, both encoded in the stream's mode (the source's
                 from the run's stacked call); every parameter's gradient,
                 the classifier's only with the entropy term.
-Each step's Adam holds one contiguous slice of the adapted pair's packed
-vectors (`ModelPair.flat`): the norm slice for entropy_norm, the encoder's
-slice for unidg without the entropy term, and the whole of them otherwise.
-The backward writes into that slice and the step updates it, with no
-per-parameter bookkeeping.
+A step that optimises packs the adapted model when it is made (see
+`model.pack`), so it steps the arrays the model holds when the pass starts,
+and its Adam holds one contiguous slice of the packed vectors: the norm
+slice for entropy_norm, the encoder's slice for unidg without the entropy
+term, and the whole of them otherwise. The backward writes into that slice
+and the step updates it, with no per-parameter bookkeeping.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
 from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
-from .model import ModelPair, classification_accuracy
+from .model import ModelPair, classification_accuracy, pack
 from .numeric import check_finite_settings, softmax_rows
 from .train import Adam, cross_entropy_loss
 
@@ -157,44 +158,41 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
 
     # the frozen source's features feed only the unidg hinge
     hinge = cfg.method == "unidg" and cfg.enable_lm
-    source = pair.source_encoder
-    hits = []  # correct predictions per batch
+
+    encode_source = partial(pair.source_encoder.encode, mode=mode, retain_cache=False)
+
+    def predict(x):
+        feats = enc.encode(x, mode=mode, retain_cache=False)
+        return np.argmax(softmax_rows(clf.logits(feats)), axis=-1)
+
+    hits = np.zeros(len(batches), dtype=np.intp)  # correct predictions per batch
     reports = []
-    for start, end in _runs(batches, 0, limit):
+    for start, end in _runs(batches, limit):
         idx = np.stack(batches[start:end])
         xs, labels = target.features[idx], target.labels[idx]
-        stacked = None
-        if hinge:
-            try:
-                stacked = source.encode(xs, mode=mode, retain_cache=False)
-            except NumericalFailure:
-                pass  # encoded batch by batch below, so the failure names its step
-        for i, xb in enumerate(xs):
-            t = start + i
-            try:
-                feats = enc.encode(xb, mode=mode, retain_cache=True)
+        stepping = start < limit
+        # one stacked call for what no step of the run changes: the source's
+        # hinge features of a run that steps, else the run's predictions
+        fixed = (_by_batch(encode_source if stepping else predict, xs)
+                 if hinge or not stepping else None)
+        preds = np.empty(labels.shape, dtype=np.intp)
+        try:
+            for i in range(end - start):
+                if not stepping:
+                    preds[i] = fixed(i)
+                    continue
+                feats = enc.encode(xs[i], mode=mode, retain_cache=True)
                 probs = softmax_rows(clf.logits(feats))
-                preds = np.argmax(probs, axis=1)
-                source_feats = None
-                if stacked is not None:
-                    source_feats = stacked[i]
-                elif hinge:
-                    source_feats = source.encode(xb, mode=mode, retain_cache=False)
-                report = step(source_feats, feats, probs, preds)
-            except NumericalFailure as e:
-                raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-            hits.append(int(np.count_nonzero(preds == labels[i])))
-            if report is not None:
-                reports.append(report)
-    hits += _stacked_hits(pair, target, batches, limit, mode)
+                preds[i] = np.argmax(probs, axis=1)
+                report = step(fixed(i) if hinge else None, feats, probs, preds[i])
+                if report is not None:
+                    reports.append(report)
+        except NumericalFailure as e:
+            raise NumericalFailure(f"adaptation aborted at step {start + i}: {e}") from e
+        hits[start:end] = np.add.reduce(preds == labels, axis=-1)
 
-    cumulative = []
-    correct = 0
-    seen = 0
-    for idx, hit in zip(batches, hits):
-        correct += hit
-        seen += idx.shape[0]
-        cumulative.append(correct / seen)
+    correct, seen = np.cumsum([hits, [idx.shape[0] for idx in batches]], axis=-1)
+    cumulative = (correct / seen).tolist()
     final = cumulative[-1] if cumulative else 0.0
     curve = AccuracyCurve(
         cumulative=cumulative,
@@ -206,37 +204,24 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     return pair, curve, reports
 
 
-def _stacked_hits(pair, target, batches, first, mode):
-    """Correct predictions of each of batches[first:], which no step
-    follows, scored in stacked calls (see the module docstring)."""
-    enc = pair.adapted_encoder
-    clf = pair.adapted_classifier
-
-    def predict(idx, t):
-        try:
-            feats = enc.encode(target.features[idx], mode=mode, retain_cache=False)
-            return np.argmax(softmax_rows(clf.logits(feats)), axis=-1)
-        except NumericalFailure as e:
-            raise NumericalFailure(f"adaptation aborted at step {t}: {e}") from e
-
-    hits = []
-    for start, end in _runs(batches, first, len(batches)):
-        idx = np.stack(batches[start:end])
-        try:
-            preds = predict(idx, start)
-        except NumericalFailure:
-            for t in range(start, end):
-                predict(batches[t], t)  # raises at the first failing batch
-            raise
-        hits += np.add.reduce(preds == target.labels[idx], axis=-1).tolist()
-    return hits
+def _by_batch(f, xs):
+    """Item i of f(xs) for a (B, n, d) stack xs, as the function of i that
+    returns it: a slice of one stacked call, bit for bit what f(xs[i]) gives
+    (see numeric). Should that call raise NumericalFailure, each f(xs[i]) is
+    computed alone when asked for, so the first failing batch raises."""
+    try:
+        return f(xs).__getitem__
+    except NumericalFailure:
+        return lambda i: f(xs[i])
 
 
-def _runs(batches, start, stop):
-    """(start, end) of each run of equal-sized batches in batches[start:stop]
-    that one stacked call takes: at most _STACK_ROWS rows, and at least one
-    batch."""
-    while start < stop:
+def _runs(batches, limit):
+    """(start, end) of each run of equal-sized batches that one stacked call
+    takes: at most _STACK_ROWS rows and at least one batch, and never across
+    the step budget `limit`, so either every batch of a run steps or none."""
+    start = 0
+    while start < len(batches):
+        stop = limit if start < limit else len(batches)
         n = batches[start].shape[0]
         end = start + 1
         while end < stop and batches[end].shape[0] == n and (end - start + 1) * n <= _STACK_ROWS:
@@ -254,13 +239,17 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     A unidg bank holds `bank_rows` rows per class."""
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
-    flat = pair.flat
+
+    def adam(part):  # part: "norm", "encoder" or None, all of the model
+        flat = pack(enc, clf)  # the arrays the model holds now, however packed before
+        part = getattr(flat, part) if part else slice(None)
+        return Adam(flat.values[part], flat.grads[part], lr=cfg.lr)
 
     if cfg.method == "entropy_norm":
         # Adam holds only the norm affine parameters, the packed vectors'
         # leading slice, and the backward computes no other gradient, so the
         # linear weights and the classifier stay fixed
-        opt = Adam(flat.values[flat.norm], flat.grads[flat.norm], lr=cfg.lr)
+        opt = adam("norm")
 
         def entropy_norm_step(source_feats, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
@@ -273,7 +262,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         return entropy_norm_step
 
     if cfg.method == "pseudo_label":
-        opt = Adam(flat.values, flat.grads, lr=cfg.lr)
+        opt = adam(None)
 
         def pseudo_label_step(source_feats, feats, probs, preds):
             loss, g_logits = cross_entropy_loss(probs, preds)
@@ -289,8 +278,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     bank = init_from_classifier(pair.source_classifier, bank_rows) if cfg.enable_bank else None
     # without the entropy term no gradient reaches the classifier, so Adam
     # holds the encoder's slice alone
-    part = slice(None) if cfg.enable_le else flat.encoder
-    opt = Adam(flat.values[part], flat.grads[part], lr=cfg.lr) if any_gradients else None
+    opt = adam(None if cfg.enable_le else "encoder") if any_gradients else None
 
     def unidg_step(source_feats, feats, probs, preds):
         if cfg.enable_bank:

@@ -7,7 +7,9 @@ backward writes each gradient in place into the model's own gradient
 array, and an optimizer updates the parameters in place. `pack` moves a
 network's parameters into one flat vector and its gradients into another,
 so that an optimizer steps the whole network, or its leading norm slice,
-as one vector; a `norm_only` backward fills only that slice.
+as one vector; a `norm_only` backward fills only that slice. Each trainer
+(ERM, an adaptation step) packs what it steps when it starts, and no model
+or pair holds a packed vector.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .numeric import (
     NormLayerState,
     _finite,
     as_matrix,
+    as_vector,
     batchnorm_backward,
     batchnorm_forward,
     batchnorm_param_grads,
@@ -73,6 +76,10 @@ class MlpEncoder:
             if norm is not None and norm.dim != dims[i + 1]:
                 raise DimensionError(
                     f"norm {i}: dim {norm.dim} does not match layer_dims {dims[i + 1]}")
+            # a checkpoint keeps only the encoder's pair and gives it to every norm
+            if norm is not None and (norm.eps, norm.momentum) != (eps, momentum):
+                raise ConfigError(f"norm {i}: eps {norm.eps} and momentum {norm.momentum} "
+                                  f"differ from the encoder's {eps} and {momentum}")
         # where backward writes each parameter's gradient (see gradients())
         self._weight_grads = [np.zeros(w.shape) for w in weights]
         self._bias_grads = [np.zeros(b.shape) for b in biases]
@@ -261,7 +268,7 @@ class LinearClassifier:
 
     def __init__(self, omega, bias):
         self.omega = as_matrix(omega, "omega")
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
+        self.bias = None if bias is None else as_vector(bias, "bias")
         if self.bias is not None and self.bias.shape != (self.omega.shape[1],):
             raise DimensionError("bias length must equal the number of classes")
         # where backward writes the parameters' gradients (see gradients())
@@ -380,13 +387,14 @@ class ModelPair:
     """Frozen source model next to its learnable adapted copy.
 
     The source arrays are marked read-only; any in-place write raises. The
-    adapted halves start as deep copies and drift under adaptation; they
-    are packed as one network, `flat` (see `pack`).
+    adapted halves start as deep copies and drift under adaptation. The pair
+    holds no packed vector: a pass packs the adapted halves when it starts
+    to step them (see `pack`), so it steps the arrays they hold then.
     """
 
     def __init__(self, source_encoder, source_classifier, adapted_encoder, adapted_classifier):
         if adapted_encoder is source_encoder or adapted_classifier is source_classifier:
-            # packing would give the source writable arrays, adapted with the copy
+            # freezing the source would freeze the half that is meant to adapt
             raise ConfigError("ModelPair: the adapted halves must be copies, not the source")
         self.source_encoder = source_encoder
         self.source_classifier = source_classifier
@@ -396,7 +404,6 @@ class ModelPair:
             arr.flags.writeable = False
         for _, arr in self.source_classifier.parameters():
             arr.flags.writeable = False
-        self.flat = pack(adapted_encoder, adapted_classifier)
 
     def source_fingerprint(self) -> str:
         return _fingerprint(

@@ -205,11 +205,11 @@ def _held_by_steps(pair, target, cfg, monkeypatch):
     """Per Adam step of a pass: (the parameter and gradient vectors Adam
     holds, as array interfaces, and the names of the adapted model's
     gradient arrays that lie in its gradient vector)."""
-    grads = pair.adapted_encoder.gradients() + pair.adapted_classifier.gradients()
     seen = []
     original = Adam.step
 
     def spy(self):
+        grads = pair.adapted_encoder.gradients() + pair.adapted_classifier.gradients()
         names = sorted(n for n, g in grads if np.shares_memory(g, self.grads))
         seen.append((self.params.__array_interface__, self.grads.__array_interface__, names))
         return original(self)
@@ -219,17 +219,33 @@ def _held_by_steps(pair, target, cfg, monkeypatch):
     return seen
 
 
+def _spy_on_pack(monkeypatch):
+    """The list that each `pack` the adapt module calls appends its packed
+    vectors (FlatParameters) to."""
+    packed = []
+    original = adapt.pack
+
+    def spy(encoder, classifier):
+        packed.append(original(encoder, classifier))
+        return packed[-1]
+
+    monkeypatch.setattr(adapt, "pack", spy)
+    return packed
+
+
 def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):
-    # Tent's Adam holds exactly the norm slice of the packed vectors, and the
-    # norm gradient arrays tile it
+    # Tent's Adam holds exactly the norm slice of the pass's packed vectors,
+    # and the norm gradient arrays tile it
     pair, target = _tiny(3, use_norm=True)
-    flat = pair.flat
+    packed = _spy_on_pack(monkeypatch)
+    cfg = AdaptConfig(method="entropy_norm", lr=1e-2, steps=4, seed=1)
+    held = _held_by_steps(pair, target, cfg, monkeypatch)
+    [flat] = packed  # the pass packs once, when it starts
     names = sorted(n for n, _ in pair.adapted_encoder.norm_parameters())
     assert flat.norm.stop == sum(p.size for _, p in pair.adapted_encoder.norm_parameters())
-    cfg = AdaptConfig(method="entropy_norm", lr=1e-2, steps=4, seed=1)
     want = (flat.values[flat.norm].__array_interface__,
             flat.grads[flat.norm].__array_interface__, names)
-    assert _held_by_steps(pair, target, cfg, monkeypatch) == [want] * 4
+    assert held == [want] * 4
 
 
 @pytest.mark.parametrize("settings, part", [
@@ -240,13 +256,15 @@ def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):
 ], ids=["pseudo_label", "unidg", "unidg-no-lm", "unidg-no-le"])
 def test_each_step_holds_one_slice_of_the_packed_vectors(settings, part, monkeypatch):
     pair, target = _tiny(3, use_norm=True)
-    flat = pair.flat
+    packed = _spy_on_pack(monkeypatch)
+    cfg = AdaptConfig(lr=1e-2, steps=3, seed=1, **settings)
+    held = _held_by_steps(pair, target, cfg, monkeypatch)
+    [flat] = packed  # the pass packs once, when it starts
     part = flat.encoder if part == "encoder" else part
     params = pair.adapted_encoder.parameters() + pair.adapted_classifier.parameters()
     names = sorted(n for n, p in params if np.shares_memory(p, flat.values[part]))
-    cfg = AdaptConfig(lr=1e-2, steps=3, seed=1, **settings)
     want = (flat.values[part].__array_interface__, flat.grads[part].__array_interface__, names)
-    assert _held_by_steps(pair, target, cfg, monkeypatch) == [want] * 3
+    assert held == [want] * 3
     if part != slice(None):
         assert not any(n.startswith("clf.") for n in names)
 
@@ -254,17 +272,36 @@ def test_each_step_holds_one_slice_of_the_packed_vectors(settings, part, monkeyp
 @pytest.mark.parametrize("settings", [
     dict(method=m) for m in METHODS] + [dict(enable_le=False), dict(enable_lm=False)],
     ids=[*METHODS, "unidg-no-le", "unidg-no-lm"])
-def test_a_pass_leaves_the_source_unchanged_and_read_only(settings):
+def test_a_pass_leaves_the_source_unchanged_and_read_only(settings, monkeypatch):
     pair, target = _tiny(4, use_norm=True)
     fingerprint = pair.source_fingerprint()
+    packed = _spy_on_pack(monkeypatch)
     run_method(pair, target, AdaptConfig(lr=1e-2, seed=2, **settings))
     assert pair.source_fingerprint() == fingerprint
-    source = pair.source_encoder.state_arrays() + pair.source_classifier.parameters()
-    assert not any(a.flags.writeable for _, a in source)
-    # the adapted model's learnable arrays are views of the packed vector
-    adapted = pair.adapted_encoder.parameters() + pair.adapted_classifier.parameters()
-    assert all(np.shares_memory(p, pair.flat.values) for _, p in adapted)
-    assert not any(np.shares_memory(a, pair.flat.values) for _, a in source)
+    source = [a for _, a in pair.source_encoder.state_arrays() + pair.source_classifier.parameters()]
+    assert not any(a.flags.writeable for a in source)
+    adapted = [p for _, p in pair.adapted_encoder.parameters() + pair.adapted_classifier.parameters()]
+    if settings.get("method") == "none":
+        assert packed == []  # a pass that never steps packs nothing
+    else:
+        # the adapted model's learnable arrays are views of the pass's packed vector
+        [flat] = packed
+        assert all(np.shares_memory(p, flat.values) for p in adapted)
+        assert not any(np.shares_memory(a, flat.values) for a in source)
+    assert not any(np.shares_memory(a, p) for a in source for p in adapted)
+
+
+def test_a_pass_steps_what_the_adapted_model_holds_after_it_was_trained():
+    # ERM on the adapted halves packs them into a vector of its own; the next
+    # pass must step the arrays they hold then, not a vector packed earlier
+    pair, target = _tiny(6)
+    sources, _ = gen_synthetic_shift(ShiftSpec(samples_per_domain=240, num_source_domains=2, seed=6))
+    train_source_erm(pair.adapted_encoder, pair.adapted_classifier, sources,
+                     TrainConfig(lr=1e-2, epochs=1, seed=6))
+    before = pair.adapted_fingerprint()
+    _, _, reports = run_method(pair, target, AdaptConfig(method="pseudo_label", lr=1e-2, seed=1))
+    assert reports
+    assert pair.adapted_fingerprint() != before
 
 
 @pytest.mark.parametrize("cap", [64, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])

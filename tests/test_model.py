@@ -426,6 +426,32 @@ def test_encoder_refuses_arrays_that_do_not_match_layer_dims():
         MlpEncoder([6, 5, 4], **{**parts, "norms": [NormLayerState.create(4)]})
 
 
+@pytest.mark.parametrize("setting", [dict(eps=1e-3), dict(momentum=0.5)], ids=["eps", "momentum"])
+def test_encoder_refuses_a_norm_whose_settings_differ_from_its_own(setting, tmp_path):
+    # a checkpoint keeps only the encoder's eps and momentum and gives them to
+    # every norm, so a norm of its own settings would not load back as saved
+    enc = MlpEncoder.create([6, 5, 5, 4], use_norm=True, seed=0)
+    parts = dict(weights=enc.weights, biases=enc.biases)
+    with pytest.raises(ConfigError, match="^norm 1: eps .* differ from the encoder's"):
+        MlpEncoder(enc.layer_dims, norms=[enc.norms[0], NormLayerState.create(5, **setting)],
+                   **parts)
+    # norms that share the encoder's settings are taken, and load back with them
+    own = MlpEncoder(enc.layer_dims, norms=[NormLayerState.create(5, **setting) for _ in range(2)],
+                     **parts, **setting)
+    path = tmp_path / "model.json"
+    save_checkpoint(path, own, LinearClassifier.create(4, 3, seed=1))
+    loaded, _, _ = load_checkpoint(path)
+    assert [(n.eps, n.momentum) for n in loaded.norms] == [(n.eps, n.momentum) for n in own.norms]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_classifier_refuses_a_non_finite_bias(bad):
+    with pytest.raises(NumericalFailure, match="^bias: contains NaN or Inf$"):
+        LinearClassifier(np.ones((3, 2)), [bad, 0.0])
+    with pytest.raises(DimensionError, match="^bias length must equal the number of classes$"):
+        LinearClassifier(np.ones((3, 2)), [0.0, 0.0, 0.0])
+
+
 def test_classification_accuracy_on_separable_points():
     clf = LinearClassifier(np.array([[1.0, -1.0]]), np.zeros(2))
     enc = MlpEncoder([1, 1], [np.eye(1)], [np.zeros(1)], [])

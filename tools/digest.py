@@ -1,0 +1,135 @@
+"""Print one sha256 over the values a bit-for-bit change must keep.
+
+Usage: python tools/digest.py SRC_ROOT
+
+SRC_ROOT is the directory that holds the `marginadapt` package of the
+checkout to digest (its `src/`). Run it on two checkouts, say the parent
+commit's and a change's; equal hashes mean equal bits in:
+  - ERM: the trained model's fingerprint and the float-hex loss and
+    holdout histories, for a linear and a norm encoder on two seeds;
+  - `run_method` over both encoders, lr 5e-5 and 5e-3, every method and
+    every combination of the unidg switches, steps 0, 5 and None: float-hex
+    cumulative curves and loss reports, the adapted fingerprint and the
+    source accuracies before and after;
+  - the README workflow (gen-data, train-source, adapt, ablate) run through
+    the CLI in a temporary directory: the bytes of `checkpoint.json` and the
+    `canonical_record_bytes` of the adapt and ablate records.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import itertools
+import json
+import os
+import sys
+import tempfile
+
+
+def _import_package(src_root):
+    src_root = os.path.abspath(src_root)
+    if not os.path.isdir(os.path.join(src_root, "marginadapt")):
+        sys.exit(f"digest: {src_root} holds no marginadapt package")
+    sys.path.insert(0, src_root)
+    import marginadapt
+
+    if not os.path.abspath(marginadapt.__file__).startswith(src_root + os.sep):
+        sys.exit(f"digest: imported marginadapt from {marginadapt.__file__}, not {src_root}")
+    return marginadapt
+
+
+def _hex(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def _erm_lines(ma):
+    """ERM values, and each encoder's seed-0 model and task for the grid."""
+    lines, trained = [], {}
+    for use_norm, seed in itertools.product((False, True), (0, 1)):
+        spec = ma.ShiftSpec(samples_per_domain=1200, num_source_domains=2, seed=seed)
+        sources, target = ma.gen_synthetic_shift(spec)
+        dims = [16, 24, 24] if use_norm else [16, 24]
+        enc = ma.MlpEncoder.create(dims, use_norm=use_norm, seed=seed)
+        clf = ma.LinearClassifier.create(dims[-1], 4, seed=seed + 1)
+        report = ma.train_source_erm(enc, clf, sources, ma.TrainConfig(lr=1e-2, epochs=3, seed=seed))
+        lines.append(("erm", use_norm, seed, ma.model_fingerprint(enc, clf),
+                      report.best_epoch, _hex(report.loss_history), _hex(report.val_history)))
+        if seed == 0:
+            trained[use_norm] = (enc, clf, sources[0], target)
+    return lines, trained
+
+
+def _run_method_lines(ma, trained):
+    switches = [dict(zip(("enable_lm", "enable_le", "enable_bank"), s))
+                for s in itertools.product((True, False), repeat=3)]
+    lines = []
+    for use_norm, (enc, clf, source_eval, target) in trained.items():
+        methods = [dict(method="none"), dict(method="pseudo_label")]
+        if use_norm:
+            methods.append(dict(method="entropy_norm"))
+        methods += [dict(method="unidg", **s) for s in switches]
+        for settings, lr, steps in itertools.product(methods, (5e-5, 5e-3), (0, 5, None)):
+            cfg = ma.AdaptConfig(lr=lr, steps=steps, seed=3, **settings)
+            pair = ma.clone_for_adaptation(enc, clf)
+            _, curve, reports = ma.run_method(pair, target, cfg, source_eval=source_eval)
+            lines.append((
+                "run_method", use_norm, sorted(settings.items()), lr, steps,
+                _hex(curve.cumulative), float(curve.final_accuracy).hex(),
+                _hex([curve.source_before, curve.source_after]),
+                [(*_hex([r.l_m, r.l_e, r.total]), r.hinge_rows) for r in reports],
+                pair.adapted_fingerprint(),
+            ))
+    return lines
+
+
+_WORKFLOW = (
+    ["gen-data", "--out", "task", "--seed", "0"],
+    ["train-source", "--data", "task", "--out", "run", "--seed", "0",
+     "--epochs", "12", "--lr", "0.01", "--hidden-dims", "32", "--feature-dim", "32"],
+    ["adapt", "--checkpoint", "run/checkpoint.json", "--target", "task/target.csv",
+     "--source-data", "task", "--out", "run"],
+    ["ablate", "--checkpoint", "run/checkpoint.json", "--target", "task/target.csv",
+     "--out", "run", "--trials", "3"],
+)
+
+
+def _workflow_lines():
+    from marginadapt import cli
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(tmp)  # the records hold the paths as given, so keep them relative
+        try:
+            for argv in _WORKFLOW:
+                if cli.main(argv) != 0:
+                    sys.exit(f"digest: marginadapt {argv[0]} failed")
+            with open("run/checkpoint.json", "rb") as fh:
+                lines = [("checkpoint", hashlib.sha256(fh.read()).hexdigest())]
+            for name in sorted(os.listdir("run")):
+                if name.startswith("run_"):
+                    with open(os.path.join("run", name)) as fh:
+                        record = json.load(fh)
+                    digest = hashlib.sha256(cli.canonical_record_bytes(record)).hexdigest()
+                    lines.append(("record", name, record["kind"], digest))
+        finally:
+            os.chdir(cwd)
+    return lines
+
+
+def main(argv):
+    if len(argv) != 1:
+        sys.exit(__doc__.strip().splitlines()[2])
+    ma = _import_package(argv[0])
+    erm, trained = _erm_lines(ma)
+    h = hashlib.sha256()
+    for line in erm + _run_method_lines(ma, trained) + _workflow_lines():
+        h.update(repr(line).encode())
+        h.update(b"\n")
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
