@@ -6,7 +6,9 @@ budget lasts, hand the scored batch to the method's step for one update.
 Predictions therefore always come from parameters shaped only by earlier
 batches. Labels are consumed exclusively by the accuracy bookkeeping; no
 gradient ever sees them. A NumericalFailure while scoring or stepping on a
-batch names that batch's step.
+batch names that batch's step. Scoring a batch and stepping on it is one
+checked step (see numeric), entered after the batch's frozen-source
+features are taken, as `model.step_context` decides when the pass starts.
 
 The batches are taken in runs of equal-sized batches, at most _STACK_ROWS
 rows each and never across the step budget (`_runs`), so either every batch
@@ -55,7 +57,7 @@ import numpy as np
 from .errors import ConfigError, NumericalFailure
 from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
-from .model import ModelPair, classification_accuracy, pack
+from .model import ModelPair, classification_accuracy, pack, step_context
 from .numeric import check_finite_settings, softmax_rows
 from .train import Adam, cross_entropy_loss
 
@@ -154,6 +156,8 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     step = _make_step(pair, cfg, mode, min(cfg.top_k, target.n)) if limit > 0 else None
     if step is None:
         limit = 0
+    else:
+        checked = step_context(enc, clf, cfg.batch_size)
     source_before = _source_accuracy(pair, source_eval)
 
     # the frozen source's features feed only the unidg hinge
@@ -181,10 +185,13 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
                 if not stepping:
                     preds[i] = fixed(i)
                     continue
-                feats = enc.encode(xs[i], mode=mode, retain_cache=True)
-                probs = softmax_rows(clf.logits(feats))
-                preds[i] = np.argmax(probs, axis=1)
-                report = step(fixed(i) if hinge else None, feats, probs, preds[i])
+                # outside the checked step: a source batch encoded alone scans
+                source_feats = fixed(i) if hinge else None
+                with checked():
+                    feats = enc.encode(xs[i], mode=mode, retain_cache=True)
+                    probs = softmax_rows(clf.logits(feats))
+                    preds[i] = np.argmax(probs, axis=1)
+                    report = step(source_feats, feats, probs, preds[i])
                 if report is not None:
                     reports.append(report)
         except NumericalFailure as e:
@@ -303,14 +310,15 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
             # like for like: the source saw the batch in the adapted copy's
             # mode, so the hinge measures parameter drift, not a mode gap
             l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
-            # a g_lm with no nonzero entry (no row active) would change no
-            # bit: x + 0.0 is x for every x but -0.0, and g_feats holds none
-            if np.count_nonzero(g_lm):
-                hinge_rows = int(np.count_nonzero(g_lm.any(axis=1)))
-                g_feats += cfg.lambda_weight * g_lm
+        # checked before the hinge gradient is scaled, which overflows with it
         total = l_e + cfg.lambda_weight * l_m
         if not np.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")
+        # a g_lm with no nonzero entry (no row active) would change no bit:
+        # x + 0.0 is x for every x but -0.0, and g_feats holds none
+        if cfg.enable_lm and np.count_nonzero(g_lm):
+            hinge_rows = int(np.count_nonzero(g_lm.any(axis=1)))
+            g_feats += cfg.lambda_weight * g_lm
         enc.backward(g_feats)
         opt.step()
         return LossReport(l_m=l_m, l_e=l_e, total=total, hinge_rows=hinge_rows)

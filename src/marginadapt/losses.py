@@ -54,15 +54,18 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
     if sigma < 0.0:
         raise ConfigError(f"marginal_loss: sigma must be >= 0, got {sigma}")
     n = adapted.shape[0]
-    diff = adapted - source
-    dist_sq = np.add.reduce(diff * diff, axis=1)
-    if n and np.maximum.reduce(dist_sq) <= sigma:
-        # no row outside the margin: the general form's exact (0.0, zeros);
-        # a NaN distance fails the test and is caught below
-        return 0.0, np.zeros(adapted.shape)
-    active = dist_sq > sigma
-    value = float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / n)
-    grad = np.where(active[:, None], (2.0 / n) * diff, 0.0)
+    try:
+        diff = adapted - source
+        dist_sq = np.add.reduce(diff * diff, axis=1)
+        if n and np.maximum.reduce(dist_sq) <= sigma:
+            # no row outside the margin: the general form's exact (0.0, zeros);
+            # a NaN distance fails the test and is caught below
+            return 0.0, np.zeros(adapted.shape)
+        active = dist_sq > sigma
+        value = float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / n)
+        grad = np.where(active[:, None], (2.0 / n) * diff, 0.0)
+    except FloatingPointError as e:
+        raise NumericalFailure("marginal_loss: non-finite value") from e
     if not math.isfinite(value):
         raise NumericalFailure("marginal_loss: non-finite value")
     return value, grad

@@ -30,7 +30,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalFailure
-from .numeric import Array
+from .numeric import Array, non_finite
 
 
 @dataclass
@@ -155,12 +155,15 @@ def compute_prototypes(bank: MemoryBank) -> Array:
     single column is the exception: numpy sums it pairwise, in an order set
     by the number of rows summed, so each class is summed over its own rows."""
     counts = bank.counts
-    if bank.feature_dim == 1:
-        sums = np.array([np.add.reduce(bank.features[j, :n], axis=0)
-                         for j, n in enumerate(counts.tolist())])
-    else:
-        sums = np.add.reduce(bank.features, axis=1)
-    np.divide(sums, counts[:, None], out=bank.prototypes, where=counts[:, None] > 0)
+    try:
+        if bank.feature_dim == 1:
+            sums = np.array([np.add.reduce(bank.features[j, :n], axis=0)
+                             for j, n in enumerate(counts.tolist())])
+        else:
+            sums = np.add.reduce(bank.features, axis=1)
+        np.divide(sums, counts[:, None], out=bank.prototypes, where=counts[:, None] > 0)
+    except FloatingPointError as e:
+        raise non_finite("compute_prototypes") from e
     return bank.prototypes
 
 

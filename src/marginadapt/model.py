@@ -17,12 +17,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, SchemaError, StateError
 from .numeric import (
+    FLAGGED_PRODUCT_MAX,
     Array,
     NormLayerState,
     _finite,
@@ -32,9 +34,11 @@ from .numeric import (
     batchnorm_forward,
     batchnorm_param_grads,
     check_norm_settings,
+    checked_step,
     linear_forward,
     linear_input_grad,
     linear_param_grads,
+    non_finite,
     relu_backward,
     relu_forward,
     update_running_stats,
@@ -299,9 +303,12 @@ class LinearClassifier:
             raise DimensionError(
                 f"logits: features have width {z.shape[-1]}, expected {self.feature_dim}"
             )
-        out = z @ self.omega
-        if self.bias is not None:
-            out += self.bias
+        try:
+            out = z @ self.omega
+            if self.bias is not None:
+                out += self.bias
+        except FloatingPointError as e:
+            raise non_finite("logits") from e
         return _finite(out, "logits")
 
     def backward(self, z, upstream, norm_only=False):
@@ -414,6 +421,23 @@ class ModelPair:
         return _fingerprint(
             self.adapted_encoder.state_arrays() + self.adapted_classifier.parameters()
         )
+
+
+def step_context(encoder: MlpEncoder, classifier: LinearClassifier, rows: int):
+    """The context manager class that a trainer of `encoder` and
+    `classifier` enters once per step, for steps of at most `rows` rows:
+    `numeric.checked_step` when floating-point flags see every non-finite
+    value a step can make, else `nullcontext`, so every op scans its output.
+    Flags see it when the parameters are finite now (one scan, as the
+    trainer starts) and the step's largest product, `rows` times the largest
+    weight matrix, the classifier's included, runs in the calling thread
+    (at most `numeric.FLAGGED_PRODUCT_MAX` multiply-adds)."""
+    widest = max(w.size for w in encoder.weights + [classifier.omega])
+    params = encoder.parameters() + classifier.parameters()
+    if rows * widest <= FLAGGED_PRODUCT_MAX and all(
+            np.count_nonzero(np.isfinite(a)) == a.size for _, a in params):
+        return checked_step
+    return nullcontext
 
 
 def clone_for_adaptation(encoder: MlpEncoder, classifier: LinearClassifier) -> ModelPair:

@@ -10,6 +10,28 @@ arrays of the right rank. Values entering the package are checked at its
 entry points: `DomainDataset`, `NormLayerState`, the `LinearClassifier`
 constructor, `MlpEncoder.encode`'s input, `diagnostics`, `load_checkpoint`.
 
+An op checks its output in one of two ways. Called on its own, it scans
+the output (`_finite`). Inside `checked_step`, which a trainer enters once
+per step, it does not scan: the step runs under
+`np.errstate(over="raise", invalid="raise", divide="raise")`, so the first
+ufunc or product that makes an Inf or a NaN raises FloatingPointError, and
+the op turns it into the NumericalFailure its scan would raise. So do the
+other functions a step calls whose arithmetic can overflow:
+`update_running_stats` here, `logits`, `marginal_loss`, `Adam.step` and
+`compute_prototypes`. Any other FloatingPointError fails the step as
+`non-finite step arithmetic`.
+
+Flags see only what is computed, in the calling thread. A NaN already in a
+parameter spreads without a flag, and OpenBLAS runs a product of more than
+`FLAGGED_PRODUCT_MAX` multiply-adds in worker threads, whose flags numpy
+never reads. So a trainer enters `checked_step` only when
+`model.step_context` finds the parameters finite as it starts and the
+step's largest product within that bound; otherwise every op scans, as
+when called on its own. Flags also fire on an intermediate, so a checked
+op fails on an overflow that its output would hide (a column variance past
+the float range, normalised to 0 by a scan's op; a logit range past it in
+`softmax_rows`).
+
 Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
 the same reductions `np.mean` and `np.var` run, so the values are theirs
@@ -44,6 +66,7 @@ layer that reads it. Only a retaining forward feeds a backward or
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,11 +104,45 @@ def as_vector(x, name: str = "array") -> Array:
     return a
 
 
+# OpenBLAS runs a product of at most 65536 * 4 multiply-adds (its
+# SMP_THRESHOLD_MIN times the default GEMM_MULTITHREAD_THRESHOLD) in the
+# calling thread; the floating-point flags of a larger one's worker threads
+# are lost (an overflow in the last of 512 rows of a 48-wide product goes
+# unflagged with 2 threads)
+FLAGGED_PRODUCT_MAX = 65536 * 4
+
+_CHECKED = ContextVar("marginadapt_checked_step", default=False)
+
+
+class checked_step:
+    """One step of a trainer whose every non-finite value raises a
+    floating-point flag (see the module docstring): inside it ops do not
+    scan their outputs, and a FloatingPointError that no op names becomes a
+    NumericalFailure."""
+
+    __slots__ = ("_errstate", "_token")
+
+    def __enter__(self):
+        self._errstate = np.errstate(over="raise", invalid="raise", divide="raise")
+        self._errstate.__enter__()
+        self._token = _CHECKED.set(True)
+
+    def __exit__(self, kind, err, tb):
+        _CHECKED.reset(self._token)
+        self._errstate.__exit__(kind, err, tb)
+        if isinstance(err, FloatingPointError):
+            raise NumericalFailure(f"non-finite step arithmetic: {err}") from err
+
+
+def non_finite(op: str) -> NumericalFailure:
+    return NumericalFailure(f"{op}: produced non-finite values")
+
+
 def _finite(out: Array, op: str) -> Array:
     # count_nonzero has a Python-level wrapper and dispatcher too, but is still
     # cheaper than `.all()`: 1.5 vs 2.2 us on a 32x48 array (numpy 2.4.6)
-    if np.count_nonzero(np.isfinite(out)) != out.size:
-        raise NumericalFailure(f"{op}: produced non-finite values")
+    if not _CHECKED.get() and np.count_nonzero(np.isfinite(out)) != out.size:
+        raise non_finite(op)
     return out
 
 
@@ -103,8 +160,11 @@ def linear_forward(x: Array, w: Array, b: Array) -> Array:
         raise DimensionError(
             f"linear_forward: bias length {b.shape[0]} != output width {w.shape[1]}"
         )
-    out = x @ w
-    out += b
+    try:
+        out = x @ w
+        out += b
+    except FloatingPointError as e:
+        raise non_finite("linear_forward") from e
     return _finite(out, "linear_forward")
 
 
@@ -121,7 +181,10 @@ def linear_input_grad(w: Array, upstream: Array) -> Array:
         raise DimensionError(
             f"linear_backward: upstream width {upstream.shape[-1]} != {w.shape[1]}"
         )
-    return _finite(upstream @ w.T, "linear_backward")
+    try:
+        return _finite(upstream @ w.T, "linear_backward")
+    except FloatingPointError as e:
+        raise non_finite("linear_backward") from e
 
 
 def linear_param_grads(x: Array, w: Array, upstream: Array, out=None):
@@ -133,8 +196,11 @@ def linear_param_grads(x: Array, w: Array, upstream: Array, out=None):
             f"linear_backward: upstream shape {upstream.shape} != {(x.shape[0], w.shape[1])}"
         )
     gw, gb = (None, None) if out is None else out
-    gw = np.matmul(x.T, upstream, out=gw)
-    gb = np.add.reduce(upstream, axis=0, out=gb)
+    try:
+        gw = np.matmul(x.T, upstream, out=gw)
+        gb = np.add.reduce(upstream, axis=0, out=gb)
+    except FloatingPointError as e:
+        raise non_finite("linear_backward") from e
     return _finite(gw, "linear_backward"), _finite(gb, "linear_backward")
 
 
@@ -153,9 +219,12 @@ def relu_backward(x: Array, upstream: Array) -> Array:
 
 def softmax_rows(z: Array) -> Array:
     """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return _finite(e / np.add.reduce(e, axis=-1, keepdims=True), "softmax_rows")
+    try:
+        shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+        e = np.exp(shifted)
+        return _finite(e / np.add.reduce(e, axis=-1, keepdims=True), "softmax_rows")
+    except FloatingPointError as err:
+        raise non_finite("softmax_rows") from err
 
 
 # ---------------------------------------------------------------------------
@@ -253,27 +322,30 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
         )
     m = x.shape[-2]
     stacked = x.ndim == 3
-    if mode == "train":
-        if m < 2:
-            raise BatchTooSmallError(
-                f"batchnorm_forward: train mode needs >= 2 rows, got {m}"
-            )
-        # np.mean and np.var's own arithmetic, with the centring done once
-        mu = np.add.reduce(x, axis=-2, keepdims=stacked) / m
-        xc = x - mu
-        var = np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m
-        denom = np.sqrt(var + state.eps)
-        x_hat = xc / denom
-    elif mode == "eval":
-        mu, var = state.running_mean, state.running_var
-        denom = np.sqrt(var + state.eps)
-        x_hat = (x - mu) / denom
-    else:
-        raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
-    state.cache = None if stacked else _NormCache(
-        mode=mode, x_hat=x_hat, mean=mu, var=var, denom=denom, m=m)
-    out = state.gamma * x_hat
-    out += state.beta
+    try:
+        if mode == "train":
+            if m < 2:
+                raise BatchTooSmallError(
+                    f"batchnorm_forward: train mode needs >= 2 rows, got {m}"
+                )
+            # np.mean and np.var's own arithmetic, with the centring done once
+            mu = np.add.reduce(x, axis=-2, keepdims=stacked) / m
+            xc = x - mu
+            var = np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m
+            denom = np.sqrt(var + state.eps)
+            x_hat = xc / denom
+        elif mode == "eval":
+            mu, var = state.running_mean, state.running_var
+            denom = np.sqrt(var + state.eps)
+            x_hat = (x - mu) / denom
+        else:
+            raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
+        state.cache = None if stacked else _NormCache(
+            mode=mode, x_hat=x_hat, mean=mu, var=var, denom=denom, m=m)
+        out = state.gamma * x_hat
+        out += state.beta
+    except FloatingPointError as e:
+        raise non_finite("batchnorm_forward") from e
     return _finite(out, "batchnorm_forward")
 
 
@@ -291,10 +363,13 @@ def update_running_stats(state: NormLayerState) -> None:
     c = state.cache
     mom = state.momentum
     # in-place so frozen (read-only) stats raise instead of silently rebinding
-    state.running_mean *= 1.0 - mom
-    state.running_mean += mom * c.mean
-    state.running_var *= 1.0 - mom
-    state.running_var += mom * c.var
+    try:
+        state.running_mean *= 1.0 - mom
+        state.running_mean += mom * c.mean
+        state.running_var *= 1.0 - mom
+        state.running_var += mom * c.var
+    except FloatingPointError as e:
+        raise non_finite("update_running_stats") from e
 
 
 def batchnorm_backward(state: NormLayerState, upstream: Array, out=None):
@@ -309,14 +384,17 @@ def batchnorm_backward(state: NormLayerState, upstream: Array, out=None):
     """
     ggamma, gbeta = batchnorm_param_grads(state, upstream, out)
     c = state.cache
-    gxhat = upstream * state.gamma
-    if c.mode == "train":
-        gx = c.m * gxhat
-        gx -= np.add.reduce(gxhat, axis=0)
-        gx -= c.x_hat * np.add.reduce(gxhat * c.x_hat, axis=0)
-        gx /= c.m * c.denom
-    else:
-        gx = gxhat / c.denom
+    try:
+        gxhat = upstream * state.gamma
+        if c.mode == "train":
+            gx = c.m * gxhat
+            gx -= np.add.reduce(gxhat, axis=0)
+            gx -= c.x_hat * np.add.reduce(gxhat * c.x_hat, axis=0)
+            gx /= c.m * c.denom
+        else:
+            gx = gxhat / c.denom
+    except FloatingPointError as e:
+        raise non_finite("batchnorm_backward") from e
     return _finite(gx, "batchnorm_backward"), ggamma, gbeta
 
 
@@ -332,6 +410,9 @@ def batchnorm_param_grads(state: NormLayerState, upstream: Array, out=None):
             f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
         )
     ggamma, gbeta = (None, None) if out is None else out
-    ggamma = np.add.reduce(upstream * c.x_hat, axis=0, out=ggamma)
-    gbeta = np.add.reduce(upstream, axis=0, out=gbeta)
+    try:
+        ggamma = np.add.reduce(upstream * c.x_hat, axis=0, out=ggamma)
+        gbeta = np.add.reduce(upstream, axis=0, out=gbeta)
+    except FloatingPointError as e:
+        raise non_finite("batchnorm_backward") from e
     return _finite(ggamma, "batchnorm_backward"), _finite(gbeta, "batchnorm_backward")

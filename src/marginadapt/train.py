@@ -9,8 +9,8 @@ import numpy as np
 
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
-from .model import classification_accuracy, pack
-from .numeric import Array, check_finite_settings, softmax_rows
+from .model import classification_accuracy, pack, step_context
+from .numeric import Array, check_finite_settings, non_finite, softmax_rows
 
 
 @dataclass
@@ -85,26 +85,29 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.t
         s, u = self._s, self._u
         g = self.grads
-        if self.weight_decay:
-            # g + weight_decay * p, held in u until v is updated
-            np.multiply(self.params, self.weight_decay, out=u)
-            g = np.add(g, u, out=u)
-        m, v = self.m, self.v
-        np.multiply(m, self.beta1, out=m)
-        np.multiply(g, 1.0 - self.beta1, out=s)
-        np.add(m, s, out=m)
-        np.multiply(v, self.beta2, out=v)
-        np.multiply(g, g, out=s)
-        np.multiply(s, 1.0 - self.beta2, out=s)
-        np.add(v, s, out=v)
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, out=s)
-        np.multiply(s, self.lr, out=s)
-        np.divide(v, c2, out=u)
-        np.sqrt(u, out=u)
-        np.add(u, self.eps, out=u)
-        np.divide(s, u, out=s)
-        np.subtract(self.params, s, out=self.params)
+        try:
+            if self.weight_decay:
+                # g + weight_decay * p, held in u until v is updated
+                np.multiply(self.params, self.weight_decay, out=u)
+                g = np.add(g, u, out=u)
+            m, v = self.m, self.v
+            np.multiply(m, self.beta1, out=m)
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            np.add(m, s, out=m)
+            np.multiply(v, self.beta2, out=v)
+            np.multiply(g, g, out=s)
+            np.multiply(s, 1.0 - self.beta2, out=s)
+            np.add(v, s, out=v)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=s)
+            np.multiply(s, self.lr, out=s)
+            np.divide(v, c2, out=u)
+            np.sqrt(u, out=u)
+            np.add(u, self.eps, out=u)
+            np.divide(s, u, out=s)
+            np.subtract(self.params, s, out=self.params)
+        except FloatingPointError as e:
+            raise non_finite("Adam.step") from e
 
 
 def cross_entropy_loss(probs: Array, labels):
@@ -161,7 +164,9 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     epoch with the best holdout accuracy (ties keep the earlier epoch).
     epochs=0 leaves the model exactly at its initialization. Norm layers need
     batch statistics, so an encoder with them needs batch_size >= 2, and a
-    one-row last batch of an epoch is skipped.
+    one-row last batch of an epoch is skipped. Each step is one checked
+    step (see numeric), as `model.step_context` decides when training
+    starts.
 
     Training packs the model in place (see `model.pack`) and steps its
     whole vector with one Adam, so on return each learnable array of the
@@ -180,6 +185,7 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     (x_train, y_train), (x_val, y_val) = _pooled_splits(sources, cfg)
     flat = pack(encoder, classifier)
     opt = Adam(flat.values, flat.grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    checked = step_context(encoder, classifier, cfg.batch_size)
     rng = np.random.default_rng(cfg.seed)
 
     def state():
@@ -203,12 +209,13 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
                 continue  # a single row cannot feed batch statistics
             yb = y_epoch[start : start + bs]
             try:
-                feats = encoder.encode(xb, mode="train")
-                probs = softmax_rows(classifier.logits(feats))
-                loss, g_logits = cross_entropy_loss(probs, yb)
-                encoder.backward(classifier.backward(feats, g_logits))
-                encoder.update_running_stats()
-                opt.step()
+                with checked():
+                    feats = encoder.encode(xb, mode="train")
+                    probs = softmax_rows(classifier.logits(feats))
+                    loss, g_logits = cross_entropy_loss(probs, yb)
+                    encoder.backward(classifier.backward(feats, g_logits))
+                    encoder.update_running_stats()
+                    opt.step()
             except NumericalFailure as e:
                 msg = f"training aborted at epoch {epoch}, step {step}: {e}"
                 raise NumericalFailure(msg) from e

@@ -375,7 +375,7 @@ def test_pack_lays_the_parameters_out_norm_first_and_backward_fills_the_gradient
 
 
 def test_clone_freezes_source_and_frees_adapted():
-    enc = MlpEncoder.create([4, 3], use_norm=False, seed=11)
+    enc = MlpEncoder.create([4, 3, 3], use_norm=True, seed=11)
     clf = LinearClassifier.create(3, 2, seed=12)
     pair = clone_for_adaptation(enc, clf)
     with pytest.raises(ValueError):
@@ -383,7 +383,13 @@ def test_clone_freezes_source_and_frees_adapted():
     with pytest.raises(ValueError):
         pair.source_classifier.omega[0, 0] = 1.0
     pair.adapted_encoder.weights[0][0, 0] = 1.0  # adapted copy stays writable
-    assert enc.weights[0][0, 0] == 1.0 or True  # source object is the frozen one
+    # the caller's model is the frozen source, every state array of it
+    assert pair.source_encoder is enc and pair.source_classifier is clf
+    source = enc.state_arrays() + clf.parameters()
+    adapted = pair.adapted_encoder.state_arrays() + pair.adapted_classifier.parameters()
+    assert len(source) == len(adapted) == 10
+    assert not any(a.flags.writeable for _, a in source)
+    assert all(a.flags.writeable for _, a in adapted)
 
 
 def test_a_pair_refuses_the_source_as_its_own_adapted_half():

@@ -1,10 +1,10 @@
-"""Print one sha256 over the values a bit-for-bit change must keep.
+"""Print two sha256 lines over the values a bit-for-bit change must keep.
 
 Usage: python tools/digest.py SRC_ROOT
 
 SRC_ROOT is the directory that holds the `marginadapt` package of the
 checkout to digest (its `src/`). Run it on two checkouts, say the parent
-commit's and a change's; equal hashes mean equal bits in:
+commit's and a change's; equal first lines mean equal bits in:
   - ERM: the trained model's fingerprint and the float-hex loss and
     holdout histories, for a linear and a norm encoder on two seeds;
   - `run_method` over both encoders, lr 5e-5 and 5e-3, every method and
@@ -14,6 +14,13 @@ commit's and a change's; equal hashes mean equal bits in:
   - the README workflow (gen-data, train-source, adapt, ablate) run through
     the CLI in a temporary directory: the bytes of `checkpoint.json` and the
     `canonical_record_bytes` of the adapt and ablate records.
+
+Equal second lines mean equal `NumericalFailure` messages, step and op
+included, for each failure recipe: a NaN weight in the adapted encoder
+and, with the first layer's weights all 1.0, a target row of 1e308, for
+both encoders and every method; ERM of the linear encoder at lr 1e300; and
+a norm encoder with eps=0 whose first layer has a constant column, in ERM
+and in every method.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ import json
 import os
 import sys
 import tempfile
+import warnings
+
+import numpy as np
 
 
 def _import_package(src_root):
@@ -119,16 +129,75 @@ def _workflow_lines():
     return lines
 
 
+def _failure_lines(ma, trained):
+    """The NumericalFailure message of each failure recipe (see the module
+    docstring), or None where a recipe does not fail."""
+    from marginadapt.adapt import METHODS
+
+    def message(run):
+        try:
+            run()
+        except ma.NumericalFailure as e:
+            return str(e)
+        return None
+
+    def passes(enc, clf, target, methods, plant):
+        out = []
+        for method in methods:
+            pair = ma.clone_for_adaptation(enc, clf)
+            plant(pair.adapted_encoder)
+            cfg = ma.AdaptConfig(method=method, seed=3)
+            out.append((method, message(lambda: ma.run_method(pair, target, cfg))))
+        return out
+
+    def erm(enc, cfg):
+        clf = ma.LinearClassifier.create(enc.feature_dim, 4, seed=1)
+        return message(lambda: ma.train_source_erm(enc, clf, sources, cfg))
+
+    def nan_weight(enc):
+        enc.weights[-1][0, 0] = np.nan
+
+    def ones_first_layer(enc):  # so that a row of 1e308 overflows every column
+        enc.weights[0][...] = 1.0
+
+    sources, _ = ma.gen_synthetic_shift(
+        ma.ShiftSpec(samples_per_domain=1200, num_source_domains=2, seed=0))
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a scanned op warns before it fails
+        for use_norm, (enc, clf, _, target) in trained.items():
+            methods = [m for m in METHODS if use_norm or m != "entropy_norm"]
+            features = target.features.copy()
+            features[5] = 1e308
+            huge = ma.DomainDataset(features, target.labels, target.num_classes, target.domain_id)
+            lines += [("nan weight", use_norm, passes(enc, clf, target, methods, nan_weight)),
+                      ("1e308 row", use_norm, passes(enc, clf, huge, methods, ones_first_layer))]
+        lines.append(("erm lr 1e300", erm(ma.MlpEncoder.create([16, 24], seed=0),
+                                          ma.TrainConfig(lr=1e300, epochs=2, seed=0))))
+        # a constant pre-norm column has variance 0, and with eps=0 so has its denominator
+        enc = ma.MlpEncoder.create([16, 24, 24], use_norm=True, seed=0, eps=0.0)
+        enc.weights[0][:, 0] = enc.biases[0][0] = 0.0
+        lines.append(("eps 0 erm", erm(enc.copy(), ma.TrainConfig(lr=1e-2, epochs=1, seed=0))))
+        clf = ma.LinearClassifier.create(24, 4, seed=1)
+        lines.append(("eps 0", passes(enc, clf, trained[True][3], METHODS, lambda enc: None)))
+    return lines
+
+
+def _sha256(lines):
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(repr(line).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def main(argv):
     if len(argv) != 1:
         sys.exit(__doc__.strip().splitlines()[2])
     ma = _import_package(argv[0])
     erm, trained = _erm_lines(ma)
-    h = hashlib.sha256()
-    for line in erm + _run_method_lines(ma, trained) + _workflow_lines():
-        h.update(repr(line).encode())
-        h.update(b"\n")
-    print(h.hexdigest())
+    print(_sha256(erm + _run_method_lines(ma, trained) + _workflow_lines()))
+    print(_sha256(_failure_lines(ma, trained)))
 
 
 if __name__ == "__main__":
