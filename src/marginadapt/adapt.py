@@ -42,9 +42,10 @@ The steps (`_make_step`), and what each backpropagates:
 A step that optimises packs the adapted model when it is made (see
 `model.pack`), so it steps the arrays the model holds when the pass starts,
 and its Adam holds one contiguous slice of the packed vectors: the norm
-slice for entropy_norm, the encoder's slice for unidg without the entropy
-term, and the whole of them otherwise. The backward writes into that slice
-and the step updates it, with no per-parameter bookkeeping.
+slice for entropy_norm, and the whole of them otherwise. The backward
+writes into that slice and the step updates it, with no per-parameter
+bookkeeping. unidg without the entropy term never backpropagates into the
+classifier, whose gradients stay zero, so Adam leaves it as it is.
 """
 
 from __future__ import annotations
@@ -247,16 +248,16 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     enc = pair.adapted_encoder
     clf = pair.adapted_classifier
 
-    def adam(part):  # part: "norm", "encoder" or None, all of the model
+    def adam(norm_only=False):  # Adam over the norm slice, or all of the model
         flat = pack(enc, clf)  # the arrays the model holds now, however packed before
-        part = getattr(flat, part) if part else slice(None)
+        part = flat.norm if norm_only else slice(None)
         return Adam(flat.values[part], flat.grads[part], lr=cfg.lr)
 
     if cfg.method == "entropy_norm":
         # Adam holds only the norm affine parameters, the packed vectors'
         # leading slice, and the backward computes no other gradient, so the
         # linear weights and the classifier stay fixed
-        opt = adam("norm")
+        opt = adam(norm_only=True)
 
         def entropy_norm_step(source_feats, feats, probs, preds):
             l_e, g_logits = entropy_loss(probs)
@@ -269,7 +270,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         return entropy_norm_step
 
     if cfg.method == "pseudo_label":
-        opt = adam(None)
+        opt = adam()
 
         def pseudo_label_step(source_feats, feats, probs, preds):
             loss, g_logits = cross_entropy_loss(probs, preds)
@@ -283,9 +284,9 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
     bank = init_from_classifier(pair.source_classifier, bank_rows) if cfg.enable_bank else None
-    # without the entropy term no gradient reaches the classifier, so Adam
-    # holds the encoder's slice alone
-    opt = adam(None if cfg.enable_le else "encoder") if any_gradients else None
+    # without the entropy term no backward reaches the classifier: its
+    # gradients stay pack's zeros, and Adam's update of them is exactly 0.0
+    opt = adam() if any_gradients else None
 
     def unidg_step(source_feats, feats, probs, preds):
         if cfg.enable_bank:

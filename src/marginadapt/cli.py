@@ -44,7 +44,7 @@ RESULTS_SCHEMA_VERSION = 1
 OUT_ENV_VAR = "MARGINADAPT_OUT"
 NONDETERMINISTIC_KEYS = ("wall_clock_seconds",)
 
-# the fresh encoder's architecture: config keys that are no config's field
+# the architecture of train-source's fresh encoder: keys of no config's field
 _ARCHITECTURE = {"hidden_dims": "str", "feature_dim": "int", "use_norm": "bool"}
 # every config key, typed by its field's annotation (a string under
 # `from __future__ import annotations`)
@@ -133,17 +133,6 @@ def _settings(args, cls):
     values = {f.name: _setting(args, file_cfg, f.name, getattr(base, f.name))
               for f in fields(cls)}
     return replace(base, **values).validate(), file_cfg
-
-
-def _layer_dims(args, file_cfg: dict, input_dim: int):
-    """[input, hidden..., feature] sizes and use_norm of a fresh encoder."""
-    hidden = _setting(args, file_cfg, "hidden_dims", "64,64")
-    feature_dim = _setting(args, file_cfg, "feature_dim", 32)
-    try:
-        dims = [input_dim] + [int(h) for h in hidden.split(",") if h] + [feature_dim]
-    except ValueError as e:
-        raise ConfigError(f"bad value for hidden_dims: {e}") from None
-    return dims, _setting(args, file_cfg, "use_norm", False)
 
 
 def canonical_record_bytes(record: dict) -> bytes:
@@ -259,7 +248,13 @@ def _sidecar_num_classes(data_dir):
 def cmd_train_source(args) -> int:
     cfg, file_cfg = _settings(args, TrainConfig)
     sources = _load_sources(args.data, num_classes=_sidecar_num_classes(args.data))
-    dims, use_norm = _layer_dims(args, file_cfg, sources[0].features.shape[1])
+    hidden = _setting(args, file_cfg, "hidden_dims", "64,64")
+    try:
+        dims = [sources[0].features.shape[1], *(int(h) for h in hidden.split(",") if h),
+                _setting(args, file_cfg, "feature_dim", 32)]
+    except ValueError as e:
+        raise ConfigError(f"bad value for hidden_dims: {e}") from None
+    use_norm = _setting(args, file_cfg, "use_norm", False)
     encoder = MlpEncoder.create(dims, use_norm=use_norm, seed=cfg.seed)
     classifier = LinearClassifier.create(dims[-1], sources[0].num_classes, seed=cfg.seed + 1)
     _log(f"training on {sum(d.n for d in sources)} rows across {len(sources)} domains")
@@ -385,12 +380,7 @@ def cmd_diagnose(args) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    if args.checkpoint:
-        encoder, _, _ = load_checkpoint(args.checkpoint)
-    else:
-        input_dim = _setting(args, file_cfg, "input_dim", 16)
-        dims, use_norm = _layer_dims(args, file_cfg, input_dim)
-        encoder = MlpEncoder.create(dims, use_norm=use_norm, seed=seed)
+    encoder, _, _ = load_checkpoint(args.checkpoint)
     started = time.perf_counter()
 
     dim = encoder.input_dim
@@ -413,8 +403,9 @@ def cmd_diagnose(args) -> int:
                   f"over {st['count']} pairs ({sweep.skipped[subset]} degenerate skipped)")
         else:
             print(f"kernel[{subset}]: all {sweep.trials} pairs degenerate")
-    path = _write_record(args, "diagnostics", started, seed=seed,
-                         bn_max_relative_error=bn_error, kernel_sweep=sweep.to_dict())
+    path = _write_record(args, "diagnostics", started, checkpoint=args.checkpoint,
+                         seed=seed, bn_max_relative_error=bn_error,
+                         kernel_sweep=sweep.to_dict())
     print(f"wrote {path}")
     return 0
 
@@ -499,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("diagnose", help="gradient and kernel diagnostics")
     add_common(d)
-    d.add_argument("--checkpoint", help="take only the architecture of this model; "
-                   "the sweep re-initialises its weights (default: the layer flags)")
-    _add_value_flags(d, ["input_dim", *_ARCHITECTURE])
+    d.add_argument("--checkpoint", required=True,
+                   help="the model whose encoder the kernel sweep measures, at its "
+                   "saved weights (train-source --epochs 0 saves an untrained one)")
     d.add_argument("--trials", type=int, default=10)
     d.add_argument("--batch-rows", type=int, dest="batch_rows", default=8)
     d.set_defaults(func=cmd_diagnose)

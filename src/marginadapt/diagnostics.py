@@ -5,9 +5,9 @@ central finite differences. empirical_ntk computes the tangent-kernel inner
 product <J(x_a), J(x_b)> by pushing one-hot upstreams through the analytic
 backward, one row of the Jacobian per output dimension, with a
 cosine-normalized variant alongside. kernel_comparison_sweep reports the
-kernel distributions over random re-initializations for the full parameter
-set and, when present, the norm-affine subset; it deliberately asserts no
-ordering between the two.
+kernel distributions of the model it is given, at its own parameters, over
+random pairs of rows, for the full parameter set and, when present, the
+norm-affine subset; it deliberately asserts no ordering between the two.
 """
 
 from __future__ import annotations
@@ -132,13 +132,15 @@ class SweepSummary:
 
 def kernel_comparison_sweep(model: MlpEncoder, source_samples, target_samples,
                             trials: int = 100, seed: int = 0) -> SweepSummary:
-    """Kernel distributions across random re-initializations of the model.
+    """Kernel distributions of `model` at its own parameters.
 
-    Each trial re-initializes the architecture, draws one source row and one
-    target row, and records raw/cosine kernels for every applicable subset.
-    Degenerate pairs are skipped and counted. Only distributions are
-    reported; whether the restricted kernel sits above or below the full one
-    is left to the reader."""
+    Each trial draws one source row and one target row from the seeded rng
+    and records raw/cosine kernels for every applicable subset, so every
+    report carries the model's fingerprint. The parameters are left as they
+    are; backward fills the model's gradient arrays. Degenerate pairs are
+    skipped and counted. Only distributions are reported; whether the
+    restricted kernel sits above or below the full one is left to the
+    reader."""
     src = as_matrix(source_samples, "source_samples")
     tgt = as_matrix(target_samples, "target_samples")
     subsets = ["all"] + (["norm_only"] if model.has_norm_layers else [])
@@ -146,12 +148,11 @@ def kernel_comparison_sweep(model: MlpEncoder, source_samples, target_samples,
     values = {s: {"raw": [], "cosine": []} for s in subsets}
     skipped = {s: 0 for s in subsets}
     reports = []
-    for trial in range(trials):
-        candidate = model.reinitialized(seed=int(rng.integers(0, 2**31)))
+    for _ in range(trials):
         i = int(rng.integers(src.shape[0]))
         j = int(rng.integers(tgt.shape[0]))
         for s in subsets:
-            rep = empirical_ntk(candidate, src[i], tgt[j], subset=s)
+            rep = empirical_ntk(model, src[i], tgt[j], subset=s)
             reports.append(rep)
             if rep.degenerate:
                 skipped[s] += 1

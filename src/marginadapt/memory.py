@@ -30,7 +30,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericalFailure
-from .numeric import Array, non_finite
+from .numeric import _CHECKED, Array, _finite, non_finite
 
 
 @dataclass
@@ -98,7 +98,9 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     its `capacity_per_class` best rows of held + new in the bank's order
     (lower entropy first, the newer row first among equals).
 
-    Every input is checked before the bank changes. The batch is grouped
+    Every input is checked before the bank changes; inside a checked step
+    (see numeric) the entropies are not scanned, since `pseudo_label` made
+    them from probabilities the step has checked. The batch is grouped
     once: one stable sort of the reversed batch puts its rows in class, then
     entropy, then newest-first order. A full class whose best new entropy is
     above its worst held one is left as it is. Otherwise the class's new
@@ -117,7 +119,7 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     bad = (labels < 0) | (labels >= bank.num_classes)
     if bad.any():
         raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
-    if np.count_nonzero(np.isfinite(entropies)) != entropies.size:
+    if not _CHECKED.get() and np.count_nonzero(np.isfinite(entropies)) != entropies.size:
         raise NumericalFailure("insert_and_select: entropies contains NaN or Inf")
     order = (n - 1) - np.lexsort((entropies[::-1], labels[::-1]))
     new_ent = entropies[order]
@@ -153,7 +155,9 @@ def compute_prototypes(bank: MemoryBank) -> Array:
     nonzero. The slots past a class's count have never been written, so
     they add 0.0, and x + 0.0 is x (numpy's sum also starts from 0.0). A
     single column is the exception: numpy sums it pairwise, in an order set
-    by the number of rows summed, so each class is summed over its own rows."""
+    by the number of rows summed, so each class is summed over its own rows.
+    Sums past the float range fail before any prototype changes (scanned
+    outside a checked step, by the flags inside one)."""
     counts = bank.counts
     try:
         if bank.feature_dim == 1:
@@ -161,6 +165,7 @@ def compute_prototypes(bank: MemoryBank) -> Array:
                              for j, n in enumerate(counts.tolist())])
         else:
             sums = np.add.reduce(bank.features, axis=1)
+        _finite(sums, "compute_prototypes")
         np.divide(sums, counts[:, None], out=bank.prototypes, where=counts[:, None] > 0)
     except FloatingPointError as e:
         raise non_finite("compute_prototypes") from e

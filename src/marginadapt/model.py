@@ -153,16 +153,6 @@ class MlpEncoder:
         )
         return enc
 
-    def reinitialized(self, seed: int) -> "MlpEncoder":
-        """Fresh random instance with the same architecture."""
-        return MlpEncoder.create(
-            list(self.layer_dims),
-            use_norm=self.has_norm_layers,
-            seed=seed,
-            eps=self.eps,
-            momentum=self.momentum,
-        )
-
     # -- forward / backward --------------------------------------------------
 
     def encode(self, x, mode: str = "train", retain_cache: bool | None = None):
@@ -343,13 +333,12 @@ class FlatParameters:
     """A packed network (see `pack`): each learnable array is a view of the
     1-D float64 vector `values` and its gradient the same view of `grads`.
     The encoder's norm gammas and betas come first, so `norm` is their
-    slice; its weights and biases follow and close `encoder`, the slice of
-    every encoder parameter; the classifier's omega and bias end it."""
+    slice; its weights and biases follow, and the classifier's omega and
+    bias end it."""
 
     values: Array
     grads: Array
     norm: slice
-    encoder: slice
 
 
 def pack(encoder: MlpEncoder, classifier: LinearClassifier) -> FlatParameters:
@@ -383,11 +372,10 @@ def pack(encoder: MlpEncoder, classifier: LinearClassifier) -> FlatParameters:
     for i, (w, b) in enumerate(zip(encoder.weights, encoder.biases)):
         encoder.weights[i], encoder._weight_grads[i] = take(w)
         encoder.biases[i], encoder._bias_grads[i] = take(b)
-    encoder_end = end
     classifier.omega, classifier._omega_grad = take(classifier.omega)
     if classifier.bias is not None:
         classifier.bias, classifier._bias_grad = take(classifier.bias)
-    return FlatParameters(values, grads, slice(0, norm_end), slice(0, encoder_end))
+    return FlatParameters(values, grads, slice(0, norm_end))
 
 
 class ModelPair:

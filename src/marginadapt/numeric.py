@@ -27,10 +27,14 @@ parameter spreads without a flag, and OpenBLAS runs a product of more than
 never reads. So a trainer enters `checked_step` only when
 `model.step_context` finds the parameters finite as it starts and the
 step's largest product within that bound; otherwise every op scans, as
-when called on its own. Flags also fire on an intermediate, so a checked
-op fails on an overflow that its output would hide (a column variance past
-the float range, normalised to 0 by a scan's op; a logit range past it in
-`softmax_rows`).
+when called on its own. Flags also fire on an intermediate whose overflow
+the output would hide, so a scanning op also scans that intermediate, and
+fails where a checked one fails: `batchnorm_forward` its batch variance
+(an inf variance normalises the column to 0), `Adam.step` its second
+moment (an inf moment freezes the coordinate) and `compute_prototypes` its
+class sums. One difference is left: a checked `softmax_rows` refuses a
+logit range past the float range, where a scan sees finite probabilities
+(0 for the classes far below the maximum).
 
 Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
@@ -331,7 +335,8 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
             # np.mean and np.var's own arithmetic, with the centring done once
             mu = np.add.reduce(x, axis=-2, keepdims=stacked) / m
             xc = x - mu
-            var = np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m
+            var = _finite(np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m,
+                          "batchnorm_forward")
             denom = np.sqrt(var + state.eps)
             x_hat = xc / denom
         elif mode == "eval":

@@ -10,7 +10,7 @@ import numpy as np
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
 from .model import classification_accuracy, pack, step_context
-from .numeric import Array, check_finite_settings, non_finite, softmax_rows
+from .numeric import Array, _finite, check_finite_settings, non_finite, softmax_rows
 
 
 @dataclass
@@ -56,7 +56,9 @@ class Adam:
     gradient on fresh moments gives an exactly zero update. First step with
     constant gradient g moves by lr * g / (|g| + eps), i.e. ~lr per
     coordinate. `m` and `v` hold the first and second moments, one per
-    coordinate, and `t` counts the steps taken."""
+    coordinate, and `t` counts the steps taken. Outside a checked step (see
+    numeric) a step scans the second moment and the updated parameters, so
+    a gradient whose square overflows fails here, as in a checked step."""
 
     def __init__(self, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8,
                  weight_decay=0.0):
@@ -97,7 +99,7 @@ class Adam:
             np.multiply(v, self.beta2, out=v)
             np.multiply(g, g, out=s)
             np.multiply(s, 1.0 - self.beta2, out=s)
-            np.add(v, s, out=v)
+            _finite(np.add(v, s, out=v), "Adam.step")
             # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
             np.divide(m, c1, out=s)
             np.multiply(s, self.lr, out=s)
@@ -105,7 +107,7 @@ class Adam:
             np.sqrt(u, out=u)
             np.add(u, self.eps, out=u)
             np.divide(s, u, out=s)
-            np.subtract(self.params, s, out=self.params)
+            _finite(np.subtract(self.params, s, out=self.params), "Adam.step")
         except FloatingPointError as e:
             raise non_finite("Adam.step") from e
 

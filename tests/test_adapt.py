@@ -18,6 +18,7 @@ from marginadapt import (
     classification_accuracy,
     clone_for_adaptation,
     gen_synthetic_shift,
+    model_fingerprint,
     run_method,
     softmax_rows,
     stream_batches,
@@ -248,25 +249,40 @@ def test_entropy_norm_steps_only_on_the_gradients_adam_holds(monkeypatch):
     assert held == [want] * 4
 
 
-@pytest.mark.parametrize("settings, part", [
-    (dict(method="pseudo_label"), slice(None)),
-    (dict(method="unidg"), slice(None)),
-    (dict(method="unidg", enable_lm=False), slice(None)),
-    (dict(method="unidg", enable_le=False), "encoder"),
+@pytest.mark.parametrize("settings", [
+    dict(method="pseudo_label"),
+    dict(method="unidg"),
+    dict(method="unidg", enable_lm=False),
+    dict(method="unidg", enable_le=False),
 ], ids=["pseudo_label", "unidg", "unidg-no-lm", "unidg-no-le"])
-def test_each_step_holds_one_slice_of_the_packed_vectors(settings, part, monkeypatch):
+def test_each_step_holds_one_slice_of_the_packed_vectors(settings, monkeypatch):
+    # every stepping method but entropy_norm holds all of the packed vectors
     pair, target = _tiny(3, use_norm=True)
     packed = _spy_on_pack(monkeypatch)
     cfg = AdaptConfig(lr=1e-2, steps=3, seed=1, **settings)
     held = _held_by_steps(pair, target, cfg, monkeypatch)
     [flat] = packed  # the pass packs once, when it starts
-    part = flat.encoder if part == "encoder" else part
     params = pair.adapted_encoder.parameters() + pair.adapted_classifier.parameters()
-    names = sorted(n for n, p in params if np.shares_memory(p, flat.values[part]))
-    want = (flat.values[part].__array_interface__, flat.grads[part].__array_interface__, names)
+    names = sorted(n for n, _ in params)
+    want = (flat.values.__array_interface__, flat.grads.__array_interface__, names)
     assert held == [want] * 3
-    if part != slice(None):
-        assert not any(n.startswith("clf.") for n in names)
+
+
+@pytest.mark.parametrize("use_norm", [False, True])
+def test_without_the_entropy_term_adam_leaves_the_classifier_as_it_is(use_norm):
+    # no backward reaches the classifier, so its gradients stay pack's zeros
+    # and the Adam that holds the whole vector moves it by exactly 0.0, while
+    # the hinge of an adapted copy off its source moves the encoder
+    pair, target = _tiny(8, use_norm=use_norm)
+    pair.adapted_encoder.weights[-1] *= 1.5
+    omega, bias = pair.adapted_classifier.omega.copy(), pair.adapted_classifier.bias.copy()
+    encoder = pair.adapted_encoder.copy()
+    cfg = AdaptConfig(lr=1e-2, steps=5, seed=2, sigma=0.0, enable_le=False, enable_bank=False)
+    _, _, reports = run_method(pair, target, cfg)
+    assert all(r.hinge_rows for r in reports) and len(reports) == 5
+    assert model_fingerprint(pair.adapted_encoder) != model_fingerprint(encoder)
+    assert pair.adapted_classifier.omega.tobytes() == omega.tobytes()
+    assert pair.adapted_classifier.bias.tobytes() == bias.tobytes()
 
 
 @pytest.mark.parametrize("settings", [

@@ -15,17 +15,21 @@ from marginadapt import (
     Adam,
     AdaptConfig,
     LinearClassifier,
+    MemoryBank,
     MlpEncoder,
+    NormLayerState,
     NumericalFailure,
     ShiftSpec,
     TrainConfig,
     clone_for_adaptation,
+    compute_prototypes,
     gen_synthetic_shift,
     run_method,
     stream_batches,
     train_source_erm,
 )
 from marginadapt import adapt, model, numeric, train
+from marginadapt.numeric import batchnorm_forward
 
 
 def _task(seed, dims=(16, 12, 12), use_norm=True):
@@ -198,6 +202,97 @@ def test_a_bank_prototype_sum_that_overflows_fails_the_step():
     err = _failure(_pass(enc, clf, target, method="unidg"))
     assert str(err) == ("adaptation aborted at step 0: "
                         "compute_prototypes: produced non-finite values")
+
+
+# -- the scan path fails where the flag path fails ------------------------------
+#
+# Outside a checked step (a direct call, or a trainer whose products are past
+# the gate's bound) an op also scans the intermediate whose overflow its
+# output would hide.
+
+
+def _column_of_huge_values():
+    x = np.random.default_rng(0).standard_normal((6, 3))
+    x[:, 1] = np.resize([1e200, -1e200], 6)  # its variance overflows
+    return x
+
+
+def _bank_whose_sum_overflows():
+    bank = MemoryBank(2, 3, capacity_per_class=2)
+    bank.features[0] = 1e308
+    bank.counts[0] = 2
+    return bank
+
+
+@pytest.mark.parametrize("op, call", [
+    ("batchnorm_forward", lambda: batchnorm_forward(_column_of_huge_values(),
+                                                    NormLayerState.create(3))),
+    ("batchnorm_forward", lambda: batchnorm_forward(_column_of_huge_values()[None],
+                                                    NormLayerState.create(3))),
+    ("Adam.step", lambda: Adam(np.zeros(3), np.array([0.1, 1e160, 0.1]), lr=1e-3).step()),
+    ("Adam.step", lambda: Adam(np.zeros(3), np.array([0.1, 1e10, 0.1]), lr=1e300).step()),
+    ("compute_prototypes", lambda: compute_prototypes(_bank_whose_sum_overflows())),
+], ids=["batchnorm_forward", "batchnorm_forward-stacked", "Adam.step-moment",
+        "Adam.step-update", "compute_prototypes"])
+def test_a_direct_call_fails_where_its_intermediate_overflows(op, call):
+    # a scan of the outputs alone sees only a RuntimeWarning: the column
+    # normalised to 0, the coordinate frozen by its inf moment, an inf
+    # parameter, inf prototypes
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure) as err:
+        call()
+    assert str(err.value) == f"{op}: produced non-finite values"
+
+
+def test_a_prototype_sum_that_overflows_leaves_the_prototypes_as_they_were():
+    bank = _bank_whose_sum_overflows()
+    bank.prototypes[...] = 0.5
+    with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
+        compute_prototypes(bank)
+    assert (bank.prototypes == 0.5).all()
+
+
+def _huge_variance(enc, clf):  # pre-norm values near 1e155
+    enc.weights[0] *= 1e155
+
+
+def _huge_moment(enc, clf):
+    # features near 1e160 through a tiny omega: finite logits, and omega
+    # gradients whose squares overflow Adam's second moment
+    enc.biases[-1][...] = 1e160
+    clf.omega *= 1e-160
+
+
+def _huge_prototype(enc, clf):  # every feature row is 5e307 and lands in one class
+    enc.biases[-1][...] = 5e307
+    clf.omega *= 1e-3
+
+
+@pytest.mark.parametrize("op, plant, trainer, settings", [
+    ("batchnorm_forward", _huge_variance, "erm", {}),
+    ("batchnorm_forward", _huge_variance, "unidg", dict(enable_lm=False)),
+    ("Adam.step", _huge_moment, "erm", {}),
+    ("Adam.step", _huge_moment, "unidg", dict(enable_bank=False)),
+    ("compute_prototypes", _huge_prototype, "unidg", {}),
+], ids=["variance-erm", "variance-unidg", "moment-erm", "moment-unidg", "prototypes-unidg"])
+def test_a_scanned_step_names_the_op_that_a_checked_step_names(op, plant, trainer, settings):
+    # batches of 32 rows are checked by flags; batches of 1024 put the
+    # [16, 48, 48] model's products past the gate's bound, so every op scans
+    messages = []
+    for batch_size, checked in ((32, True), (1024, False)):
+        sources, target, enc, clf = _task(12, dims=(16, 48, 48))
+        plant(enc, clf)
+        assert (model.step_context(enc, clf, batch_size) is numeric.checked_step) == checked
+        if trainer == "erm":
+            run = _erm(sources, enc, clf, epochs=1, batch_size=batch_size)
+        else:
+            run = _pass(enc, clf, target, method=trainer, batch_size=batch_size, **settings)
+        with np.errstate(all="ignore"), pytest.raises(NumericalFailure) as err:
+            run()
+        assert isinstance(err.value.__cause__.__cause__, FloatingPointError) == checked
+        messages.append(str(err.value))
+    wrap = ("training aborted at epoch 0, step 0: " if trainer == "erm"
+            else "adaptation aborted at step 0: ")
+    assert messages == [f"{wrap}{op}: produced non-finite values"] * 2
 
 
 # -- the gate: a NaN already in the model is found by the ops' scans -----------

@@ -14,6 +14,7 @@ from marginadapt import (
     AdaptConfig,
     ConfigError,
     DomainDataset,
+    MlpEncoder,
     SchemaError,
     ShiftSpec,
     TrainConfig,
@@ -21,6 +22,7 @@ from marginadapt import (
     load_checkpoint,
     load_csv,
     load_csv_domains,
+    model_fingerprint,
     run_method,
 )
 from marginadapt import adapt as adapt_module
@@ -603,39 +605,80 @@ def test_train_source_config_file_fills_in_and_flags_win(tmp_path, capsys, monke
     assert encoder.layer_dims == [16, 12, 8, 32] and not encoder.has_norm_layers
 
 
-def _diagnose(tmp_path, *argv):
+def _diagnose(tmp_path, ckpt, *argv):
     out = str(tmp_path / "diag")
-    rc = main(["diagnose", "--out", out, "--trials", "2", "--batch-rows", "4", *argv])
+    rc = main(["diagnose", "--checkpoint", ckpt, "--out", out, "--trials", "2",
+               "--batch-rows", "4", *argv])
     records = sorted(f for f in os.listdir(out) if f.startswith("run_")) if rc == 0 else []
     return rc, (json.loads(_read(os.path.join(out, records[-1]))) if records else None)
 
 
-def test_diagnose_config_file_fills_in_and_flags_win(tmp_path, capsys):
+def test_diagnose_config_file_fills_in_and_flags_win(tmp_path, capsys, trained_task):
+    # diagnose reads only `seed`; the architecture keys, which train-source
+    # reads, change nothing: the checkpoint is the model
+    _, ckpt = trained_task
     cfg = tmp_path / "diag.cfg"
     cfg.write_text("seed = 5\ninput_dim = 6\nhidden_dims = 8\nfeature_dim = 5\n"
                    "use_norm = true\n")
-    _, from_file = _diagnose(tmp_path, "--config", str(cfg))
+    _, from_file = _diagnose(tmp_path, ckpt, "--config", str(cfg))
     assert from_file["seed"] == 5
-    assert "norm_only" in from_file["kernel_sweep"]["stats"]
-    _, from_flags = _diagnose(tmp_path, "--seed", "5", "--input-dim", "6",
-                              "--hidden-dims", "8", "--feature-dim", "5", "--use-norm")
-    assert canonical_record_bytes(from_file) == canonical_record_bytes(from_flags)
-    _, flag_wins = _diagnose(tmp_path, "--config", str(cfg), "--seed", "7")
+    assert list(from_file["kernel_sweep"]["stats"]) == ["all"]  # the checkpoint has no norm
+    _, from_flag = _diagnose(tmp_path, ckpt, "--seed", "5")
+    assert canonical_record_bytes(from_file) == canonical_record_bytes(from_flag)
+    _, flag_wins = _diagnose(tmp_path, ckpt, "--config", str(cfg), "--seed", "7")
     assert flag_wins["seed"] == 7
-    _, defaults = _diagnose(tmp_path)
-    _, explicit = _diagnose(tmp_path, "--seed", "0", "--input-dim", "16",
-                            "--hidden-dims", "64,64", "--feature-dim", "32")
+    _, defaults = _diagnose(tmp_path, ckpt)
+    _, explicit = _diagnose(tmp_path, ckpt, "--seed", "0")
     assert defaults["seed"] == 0
     assert canonical_record_bytes(defaults) == canonical_record_bytes(explicit)
+    assert canonical_record_bytes(defaults) != canonical_record_bytes(from_file)
+
+
+def test_diagnose_measures_the_weights_of_the_checkpoint_it_is_given(tmp_path, capsys):
+    # an --epochs 0 checkpoint (the seeded initialisation) and a trained one
+    # of the same task and architecture: same rows, different kernels
+    data = _gen(tmp_path)
+    norm = ("--use-norm",)
+    init = str(tmp_path / "init.json")
+    _train(tmp_path, data, extra=(*norm, "--epochs", "0", "--checkpoint", init))
+    _, trained = _train(tmp_path, data, extra=norm)
+    encoder, _, _ = load_checkpoint(init)
+    assert model_fingerprint(encoder) == model_fingerprint(
+        MlpEncoder.create([16, 16, 16], use_norm=True, seed=0))
+    sweeps = []
+    for ckpt in (init, trained):
+        _, record = _diagnose(tmp_path, ckpt)
+        _, again = _diagnose(tmp_path, ckpt)
+        assert canonical_record_bytes(record) == canonical_record_bytes(again)
+        assert record["checkpoint"] == ckpt
+        reports = record["kernel_sweep"]["reports"]
+        fingerprint = model_fingerprint(load_checkpoint(ckpt)[0])
+        assert {r["model_fingerprint"] for r in reports} == {fingerprint}
+        sweeps.append(record["kernel_sweep"])
+    samples = [[(r["sample_fingerprint_a"], r["sample_fingerprint_b"]) for r in sweep["reports"]]
+               for sweep in sweeps]
+    assert samples[0] == samples[1]
+    for subset in ("all", "norm_only"):
+        assert sweeps[0]["stats"][subset] != sweeps[1]["stats"][subset]
+
+
+def test_diagnose_without_a_checkpoint_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["diagnose", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--checkpoint" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", [None, "seed = five\n", "depth = 3\n"],
                          ids=["missing", "bad-value", "unknown-key"])
-def test_diagnose_refuses_a_missing_or_malformed_config_file(tmp_path, capsys, content):
+def test_diagnose_refuses_a_missing_or_malformed_config_file(tmp_path, capsys, trained_task,
+                                                             content):
     cfg = tmp_path / "diag.cfg"
     if content is not None:
         cfg.write_text(content)
-    rc, record = _diagnose(tmp_path, "--config", str(cfg))
+    rc, record = _diagnose(tmp_path, trained_task[1], "--config", str(cfg))
     assert rc == 1 and record is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(cfg) in err
@@ -657,12 +700,10 @@ def test_every_config_file_key_is_a_setting():
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("command", ["train-source", "diagnose"])
+@pytest.mark.parametrize("command", ["train-source"])
 def test_non_integer_hidden_dims_entry_is_a_config_error(tmp_path, capsys, command, source):
     out = str(tmp_path / "run")
-    argv = [command, "--out", out]
-    if command == "train-source":
-        argv += ["--data", _gen(tmp_path)]
+    argv = [command, "--out", out, "--data", _gen(tmp_path)]
     if source == "flag":
         argv += ["--hidden-dims", "8,x"]
     else:
@@ -827,12 +868,12 @@ _OPTION_STRINGS = {
              "--source-data --steps --target --top-k -h",
     "ablate": "--batch-size --checkpoint --config --help --lambda --lambda-weight --lr --out "
               "--seed --sigma --source-data --steps --target --top-k --trials -h",
-    "diagnose": "--batch-rows --checkpoint --config --feature-dim --help --hidden-dims "
-                "--input-dim --out --seed --trials --use-norm -h",
+    "diagnose": "--batch-rows --checkpoint --config --help --out --seed --trials -h",
 }
 _REQUIRED = {"train-source": ["--data", "d"],
              "adapt": ["--checkpoint", "c.json", "--target", "t.csv"],
-             "ablate": ["--checkpoint", "c.json", "--target", "t.csv"]}
+             "ablate": ["--checkpoint", "c.json", "--target", "t.csv"],
+             "diagnose": ["--checkpoint", "c.json"]}
 
 
 @pytest.mark.parametrize("command", sorted(_OPTION_STRINGS))

@@ -21,6 +21,7 @@ from marginadapt import (
     refresh_classifier,
     softmax_rows,
 )
+from marginadapt.numeric import checked_step
 
 
 class OracleBank:
@@ -395,3 +396,14 @@ def test_non_finite_entropy_leaves_the_bank_untouched(bad):
     npt.assert_array_equal(bank.steps, before[2])
     npt.assert_array_equal(bank.counts, before[3])
     assert bank._next_step == before[4]
+
+
+def test_a_checked_step_does_not_scan_the_entropies_it_made():
+    # inside a checked step the entropies come from pseudo_label of
+    # probabilities the step has checked, so the bank takes them as they are
+    bank = MemoryBank(2, 2, capacity_per_class=2)
+    with checked_step():
+        insert_and_select(bank, np.ones((2, 2)), [0, 1], [np.nan, 0.5])
+    assert bank.counts.tolist() == [1, 1]
+    with pytest.raises(NumericalFailure, match="^insert_and_select: entropies contains NaN or Inf$"):
+        insert_and_select(bank, np.ones((2, 2)), [0, 1], [np.nan, 0.5])

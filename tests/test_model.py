@@ -358,7 +358,6 @@ def test_pack_lays_the_parameters_out_norm_first_and_backward_fills_the_gradient
     npt.assert_array_equal(flat.values, np.concatenate([p.ravel() for p in layout]))
     assert flat.values.size == flat.grads.size == sum(p.size for _, p in params)
     assert flat.norm == slice(0, sum(p.size for p in norm))
-    assert flat.encoder == slice(0, flat.norm.stop + sum(p.size for p in linear))
     for _, p in params:  # each parameter is a view of the vector
         assert p.base is flat.values
     # backward writes each gradient into the matching view of `grads`,
@@ -407,16 +406,6 @@ def test_clone_fingerprints_start_equal_then_diverge():
     assert pair.source_fingerprint() == pair.adapted_fingerprint()
     pair.adapted_classifier.omega[0, 0] += 1.0
     assert pair.source_fingerprint() != pair.adapted_fingerprint()
-
-
-def test_reinitialized_changes_weights_but_not_shape():
-    enc = MlpEncoder.create([6, 5, 4], use_norm=True, seed=17)
-    fresh = enc.reinitialized(seed=99)
-    assert fresh.layer_dims == enc.layer_dims
-    assert model_fingerprint(fresh) != model_fingerprint(enc)
-    npt.assert_array_equal(
-        MlpEncoder.create([6, 5, 4], use_norm=True, seed=99).weights[0], fresh.weights[0]
-    )
 
 
 def test_encoder_refuses_arrays_that_do_not_match_layer_dims():

@@ -1,4 +1,4 @@
-"""Print two sha256 lines over the values a bit-for-bit change must keep.
+"""Print three sha256 lines over the values a bit-for-bit change must keep.
 
 Usage: python tools/digest.py SRC_ROOT
 
@@ -21,6 +21,11 @@ and, with the first layer's weights all 1.0, a target row of 1e308, for
 both encoders and every method; ERM of the linear encoder at lr 1e300; and
 a norm encoder with eps=0 whose first layer has a constant column, in ERM
 and in every method.
+
+Equal third lines mean equal `canonical_record_bytes` of the `diagnose`
+records of two checkpoints of the README workflow's task: the trained one
+above and an untrained one (`train-source --epochs 0`, the same seed and
+architecture).
 """
 
 from __future__ import annotations
@@ -102,10 +107,29 @@ _WORKFLOW = (
      "--source-data", "task", "--out", "run"],
     ["ablate", "--checkpoint", "run/checkpoint.json", "--target", "task/target.csv",
      "--out", "run", "--trials", "3"],
+    ["train-source", "--data", "task", "--out", "init", "--seed", "0",
+     "--epochs", "0", "--hidden-dims", "32", "--feature-dim", "32"],
+    ["diagnose", "--checkpoint", "run/checkpoint.json", "--out", "diag"],
+    ["diagnose", "--checkpoint", "init/checkpoint.json", "--out", "diag"],
 )
 
 
+def _records(out_dir):
+    """(name, kind, sha256 of its canonical bytes) of each run record."""
+    from marginadapt import cli
+
+    lines = []
+    for name in sorted(os.listdir(out_dir)):
+        if name.startswith("run_"):
+            with open(os.path.join(out_dir, name)) as fh:
+                record = json.load(fh)
+            digest = hashlib.sha256(cli.canonical_record_bytes(record)).hexdigest()
+            lines.append(("record", name, record["kind"], digest))
+    return lines
+
+
 def _workflow_lines():
+    """The README workflow's lines, and the diagnose records' lines."""
     from marginadapt import cli
 
     cwd = os.getcwd()
@@ -118,15 +142,9 @@ def _workflow_lines():
                     sys.exit(f"digest: marginadapt {argv[0]} failed")
             with open("run/checkpoint.json", "rb") as fh:
                 lines = [("checkpoint", hashlib.sha256(fh.read()).hexdigest())]
-            for name in sorted(os.listdir("run")):
-                if name.startswith("run_"):
-                    with open(os.path.join("run", name)) as fh:
-                        record = json.load(fh)
-                    digest = hashlib.sha256(cli.canonical_record_bytes(record)).hexdigest()
-                    lines.append(("record", name, record["kind"], digest))
+            return lines + _records("run"), _records("diag")
         finally:
             os.chdir(cwd)
-    return lines
 
 
 def _failure_lines(ma, trained):
@@ -196,8 +214,10 @@ def main(argv):
         sys.exit(__doc__.strip().splitlines()[2])
     ma = _import_package(argv[0])
     erm, trained = _erm_lines(ma)
-    print(_sha256(erm + _run_method_lines(ma, trained) + _workflow_lines()))
+    workflow, diagnose = _workflow_lines()
+    print(_sha256(erm + _run_method_lines(ma, trained) + workflow))
     print(_sha256(_failure_lines(ma, trained)))
+    print(_sha256(diagnose))
 
 
 if __name__ == "__main__":
