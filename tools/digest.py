@@ -115,7 +115,8 @@ _WORKFLOW = (
 
 
 def _records(out_dir):
-    """(name, kind, sha256 of its canonical bytes) of each run record."""
+    """A ("record", name, kind, sha256 of its canonical bytes) line per run
+    record in `out_dir`."""
     from marginadapt import cli
 
     lines = []
