@@ -6,9 +6,12 @@ budget lasts, hand the scored batch to the method's step for one update.
 Predictions therefore always come from parameters shaped only by earlier
 batches. Labels are consumed exclusively by the accuracy bookkeeping; no
 gradient ever sees them. A NumericalFailure while scoring or stepping on a
-batch names that batch's step. Scoring a batch and stepping on it is one
-checked step (see numeric), entered after the batch's frozen-source
-features are taken, as `model.step_context` decides when the pass starts.
+batch names that batch's step. The pass checks what it steps on once, as
+it starts: `model.step_context` scans the target rows and the parameters
+(the frozen source's too, when the hinge reads it). Each run of batches
+that steps (see below) then runs in one checked step (see numeric), as
+`step_context` decides, so the steps skip the checks of the rows, the
+probabilities they score and the labels and entropies they make.
 
 The batches are taken in runs of equal-sized batches, at most _STACK_ROWS
 rows each and never across the step budget (`_runs`), so either every batch
@@ -20,8 +23,8 @@ features, since the source never changes during a pass; for a run that
 does not (every run of a pass that never steps, and those after the step
 budget), its predictions, whose hits one reduce then counts. Should that
 call fail, each batch is encoded alone when its turn comes (`_by_batch`),
-so the failure names the first failing batch's step and every earlier step
-still runs.
+within the run's checked step for a run that steps, so the failure names
+the first failing batch's step and every earlier step still runs.
 
 The steps (`_make_step`), and what each backpropagates:
   none          no step; a pure evaluation pass.
@@ -50,6 +53,7 @@ classifier, whose gradients stay zero, so Adam leaves it as it is.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -155,14 +159,15 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     # a class never holds more rows than the stream has, so a bank of
     # min(top_k, n) rows per class keeps and skips exactly what top_k would
     step = _make_step(pair, cfg, mode, min(cfg.top_k, target.n)) if limit > 0 else None
+    # the frozen source's features feed only the unidg hinge
+    hinge = cfg.method == "unidg" and cfg.enable_lm
+    checked = nullcontext
     if step is None:
         limit = 0
     else:
-        checked = step_context(enc, clf, cfg.batch_size)
+        checked = step_context(enc, clf, cfg.batch_size, target.features,
+                               pair.source_encoder if hinge else None)
     source_before = _source_accuracy(pair, source_eval)
-
-    # the frozen source's features feed only the unidg hinge
-    hinge = cfg.method == "unidg" and cfg.enable_lm
 
     encode_source = partial(pair.source_encoder.encode, mode=mode, retain_cache=False)
 
@@ -182,19 +187,18 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
                  if hinge or not stepping else None)
         preds = np.empty(labels.shape, dtype=np.intp)
         try:
-            for i in range(end - start):
-                if not stepping:
-                    preds[i] = fixed(i)
-                    continue
-                # outside the checked step: a source batch encoded alone scans
-                source_feats = fixed(i) if hinge else None
-                with checked():
+            with (checked if stepping else nullcontext)():
+                for i in range(end - start):
+                    if not stepping:
+                        preds[i] = fixed(i)
+                        continue
+                    source_feats = fixed(i) if hinge else None
                     feats = enc.encode(xs[i], mode=mode, retain_cache=True)
                     probs = softmax_rows(clf.logits(feats))
                     preds[i] = np.argmax(probs, axis=1)
                     report = step(source_feats, feats, probs, preds[i])
-                if report is not None:
-                    reports.append(report)
+                    if report is not None:
+                        reports.append(report)
         except NumericalFailure as e:
             raise NumericalFailure(f"adaptation aborted at step {start + i}: {e}") from e
         hits[start:end] = np.add.reduce(preds == labels, axis=-1)

@@ -12,7 +12,7 @@ call the ufuncs behind the array methods (`np.add.reduce` for `.sum` and
 `.mean`'s sum, `np.minimum.reduce`/`np.maximum.reduce` for the range checks),
 as `numeric` does; the values are the methods' bit for bit. A batch with no
 row outside the margin returns the hinge's (0.0, zeros) without computing
-it.
+it. Both refuse a batch of no rows (DataError) before any arithmetic.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, InputError, NumericalFailure
-from .numeric import Array
+from .errors import ConfigError, DataError, DimensionError, InputError, NumericalFailure
+from .numeric import _CHECKED, Array
 
 
 @dataclass
@@ -54,6 +54,8 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
     if sigma < 0.0:
         raise ConfigError(f"marginal_loss: sigma must be >= 0, got {sigma}")
     n = adapted.shape[0]
+    if n == 0:
+        raise DataError("marginal_loss: empty batch")
     try:
         diff = adapted - source
         dist_sq = np.add.reduce(diff * diff, axis=1)
@@ -77,15 +79,22 @@ def entropy_loss(probs: Array):
 
     value = -(1/N) sum_i sum_c p log p, with 0 log 0 = 0.
     dL/dz_ic = -(1/N) p_ic (log p_ic + H_i).
+
+    The rows must be nonnegative and sum to 1 within 1e-6; inside a checked
+    step (see numeric) that is not checked, since the step's softmax made
+    them.
     """
-    if np.minimum.reduce(probs, axis=None, initial=0.0) < 0.0:
-        raise InputError("entropy_loss: probabilities must be nonnegative")
-    worst = np.maximum.reduce(np.abs(np.add.reduce(probs, axis=1) - 1.0))
-    if worst > 1e-6:
-        raise InputError(
-            f"entropy_loss: rows must sum to 1 within 1e-6 (worst deviation {worst:.3e})"
-        )
     n = probs.shape[0]
+    if n == 0:
+        raise DataError("entropy_loss: empty batch")
+    if not _CHECKED.get():
+        if np.minimum.reduce(probs, axis=None, initial=0.0) < 0.0:
+            raise InputError("entropy_loss: probabilities must be nonnegative")
+        worst = np.maximum.reduce(np.abs(np.add.reduce(probs, axis=1) - 1.0))
+        if worst > 1e-6:
+            raise InputError(
+                f"entropy_loss: rows must sum to 1 within 1e-6 (worst deviation {worst:.3e})"
+            )
     logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
     row_entropy = -np.add.reduce(probs * logp, axis=1)
     value = float(np.add.reduce(row_entropy) / n)

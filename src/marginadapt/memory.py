@@ -99,10 +99,10 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     (lower entropy first, the newer row first among equals).
 
     Every input is checked before the bank changes; inside a checked step
-    (see numeric) the entropies are not scanned, since `pseudo_label` made
-    them from probabilities the step has checked. The batch is grouped
-    once: one stable sort of the reversed batch puts its rows in class, then
-    entropy, then newest-first order. A full class whose best new entropy is
+    (see numeric) only the shapes are, since the step made the labels (an
+    argmax) and the entropies (`pseudo_label`, from probabilities it has
+    checked). The batch is grouped once: one stable sort of the reversed
+    batch puts its rows in class, then entropy, then newest-first order. A full class whose best new entropy is
     above its worst held one is left as it is. Otherwise the class's new
     rows, all newer than its held ones, go before them; both runs are in
     bank order, so one stable sort on entropy gives the bank order and its
@@ -116,11 +116,12 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
         )
     if labels.shape[0] != n or entropies.shape[0] != n:
         raise DimensionError("insert_and_select: rows, labels, entropies must align")
-    bad = (labels < 0) | (labels >= bank.num_classes)
-    if bad.any():
-        raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
-    if not _CHECKED.get() and np.count_nonzero(np.isfinite(entropies)) != entropies.size:
-        raise NumericalFailure("insert_and_select: entropies contains NaN or Inf")
+    if not _CHECKED.get():
+        bad = (labels < 0) | (labels >= bank.num_classes)
+        if bad.any():
+            raise DimensionError(f"insert_and_select: label {labels[bad][0]} out of range")
+        if np.count_nonzero(np.isfinite(entropies)) != entropies.size:
+            raise NumericalFailure("insert_and_select: entropies contains NaN or Inf")
     order = (n - 1) - np.lexsort((entropies[::-1], labels[::-1]))
     new_ent = entropies[order]
     new_stp = order + bank._next_step

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, SchemaError, StateError
+from .errors import ConfigError, DataError, DimensionError, SchemaError, StateError
 from .numeric import (
     FLAGGED_PRODUCT_MAX,
     Array,
@@ -179,12 +179,11 @@ class MlpEncoder:
                 f"encode: input has {h.shape[-1]} features, expected {self.input_dim}"
             )
         self._cache = None  # an earlier forward's cache, freed before this one allocates
-        caches = []
+        caches = []  # (layer input, pre-relu activation) per layer
         last = len(self.weights) - 1
         for i in range(last):
             a = linear_forward(h, self.weights[i], self.biases[i])
-            if retain_cache:
-                caches.append({"x": h})
+            x_in = h if retain_cache else None
             del h
             norm = self.norms[i]
             if norm is not None:
@@ -192,12 +191,12 @@ class MlpEncoder:
                 if not retain_cache:
                     norm.cache = None
             if retain_cache:
-                caches[-1]["act_in"] = a
+                caches.append((x_in, a))
             h = relu_forward(a)
             del a
         out = linear_forward(h, self.weights[last], self.biases[last])
         if retain_cache:
-            caches.append({"x": h})
+            caches.append((h, None))
             self._cache = caches
         return out
 
@@ -220,9 +219,9 @@ class MlpEncoder:
             lowest = next((i for i, n in enumerate(self.norms) if n is not None), last + 1)
         g = upstream
         for i in range(last, lowest - 1, -1):
-            cache = self._cache[i]
+            x, act_in = self._cache[i]
             if i < last:
-                g = relu_backward(cache["act_in"], g)
+                g = relu_backward(act_in, g)
                 norm = self.norms[i]
                 if norm is not None:
                     if norm_only and i == lowest:
@@ -230,7 +229,7 @@ class MlpEncoder:
                     else:
                         g, _, _ = batchnorm_backward(norm, g, self._norm_grads[i])
             if not norm_only:
-                linear_param_grads(cache["x"], self.weights[i], g,
+                linear_param_grads(x, self.weights[i], g,
                                    (self._weight_grads[i], self._bias_grads[i]))
             if i > lowest:
                 g = linear_input_grad(self.weights[i], g)
@@ -411,19 +410,25 @@ class ModelPair:
         )
 
 
-def step_context(encoder: MlpEncoder, classifier: LinearClassifier, rows: int):
+def step_context(encoder: MlpEncoder, classifier: LinearClassifier, batch_size: int,
+                 rows: Array, source: MlpEncoder | None = None):
     """The context manager class that a trainer of `encoder` and
-    `classifier` enters once per step, for steps of at most `rows` rows:
-    `numeric.checked_step` when floating-point flags see every non-finite
-    value a step can make, else `nullcontext`, so every op scans its output.
-    Flags see it when the parameters are finite now (one scan, as the
-    trainer starts) and the step's largest product, `rows` times the largest
-    weight matrix, the classifier's included, runs in the calling thread
-    (at most `numeric.FLAGGED_PRODUCT_MAX` multiply-adds)."""
+    `classifier` enters once per epoch or run of steps, for steps of at most
+    `batch_size` of the `rows` it steps on: `numeric.checked_step` when
+    floating-point flags see every non-finite value a step can make, else
+    `nullcontext`, so every op scans its output and every input is checked,
+    naming the same step and op. Flags see it when the parameters and
+    `rows` are finite now (one scan, as the trainer starts), as are those of
+    `source`, a frozen encoder whose forward the steps may also run, and
+    the step's largest product, `batch_size` times the largest weight
+    matrix, the classifier's included, runs in the calling thread (at most
+    `numeric.FLAGGED_PRODUCT_MAX` multiply-adds)."""
     widest = max(w.size for w in encoder.weights + [classifier.omega])
-    params = encoder.parameters() + classifier.parameters()
-    if rows * widest <= FLAGGED_PRODUCT_MAX and all(
-            np.count_nonzero(np.isfinite(a)) == a.size for _, a in params):
+    arrays = [a for _, a in encoder.parameters() + classifier.parameters()]
+    if source is not None:
+        arrays += [a for _, a in source.parameters()]
+    if batch_size * widest <= FLAGGED_PRODUCT_MAX and all(
+            np.count_nonzero(np.isfinite(a)) == a.size for a in [rows, *arrays]):
         return checked_step
     return nullcontext
 
@@ -449,7 +454,10 @@ def model_fingerprint(encoder: MlpEncoder, classifier: LinearClassifier | None =
 
 
 def classification_accuracy(encoder, classifier, features, labels):
-    """Fraction of argmax predictions matching labels."""
+    """Fraction of argmax predictions matching labels. No rows is refused:
+    it has no fraction."""
+    if np.shape(features)[:1] == (0,):
+        raise DataError("classification_accuracy: no rows to score")
     feats = encoder.encode(features, mode="eval", retain_cache=False)
     preds = np.argmax(classifier.logits(feats), axis=1)
     return float(np.mean(preds == np.asarray(labels)))

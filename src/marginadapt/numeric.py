@@ -10,31 +10,42 @@ arrays of the right rank. Values entering the package are checked at its
 entry points: `DomainDataset`, `NormLayerState`, the `LinearClassifier`
 constructor, `MlpEncoder.encode`'s input, `diagnostics`, `load_checkpoint`.
 
+A trainer checks what it steps on once, as it starts: `model.step_context`
+scans its parameters and the rows it will step on (ERM's pooled training
+rows, a pass's target rows), and ERM checks its labels against the
+classifier's classes. Its steps then run inside `checked_step`, which it
+enters once per ERM epoch or once per run of batches that a pass steps on,
+and a checked step skips the value checks of what the trainer checked or
+the step made: `as_matrix` does not scan the rows `encode` is given, and
+`cross_entropy_loss`, `entropy_loss` and `memory.insert_and_select` do not
+check the labels, probabilities or entropies they are given. Shape checks
+and the cheap label dtype check run in every call.
+
 An op checks its output in one of two ways. Called on its own, it scans
-the output (`_finite`). Inside `checked_step`, which a trainer enters once
-per step, it does not scan: the step runs under
-`np.errstate(over="raise", invalid="raise", divide="raise")`, so the first
-ufunc or product that makes an Inf or a NaN raises FloatingPointError, and
-the op turns it into the NumericalFailure its scan would raise. So do the
-other functions a step calls whose arithmetic can overflow:
-`update_running_stats` here, `logits`, `marginal_loss`, `Adam.step` and
-`compute_prototypes`. Any other FloatingPointError fails the step as
-`non-finite step arithmetic`.
+the output (`_finite`). Inside `checked_step` it does not scan: the step
+runs under `np.errstate(over="raise", invalid="raise", divide="raise")`,
+so the first ufunc or product that makes an Inf or a NaN raises
+FloatingPointError, and the op turns it into the NumericalFailure its scan
+would raise. So do the other functions a step calls whose arithmetic can
+overflow: `update_running_stats` here, `logits`, `marginal_loss`,
+`Adam.step` and `compute_prototypes`. Any other FloatingPointError fails
+the step as `non-finite step arithmetic`.
 
 Flags see only what is computed, in the calling thread. A NaN already in a
-parameter spreads without a flag, and OpenBLAS runs a product of more than
-`FLAGGED_PRODUCT_MAX` multiply-adds in worker threads, whose flags numpy
-never reads. So a trainer enters `checked_step` only when
-`model.step_context` finds the parameters finite as it starts and the
-step's largest product within that bound; otherwise every op scans, as
-when called on its own. Flags also fire on an intermediate whose overflow
-the output would hide, so a scanning op also scans that intermediate, and
-fails where a checked one fails: `batchnorm_forward` its batch variance
-(an inf variance normalises the column to 0), `Adam.step` its second
-moment (an inf moment freezes the coordinate) and `compute_prototypes` its
-class sums. One difference is left: a checked `softmax_rows` refuses a
-logit range past the float range, where a scan sees finite probabilities
-(0 for the classes far below the maximum).
+parameter or a row spreads without a flag, and OpenBLAS runs a product of
+more than `FLAGGED_PRODUCT_MAX` multiply-adds in worker threads, whose
+flags numpy never reads. So a trainer enters `checked_step` only when
+`model.step_context` finds the parameters and rows finite as it starts and
+the step's largest product within that bound; otherwise every op scans,
+and every input is checked, as when called on its own. Flags also fire on
+an intermediate whose overflow the output would hide, so a scanning op
+also scans that intermediate, and fails where a checked one fails:
+`batchnorm_forward` its batch variance (an inf variance normalises the
+column to 0), `Adam.step` its second moment (an inf moment freezes the
+coordinate) and `compute_prototypes` its class sums. One difference is
+left: a checked `softmax_rows` refuses a logit range past the float range,
+where a scan sees finite probabilities (0 for the classes far below the
+maximum).
 
 Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
@@ -85,16 +96,20 @@ from .errors import (
 
 Array = np.ndarray
 
+_CHECKED = ContextVar("marginadapt_checked_step", default=False)
+
 
 def as_matrix(x, name: str = "array", stacked: bool = False) -> Array:
     """Coerce a value entering the package to a 2-D float64 array, or with
     `stacked` also to a (B, n, d) stack of them; reject wrong rank and
-    non-finite entries. Ops do not call it on their inputs."""
+    non-finite entries. Ops do not call it on their inputs. Inside a
+    checked step it checks the rank only: the trainer that entered the step
+    scanned the rows it steps on (see the module docstring)."""
     a = np.asarray(x, dtype=np.float64)
     if a.ndim != 2 and not (stacked and a.ndim == 3):
         ranks = "2-D or 3-D" if stacked else "2-D"
         raise DimensionError(f"{name}: expected a {ranks} array, got shape {a.shape}")
-    if np.count_nonzero(np.isfinite(a)) != a.size:
+    if not _CHECKED.get() and np.count_nonzero(np.isfinite(a)) != a.size:
         raise NumericalFailure(f"{name}: contains NaN or Inf")
     return a
 
@@ -115,14 +130,12 @@ def as_vector(x, name: str = "array") -> Array:
 # unflagged with 2 threads)
 FLAGGED_PRODUCT_MAX = 65536 * 4
 
-_CHECKED = ContextVar("marginadapt_checked_step", default=False)
-
-
 class checked_step:
-    """One step of a trainer whose every non-finite value raises a
-    floating-point flag (see the module docstring): inside it ops do not
-    scan their outputs, and a FloatingPointError that no op names becomes a
-    NumericalFailure."""
+    """Steps of a trainer whose every non-finite value raises a
+    floating-point flag (see the module docstring), entered once per ERM
+    epoch or run of steps: inside it ops do not scan their outputs, nor the
+    values the trainer checked as it started, and a FloatingPointError that
+    no op names becomes a NumericalFailure."""
 
     __slots__ = ("_errstate", "_token")
 

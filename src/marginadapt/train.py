@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
 from .model import classification_accuracy, pack, step_context
-from .numeric import Array, _finite, check_finite_settings, non_finite, softmax_rows
+from .numeric import _CHECKED, Array, _finite, check_finite_settings, non_finite, softmax_rows
 
 
 @dataclass
@@ -114,22 +115,47 @@ class Adam:
 
 def cross_entropy_loss(probs: Array, labels):
     """Mean negative log-likelihood of the labeled class, with the fused
-    gradient w.r.t. logits: (p - onehot) / N."""
+    gradient w.r.t. logits: (p - onehot) / N.
+
+    The labels must be integers, and a batch of no rows is refused. The
+    labeled probabilities are `np.add.reduce(probs * onehot, axis=1)` and
+    the gradient `probs - onehot`, with one row of a cached read-only
+    identity per label as the one-hot row: p * 1 and exact zeros add to p,
+    and p - 0.0 is p, so the values are those of indexing the labeled
+    entries, bit for bit. Inside a checked step (see numeric) the labels are
+    not range-checked, since the trainer checked them (ERM) or the step made
+    them (argmax labels); the shape and dtype checks always run."""
     y = np.asarray(labels)
     n, c = probs.shape
+    if n == 0:
+        raise DataError("cross_entropy_loss: empty batch")
     if y.shape != (n,):
         raise DimensionError(f"cross_entropy_loss: labels shape {y.shape} != ({n},)")
-    if y.size and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= c):
-        raise DataError(f"cross_entropy_loss: labels outside [0, {c})")
-    rows = np.arange(n)
-    log_picked = np.log(np.maximum(probs[rows, y], 1e-300))
+    if y.dtype.kind not in "iu":
+        raise DataError(f"cross_entropy_loss: labels must be integers, got dtype {y.dtype}")
+    if not _CHECKED.get():
+        _check_labels(y, c)
+    onehot = _identity(c).take(y, axis=0)
+    log_picked = np.log(np.maximum(np.add.reduce(probs * onehot, axis=1), 1e-300))
     value = float(-(np.add.reduce(log_picked) / n))
-    grad_logits = probs.copy()
-    grad_logits[rows, y] -= 1.0
+    grad_logits = probs - onehot
     grad_logits /= n
     if not math.isfinite(value):
         raise NumericalFailure("cross_entropy_loss: non-finite value")
     return value, grad_logits
+
+
+def _check_labels(labels: Array, num_classes: int) -> None:
+    if labels.size and (np.minimum.reduce(labels) < 0
+                        or np.maximum.reduce(labels) >= num_classes):
+        raise DataError(f"cross_entropy_loss: labels outside [0, {num_classes})")
+
+
+@lru_cache
+def _identity(c: int) -> Array:
+    eye = np.eye(c)
+    eye.flags.writeable = False
+    return eye
 
 
 @dataclass
@@ -166,9 +192,14 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     epoch with the best holdout accuracy (ties keep the earlier epoch).
     epochs=0 leaves the model exactly at its initialization. Norm layers need
     batch statistics, so an encoder with them needs batch_size >= 2, and a
-    one-row last batch of an epoch is skipped. Each step is one checked
-    step (see numeric), as `model.step_context` decides when training
-    starts.
+    one-row last batch of an epoch is skipped.
+
+    Training checks what it steps on once, as it starts: the labels against
+    the classifier's classes (DataError, before any parameter moves), when
+    a step will run, and the pooled training rows and the parameters in
+    `model.step_context`. Each epoch's steps then run in one checked step
+    (see numeric), as `step_context` decides; a failure names its epoch and
+    step.
 
     Training packs the model in place (see `model.pack`) and steps its
     whole vector with one Adam, so on return each learnable array of the
@@ -187,7 +218,7 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     (x_train, y_train), (x_val, y_val) = _pooled_splits(sources, cfg)
     flat = pack(encoder, classifier)
     opt = Adam(flat.values, flat.grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    checked = step_context(encoder, classifier, cfg.batch_size)
+    checked = step_context(encoder, classifier, cfg.batch_size, x_train)
     rng = np.random.default_rng(cfg.seed)
 
     def state():
@@ -201,27 +232,28 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
 
     n = x_train.shape[0]
     bs = cfg.batch_size
+    if cfg.epochs and n >= (2 if norm else 1):  # a step will run
+        _check_labels(y_train, classifier.num_classes)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         # one gather per epoch; each batch is then a contiguous slice of it
         x_epoch, y_epoch = x_train[order], y_train[order]
-        for step, start in enumerate(range(0, n, bs)):
-            xb = x_epoch[start : start + bs]
-            if norm and xb.shape[0] < 2:
-                continue  # a single row cannot feed batch statistics
-            yb = y_epoch[start : start + bs]
-            try:
-                with checked():
+        try:
+            with checked():
+                for step, start in enumerate(range(0, n, bs)):
+                    xb = x_epoch[start : start + bs]
+                    if norm and xb.shape[0] < 2:
+                        continue  # a single row cannot feed batch statistics
                     feats = encoder.encode(xb, mode="train")
                     probs = softmax_rows(classifier.logits(feats))
-                    loss, g_logits = cross_entropy_loss(probs, yb)
+                    loss, g_logits = cross_entropy_loss(probs, y_epoch[start : start + bs])
                     encoder.backward(classifier.backward(feats, g_logits))
                     encoder.update_running_stats()
                     opt.step()
-            except NumericalFailure as e:
-                msg = f"training aborted at epoch {epoch}, step {step}: {e}"
-                raise NumericalFailure(msg) from e
-            loss_history.append(loss)
+                    loss_history.append(loss)
+        except NumericalFailure as e:
+            msg = f"training aborted at epoch {epoch}, step {step}: {e}"
+            raise NumericalFailure(msg) from e
         acc = classification_accuracy(encoder, classifier, x_val, y_val)
         val_history.append(acc)
         if acc > best_acc:

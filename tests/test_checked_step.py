@@ -149,6 +149,99 @@ def test_arithmetic_between_the_ops_fails_the_step_as_a_numerical_failure(monkey
                         "non-finite step arithmetic: overflow encountered in multiply")
 
 
+def _overflow_at_call(n):
+    """An encoder backward whose n-th call overflows in arithmetic that no op
+    names; every other call is the real backward."""
+    original = MlpEncoder.backward
+    calls = []
+
+    def backward(self, upstream, norm_only=False):
+        calls.append(None)
+        if len(calls) == n:
+            np.multiply(upstream, 1e308) * 1e308
+        return original(self, upstream, norm_only)
+
+    return backward
+
+
+@pytest.mark.parametrize("trainer, call, wrap", [
+    ("erm", 13, "training aborted at epoch 1, step 2: "),
+    ("pseudo_label", 4, "adaptation aborted at step 3: "),
+    ("unidg", 8, "adaptation aborted at step 7: "),
+])
+def test_arithmetic_between_the_ops_mid_epoch_or_run_names_its_step(
+        trainer, call, wrap, monkeypatch):
+    # ERM runs 10 steps an epoch; the 200-row stream's runs are steps 0-5
+    # and 6 in batches of 32, and one run of steps 0-9 in batches of 20
+    monkeypatch.setattr(MlpEncoder, "backward", _overflow_at_call(call))
+    sources, target, enc, clf = _task(4)
+    if trainer == "erm":
+        run = _erm(sources, enc, clf, epochs=2)
+    else:
+        run = _pass(enc, clf, target, method=trainer, batch_size=20 if trainer == "unidg" else 32)
+    err = _failure(run)
+    assert str(err) == f"{wrap}non-finite step arithmetic: overflow encountered in multiply"
+
+
+def test_a_trainer_enters_the_flags_once_per_epoch_or_run_of_steps(monkeypatch):
+    entered = []
+    original = numeric.checked_step.__enter__
+
+    def enter(self):
+        entered.append(None)
+        return original(self)
+
+    monkeypatch.setattr(numeric.checked_step, "__enter__", enter)
+    sources, target, enc, clf = _task(13)
+    train_source_erm(enc, clf, sources, TrainConfig(epochs=3, seed=0))
+    assert len(entered) == 3
+    # the 200-row stream is 6 batches of 32 and one of 8: runs 0-5 and 6, or
+    # under a budget of 5 steps, 0-4 (stepping), 5 and 6 (scored only)
+    counts = []
+    for steps in (None, 5, 0):
+        entered.clear()
+        run_method(clone_for_adaptation(enc, clf), target,
+                   AdaptConfig(method="unidg", steps=steps, seed=0))
+        counts.append(len(entered))
+    assert counts == [2, 1, 0]
+
+
+def test_a_checked_step_does_not_scan_its_rows_and_a_direct_encode_does():
+    # the trainer scanned the rows as it started, so a checked step takes
+    # them as they are: a NaN spreads without a flag
+    enc = MlpEncoder.create([4, 3], seed=0)
+    x = np.ones((5, 4))
+    x[2, 1] = np.nan
+    with numeric.checked_step():
+        out = enc.encode(x, mode="eval")
+    assert np.isnan(out[2]).all() and np.isfinite(np.delete(out, 2, axis=0)).all()
+    with pytest.raises(NumericalFailure, match=r"^x: contains NaN or Inf$"):
+        enc.encode(x, mode="eval")
+
+
+@pytest.mark.parametrize("trainer", ["entropy_norm", "pseudo_label", "unidg", "none"])
+def test_a_nan_target_row_fails_its_step_by_the_encoders_scan(trainer):
+    # the pass finds the NaN as it starts and lets every op and input scan
+    _, target, enc, clf = _task(14)
+    target.features[stream_batches(target.n, 32, 0)[3][5]] = np.nan
+    with pytest.raises(NumericalFailure) as err:
+        _pass(enc, clf, target, method=trainer)()
+    assert str(err.value) == "adaptation aborted at step 3: x: contains NaN or Inf"
+
+
+def test_a_nan_in_the_frozen_source_is_named_by_the_op_that_reads_it():
+    # the run's stacked source forward fails, so each batch's source
+    # features are encoded inside the run's step: the pass scanned the
+    # source's parameters as it started and lets every op scan
+    _, target, enc, clf = _task(15)
+    source = enc.copy()
+    source.weights[1][0, 0] = np.nan
+    pair = model.ModelPair(source, clf.copy(), enc, clf)
+    with pytest.raises(NumericalFailure) as err:
+        run_method(pair, target, AdaptConfig(method="unidg", seed=0))
+    assert str(err.value) == "adaptation aborted at step 0: linear_forward: produced non-finite values"
+
+
 # -- real overflows: the messages a scan gives, with no warning first ----------
 
 
@@ -281,7 +374,7 @@ def test_a_scanned_step_names_the_op_that_a_checked_step_names(op, plant, traine
     for batch_size, checked in ((32, True), (1024, False)):
         sources, target, enc, clf = _task(12, dims=(16, 48, 48))
         plant(enc, clf)
-        assert (model.step_context(enc, clf, batch_size) is numeric.checked_step) == checked
+        assert (model.step_context(enc, clf, batch_size, target.features) is numeric.checked_step) == checked
         if trainer == "erm":
             run = _erm(sources, enc, clf, epochs=1, batch_size=batch_size)
         else:
@@ -324,12 +417,19 @@ def test_a_nan_in_the_model_is_named_by_the_op_that_reads_it(where, op, trainer)
 
 
 def test_the_gate_checks_by_flags_only_a_finite_model_of_small_products():
-    _, _, enc, clf = _task(11, dims=(16, 48, 48))
+    _, target, enc, clf = _task(11, dims=(16, 48, 48))
+    rows = target.features
     bound = numeric.FLAGGED_PRODUCT_MAX // (48 * 48)
-    assert model.step_context(enc, clf, bound) is numeric.checked_step
-    assert model.step_context(enc, clf, bound + 1) is not numeric.checked_step
+    assert model.step_context(enc, clf, bound, rows) is numeric.checked_step
+    assert model.step_context(enc, clf, bound + 1, rows) is not numeric.checked_step
+    source = enc.copy()
+    source.weights[0][0, 0] = np.nan
+    assert model.step_context(enc, clf, 32, rows, source) is not numeric.checked_step
+    rows = rows.copy()
+    rows[7, 3] = np.inf
+    assert model.step_context(enc, clf, 32, rows) is not numeric.checked_step
     clf.bias[0] = np.inf
-    assert model.step_context(enc, clf, 32) is not numeric.checked_step
+    assert model.step_context(enc, clf, 32, target.features) is not numeric.checked_step
 
 
 # -- OpenBLAS worker threads: their flags are lost, so the gate bounds products --

@@ -1,6 +1,7 @@
 """Adaptation objectives: values against brute-force oracles, gradients against FD."""
 
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import pytest
 from gradcheck import numeric_grad, rel_error
 from marginadapt import (
     ConfigError,
+    DataError,
     DimensionError,
     InputError,
     NumericalFailure,
@@ -16,6 +18,7 @@ from marginadapt import (
     marginal_loss,
     softmax_rows,
 )
+from marginadapt.numeric import checked_step
 
 
 def brute_margin(a, s, sigma):
@@ -149,3 +152,24 @@ def test_entropy_loss_rejects_non_distributions():
         entropy_loss(np.array([[0.5, 0.6]]))
     with pytest.raises(InputError):
         entropy_loss(np.array([[-0.1, 1.1]]))
+
+
+def test_entropy_loss_inside_a_checked_step_takes_the_rows_the_step_made():
+    # a checked step's softmax made the rows, so they are not checked again
+    probs = np.array([[0.25, 0.5]])
+    with pytest.raises(InputError):
+        entropy_loss(probs)
+    with checked_step():
+        value, _ = entropy_loss(probs)
+    npt.assert_allclose(value, -(0.25 * math.log(0.25) + 0.5 * math.log(0.5)), rtol=1e-15)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("entropy_loss", lambda: entropy_loss(np.zeros((0, 3)))),
+    ("marginal_loss", lambda: marginal_loss(np.zeros((0, 3)), np.zeros((0, 3)), 0.1)),
+])
+def test_a_loss_refuses_an_empty_batch_before_any_arithmetic(name, call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=f"^{name}: empty batch$"):
+            call()

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -20,6 +21,7 @@ from marginadapt.numeric import (
 )
 from marginadapt import (
     ConfigError,
+    DataError,
     DimensionError,
     LinearClassifier,
     MlpEncoder,
@@ -454,6 +456,15 @@ def test_classification_accuracy_on_separable_points():
     y = np.array([0, 1, 0])
     assert classification_accuracy(enc, clf, x, y) == 1.0
     assert classification_accuracy(enc, clf, x, np.array([1, 0, 1])) == 0.0
+
+
+def test_classification_accuracy_refuses_no_rows():
+    enc = MlpEncoder.create([3, 4], seed=0)
+    clf = LinearClassifier.create(4, 2, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^classification_accuracy: no rows to score$"):
+            classification_accuracy(enc, clf, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):

@@ -4,12 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import weakref
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import backward_grads, numeric_grad, rel_error
 import marginadapt
@@ -19,6 +23,7 @@ from marginadapt import (
     ConfigError,
     DataError,
     DimensionError,
+    DomainDataset,
     LinearClassifier,
     MlpEncoder,
     NumericalFailure,
@@ -33,6 +38,7 @@ from marginadapt import (
     split_holdout,
     train_source_erm,
 )
+from marginadapt.numeric import checked_step
 
 
 def reference_adam(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
@@ -231,6 +237,62 @@ def test_cross_entropy_rejects_bad_labels():
         cross_entropy_loss(probs, np.array([0, -1, 2, 1]))
     with pytest.raises(DimensionError):
         cross_entropy_loss(probs, np.array([0, 1, 2]))
+
+
+def _cross_entropy_by_index(probs, labels):
+    """cross_entropy_loss as it was written with fancy indexing."""
+    n = probs.shape[0]
+    rows = np.arange(n)
+    log_picked = np.log(np.maximum(probs[rows, labels], 1e-300))
+    value = float(-(np.add.reduce(log_picked) / n))
+    grad_logits = probs.copy()
+    grad_logits[rows, labels] -= 1.0
+    grad_logits /= n
+    return value, grad_logits
+
+
+@st.composite
+def _scored_batches(draw):
+    """Softmax rows over 2-10 classes, with logits spread far enough that
+    some probabilities are exactly 0 or 1, some rows exactly one-hot (on
+    the label or off it), and labels of either integer dtype."""
+    c = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    probs = softmax_rows(rng.standard_normal((n, c)) * 10.0 ** rng.uniform(-2, 3))
+    labels = rng.integers(0, c, n).astype(draw(st.sampled_from([np.int64, np.intp, np.uint8])))
+    hot = rng.random(n) < 0.3
+    probs[hot] = 0.0
+    probs[hot, rng.integers(0, c, n)[hot]] = 1.0
+    return probs, labels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_scored_batches())
+def test_one_hot_cross_entropy_equals_the_fancy_index_form_bit_for_bit(batch):
+    probs, labels = batch
+    value, grad = cross_entropy_loss(probs, labels)
+    want_value, want_grad = _cross_entropy_by_index(probs, labels)
+    assert value.hex() == want_value.hex()
+    assert grad.dtype == want_grad.dtype and grad.shape == want_grad.shape
+    assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("labels", [np.array([0.0, 1.0, 2.0, 0.0]),
+                                    np.array([True, False, True, False])],
+                         ids=["float", "bool"])
+@pytest.mark.parametrize("context", [nullcontext, checked_step], ids=["direct", "checked"])
+def test_cross_entropy_refuses_labels_that_are_not_integers(labels, context):
+    probs = np.full((4, 3), 1.0 / 3)
+    with context(), pytest.raises(DataError, match="^cross_entropy_loss: labels must be integers"):
+        cross_entropy_loss(probs, labels)
+
+
+def test_cross_entropy_refuses_an_empty_batch():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="^cross_entropy_loss: empty batch$"):
+            cross_entropy_loss(np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
 
 
 def _tiny_task(seed):
@@ -567,3 +629,27 @@ def test_training_does_not_import_numpy_ma():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def _with_a_fifth_class(ds, rows):
+    """`ds` declared over 5 classes, with the given rows labelled 4."""
+    labels = ds.labels.copy()
+    labels[rows] = 4
+    return DomainDataset(ds.features, labels, 5, ds.domain_id)
+
+
+def test_erm_refuses_labels_outside_the_classifiers_classes_before_any_step():
+    # two rows of a class the 4-class classifier lacks, the first of them
+    # met at epoch 0, step 6: a check at the step that meets it would come
+    # after six steps
+    sources, enc, clf = _tiny_task(11)
+    sources = [_with_a_fifth_class(sources[0], [150, 190]), sources[1]]
+    initial = model_fingerprint(enc, clf)
+    cfg = TrainConfig(lr=1e-2, epochs=2, seed=11)
+    with pytest.raises(DataError, match=r"^cross_entropy_loss: labels outside \[0, 4\)$"):
+        train_source_erm(enc, clf, sources, cfg)
+    assert model_fingerprint(enc, clf) == initial
+    # no step runs at epochs=0, so nothing is refused
+    cfg.epochs = 0
+    report = train_source_erm(enc, clf, sources, cfg)
+    assert report.loss_history == [] and model_fingerprint(enc, clf) == initial

@@ -15,11 +15,13 @@ commit's and a change's; equal first lines mean equal bits in:
     the CLI in a temporary directory: the bytes of `checkpoint.json` and the
     `canonical_record_bytes` of the adapt and ablate records.
 
-Equal second lines mean equal `NumericalFailure` messages, step and op
-included, for each failure recipe: a NaN weight in the adapted encoder
-and, with the first layer's weights all 1.0, a target row of 1e308, for
-both encoders and every method; ERM of the linear encoder at lr 1e300; and
-a norm encoder with eps=0 whose first layer has a constant column, in ERM
+Equal second lines mean equal failures, the error class and its message
+(step and op included), for each failure recipe: a NaN weight in the
+adapted encoder, a NaN target row and, with the first layer's weights all
+1.0, a target row of 1e308, for both encoders and every method; ERM of the
+linear encoder at lr 1e300; ERM of both encoders with a NaN in one
+training row, and with a classifier of 3 classes on 4-class labels; and a
+norm encoder with eps=0 whose first layer has a constant column, in ERM
 and in every method.
 
 Equal third lines mean equal `canonical_record_bytes` of the `diagnose`
@@ -149,15 +151,15 @@ def _workflow_lines():
 
 
 def _failure_lines(ma, trained):
-    """The NumericalFailure message of each failure recipe (see the module
+    """The error class and message of each failure recipe (see the module
     docstring), or None where a recipe does not fail."""
     from marginadapt.adapt import METHODS
 
     def message(run):
         try:
             run()
-        except ma.NumericalFailure as e:
-            return str(e)
+        except ma.MarginAdaptError as e:
+            return f"{type(e).__name__}: {e}"
         return None
 
     def passes(enc, clf, target, methods, plant):
@@ -169,9 +171,9 @@ def _failure_lines(ma, trained):
             out.append((method, message(lambda: ma.run_method(pair, target, cfg))))
         return out
 
-    def erm(enc, cfg):
-        clf = ma.LinearClassifier.create(enc.feature_dim, 4, seed=1)
-        return message(lambda: ma.train_source_erm(enc, clf, sources, cfg))
+    def erm(enc, cfg, data=None, classes=4):
+        clf = ma.LinearClassifier.create(enc.feature_dim, classes, seed=1)
+        return message(lambda: ma.train_source_erm(enc, clf, data or sources, cfg))
 
     def nan_weight(enc):
         enc.weights[-1][0, 0] = np.nan
@@ -179,18 +181,32 @@ def _failure_lines(ma, trained):
     def ones_first_layer(enc):  # so that a row of 1e308 overflows every column
         enc.weights[0][...] = 1.0
 
+    def planted(ds, row, value):  # a dataset refuses non-finite rows, so plant after
+        out = ma.DomainDataset(ds.features.copy(), ds.labels, ds.num_classes, ds.domain_id)
+        out.features[row] = value
+        return out
+
     sources, _ = ma.gen_synthetic_shift(
         ma.ShiftSpec(samples_per_domain=1200, num_source_domains=2, seed=0))
+    # a row of the first domain's training split under TrainConfig(seed=0)
+    train, _ = ma.split_holdout(sources[0], ma.TrainConfig().holdout_fraction, seed=0)
+    row = np.flatnonzero((sources[0].features == train.features[100]).all(axis=1))
+    nan_sources = [planted(sources[0], row, np.nan), *sources[1:]]
     lines = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a scanned op warns before it fails
         for use_norm, (enc, clf, _, target) in trained.items():
             methods = [m for m in METHODS if use_norm or m != "entropy_norm"]
-            features = target.features.copy()
-            features[5] = 1e308
-            huge = ma.DomainDataset(features, target.labels, target.num_classes, target.domain_id)
+            huge, nan = planted(target, 5, 1e308), planted(target, 5, np.nan)
             lines += [("nan weight", use_norm, passes(enc, clf, target, methods, nan_weight)),
-                      ("1e308 row", use_norm, passes(enc, clf, huge, methods, ones_first_layer))]
+                      ("1e308 row", use_norm, passes(enc, clf, huge, methods, ones_first_layer)),
+                      ("nan target row", use_norm, passes(enc, clf, nan, methods, lambda enc: None))]
+            dims = [16, 24, 24] if use_norm else [16, 24]
+            cfg = ma.TrainConfig(lr=1e-2, epochs=2, seed=0)
+            lines += [("erm nan row", use_norm,
+                       erm(ma.MlpEncoder.create(dims, use_norm=use_norm, seed=0), cfg, nan_sources)),
+                      ("erm 3 classes", use_norm,
+                       erm(ma.MlpEncoder.create(dims, use_norm=use_norm, seed=0), cfg, classes=3))]
         lines.append(("erm lr 1e300", erm(ma.MlpEncoder.create([16, 24], seed=0),
                                           ma.TrainConfig(lr=1e300, epochs=2, seed=0))))
         # a constant pre-norm column has variance 0, and with eps=0 so has its denominator
