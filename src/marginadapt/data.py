@@ -384,17 +384,12 @@ def load_csv_domains(path, num_classes: int | None = None) -> dict:
     }
 
 
-def load_csv(path, num_classes: int | None = None, domain: str | None = None) -> DomainDataset:
-    """Read a single-domain CSV (or pick one domain out of a mixed file)."""
+def load_csv(path, num_classes: int | None = None) -> DomainDataset:
+    """Read a single-domain CSV. A file of several domains is refused;
+    `load_csv_domains` reads one."""
     domains = load_csv_domains(path, num_classes=num_classes)
-    if domain is not None:
-        if domain not in domains:
-            raise DataError(f"{path}: no rows for domain {domain!r}")
-        return domains[domain]
     if len(domains) != 1:
-        raise DataError(
-            f"{path}: holds {sorted(domains)} domains; pass domain= to pick one"
-        )
+        raise DataError(f"{path}: holds {sorted(domains)} domains, expected one")
     return next(iter(domains.values()))
 
 

@@ -28,6 +28,7 @@ from .numeric import (
 )
 
 _PROBE_ROWS = 1024  # rows per stacked finite-difference forward; bounds its peak
+_FD_STEP = 1e-6  # the central difference's step
 
 
 @dataclass
@@ -176,13 +177,13 @@ def kernel_comparison_sweep(model: MlpEncoder, source_samples, target_samples,
 
 
 def verify_bn_gradient(batch, state: NormLayerState, trials: int = 10,
-                       seed: int = 0, step_size: float = 1e-6) -> float:
+                       seed: int = 0) -> float:
     """Max norm-relative error between the closed-form normalization input
     gradient and a central finite difference, over random projections.
 
     Objective per trial: sum(R * forward(x)) for random R. Returns the worst
     ||gx_analytic - gx_fd|| / max(||gx_fd||, tiny) across trials. The probes
-    x +- step_size * e_ij run as (P, m, d) stacks of train-mode forwards, at
+    x +- _FD_STEP * e_ij run as (P, m, d) stacks of train-mode forwards, at
     most _PROBE_ROWS rows per call (one probe per call when m is larger);
     each slice gives the objective its own 2-D forward would give, bit for
     bit (see numeric). The state's cache is left empty."""
@@ -195,9 +196,9 @@ def verify_bn_gradient(batch, state: NormLayerState, trials: int = 10,
         r = rng.standard_normal(x.shape)
         batchnorm_forward(x, state, mode="train")
         gx, _, _ = batchnorm_backward(state, r)
-        up = _probe_objectives(x, r, state, step_size)
-        down = _probe_objectives(x, r, state, -step_size)
-        fd = ((up - down) / (2.0 * step_size)).reshape(x.shape)
+        up = _probe_objectives(x, r, state, _FD_STEP)
+        down = _probe_objectives(x, r, state, -_FD_STEP)
+        fd = ((up - down) / (2.0 * _FD_STEP)).reshape(x.shape)
         denom = max(float(np.linalg.norm(fd)), 1e-300)
         err = float(np.linalg.norm(gx - fd)) / denom
         worst = max(worst, err)

@@ -59,7 +59,7 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
     try:
         diff = adapted - source
         dist_sq = np.add.reduce(diff * diff, axis=1)
-        if n and np.maximum.reduce(dist_sq) <= sigma:
+        if np.maximum.reduce(dist_sq) <= sigma:
             # no row outside the margin: the general form's exact (0.0, zeros);
             # a NaN distance fails the test and is caught below
             return 0.0, np.zeros(adapted.shape)
@@ -71,6 +71,12 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
     if not math.isfinite(value):
         raise NumericalFailure("marginal_loss: non-finite value")
     return value, grad
+
+
+def row_entropies(probs: Array):
+    """(log p with 0 where p is 0, each row's Shannon entropy), 0 log 0 = 0."""
+    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
+    return logp, -np.add.reduce(probs * logp, axis=1)
 
 
 def entropy_loss(probs: Array):
@@ -95,8 +101,7 @@ def entropy_loss(probs: Array):
             raise InputError(
                 f"entropy_loss: rows must sum to 1 within 1e-6 (worst deviation {worst:.3e})"
             )
-    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
-    row_entropy = -np.add.reduce(probs * logp, axis=1)
+    logp, row_entropy = row_entropies(probs)
     value = float(np.add.reduce(row_entropy) / n)
     grad_logits = -(probs * (logp + row_entropy[:, None])) / n
     if not math.isfinite(value):

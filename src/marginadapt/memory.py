@@ -29,7 +29,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericalFailure
+from .errors import ConfigError, DataError, DimensionError, NumericalFailure
+from .losses import row_entropies
 from .numeric import _CHECKED, Array, _finite, non_finite
 
 
@@ -87,10 +88,7 @@ def init_from_classifier(classifier, top_k: int = 20) -> MemoryBank:
 def pseudo_label(probs: Array):
     """Argmax labels and Shannon entropies per row. Ties pick the lowest
     class index (np.argmax convention)."""
-    labels = np.argmax(probs, axis=1)
-    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
-    entropies = -np.add.reduce(probs * logp, axis=1)
-    return labels, entropies
+    return np.argmax(probs, axis=1), row_entropies(probs)[1]
 
 
 def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> MemoryBank:
@@ -99,15 +97,19 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
     (lower entropy first, the newer row first among equals).
 
     Every input is checked before the bank changes; inside a checked step
-    (see numeric) only the shapes are, since the step made the labels (an
-    argmax) and the entropies (`pseudo_label`, from probabilities it has
-    checked). The batch is grouped once: one stable sort of the reversed
-    batch puts its rows in class, then entropy, then newest-first order. A full class whose best new entropy is
-    above its worst held one is left as it is. Otherwise the class's new
-    rows, all newer than its held ones, go before them; both runs are in
-    bank order, so one stable sort on entropy gives the bank order and its
-    first `capacity_per_class` rows are the keep set."""
-    labels = np.asarray(labels).astype(np.int64, copy=False)
+    (see numeric) only the shapes and the label dtype (integers) are, since
+    the step made the labels (an argmax) and the entropies (`pseudo_label`,
+    from probabilities it has checked). The batch is grouped once: one
+    stable sort of the reversed batch puts its rows in class, then entropy,
+    then newest-first order. A full class whose best new entropy is above
+    its worst held one is left as it is. Otherwise the class's new rows, all
+    newer than its held ones, go before them; both runs are in bank order,
+    so one stable sort on entropy gives the bank order and its first
+    `capacity_per_class` rows are the keep set."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise DataError(f"insert_and_select: labels must be integers, got dtype {labels.dtype}")
+    labels = labels.astype(np.int64, copy=False)
     entropies = np.asarray(entropies, dtype=np.float64)
     n, d = features.shape
     if d != bank.feature_dim:
@@ -184,6 +186,5 @@ def refresh_classifier(bank: MemoryBank, classifier):
         raise DimensionError("refresh_classifier: class counts differ")
     held = bank.counts > 0
     np.copyto(classifier.omega, bank.prototypes.T, where=held)
-    if classifier.bias is not None:
-        np.copyto(classifier.bias, 0.0, where=held)
+    np.copyto(classifier.bias, 0.0, where=held)
     return classifier

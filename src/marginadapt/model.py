@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, SchemaError, StateError
 from .numeric import (
     FLAGGED_PRODUCT_MAX,
+    NORM_EPS,
+    NORM_MOMENTUM,
     Array,
     NormLayerState,
     _finite,
@@ -33,7 +35,6 @@ from .numeric import (
     batchnorm_backward,
     batchnorm_forward,
     batchnorm_param_grads,
-    check_norm_settings,
     checked_step,
     linear_forward,
     linear_input_grad,
@@ -51,13 +52,19 @@ class MlpEncoder:
     """Feature extractor: stack of linear(+norm)+relu layers, linear head.
 
     layer_dims = [input, hidden..., feature]. Weights and biases start
-    uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+    uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. Every norm layer runs
+    with the encoder's `eps` (>= 0) and `momentum` (in [0, 1]); a
+    non-numeric value raises TypeError.
     """
 
-    def __init__(self, layer_dims, weights, biases, norms, eps=1e-5, momentum=0.1):
+    def __init__(self, layer_dims, weights, biases, norms, eps=NORM_EPS,
+                 momentum=NORM_MOMENTUM):
         if len(layer_dims) < 2:
             raise ConfigError("layer_dims needs at least input and output sizes")
-        check_norm_settings(eps, momentum)
+        if eps < 0.0:
+            raise ConfigError(f"eps must be >= 0, got {eps}")
+        if not 0.0 <= momentum <= 1.0:
+            raise ConfigError(f"momentum must lie in [0, 1], got {momentum}")
         self.layer_dims = [int(d) for d in layer_dims]
         self.weights = weights
         self.biases = biases
@@ -80,10 +87,6 @@ class MlpEncoder:
             if norm is not None and norm.dim != dims[i + 1]:
                 raise DimensionError(
                     f"norm {i}: dim {norm.dim} does not match layer_dims {dims[i + 1]}")
-            # a checkpoint keeps only the encoder's pair and gives it to every norm
-            if norm is not None and (norm.eps, norm.momentum) != (eps, momentum):
-                raise ConfigError(f"norm {i}: eps {norm.eps} and momentum {norm.momentum} "
-                                  f"differ from the encoder's {eps} and {momentum}")
         # where backward writes each parameter's gradient (see gradients())
         self._weight_grads = [np.zeros(w.shape) for w in weights]
         self._bias_grads = [np.zeros(b.shape) for b in biases]
@@ -91,7 +94,7 @@ class MlpEncoder:
                             for n in norms]
 
     @classmethod
-    def create(cls, layer_dims, use_norm=False, seed=0, eps=1e-5, momentum=0.1):
+    def create(cls, layer_dims, use_norm=False, seed=0, eps=NORM_EPS, momentum=NORM_MOMENTUM):
         if any(int(d) < 1 for d in layer_dims):
             raise ConfigError(f"layer sizes must be positive, got {layer_dims}")
         rng = np.random.default_rng(seed)
@@ -100,10 +103,7 @@ class MlpEncoder:
             bound = 1.0 / np.sqrt(din)
             weights.append(rng.uniform(-bound, bound, size=(din, dout)))
             biases.append(rng.uniform(-bound, bound, size=dout))
-        norms = [
-            NormLayerState.create(d, eps=eps, momentum=momentum) if use_norm else None
-            for d in layer_dims[1:-1]
-        ]
+        norms = [NormLayerState.create(d) if use_norm else None for d in layer_dims[1:-1]]
         return cls(layer_dims, weights, biases, norms, eps=eps, momentum=momentum)
 
     # -- structure ---------------------------------------------------------
@@ -187,7 +187,7 @@ class MlpEncoder:
             del h
             norm = self.norms[i]
             if norm is not None:
-                a = batchnorm_forward(a, norm, mode=mode)
+                a = batchnorm_forward(a, norm, mode=mode, eps=self.eps)
                 if not retain_cache:
                     norm.cache = None
             if retain_cache:
@@ -241,7 +241,7 @@ class MlpEncoder:
         this raises StateError."""
         for norm in self.norms:
             if norm is not None:
-                update_running_stats(norm)
+                update_running_stats(norm, self.momentum)
 
 
 def _encoder_named(weights, biases, norm_pairs):
@@ -261,22 +261,21 @@ class LinearClassifier:
 
     def __init__(self, omega, bias):
         self.omega = as_matrix(omega, "omega")
-        self.bias = None if bias is None else as_vector(bias, "bias")
-        if self.bias is not None and self.bias.shape != (self.omega.shape[1],):
+        self.bias = as_vector(bias, "bias")
+        if self.bias.shape != (self.omega.shape[1],):
             raise DimensionError("bias length must equal the number of classes")
         # where backward writes the parameters' gradients (see gradients())
         self._omega_grad = np.zeros(self.omega.shape)
-        self._bias_grad = None if self.bias is None else np.zeros(self.bias.shape)
+        self._bias_grad = np.zeros(self.bias.shape)
 
     @classmethod
-    def create(cls, feature_dim, num_classes, seed=0, with_bias=True):
+    def create(cls, feature_dim, num_classes, seed=0):
         if feature_dim < 1 or num_classes < 2:
             raise ConfigError("need feature_dim >= 1 and num_classes >= 2")
         rng = np.random.default_rng(seed)
         bound = 1.0 / np.sqrt(feature_dim)
         omega = rng.uniform(-bound, bound, size=(feature_dim, num_classes))
-        bias = rng.uniform(-bound, bound, size=num_classes) if with_bias else None
-        return cls(omega, bias)
+        return cls(omega, rng.uniform(-bound, bound, size=num_classes))
 
     @property
     def num_classes(self) -> int:
@@ -294,8 +293,7 @@ class LinearClassifier:
             )
         try:
             out = z @ self.omega
-            if self.bias is not None:
-                out += self.bias
+            out += self.bias
         except FloatingPointError as e:
             raise non_finite("logits") from e
         return _finite(out, "logits")
@@ -318,13 +316,11 @@ class LinearClassifier:
         return _classifier_named(self._omega_grad, self._bias_grad)
 
     def copy(self) -> "LinearClassifier":
-        return LinearClassifier(
-            self.omega.copy(), None if self.bias is None else self.bias.copy()
-        )
+        return LinearClassifier(self.omega.copy(), self.bias.copy())
 
 
 def _classifier_named(omega, bias):
-    return [("clf.w", omega)] + ([] if bias is None else [("clf.b", bias)])
+    return [("clf.w", omega), ("clf.b", bias)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,8 +368,7 @@ def pack(encoder: MlpEncoder, classifier: LinearClassifier) -> FlatParameters:
         encoder.weights[i], encoder._weight_grads[i] = take(w)
         encoder.biases[i], encoder._bias_grads[i] = take(b)
     classifier.omega, classifier._omega_grad = take(classifier.omega)
-    if classifier.bias is not None:
-        classifier.bias, classifier._bias_grad = take(classifier.bias)
+    classifier.bias, classifier._bias_grad = take(classifier.bias)
     return FlatParameters(values, grads, slice(0, norm_end))
 
 
@@ -454,13 +449,17 @@ def model_fingerprint(encoder: MlpEncoder, classifier: LinearClassifier | None =
 
 
 def classification_accuracy(encoder, classifier, features, labels):
-    """Fraction of argmax predictions matching labels. No rows is refused:
-    it has no fraction."""
-    if np.shape(features)[:1] == (0,):
+    """Fraction of argmax predictions matching labels, one label per row.
+    No rows is refused: it has no fraction."""
+    rows = np.shape(features)[:1]
+    if rows == (0,):
         raise DataError("classification_accuracy: no rows to score")
+    labels = np.asarray(labels)
+    if labels.shape != rows:
+        raise DimensionError(f"classification_accuracy: labels shape {labels.shape} != {rows}")
     feats = encoder.encode(features, mode="eval", retain_cache=False)
     preds = np.argmax(classifier.logits(feats), axis=1)
-    return float(np.mean(preds == np.asarray(labels)))
+    return float(np.mean(preds == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +495,7 @@ def save_checkpoint(path, encoder: MlpEncoder, classifier: LinearClassifier, see
         },
         "classifier": {
             "omega": classifier.omega.tolist(),
-            "bias": None if classifier.bias is None else classifier.bias.tolist(),
+            "bias": classifier.bias.tolist(),
         },
     }
     tmp = f"{path}.tmp"
@@ -524,6 +523,8 @@ def load_checkpoint(path):
         )
 
     def array(value, name):
+        if value is None:  # np.array would read it as NaN
+            raise SchemaError(f"checkpoint {path}: {name} is null")
         a = np.array(value, dtype=np.float64)
         if not np.isfinite(a).all():
             raise SchemaError(f"checkpoint {path}: {name} contains NaN or Inf")
@@ -539,9 +540,7 @@ def load_checkpoint(path):
             else:
                 stats = {k: array(entry[k], f"encoder.norms[{i}].{k}")
                          for k in ("gamma", "beta", "running_mean", "running_var")}
-                norms.append(NormLayerState(
-                    **stats, eps=enc_doc["eps"], momentum=enc_doc["momentum"]
-                ))
+                norms.append(NormLayerState(**stats))
         encoder = MlpEncoder(
             enc_doc["layer_dims"],
             [array(w, f"encoder.weights[{i}]") for i, w in enumerate(enc_doc["weights"])],
@@ -550,11 +549,8 @@ def load_checkpoint(path):
             eps=enc_doc["eps"],
             momentum=enc_doc["momentum"],
         )
-        bias = clf_doc["bias"]
-        classifier = LinearClassifier(
-            array(clf_doc["omega"], "classifier.omega"),
-            None if bias is None else array(bias, "classifier.bias"),
-        )
+        classifier = LinearClassifier(array(clf_doc["omega"], "classifier.omega"),
+                                      array(clf_doc["bias"], "classifier.bias"))
     except (KeyError, TypeError, ValueError, DimensionError) as e:
         raise SchemaError(f"checkpoint {path}: missing or malformed field ({e})") from e
     meta = {"seed": doc.get("seed"), "format_version": version}

@@ -51,6 +51,9 @@ Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
 the same reductions `np.mean` and `np.var` run, so the values are theirs
 bit for bit. The forward caches `denom = sqrt(var + eps)` for the backward.
+A norm layer's state holds arrays only: `batchnorm_forward` takes `eps` and
+`update_running_stats` takes `momentum` (defaults `NORM_EPS` and
+`NORM_MOMENTUM`), and `MlpEncoder` passes the pair it holds to every layer.
 
 The hot ops call the ufuncs behind the array methods (`np.add.reduce` for
 `.sum`, `np.maximum.reduce` for `.max`) and add biases in place; the values
@@ -258,15 +261,6 @@ class _NormCache:
     m: int
 
 
-def check_norm_settings(eps, momentum) -> None:
-    """The norm layers' rule: eps >= 0 and momentum in [0, 1]. A non-numeric
-    value raises TypeError."""
-    if eps < 0.0:
-        raise ConfigError(f"eps must be >= 0, got {eps}")
-    if not 0.0 <= momentum <= 1.0:
-        raise ConfigError(f"momentum must lie in [0, 1], got {momentum}")
-
-
 def check_finite_settings(config, names) -> None:
     """Reject NaN or infinity in the named float fields of a config, naming
     the field, before any range check or computation sees the value."""
@@ -276,14 +270,19 @@ def check_finite_settings(config, names) -> None:
             raise ConfigError(f"{name} must be finite, got {value}")
 
 
+# the norm layers' defaults; an encoder holds the pair its layers run with
+NORM_EPS = 1e-5
+NORM_MOMENTUM = 0.1
+
+
 @dataclass
 class NormLayerState:
-    """Per-feature normalization state: affine params, running stats, cache."""
+    """Per-feature normalization arrays: affine params, running stats, and
+    the cache of the last forward. The eps and momentum they run with are
+    the encoder's, passed to `batchnorm_forward` and `update_running_stats`."""
 
     gamma: Array
     beta: Array
-    eps: float = 1e-5
-    momentum: float = 0.1
     running_mean: Array = field(default=None)
     running_var: Array = field(default=None)
     cache: _NormCache | None = None
@@ -293,7 +292,6 @@ class NormLayerState:
         self.beta = as_vector(self.beta, "beta")
         if self.gamma.shape != self.beta.shape:
             raise DimensionError("gamma and beta must have the same length")
-        check_norm_settings(self.eps, self.momentum)
         if self.running_mean is None:
             self.running_mean = np.zeros_like(self.gamma)
         else:
@@ -306,8 +304,8 @@ class NormLayerState:
                 raise ConfigError("running_var must be nonnegative")
 
     @classmethod
-    def create(cls, dim: int, eps: float = 1e-5, momentum: float = 0.1):
-        return cls(gamma=np.ones(dim), beta=np.zeros(dim), eps=eps, momentum=momentum)
+    def create(cls, dim: int):
+        return cls(gamma=np.ones(dim), beta=np.zeros(dim))
 
     @property
     def dim(self) -> int:
@@ -318,15 +316,14 @@ class NormLayerState:
         return NormLayerState(
             gamma=self.gamma.copy(),
             beta=self.beta.copy(),
-            eps=self.eps,
-            momentum=self.momentum,
             running_mean=self.running_mean.copy(),
             running_var=self.running_var.copy(),
         )
 
 
-def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> Array:
-    """Normalize columns and apply the affine map.
+def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
+                      eps: float = NORM_EPS) -> Array:
+    """Normalize columns, dividing by sqrt(var + eps), and apply the affine map.
 
     Train mode uses biased batch statistics (per slice of a stack) and
     stores the backward cache; eval mode uses the running statistics. A
@@ -350,11 +347,11 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
             xc = x - mu
             var = _finite(np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m,
                           "batchnorm_forward")
-            denom = np.sqrt(var + state.eps)
+            denom = np.sqrt(var + eps)
             x_hat = xc / denom
         elif mode == "eval":
             mu, var = state.running_mean, state.running_var
-            denom = np.sqrt(var + state.eps)
+            denom = np.sqrt(var + eps)
             x_hat = (x - mu) / denom
         else:
             raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
@@ -367,10 +364,11 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train") -> A
     return _finite(out, "batchnorm_forward")
 
 
-def update_running_stats(state: NormLayerState) -> None:
+def update_running_stats(state: NormLayerState, momentum: float = NORM_MOMENTUM) -> None:
     """Fold the cached train-mode batch statistics into the running stats.
 
-    Exponential moving average with the state's momentum. Kept separate from
+    Exponential moving average: running = (1 - momentum) * running +
+    momentum * batch. Kept separate from
     the forward pass so that inference-time adaptation can use batch
     statistics without silently drifting the stored ones. Only a retaining
     train-mode forward leaves the statistics to fold; after a forward that
@@ -379,13 +377,12 @@ def update_running_stats(state: NormLayerState) -> None:
     if state.cache is None or state.cache.mode != "train":
         raise StateError("update_running_stats: no train-mode forward cached")
     c = state.cache
-    mom = state.momentum
     # in-place so frozen (read-only) stats raise instead of silently rebinding
     try:
-        state.running_mean *= 1.0 - mom
-        state.running_mean += mom * c.mean
-        state.running_var *= 1.0 - mom
-        state.running_var += mom * c.var
+        state.running_mean *= 1.0 - momentum
+        state.running_mean += momentum * c.mean
+        state.running_var *= 1.0 - momentum
+        state.running_var += momentum * c.var
     except FloatingPointError as e:
         raise non_finite("update_running_stats") from e
 

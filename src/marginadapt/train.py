@@ -44,7 +44,8 @@ class TrainConfig:
 
 
 class Adam:
-    """Adam with bias correction over one parameter vector.
+    """Adam with bias correction over one parameter vector, with the usual
+    constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 
     `params` and `grads` are 1-D float64 arrays of one shape, in practice the
     same contiguous slice of a packed network's value and gradient vectors
@@ -61,8 +62,9 @@ class Adam:
     numeric) a step scans the second moment and the updated parameters, so
     a gradient whose square overflows fails here, as in a checked step."""
 
-    def __init__(self, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, grads, lr, weight_decay=0.0):
         for name, value in (("lr", lr), ("weight_decay", weight_decay)):
             if not 0.0 <= value < math.inf:  # also refuses NaN
                 raise ConfigError(f"Adam {name} must be finite and >= 0, got {value}")
@@ -76,7 +78,6 @@ class Adam:
         self.grads = grads
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m, self.v = np.zeros(params.size), np.zeros(params.size)
         # scratch for the moment update and the step

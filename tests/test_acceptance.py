@@ -18,6 +18,7 @@ import numpy.testing as npt
 
 from fixtures import linear_fixture, norm_fixture
 from gradcheck import numeric_grad, rel_error
+from test_memory import OracleBank
 from marginadapt import (
     AdaptConfig,
     DomainDataset,
@@ -198,30 +199,6 @@ def test_criterion_2_margin_contract():
 
 
 # -- criterion 3: memory bank vs full-sort oracle -----------------------------
-
-
-class OracleBank:
-    """Keeps everything, re-sorts from scratch on every query."""
-
-    def __init__(self, num_classes, capacity, top_k):
-        self.rows = {j: [] for j in range(num_classes)}
-        self.capacity = capacity
-        self.top_k = top_k
-
-    def insert(self, feature, label, entropy, step):
-        rows = self.rows[label]
-        rows.append((entropy, step, feature.copy()))
-        if len(rows) > self.capacity:
-            rows.sort(key=lambda r: (-r[0], r[1]))  # worst first, oldest first
-            rows.pop(0)
-
-    def top_k_rows(self, label):
-        # lowest entropy first, the newest first among equals
-        return sorted(self.rows[label], key=lambda r: (r[0], -r[1]))[: self.top_k]
-
-    def prototype(self, label):
-        sel = self.top_k_rows(label)
-        return np.mean([r[2] for r in sel], axis=0) if sel else None
 
 
 def test_criterion_3_memory_bank_oracle():

@@ -78,7 +78,6 @@ def _inf_cache(state):
     # folding an inf variance with momentum 0 computes 0 * inf; a checked
     # forward never caches an inf, so this is planted
     state.cache.var = np.full_like(state.cache.var, np.inf)
-    state.momentum = 0.0
     return state
 
 
@@ -90,7 +89,7 @@ _SITES = {
     "linear_input_grad": (model, "linear_input_grad", "linear_backward",
                           lambda f: lambda w, up: f(np.ones_like(w), _huge(up))),
     "batchnorm_forward": (model, "batchnorm_forward", "batchnorm_forward",
-                          lambda f: lambda x, state, mode="train": f(_huge(x), state, mode)),
+                          lambda f: lambda x, state, **kw: f(_huge(x), state, **kw)),
     "batchnorm_backward": (model, "batchnorm_backward", "batchnorm_backward",
                            lambda f: lambda state, up, out=None: f(state, _huge(up), out)),
     "logits": (LinearClassifier, "logits", "logits",
@@ -104,7 +103,7 @@ _SITES = {
     "compute_prototypes": (adapt, "compute_prototypes", "compute_prototypes",
                            lambda f: lambda bank: (bank.features.fill(1e308), f(bank))[1]),
     "update_running_stats": (model, "update_running_stats", "update_running_stats",
-                             lambda f: lambda state: f(_inf_cache(state))),
+                             lambda f: lambda state, momentum: f(_inf_cache(state), 0.0)),
 }
 
 _CASES = [(site, "erm") for site in _SITES if site not in ("marginal_loss", "compute_prototypes")]

@@ -210,16 +210,13 @@ def test_write_csv_refuses_mixed_widths_before_touching_the_file(tmp_path):
     assert path.read_bytes() == before
 
 
-def test_load_csv_single_domain_selection(tmp_path):
+def test_load_csv_refuses_a_file_of_several_domains(tmp_path):
     sources, target = gen_synthetic_shift(ShiftSpec(seed=15, samples_per_domain=12))
     path = tmp_path / "all.csv"
     write_csv(sources + [target], path)
-    ds = load_csv(path, num_classes=4, domain="target")
-    npt.assert_array_equal(ds.features, target.features)
-    with pytest.raises(DataError):
-        load_csv(path, num_classes=4)  # ambiguous without domain=
-    with pytest.raises(DataError):
-        load_csv(path, num_classes=4, domain="nope")
+    domains = r"\['source_0', 'source_1', 'source_2', 'target'\]"
+    with pytest.raises(DataError, match=rf"all\.csv: holds {domains} domains, expected one$"):
+        load_csv(path, num_classes=4)
 
 
 def test_csv_parse_errors_carry_line_numbers(tmp_path):

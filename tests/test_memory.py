@@ -1,5 +1,6 @@
 """Support bank against a brute-force full-sort oracle, plus refresh contracts."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from marginadapt import (
     ConfigError,
+    DataError,
     DimensionError,
     LinearClassifier,
     MemoryBank,
@@ -407,3 +409,16 @@ def test_a_checked_step_does_not_scan_the_entropies_it_made():
     assert bank.counts.tolist() == [1, 1]
     with pytest.raises(NumericalFailure, match="^insert_and_select: entropies contains NaN or Inf$"):
         insert_and_select(bank, np.ones((2, 2)), [0, 1], [np.nan, 0.5])
+
+
+@pytest.mark.parametrize("labels", [np.array([1.7, 2.9]), [1.0, 2.0], np.array([True, False])],
+                         ids=["fractional", "whole-floats", "bool"])
+def test_non_integer_labels_are_refused_in_and_out_of_a_checked_step(labels):
+    # a cast would truncate them: [1.7, 2.9] went into classes 1 and 2
+    bank = MemoryBank(3, 2, capacity_per_class=2)
+    dtype = np.asarray(labels).dtype
+    for context in (contextlib.nullcontext, checked_step):
+        with context(), pytest.raises(
+                DataError, match=f"^insert_and_select: labels must be integers, got dtype {dtype}$"):
+            insert_and_select(bank, np.ones((2, 2)), labels, [0.1, 0.2])
+    assert bank.counts.tolist() == [0, 0, 0] and bank._next_step == 0

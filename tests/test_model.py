@@ -1,6 +1,7 @@
 """Encoder/classifier mechanics: shapes, gradients, freezing, checkpoints."""
 
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -11,6 +12,8 @@ import pytest
 from gradcheck import backward_grads, numeric_grad, rel_error
 from marginadapt import model
 from marginadapt.numeric import (
+    NORM_EPS,
+    NORM_MOMENTUM,
     NormLayerState,
     batchnorm_backward,
     batchnorm_forward,
@@ -18,6 +21,7 @@ from marginadapt.numeric import (
     linear_forward,
     relu_backward,
     relu_forward,
+    update_running_stats,
 )
 from marginadapt import (
     ConfigError,
@@ -229,13 +233,12 @@ def test_classifier_backward_under_norm_only_writes_no_gradient():
     rng = np.random.default_rng(15)
     z = rng.standard_normal((7, 5))
     up = rng.standard_normal((7, 3))
-    for bias in (True, False):
-        clf = LinearClassifier.create(5, 3, seed=2, with_bias=bias)
-        gz, full = backward_grads(clf, z, up)
-        assert sorted(full) == sorted(n for n, _ in clf.parameters())
-        hz, grads = backward_grads(clf, z, up, norm_only=True)
-        npt.assert_array_equal(hz, gz)
-        assert grads == {}
+    clf = LinearClassifier.create(5, 3, seed=2)
+    gz, full = backward_grads(clf, z, up)
+    assert sorted(full) == ["clf.b", "clf.w"]
+    hz, grads = backward_grads(clf, z, up, norm_only=True)
+    npt.assert_array_equal(hz, gz)
+    assert grads == {}
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -328,26 +331,20 @@ def test_encoder_cache_survives_multiple_backwards():
 
 def test_classifier_backward_matches_fd():
     rng = np.random.default_rng(9)
-    for with_bias in (True, False):
-        clf = LinearClassifier.create(5, 3, seed=10, with_bias=with_bias)
-        z = rng.standard_normal((6, 5))
-        r = rng.standard_normal((6, 3))
-        gz, grads = backward_grads(clf, z, r)
-        assert rel_error(gz, numeric_grad(lambda: np.sum(r * clf.logits(z)), z)) < 1e-6
-        assert rel_error(grads["clf.w"], numeric_grad(lambda: np.sum(r * clf.logits(z)), clf.omega)) < 1e-6
-        if with_bias:
-            assert rel_error(grads["clf.b"], numeric_grad(lambda: np.sum(r * clf.logits(z)), clf.bias)) < 1e-6
-        else:
-            assert "clf.b" not in grads
+    clf = LinearClassifier.create(5, 3, seed=10)
+    z = rng.standard_normal((6, 5))
+    r = rng.standard_normal((6, 3))
+    gz, grads = backward_grads(clf, z, r)
+    assert rel_error(gz, numeric_grad(lambda: np.sum(r * clf.logits(z)), z)) < 1e-6
+    assert rel_error(grads["clf.w"], numeric_grad(lambda: np.sum(r * clf.logits(z)), clf.omega)) < 1e-6
+    assert rel_error(grads["clf.b"], numeric_grad(lambda: np.sum(r * clf.logits(z)), clf.bias)) < 1e-6
 
 
-@pytest.mark.parametrize("use_norm, bias", [(False, True), (True, True), (True, False)],
-                         ids=["linear", "norm", "norm-no-bias"])
-def test_pack_lays_the_parameters_out_norm_first_and_backward_fills_the_gradients(
-        use_norm, bias):
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+def test_pack_lays_the_parameters_out_norm_first_and_backward_fills_the_gradients(use_norm):
     rng = np.random.default_rng(19)
     enc = _varied_encoder([6, 5, 5, 4], use_norm, rng)
-    clf = LinearClassifier.create(4, 3, seed=5, with_bias=bias)
+    clf = LinearClassifier.create(4, 3, seed=5)
     x, up = rng.standard_normal((9, 6)), rng.standard_normal((9, 3))
     ref_enc, ref_clf = enc.copy(), clf.copy()
     fingerprint = model_fingerprint(enc, clf)
@@ -424,21 +421,39 @@ def test_encoder_refuses_arrays_that_do_not_match_layer_dims():
 
 
 @pytest.mark.parametrize("setting", [dict(eps=1e-3), dict(momentum=0.5)], ids=["eps", "momentum"])
-def test_encoder_refuses_a_norm_whose_settings_differ_from_its_own(setting, tmp_path):
-    # a checkpoint keeps only the encoder's eps and momentum and gives them to
-    # every norm, so a norm of its own settings would not load back as saved
-    enc = MlpEncoder.create([6, 5, 5, 4], use_norm=True, seed=0)
-    parts = dict(weights=enc.weights, biases=enc.biases)
-    with pytest.raises(ConfigError, match="^norm 1: eps .* differ from the encoder's"):
-        MlpEncoder(enc.layer_dims, norms=[enc.norms[0], NormLayerState.create(5, **setting)],
-                   **parts)
-    # norms that share the encoder's settings are taken, and load back with them
-    own = MlpEncoder(enc.layer_dims, norms=[NormLayerState.create(5, **setting) for _ in range(2)],
-                     **parts, **setting)
+def test_every_norm_runs_with_the_encoders_eps_and_momentum(setting, tmp_path):
+    eps, momentum = setting.get("eps", NORM_EPS), setting.get("momentum", NORM_MOMENTUM)
+    enc = MlpEncoder.create([6, 5, 5, 4], use_norm=True, seed=0, **setting)
+    norms = [n.copy() for n in enc.norms]
+    x = np.random.default_rng(0).standard_normal((8, 6))
+    feats = enc.encode(x)
+    enc.update_running_stats()
+    # the same layers by hand, each norm given the encoder's pair
+    h = x
+    for i, norm in enumerate(norms):
+        a = batchnorm_forward(linear_forward(h, enc.weights[i], enc.biases[i]), norm, eps=eps)
+        update_running_stats(norm, momentum)
+        h = relu_forward(a)
+    npt.assert_array_equal(feats, linear_forward(h, enc.weights[2], enc.biases[2]))
+    for norm, want in zip(enc.norms, norms):
+        npt.assert_array_equal(norm.running_mean, want.running_mean)
+        npt.assert_array_equal(norm.running_var, want.running_var)
+    # a checkpoint keeps the pair once, and its norms run with it again
     path = tmp_path / "model.json"
-    save_checkpoint(path, own, LinearClassifier.create(4, 3, seed=1))
+    save_checkpoint(path, enc, LinearClassifier.create(4, 3, seed=1))
     loaded, _, _ = load_checkpoint(path)
-    assert [(n.eps, n.momentum) for n in loaded.norms] == [(n.eps, n.momentum) for n in own.norms]
+    assert (loaded.eps, loaded.momentum) == (eps, momentum)
+    npt.assert_array_equal(loaded.encode(x, mode="eval"), enc.encode(x, mode="eval"))
+
+
+@pytest.mark.parametrize("setting, message", [
+    (dict(eps=-1e-9), "^eps must be >= 0, got -1e-09$"),
+    (dict(momentum=1.5), r"^momentum must lie in \[0, 1\], got 1.5$"),
+    (dict(momentum=-0.1), r"^momentum must lie in \[0, 1\], got -0.1$"),
+], ids=["eps", "momentum-above", "momentum-below"])
+def test_encoder_refuses_norm_settings_out_of_range(setting, message):
+    with pytest.raises(ConfigError, match=message):
+        MlpEncoder.create([6, 5, 4], use_norm=True, **setting)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -465,6 +480,18 @@ def test_classification_accuracy_refuses_no_rows():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="^classification_accuracy: no rows to score$"):
             classification_accuracy(enc, clf, np.zeros((0, 3)), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("labels", [[0], [0] * 4, [0] * 6, [[0]] * 5, 0],
+                         ids=["one", "short", "long", "column", "scalar"])
+def test_classification_accuracy_refuses_labels_that_are_not_one_per_row(labels):
+    # numpy would broadcast them: five rows against [0] scored 1.0
+    enc = MlpEncoder.create([3, 4], seed=0)
+    clf = LinearClassifier(np.zeros((4, 2)), np.zeros(2))
+    shape = np.shape(labels)
+    with pytest.raises(DimensionError,
+                       match=rf"^classification_accuracy: labels shape {re.escape(str(shape))} != \(5,\)$"):
+        classification_accuracy(enc, clf, np.ones((5, 3)), labels)
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
@@ -521,4 +548,9 @@ def test_checkpoint_rejects_non_finite_arrays_naming_the_field(tmp_path):
     doc["encoder"]["weights"][1][0][0] = 0.0
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=r"classifier\.bias contains NaN or Inf"):
+        load_checkpoint(path)
+    # every classifier has a bias; numpy would read null as NaN
+    doc["classifier"]["bias"] = None
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"^checkpoint .*: classifier\.bias is null$"):
         load_checkpoint(path)
