@@ -435,8 +435,8 @@ def split_holdout(ds: DomainDataset, fraction: float, seed: int = 0):
 
     def subset(indices, tag):
         return DomainDataset(
-            features=ds.features[indices].copy(),
-            labels=ds.labels[indices].copy(),
+            features=ds.features[indices],  # fancy indexing copies
+            labels=ds.labels[indices],
             num_classes=ds.num_classes,
             domain_id=ds.domain_id,
             metadata={**ds.metadata, "split": tag},

@@ -186,7 +186,7 @@ def verify_bn_gradient(batch, state: NormLayerState, trials: int = 10,
     x +- _FD_STEP * e_ij run as (P, m, d) stacks of train-mode forwards, at
     most _PROBE_ROWS rows per call (one probe per call when m is larger);
     each slice gives the objective its own 2-D forward would give, bit for
-    bit (see numeric). The state's cache is left empty."""
+    bit (see numeric)."""
     x = as_matrix(batch, "batch")
     if x.shape[0] < 2:
         raise BatchTooSmallError("verify_bn_gradient: need >= 2 rows")
@@ -194,8 +194,8 @@ def verify_bn_gradient(batch, state: NormLayerState, trials: int = 10,
     worst = 0.0
     for _ in range(trials):
         r = rng.standard_normal(x.shape)
-        batchnorm_forward(x, state, mode="train")
-        gx, _, _ = batchnorm_backward(state, r)
+        _, stats = batchnorm_forward(x, state, mode="train")
+        gx, _, _ = batchnorm_backward(state, stats, r)
         up = _probe_objectives(x, r, state, _FD_STEP)
         down = _probe_objectives(x, r, state, -_FD_STEP)
         fd = ((up - down) / (2.0 * _FD_STEP)).reshape(x.shape)
@@ -215,6 +215,6 @@ def _probe_objectives(x, r, state, step):
         ks = np.arange(start, min(start + per_call, m * d))
         probes = np.repeat(x.reshape(1, m * d), ks.size, axis=0)
         probes[np.arange(ks.size), ks] += step
-        y = batchnorm_forward(probes.reshape(ks.size, m, d), state, mode="train")
+        y, _ = batchnorm_forward(probes.reshape(ks.size, m, d), state, mode="train")
         out[ks] = np.add.reduce(y * r, axis=(1, 2))
     return out

@@ -53,7 +53,7 @@ class MlpEncoder:
 
     layer_dims = [input, hidden..., feature]. Weights and biases start
     uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. Every norm layer runs
-    with the encoder's `eps` (>= 0) and `momentum` (in [0, 1]); a
+    with the encoder's `eps` (finite, >= 0) and `momentum` (in [0, 1]); a
     non-numeric value raises TypeError.
     """
 
@@ -61,8 +61,8 @@ class MlpEncoder:
                  momentum=NORM_MOMENTUM):
         if len(layer_dims) < 2:
             raise ConfigError("layer_dims needs at least input and output sizes")
-        if eps < 0.0:
-            raise ConfigError(f"eps must be >= 0, got {eps}")
+        if not 0.0 <= eps < np.inf:
+            raise ConfigError(f"eps must be finite and >= 0, got {eps}")
         if not 0.0 <= momentum <= 1.0:
             raise ConfigError(f"momentum must lie in [0, 1], got {momentum}")
         self.layer_dims = [int(d) for d in layer_dims]
@@ -162,11 +162,10 @@ class MlpEncoder:
         "eval": running). The layer cache needed by backward() and
         update_running_stats() is kept when retain_cache is true (default:
         only in train mode). x may also be a (B, n, d) stack of batches, each
-        encoded as its own 2-D call would be; a stack never retains.
-
-        A forward that does not retain caches nothing: it leaves no layer
-        cache and every norm layer's cache at None, and drops each
-        intermediate as soon as the next op has read it.
+        encoded as its own 2-D call would be; a stack never retains. This
+        cache is the one owner of what the forward leaves behind (see
+        `numeric`): a forward that does not retain keeps nothing, and drops
+        each intermediate as soon as the next op has read it.
         """
         if mode not in ("train", "eval"):
             raise ConfigError(f"encode: unknown mode {mode!r}")
@@ -179,24 +178,23 @@ class MlpEncoder:
                 f"encode: input has {h.shape[-1]} features, expected {self.input_dim}"
             )
         self._cache = None  # an earlier forward's cache, freed before this one allocates
-        caches = []  # (layer input, pre-relu activation) per layer
+        caches = []  # (layer input, pre-relu activation, norm statistics) per layer
         last = len(self.weights) - 1
         for i in range(last):
             a = linear_forward(h, self.weights[i], self.biases[i])
             x_in = h if retain_cache else None
             del h
-            norm = self.norms[i]
-            if norm is not None:
-                a = batchnorm_forward(a, norm, mode=mode, eps=self.eps)
-                if not retain_cache:
-                    norm.cache = None
+            stats = None
+            if self.norms[i] is not None:
+                a, stats = batchnorm_forward(a, self.norms[i], mode=mode, eps=self.eps)
             if retain_cache:
-                caches.append((x_in, a))
+                caches.append((x_in, a, stats))
+            del stats
             h = relu_forward(a)
             del a
         out = linear_forward(h, self.weights[last], self.biases[last])
         if retain_cache:
-            caches.append((h, None))
+            caches.append((h, None, None))
             self._cache = caches
         return out
 
@@ -219,15 +217,15 @@ class MlpEncoder:
             lowest = next((i for i, n in enumerate(self.norms) if n is not None), last + 1)
         g = upstream
         for i in range(last, lowest - 1, -1):
-            x, act_in = self._cache[i]
+            x, act_in, stats = self._cache[i]
             if i < last:
                 g = relu_backward(act_in, g)
                 norm = self.norms[i]
                 if norm is not None:
                     if norm_only and i == lowest:
-                        batchnorm_param_grads(norm, g, self._norm_grads[i])
+                        batchnorm_param_grads(stats, g, self._norm_grads[i])
                     else:
-                        g, _, _ = batchnorm_backward(norm, g, self._norm_grads[i])
+                        g, _, _ = batchnorm_backward(norm, stats, g, self._norm_grads[i])
             if not norm_only:
                 linear_param_grads(x, self.weights[i], g,
                                    (self._weight_grads[i], self._bias_grads[i]))
@@ -237,11 +235,13 @@ class MlpEncoder:
     def update_running_stats(self):
         """Fold the batch statistics of the last forward into each norm
         layer's running statistics. That forward must have retained its
-        cache in train mode; after one that did not, nothing is cached and
-        this raises StateError."""
-        for norm in self.norms:
+        cache in train mode; after one that did not, this raises StateError."""
+        for i, norm in enumerate(self.norms):
             if norm is not None:
-                update_running_stats(norm, self.momentum)
+                stats = None if self._cache is None else self._cache[i][2]
+                if stats is None or not stats.batch:
+                    raise StateError("update_running_stats: no train-mode forward cached")
+                update_running_stats(norm, stats.mean, stats.var, self.momentum)
 
 
 def _encoder_named(weights, biases, norm_pairs):

@@ -1,7 +1,15 @@
 """Dense float64 array ops with hand-written gradients.
 
-Plain numpy throughout; no graphs, no autodiff. Layers that need state for
-their backward pass cache it explicitly.
+Plain numpy throughout; no graphs, no autodiff.
+
+What a forward leaves behind has one owner, its caller. The ops keep no
+state: a `NormLayerState` is its four arrays, which `batchnorm_forward`
+only reads, and a 2-D norm forward returns its `NormStats` beside its
+output. `MlpEncoder.encode` keeps them, with each layer's input and
+pre-relu activation, in its one layer cache when it retains (a 2-D
+train-mode forward by default); `MlpEncoder.backward` and
+`MlpEncoder.update_running_stats` read that cache and refuse to run
+without it. A forward that does not retain keeps nothing.
 
 Each value is checked for NaN/Inf once. Ops check what they produce (relu
 maps finite to finite) and raise NumericalFailure naming themselves; they
@@ -50,10 +58,10 @@ maximum).
 Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
 the same reductions `np.mean` and `np.var` run, so the values are theirs
-bit for bit. The forward caches `denom = sqrt(var + eps)` for the backward.
-A norm layer's state holds arrays only: `batchnorm_forward` takes `eps` and
-`update_running_stats` takes `momentum` (defaults `NORM_EPS` and
-`NORM_MOMENTUM`), and `MlpEncoder` passes the pair it holds to every layer.
+bit for bit. Its statistics carry `denom = sqrt(var + eps)` for the
+backward. `batchnorm_forward` takes `eps` and `update_running_stats` takes
+`momentum` (defaults `NORM_EPS` and `NORM_MOMENTUM`), and `MlpEncoder`
+passes the pair it holds to every layer.
 
 The hot ops call the ufuncs behind the array methods (`np.add.reduce` for
 `.sum`, `np.maximum.reduce` for `.max`) and add biases in place; the values
@@ -72,13 +80,7 @@ The forward ops (`linear_forward`, `batchnorm_forward`, `relu_forward`,
 the value its own 2-D call would give, bit for bit: numpy's stacked matmul
 runs the same product per slice, and reductions over the last two axes run
 per slice in the same order. Train-mode normalization takes each slice's
-own batch statistics.
-
-A forward that does not retain caches nothing: `MlpEncoder.encode` without
-`retain_cache` (eval mode by default, or a stacked input) leaves every norm
-layer's `cache` at None and keeps no layer cache, so no array outlives the
-layer that reads it. Only a retaining forward feeds a backward or
-`update_running_stats`.
+own batch statistics, and returns none.
 """
 
 from __future__ import annotations
@@ -86,6 +88,7 @@ from __future__ import annotations
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,7 +97,6 @@ from .errors import (
     ConfigError,
     DimensionError,
     NumericalFailure,
-    StateError,
 )
 
 Array = np.ndarray
@@ -251,16 +253,6 @@ def softmax_rows(z: Array) -> Array:
 # batch normalization
 
 
-@dataclass
-class _NormCache:
-    mode: str
-    x_hat: Array
-    mean: Array  # batch mean (train) or running mean (eval)
-    var: Array  # batch variance (train) or running variance (eval)
-    denom: Array  # sqrt(var + eps)
-    m: int
-
-
 def check_finite_settings(config, names) -> None:
     """Reject NaN or infinity in the named float fields of a config, naming
     the field, before any range check or computation sees the value."""
@@ -277,15 +269,14 @@ NORM_MOMENTUM = 0.1
 
 @dataclass
 class NormLayerState:
-    """Per-feature normalization arrays: affine params, running stats, and
-    the cache of the last forward. The eps and momentum they run with are
-    the encoder's, passed to `batchnorm_forward` and `update_running_stats`."""
+    """A norm layer's arrays: the affine params and the running statistics.
+    Its eps and momentum are the encoder's, and what a forward leaves
+    behind is its caller's (see the module docstring)."""
 
     gamma: Array
     beta: Array
     running_mean: Array = field(default=None)
     running_var: Array = field(default=None)
-    cache: _NormCache | None = None
 
     def __post_init__(self):
         self.gamma = as_vector(self.gamma, "gamma")
@@ -312,7 +303,6 @@ class NormLayerState:
         return self.gamma.shape[0]
 
     def copy(self) -> "NormLayerState":
-        """Deep copy of params and running stats; the cache is not carried over."""
         return NormLayerState(
             gamma=self.gamma.copy(),
             beta=self.beta.copy(),
@@ -321,14 +311,25 @@ class NormLayerState:
         )
 
 
-def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
-                      eps: float = NORM_EPS) -> Array:
-    """Normalize columns, dividing by sqrt(var + eps), and apply the affine map.
+class NormStats(NamedTuple):
+    """What a 2-D `batchnorm_forward` leaves for the backward and the fold:
+    x_hat, the mean and var it normalized by (the batch's when `batch`,
+    else the running ones) and denom = sqrt(var + eps)."""
 
-    Train mode uses biased batch statistics (per slice of a stack) and
-    stores the backward cache; eval mode uses the running statistics. A
-    stacked forward stores no cache. Running statistics are never updated
-    here; call update_running_stats explicitly.
+    x_hat: Array
+    mean: Array
+    var: Array
+    denom: Array
+    batch: bool
+
+
+def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
+                      eps: float = NORM_EPS):
+    """Normalize columns, dividing by sqrt(var + eps), and apply the affine
+    map. Return the output and the `NormStats` of a 2-D x (None for a stack).
+
+    Train mode uses biased batch statistics (per slice of a stack); eval
+    mode uses the running statistics. `state` is only read.
     """
     if x.shape[-1] != state.dim:
         raise DimensionError(
@@ -355,78 +356,76 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
             x_hat = (x - mu) / denom
         else:
             raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
-        state.cache = None if stacked else _NormCache(
-            mode=mode, x_hat=x_hat, mean=mu, var=var, denom=denom, m=m)
         out = state.gamma * x_hat
         out += state.beta
     except FloatingPointError as e:
         raise non_finite("batchnorm_forward") from e
-    return _finite(out, "batchnorm_forward")
+    stats = None if stacked else NormStats(x_hat, mu, var, denom, mode == "train")
+    return _finite(out, "batchnorm_forward"), stats
 
 
-def update_running_stats(state: NormLayerState, momentum: float = NORM_MOMENTUM) -> None:
-    """Fold the cached train-mode batch statistics into the running stats.
+def update_running_stats(state: NormLayerState, mean: Array, var: Array,
+                         momentum: float = NORM_MOMENTUM) -> None:
+    """Fold a train-mode forward's batch `mean` and `var` into the running stats.
 
     Exponential moving average: running = (1 - momentum) * running +
-    momentum * batch. Kept separate from
-    the forward pass so that inference-time adaptation can use batch
-    statistics without silently drifting the stored ones. Only a retaining
-    train-mode forward leaves the statistics to fold; after a forward that
-    does not retain (see the module docstring) this raises StateError.
+    momentum * batch. Kept separate from the forward pass so that
+    inference-time adaptation can use batch statistics without silently
+    drifting the stored ones.
     """
-    if state.cache is None or state.cache.mode != "train":
-        raise StateError("update_running_stats: no train-mode forward cached")
-    c = state.cache
+    if mean.shape != (state.dim,) or var.shape != (state.dim,):
+        raise DimensionError(f"update_running_stats: statistics of shapes {mean.shape} and "
+                             f"{var.shape} for a state of {state.dim} features")
     # in-place so frozen (read-only) stats raise instead of silently rebinding
     try:
         state.running_mean *= 1.0 - momentum
-        state.running_mean += momentum * c.mean
+        state.running_mean += momentum * mean
         state.running_var *= 1.0 - momentum
-        state.running_var += momentum * c.var
+        state.running_var += momentum * var
     except FloatingPointError as e:
         raise non_finite("update_running_stats") from e
 
 
-def batchnorm_backward(state: NormLayerState, upstream: Array, out=None):
-    """Closed-form gradients through the cached normalization.
+def batchnorm_backward(state: NormLayerState, stats: NormStats, upstream: Array, out=None):
+    """Closed-form gradients through the normalization that left `stats`.
 
-    For a train-mode cache with m rows:
+    For batch statistics over m rows:
       gx = (m*g - sum(g) - x_hat * sum(g*x_hat)) / (m*sqrt(var+eps))
-    with g = upstream*gamma and sqrt(var+eps) read from the cache. Eval-mode
-    caches reduce to the affine shortcut gx = g / sqrt(running_var + eps).
+    with g = upstream*gamma and sqrt(var+eps) read from `stats`. Running
+    statistics reduce to the affine shortcut gx = g / sqrt(running_var + eps).
     ggamma/gbeta are the usual reductions, written into `out`, a (ggamma,
     gbeta) pair of arrays, when given.
     """
-    ggamma, gbeta = batchnorm_param_grads(state, upstream, out)
-    c = state.cache
+    if stats.x_hat.shape[1] != state.dim:
+        raise DimensionError(f"batchnorm_backward: statistics of {stats.x_hat.shape[1]} "
+                             f"features for a state of {state.dim}")
+    ggamma, gbeta = batchnorm_param_grads(stats, upstream, out)
     try:
         gxhat = upstream * state.gamma
-        if c.mode == "train":
-            gx = c.m * gxhat
+        if stats.batch:
+            m = stats.x_hat.shape[0]
+            gx = m * gxhat
             gx -= np.add.reduce(gxhat, axis=0)
-            gx -= c.x_hat * np.add.reduce(gxhat * c.x_hat, axis=0)
-            gx /= c.m * c.denom
+            gx -= stats.x_hat * np.add.reduce(gxhat * stats.x_hat, axis=0)
+            gx /= m * stats.denom
         else:
-            gx = gxhat / c.denom
+            gx = gxhat / stats.denom
     except FloatingPointError as e:
         raise non_finite("batchnorm_backward") from e
     return _finite(gx, "batchnorm_backward"), ggamma, gbeta
 
 
-def batchnorm_param_grads(state: NormLayerState, upstream: Array, out=None):
+def batchnorm_param_grads(stats: NormStats, upstream: Array, out=None):
     """The gamma and beta gradients of `batchnorm_backward`, without the x
     gradient, written into `out` when given. Failures are reported as
     batchnorm_backward's."""
-    if state.cache is None:
-        raise StateError("batchnorm_backward: no forward cache present")
-    c = state.cache
-    if upstream.shape != c.x_hat.shape:
+    if upstream.shape != stats.x_hat.shape:
         raise DimensionError(
-            f"batchnorm_backward: upstream shape {upstream.shape} != cached {c.x_hat.shape}"
+            f"batchnorm_backward: upstream shape {upstream.shape} != cached {stats.x_hat.shape}"
         )
     ggamma, gbeta = (None, None) if out is None else out
     try:
-        ggamma = np.add.reduce(upstream * c.x_hat, axis=0, out=ggamma)
+        ggamma = np.add.reduce(upstream * stats.x_hat, axis=0, out=ggamma)
         gbeta = np.add.reduce(upstream, axis=0, out=gbeta)
     except FloatingPointError as e:
         raise non_finite("batchnorm_backward") from e

@@ -92,10 +92,10 @@ def _check_norm(rng):
     r = rng.standard_normal(x.shape)
 
     def f():
-        return float((batchnorm_forward(x, state, mode="train") * r).sum())
+        return float((batchnorm_forward(x, state, mode="train")[0] * r).sum())
 
-    batchnorm_forward(x, state, mode="train")
-    gx, gg, gb = batchnorm_backward(state, r)
+    _, stats = batchnorm_forward(x, state, mode="train")
+    gx, gg, gb = batchnorm_backward(state, stats, r)
     return max(
         rel_error(gx, numeric_grad(f, x)),
         rel_error(gg, numeric_grad(f, state.gamma)),

@@ -74,11 +74,13 @@ def _spread(z):  # a logit range past the float range: z - max overflows
     return out
 
 
-def _inf_cache(state):
+def _inf_cache(enc):
     # folding an inf variance with momentum 0 computes 0 * inf; a checked
-    # forward never caches an inf, so this is planted
-    state.cache.var = np.full_like(state.cache.var, np.inf)
-    return state
+    # forward never leaves an inf in the encoder's cache, so this is planted
+    enc._cache = [(x, a, None if s is None else s._replace(var=np.full_like(s.var, np.inf)))
+                  for x, a, s in enc._cache]
+    enc.momentum = 0.0
+    return enc
 
 
 _SITES = {
@@ -91,7 +93,7 @@ _SITES = {
     "batchnorm_forward": (model, "batchnorm_forward", "batchnorm_forward",
                           lambda f: lambda x, state, **kw: f(_huge(x), state, **kw)),
     "batchnorm_backward": (model, "batchnorm_backward", "batchnorm_backward",
-                           lambda f: lambda state, up, out=None: f(state, _huge(up), out)),
+                           lambda f: lambda state, stats, up, out=None: f(state, stats, _huge(up), out)),
     "logits": (LinearClassifier, "logits", "logits",
                lambda f: lambda self, z: f(LinearClassifier(np.ones_like(self.omega), self.bias),
                                            _huge(z))),
@@ -102,8 +104,8 @@ _SITES = {
                   lambda f: lambda self: (self.grads.fill(1e200), f(self))[1]),
     "compute_prototypes": (adapt, "compute_prototypes", "compute_prototypes",
                            lambda f: lambda bank: (bank.features.fill(1e308), f(bank))[1]),
-    "update_running_stats": (model, "update_running_stats", "update_running_stats",
-                             lambda f: lambda state, momentum: f(_inf_cache(state), 0.0)),
+    "update_running_stats": (MlpEncoder, "update_running_stats", "update_running_stats",
+                             lambda f: lambda self: f(_inf_cache(self))),
 }
 
 _CASES = [(site, "erm") for site in _SITES if site not in ("marginal_loss", "compute_prototypes")]

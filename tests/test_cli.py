@@ -545,10 +545,13 @@ def test_adapt_with_a_top_k_past_the_stream_runs_like_one_equal_to_it(
 
 @pytest.mark.parametrize("field, value, why", [
     ("eps", "x", "malformed field"),
-    ("eps", -1.0, "eps must be >= 0"),
+    ("eps", -1.0, "eps must be finite and >= 0"),
+    ("eps", float("inf"), "eps must be finite and >= 0, got inf"),
+    ("eps", float("nan"), "eps must be finite and >= 0, got nan"),
     ("momentum", 2.0, "momentum must lie in [0, 1]"),
     ("momentum", "y", "malformed field"),
-], ids=["eps-string", "eps-negative", "momentum-above-one", "momentum-string"])
+], ids=["eps-string", "eps-negative", "eps-infinity", "eps-nan", "momentum-above-one",
+        "momentum-string"])
 @pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])
 def test_adapt_refuses_bad_norm_settings_for_both_encoder_kinds(
         tmp_path, capsys, extra, field, value, why):

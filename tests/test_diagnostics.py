@@ -147,18 +147,18 @@ def _per_probe_bn_check(x, state, trials, seed, step_size=1e-6):
     worst = 0.0
     for _ in range(trials):
         r = rng.standard_normal(x.shape)
-        batchnorm_forward(x, state, mode="train")
-        gx, _, _ = batchnorm_backward(state, r)
+        _, stats = batchnorm_forward(x, state, mode="train")
+        gx, _, _ = batchnorm_backward(state, stats, r)
         fd = np.empty_like(x)
         ups, downs = [], []
         for i in range(x.shape[0]):
             for j in range(x.shape[1]):
                 xp = x.copy()
                 xp[i, j] += step_size
-                ups.append(float((batchnorm_forward(xp, state, mode="train") * r).sum()))
+                ups.append(float((batchnorm_forward(xp, state, mode="train")[0] * r).sum()))
                 xm = x.copy()
                 xm[i, j] -= step_size
-                downs.append(float((batchnorm_forward(xm, state, mode="train") * r).sum()))
+                downs.append(float((batchnorm_forward(xm, state, mode="train")[0] * r).sum()))
                 fd[i, j] = (ups[-1] - downs[-1]) / (2.0 * step_size)
         denom = max(float(np.linalg.norm(fd)), 1e-300)
         worst = max(worst, float(np.linalg.norm(gx - fd)) / denom)

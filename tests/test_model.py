@@ -121,14 +121,16 @@ def reference_encoder_grads(enc, x, mode, upstream):
     every layer, the first included: the oracle MlpEncoder.backward, which
     skips the first layer's input gradient, must match bit for bit."""
     last = len(enc.weights) - 1
-    inputs, acts = [], []
+    inputs, acts, stats = [], [], []
     h = x
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         inputs.append(h)
         h = linear_forward(h, w, b)
         if i < last:
+            s = None
             if enc.norms[i] is not None:
-                h = batchnorm_forward(h, enc.norms[i], mode=mode)
+                h, s = batchnorm_forward(h, enc.norms[i], mode=mode)
+            stats.append(s)
             acts.append(h)
             h = relu_forward(h)
     grads = {}
@@ -138,7 +140,7 @@ def reference_encoder_grads(enc, x, mode, upstream):
             g = relu_backward(acts[i], g)
             if enc.norms[i] is not None:
                 g, grads[f"enc.{i}.gamma"], grads[f"enc.{i}.beta"] = batchnorm_backward(
-                    enc.norms[i], g)
+                    enc.norms[i], stats[i], g)
         g, grads[f"enc.{i}.w"], grads[f"enc.{i}.b"] = linear_backward(
             inputs[i], enc.weights[i], g)
     return grads
@@ -250,7 +252,7 @@ def test_stacked_encode_and_logits_equal_their_per_batch_calls(use_norm, mode):
     x = rng.standard_normal((5, 9, 6))
     feats = enc.encode(x, mode=mode, retain_cache=True)
     logits = clf.logits(feats)
-    # a stack keeps no backward cache, in the encoder or its norm layers
+    # a stack keeps no backward cache
     with pytest.raises(StateError):
         enc.backward(np.zeros((9, 4)))
     if use_norm:
@@ -280,7 +282,6 @@ def test_a_forward_that_does_not_retain_caches_nothing():
         if want is not None:
             npt.assert_array_equal(feats, want)
         assert enc._cache is None
-        assert all(norm.cache is None for norm in enc.norms)
         with pytest.raises(StateError, match="update_running_stats"):
             enc.update_running_stats()
 
@@ -315,6 +316,17 @@ def test_encoder_backward_requires_cache():
     enc.encode(np.zeros((2, 4)), mode="eval")  # eval drops the cache by default
     with pytest.raises(StateError):
         enc.backward(np.zeros((2, 3)))
+
+
+def test_update_running_stats_requires_a_train_mode_cache():
+    enc = MlpEncoder.create([4, 3, 3], use_norm=True, seed=7)
+    with pytest.raises(StateError, match="^update_running_stats: no train-mode forward cached$"):
+        enc.update_running_stats()
+    enc.encode(np.ones((2, 4)), mode="eval", retain_cache=True)
+    with pytest.raises(StateError, match="^update_running_stats: no train-mode forward cached$"):
+        enc.update_running_stats()
+    npt.assert_array_equal(enc.norms[0].running_mean, np.zeros(3))
+    npt.assert_array_equal(enc.norms[0].running_var, np.ones(3))
 
 
 def test_encoder_cache_survives_multiple_backwards():
@@ -431,8 +443,9 @@ def test_every_norm_runs_with_the_encoders_eps_and_momentum(setting, tmp_path):
     # the same layers by hand, each norm given the encoder's pair
     h = x
     for i, norm in enumerate(norms):
-        a = batchnorm_forward(linear_forward(h, enc.weights[i], enc.biases[i]), norm, eps=eps)
-        update_running_stats(norm, momentum)
+        a, stats = batchnorm_forward(linear_forward(h, enc.weights[i], enc.biases[i]), norm,
+                                     eps=eps)
+        update_running_stats(norm, stats.mean, stats.var, momentum)
         h = relu_forward(a)
     npt.assert_array_equal(feats, linear_forward(h, enc.weights[2], enc.biases[2]))
     for norm, want in zip(enc.norms, norms):
@@ -447,13 +460,31 @@ def test_every_norm_runs_with_the_encoders_eps_and_momentum(setting, tmp_path):
 
 
 @pytest.mark.parametrize("setting, message", [
-    (dict(eps=-1e-9), "^eps must be >= 0, got -1e-09$"),
+    (dict(eps=-1e-9), "^eps must be finite and >= 0, got -1e-09$"),
+    (dict(eps=np.inf), "^eps must be finite and >= 0, got inf$"),
+    (dict(eps=-np.inf), "^eps must be finite and >= 0, got -inf$"),
+    (dict(eps=np.nan), "^eps must be finite and >= 0, got nan$"),
     (dict(momentum=1.5), r"^momentum must lie in \[0, 1\], got 1.5$"),
     (dict(momentum=-0.1), r"^momentum must lie in \[0, 1\], got -0.1$"),
-], ids=["eps", "momentum-above", "momentum-below"])
+], ids=["eps", "eps-inf", "eps-minus-inf", "eps-nan", "momentum-above", "momentum-below"])
 def test_encoder_refuses_norm_settings_out_of_range(setting, message):
     with pytest.raises(ConfigError, match=message):
         MlpEncoder.create([6, 5, 4], use_norm=True, **setting)
+
+
+@pytest.mark.parametrize("eps, written", [(np.inf, "Infinity"), (np.nan, "NaN")])
+def test_a_checkpoint_with_a_non_finite_eps_is_refused_at_load(eps, written, tmp_path):
+    # an inf eps maps every row to the same features; a NaN one would fail
+    # only at the first forward
+    path = tmp_path / "model.json"
+    save_checkpoint(path, MlpEncoder.create([4, 3, 2], use_norm=True),
+                    LinearClassifier.create(2, 2))
+    doc = json.loads(path.read_text())
+    doc["encoder"]["eps"] = eps
+    path.write_text(json.dumps(doc))
+    assert f'"eps": {written}' in path.read_text()
+    with pytest.raises(ConfigError, match=f"^eps must be finite and >= 0, got {eps}$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,5 +1,7 @@
 """Layer-level forwards against manual math, backwards against finite differences."""
 
+from dataclasses import fields
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,6 @@ from marginadapt import (
     DimensionError,
     NormLayerState,
     NumericalFailure,
-    StateError,
     batchnorm_backward,
     batchnorm_forward,
     linear_backward,
@@ -121,7 +122,7 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 def test_batchnorm_worked_example_eps_zero():
     # two rows {1, 3}: mean 2, biased var 1, so x_hat is exactly {-1, +1}
     state = NormLayerState.create(1)
-    out = batchnorm_forward(np.array([[1.0], [3.0]]), state, mode="train", eps=0.0)
+    out, _ = batchnorm_forward(np.array([[1.0], [3.0]]), state, mode="train", eps=0.0)
     npt.assert_array_equal(out, [[-1.0], [1.0]])
 
 
@@ -129,9 +130,9 @@ def test_batchnorm_train_statistics_are_biased():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((8, 3))
     state = NormLayerState.create(3)
-    batchnorm_forward(x, state, mode="train")
-    npt.assert_allclose(state.cache.mean, x.mean(axis=0), atol=1e-12)
-    npt.assert_allclose(state.cache.var, x.var(axis=0), atol=1e-12)  # ddof=0
+    _, stats = batchnorm_forward(x, state, mode="train")
+    npt.assert_allclose(stats.mean, x.mean(axis=0), atol=1e-12)
+    npt.assert_allclose(stats.var, x.var(axis=0), atol=1e-12)  # ddof=0
 
 
 @pytest.mark.parametrize("shape, offset", [
@@ -143,11 +144,11 @@ def test_batchnorm_train_forward_is_bit_exact_against_textbook(shape, offset):
     x[:, 0] += offset
     state = NormLayerState(gamma=rng.standard_normal(shape[1]) + 2.0,
                            beta=rng.standard_normal(shape[1]))
-    out = batchnorm_forward(x, state, mode="train")
+    out, stats = batchnorm_forward(x, state, mode="train")
     x_hat = (x - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + NORM_EPS)
     npt.assert_array_equal(out, state.gamma * x_hat + state.beta)
-    npt.assert_array_equal(state.cache.mean, x.mean(axis=0))
-    npt.assert_array_equal(state.cache.var, x.var(axis=0))
+    npt.assert_array_equal(stats.mean, x.mean(axis=0))
+    npt.assert_array_equal(stats.var, x.var(axis=0))
 
 
 @pytest.mark.parametrize("mode", ["train", "eval"])
@@ -158,15 +159,15 @@ def test_batchnorm_backward_with_cached_denom_is_bit_exact(mode):
                            running_mean=rng.standard_normal(48),
                            running_var=rng.random(48) + 0.5)
     up = rng.standard_normal((32, 48))
-    batchnorm_forward(x, state, mode=mode)
-    gx, ggamma, gbeta = batchnorm_backward(state, up)
-    # the closed form with sqrt(var + eps) recomputed from the cached var
-    c = state.cache
+    _, c = batchnorm_forward(x, state, mode=mode)
+    gx, ggamma, gbeta = batchnorm_backward(state, c, up)
+    # the closed form with sqrt(var + eps) recomputed from the forward's var
+    m = x.shape[0]
     gxhat = up * state.gamma
     denom = np.sqrt(c.var + NORM_EPS)
     if mode == "train":
-        want = (c.m * gxhat - gxhat.sum(axis=0)
-                - c.x_hat * (gxhat * c.x_hat).sum(axis=0)) / (c.m * denom)
+        want = (m * gxhat - gxhat.sum(axis=0)
+                - c.x_hat * (gxhat * c.x_hat).sum(axis=0)) / (m * denom)
     else:
         want = gxhat / denom
     npt.assert_array_equal(gx, want)
@@ -183,7 +184,7 @@ def test_batchnorm_eval_uses_running_stats():
         running_mean=np.array([0.3, -0.2]),
         running_var=np.array([1.5, 0.7]),
     )
-    out = batchnorm_forward(x, state, mode="eval")
+    out, _ = batchnorm_forward(x, state, mode="eval")
     expect = state.gamma * (x - state.running_mean) / np.sqrt(state.running_var + NORM_EPS)
     npt.assert_allclose(out, expect + state.beta, atol=1e-12)
 
@@ -211,10 +212,10 @@ def test_batchnorm_backward_train_matches_fd():
         r = rng.standard_normal((6, 4))
 
         def loss():
-            return np.sum(r * batchnorm_forward(x, state, mode="train"))
+            return np.sum(r * batchnorm_forward(x, state, mode="train")[0])
 
-        loss()
-        gx, ggamma, gbeta = batchnorm_backward(state, r)
+        _, stats = batchnorm_forward(x, state, mode="train")
+        gx, ggamma, gbeta = batchnorm_backward(state, stats, r)
         assert rel_error(gx, numeric_grad(loss, x)) < 1e-6
         assert rel_error(ggamma, numeric_grad(loss, state.gamma)) < 1e-6
         assert rel_error(gbeta, numeric_grad(loss, state.beta)) < 1e-6
@@ -232,20 +233,14 @@ def test_batchnorm_backward_eval_matches_fd():
         )
 
         def loss():
-            return np.sum(r * batchnorm_forward(x, state, mode="eval"))
+            return np.sum(r * batchnorm_forward(x, state, mode="eval")[0])
 
         r = rng.standard_normal((3, 4))
-        loss()
-        gx, ggamma, gbeta = batchnorm_backward(state, r)
+        _, stats = batchnorm_forward(x, state, mode="eval")
+        gx, ggamma, gbeta = batchnorm_backward(state, stats, r)
         assert rel_error(gx, numeric_grad(loss, x)) < 1e-6
         assert rel_error(ggamma, numeric_grad(loss, state.gamma)) < 1e-6
         assert rel_error(gbeta, numeric_grad(loss, state.beta)) < 1e-6
-
-
-def test_batchnorm_backward_needs_cache():
-    state = NormLayerState.create(2)
-    with pytest.raises(StateError):
-        batchnorm_backward(state, np.zeros((2, 2)))
 
 
 @pytest.mark.parametrize("momentum, given", [(0.1, ()), (0.25, (0.25,))],
@@ -256,28 +251,49 @@ def test_update_running_stats_ema(momentum, given):
     state = NormLayerState.create(3)
     rm0 = state.running_mean.copy()
     rv0 = state.running_var.copy()
-    batchnorm_forward(x, state, mode="train")
-    update_running_stats(state, *given)
+    _, stats = batchnorm_forward(x, state, mode="train")
+    update_running_stats(state, stats.mean, stats.var, *given)
     keep = 1.0 - momentum
     npt.assert_allclose(state.running_mean, keep * rm0 + momentum * x.mean(axis=0), atol=1e-12)
     npt.assert_allclose(state.running_var, keep * rv0 + momentum * x.var(axis=0), atol=1e-12)
 
 
-def test_update_running_stats_requires_train_cache():
-    state = NormLayerState.create(2)
-    with pytest.raises(StateError):
-        update_running_stats(state)
-    batchnorm_forward(np.zeros((2, 2)), state, mode="eval")
-    with pytest.raises(StateError):
-        update_running_stats(state)
+def test_update_running_stats_refuses_statistics_of_another_width():
+    state = NormLayerState.create(3)
+    with pytest.raises(DimensionError, match=r"^update_running_stats: statistics of shapes \(1,\)"):
+        update_running_stats(state, np.zeros(1), np.ones(3))
+    with pytest.raises(DimensionError, match=r"^update_running_stats: .* and \(1, 3\) for a state of 3"):
+        update_running_stats(state, np.zeros(3), np.ones((1, 3)))
+    npt.assert_array_equal(state.running_var, np.ones(3))
 
 
 def test_update_running_stats_respects_frozen_arrays():
     state = NormLayerState.create(2)
-    batchnorm_forward(np.ones((4, 2)), state, mode="train")
+    _, stats = batchnorm_forward(np.ones((4, 2)), state, mode="train")
     state.running_mean.flags.writeable = False
     with pytest.raises(ValueError):
-        update_running_stats(state)
+        update_running_stats(state, stats.mean, stats.var)
+
+
+def test_batchnorm_forward_leaves_its_state_as_it_was():
+    # a norm layer is its four arrays; what a forward leaves is returned
+    assert [f.name for f in fields(NormLayerState)] == [
+        "gamma", "beta", "running_mean", "running_var"]
+    rng = np.random.default_rng(9)
+    state = NormLayerState(gamma=rng.uniform(0.5, 2.0, 3), beta=rng.standard_normal(3),
+                           running_mean=rng.standard_normal(3),
+                           running_var=rng.uniform(0.5, 2.0, 3))
+    before = dict(vars(state))
+    values = {name: a.copy() for name, a in before.items()}
+    for mode, shape in (("train", (6, 3)), ("eval", (6, 3)), ("train", (2, 6, 3)),
+                        ("eval", (2, 6, 3))):
+        x = rng.standard_normal(shape)
+        _, stats = batchnorm_forward(x, state, mode=mode)
+        assert (stats is None) == (x.ndim == 3)
+        assert vars(state).keys() == before.keys()
+        for name, a in vars(state).items():
+            assert a is before[name], name
+            npt.assert_array_equal(a, values[name], err_msg=name)
 
 
 def test_norm_state_validation():
@@ -333,31 +349,16 @@ def test_stacked_forward_ops_equal_their_per_slice_calls(shape):
         "linear": linear_forward(x, w, b),
         "relu": relu_forward(x),
         "softmax": softmax_rows(x),
-        "train": batchnorm_forward(x, state, mode="train"),
-        "eval": batchnorm_forward(x, state, mode="eval"),
+        "train": batchnorm_forward(x, state, mode="train")[0],
+        "eval": batchnorm_forward(x, state, mode="eval")[0],
     }
     for i in range(shape[0]):
         npt.assert_array_equal(stacked["linear"][i], linear_forward(x[i], w, b))
         npt.assert_array_equal(stacked["relu"][i], relu_forward(x[i]))
         npt.assert_array_equal(stacked["softmax"][i], softmax_rows(x[i]))
         for mode in ("train", "eval"):
-            npt.assert_array_equal(stacked[mode][i], batchnorm_forward(x[i], state, mode=mode))
-
-
-def test_stacked_norm_forward_caches_nothing_so_running_stats_refuse_it():
-    rng = np.random.default_rng(4)
-    state = NormLayerState.create(3)
-    batchnorm_forward(rng.standard_normal((6, 3)), state, mode="train")
-    assert state.cache.mean.shape == (3,) and state.cache.x_hat.shape == (6, 3)
-    for mode in ("train", "eval"):
-        batchnorm_forward(rng.standard_normal((2, 6, 3)), state, mode=mode)
-        assert state.cache is None
-        with pytest.raises(StateError, match="update_running_stats"):
-            update_running_stats(state)
-        with pytest.raises(StateError, match="batchnorm_backward"):
-            batchnorm_backward(state, np.zeros((6, 3)))
-    npt.assert_array_equal(state.running_mean, np.zeros(3))
-    npt.assert_array_equal(state.running_var, np.ones(3))
+            npt.assert_array_equal(stacked[mode][i],
+                                   batchnorm_forward(x[i], state, mode=mode)[0])
 
 
 def test_stacked_norm_forward_needs_two_rows_per_slice():
@@ -384,18 +385,23 @@ def test_linear_input_grad_is_linear_backward_without_the_param_grads():
 def test_batchnorm_param_grads_is_batchnorm_backward_without_the_input_grad(mode):
     rng = np.random.default_rng(6)
     state = NormLayerState(gamma=rng.uniform(0.5, 2.0, 4), beta=rng.standard_normal(4))
-    batchnorm_forward(rng.standard_normal((7, 4)), state, mode=mode)
+    _, stats = batchnorm_forward(rng.standard_normal((7, 4)), state, mode=mode)
     up = rng.standard_normal((7, 4))
-    gx, ggamma, gbeta = batchnorm_backward(state, up)
-    pg, pb = batchnorm_param_grads(state, up)
+    gx, ggamma, gbeta = batchnorm_backward(state, stats, up)
+    pg, pb = batchnorm_param_grads(stats, up)
     npt.assert_array_equal(pg, ggamma)
     npt.assert_array_equal(pb, gbeta)
     # with `out`, into views of one flat vector, with the same bits
-    for op in (batchnorm_param_grads, batchnorm_backward):
+    for op, args in ((batchnorm_param_grads, (stats, up)), (batchnorm_backward, (state, stats, up))):
         flat = np.full(8, np.nan)
-        got = op(state, up, (flat[:4], flat[4:]))
+        got = op(*args, (flat[:4], flat[4:]))
         npt.assert_array_equal(flat, np.concatenate([ggamma, gbeta]))
         if op is batchnorm_backward:
             npt.assert_array_equal(got[0], gx)
     with pytest.raises(DimensionError, match="^batchnorm_backward: upstream shape"):
-        batchnorm_param_grads(state, up[:, :2])
+        batchnorm_param_grads(stats, up[:, :2])
+    # statistics of another layer's width are refused, not broadcast
+    _, narrow = batchnorm_forward(rng.standard_normal((7, 1)), NormLayerState.create(1), mode=mode)
+    with pytest.raises(DimensionError,
+                       match="^batchnorm_backward: statistics of 1 features for a state of 4$"):
+        batchnorm_backward(state, narrow, up[:, :1])
