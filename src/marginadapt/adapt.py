@@ -48,7 +48,8 @@ and its Adam holds one contiguous slice of the packed vectors: the norm
 slice for entropy_norm, and the whole of them otherwise. The backward
 writes into that slice and the step updates it, with no per-parameter
 bookkeeping. unidg without the entropy term never backpropagates into the
-classifier, whose gradients stay zero, so Adam leaves it as it is.
+classifier, whose gradients stay zero, so Adam leaves it as it is. The
+pass's reductions keep `numeric`'s ufunc rule.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, NumericalFailure
+from .errors import ConfigError, DataError, NumericalFailure
 from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
 from .model import ModelPair, classification_accuracy, pack, step_context
-from .numeric import check_finite_settings, softmax_rows
+from .numeric import check_settings, softmax_rows
 from .train import Adam, cross_entropy_loss
 
 METHODS = ("none", "entropy_norm", "pseudo_label", "unidg")
@@ -85,7 +86,7 @@ class AdaptConfig:
     enable_bank: bool = True
 
     def validate(self) -> "AdaptConfig":
-        check_finite_settings(self, ("sigma", "lambda_weight", "lr"))
+        check_settings(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sigma < 0.0:
@@ -143,7 +144,9 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
 
     Returns (pair, AccuracyCurve, [LossReport per adaptation step]). With
     method `none`, steps=0 or every unidg switch off this is a pure
-    evaluation pass and the adapted parameters come back bit-identical.
+    evaluation pass and the adapted parameters come back bit-identical. A
+    stream with no batch to score (a 1-row target on a norm encoder) is
+    refused (DataError) before anything moves.
     """
     cfg.validate()
     enc = pair.adapted_encoder
@@ -153,6 +156,9 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     batches = stream_batches(target.n, cfg.batch_size, cfg.seed)
     if enc.has_norm_layers:
         batches = [b for b in batches if b.shape[0] >= 2]
+    if not batches:
+        raise DataError(f"run_method: the {target.n}-row target has no batch of the "
+                        "2 rows norm layers need, so nothing would be scored")
     limit = len(batches) if cfg.steps is None else min(cfg.steps, len(batches))
     # norm layers use the batch's own statistics on the target stream
     mode = "train" if enc.has_norm_layers else "eval"
@@ -205,11 +211,10 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
 
     correct, seen = np.cumsum([hits, [idx.shape[0] for idx in batches]], axis=-1)
     cumulative = (correct / seen).tolist()
-    final = cumulative[-1] if cumulative else 0.0
     curve = AccuracyCurve(
         cumulative=cumulative,
-        final_accuracy=final,
-        per_domain={target.domain_id: final},
+        final_accuracy=cumulative[-1],
+        per_domain={target.domain_id: cumulative[-1]},
         source_before=source_before,
         source_after=_source_accuracy(pair, source_eval),
     )

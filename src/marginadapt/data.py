@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError, SchemaError
-from .numeric import Array, check_finite_settings
+from .numeric import Array, check_settings
 
 
 @dataclass
@@ -59,11 +59,16 @@ class DomainDataset:
 
 
 _MAX_INPUT_DIM = 1024  # the rotations are dense input_dim x input_dim matrices
+# the task's fixed shape (see _base_means and gen_synthetic_shift)
+CLASS_SEPARATION = 4.0
+WITHIN_CLASS_STD = 1.0
+TRANSLATION_STD = 1.0
+SOURCE_ANGLE_MAX_DEG = 10.0
 
 
 @dataclass
 class ShiftSpec:
-    """Parameters of one synthetic shift task.
+    """Parameters of one synthetic shift task of the fixed shape above.
 
     Each domain's rotation is a dense input_dim x input_dim float64 matrix,
     built whole and recorded in the domain's metadata, so input_dim is
@@ -72,18 +77,13 @@ class ShiftSpec:
 
     num_classes: int = 4
     input_dim: int = 16
-    class_separation: float = 4.0
-    within_class_std: float = 1.0
     angle_deg: float = 30.0
-    translation_std: float = 1.0
     samples_per_domain: int = 2000
     num_source_domains: int = 3
-    source_angle_max_deg: float = 10.0
     seed: int = 0
 
     def validate(self) -> "ShiftSpec":
-        check_finite_settings(
-            self, ("class_separation", "within_class_std", "translation_std"))
+        check_settings(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
@@ -97,20 +97,12 @@ class ShiftSpec:
                 f"input_dim must be <= {_MAX_INPUT_DIM}, got {self.input_dim}: each "
                 f"rotation is a dense {self.input_dim} x {self.input_dim} matrix of "
                 f"{8 * self.input_dim ** 2} bytes")
-        if self.class_separation <= 0.0:
-            raise ConfigError("class_separation must be > 0")
-        if self.within_class_std <= 0.0:
-            raise ConfigError("within_class_std must be > 0")
         if not 0.0 <= self.angle_deg <= 180.0:
             raise ConfigError(f"angle_deg must lie in [0, 180], got {self.angle_deg}")
-        if self.translation_std < 0.0:
-            raise ConfigError("translation_std must be >= 0")
         if self.samples_per_domain < self.num_classes:
             raise ConfigError("samples_per_domain must be >= num_classes")
         if self.num_source_domains < 1:
             raise ConfigError("num_source_domains must be >= 1")
-        if not 0.0 <= self.source_angle_max_deg <= 180.0:
-            raise ConfigError("source_angle_max_deg must lie in [0, 180]")
         return self
 
     def to_dict(self) -> dict:
@@ -172,11 +164,11 @@ def _class_counts(n: int, c: int) -> list[int]:
 
 def _base_means(rng, spec: ShiftSpec) -> Array:
     """Orthonormal directions scaled so every pair of class means sits
-    class_separation * std apart."""
+    CLASS_SEPARATION * WITHIN_CLASS_STD apart."""
     m = rng.standard_normal((spec.input_dim, spec.num_classes))
     q, r = np.linalg.qr(m)
     q = q * np.sign(np.diag(r))
-    radius = spec.class_separation * spec.within_class_std / math.sqrt(2.0)
+    radius = CLASS_SEPARATION * WITHIN_CLASS_STD / math.sqrt(2.0)
     return (radius * q[:, : spec.num_classes]).T  # (C, d)
 
 
@@ -186,7 +178,7 @@ def _sample_domain(rng, spec, means, rotation, translation, domain_id, extra_met
     labels = []
     for j, nj in enumerate(counts):
         blocks.append(
-            means[j] + spec.within_class_std * rng.standard_normal((nj, spec.input_dim))
+            means[j] + WITHIN_CLASS_STD * rng.standard_normal((nj, spec.input_dim))
         )
         labels.extend([j] * nj)
     x = np.vstack(blocks) @ rotation.T
@@ -199,7 +191,6 @@ def _sample_domain(rng, spec, means, rotation, translation, domain_id, extra_met
     meta = {
         "class_means": moved_means.tolist(),
         "base_class_means": means.tolist(),
-        "within_class_std": spec.within_class_std,
         **extra_meta,
     }
     return DomainDataset(
@@ -215,9 +206,9 @@ def gen_synthetic_shift(spec: ShiftSpec):
     """Build (sources, target) domain datasets for the configured task.
 
     Sources share base class means up to mild random rotations (angle drawn
-    in [0, source_angle_max_deg]). The target turns the whole class-mean
+    in [0, SOURCE_ANGLE_MAX_DEG]). The target turns the whole class-mean
     span by angle_deg (see span_rotation) and adds a random mean translation
-    of length translation_std * within_class_std; at 0 deg it is a pure
+    of length TRANSLATION_STD * WITHIN_CLASS_STD; at 0 deg it is a pure
     translation. Same seed, same bytes.
     """
     spec.validate()
@@ -226,7 +217,7 @@ def gen_synthetic_shift(spec: ShiftSpec):
 
     sources = []
     for k in range(spec.num_source_domains):
-        angle = float(rng.uniform(0.0, spec.source_angle_max_deg))
+        angle = float(rng.uniform(0.0, SOURCE_ANGLE_MAX_DEG))
         u, v = random_unit_pair(rng, spec.input_dim)
         rot = plane_rotation(u, v, angle)
         sources.append(
@@ -249,7 +240,7 @@ def gen_synthetic_shift(spec: ShiftSpec):
 def _target_translation(rng, spec: ShiftSpec) -> Array:
     direction = rng.standard_normal(spec.input_dim)
     direction = direction / np.linalg.norm(direction)
-    return spec.translation_std * spec.within_class_std * direction
+    return TRANSLATION_STD * WITHIN_CLASS_STD * direction
 
 
 # ---------------------------------------------------------------------------

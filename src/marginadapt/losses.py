@@ -8,11 +8,9 @@ Two terms, both computed per batch:
 * entropy_loss  -- mean Shannon entropy of the softmax predictions.
 
 Each returns (value, gradient); gradients are exact, not estimated. Both
-call the ufuncs behind the array methods (`np.add.reduce` for `.sum` and
-`.mean`'s sum, `np.minimum.reduce`/`np.maximum.reduce` for the range checks),
-as `numeric` does; the values are the methods' bit for bit. A batch with no
-row outside the margin returns the hinge's (0.0, zeros) without computing
-it. Both refuse a batch of no rows (DataError) before any arithmetic.
+keep `numeric`'s ufunc rule. A batch with no row outside the margin
+returns the hinge's (0.0, zeros) without computing it. Both refuse a batch
+of no rows (DataError) before any arithmetic.
 """
 
 from __future__ import annotations

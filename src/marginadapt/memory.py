@@ -17,9 +17,7 @@ arrival for inspection (`supports`); no decision reads it.
 
 The prototypes and the refresh are whole-array ops: one sum over the K
 axis and one masked division give every class's mean, and one masked copy
-writes every supported column. The code calls the ufuncs behind the array
-methods (`np.add.reduce` for `.sum`, `arr.argsort` for `np.argsort`), as
-`numeric` does; the values are the same bit for bit.
+writes every supported column. The code keeps `numeric`'s ufunc rule.
 """
 
 from __future__ import annotations

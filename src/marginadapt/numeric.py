@@ -63,9 +63,12 @@ backward. `batchnorm_forward` takes `eps` and `update_running_stats` takes
 `momentum` (defaults `NORM_EPS` and `NORM_MOMENTUM`), and `MlpEncoder`
 passes the pair it holds to every layer.
 
-The hot ops call the ufuncs behind the array methods (`np.add.reduce` for
-`.sum`, `np.maximum.reduce` for `.max`) and add biases in place; the values
-are those of the method and out-of-place forms bit for bit.
+The ufunc rule, which every module keeps: code calls the ufuncs behind
+the array methods (`np.add.reduce` for `.sum` and `.mean`'s sum,
+`np.maximum.reduce` and `np.minimum.reduce` for `.max` and `.min`,
+`arr.argsort` for `np.argsort`) and writes in place or through `out=`
+where that saves a temporary, and the values are those of the method and
+out-of-place forms, bit for bit. The hot ops here add biases in place.
 `linear_backward` is `linear_param_grads` (the w and b gradients) plus
 `linear_input_grad` (the x gradient); a backward that needs only some of
 them (the encoder's `norm_only` pass needs no w or b gradient) calls only
@@ -86,8 +89,9 @@ own batch statistics, and returns none.
 from __future__ import annotations
 
 import math
+import numbers
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -253,13 +257,24 @@ def softmax_rows(z: Array) -> Array:
 # batch normalization
 
 
-def check_finite_settings(config, names) -> None:
-    """Reject NaN or infinity in the named float fields of a config, naming
-    the field, before any range check or computation sees the value."""
-    for name in names:
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value}")
+# what a config field of each annotation (a string under `from __future__
+# import annotations`) holds; numpy's numbers pass, and a bool is no number
+_SETTING_KINDS = {"int": (numbers.Integral, "an integer"),
+                  "int | None": ((numbers.Integral, type(None)), "an integer or None"),
+                  "float": (numbers.Real, "a real number"),
+                  "bool": (bool, "a bool"), "str": (str, "a string")}
+
+
+def check_settings(config) -> None:
+    """Refuse a field not of its annotated type, or a float field that is not
+    finite, by name, before any range check or computation sees the value."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        types, kind = _SETTING_KINDS[f.type]
+        if not isinstance(value, types) or isinstance(value, bool) != (f.type == "bool"):
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
 # the norm layers' defaults; an encoder holds the pair its layers run with

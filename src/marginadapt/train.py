@@ -11,63 +11,60 @@ import numpy as np
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
 from .model import classification_accuracy, pack, step_context
-from .numeric import _CHECKED, Array, _finite, check_finite_settings, non_finite, softmax_rows
+from .numeric import _CHECKED, Array, _finite, check_settings, non_finite, softmax_rows
+
+
+# the share of each source domain that ERM holds out to pick its best epoch
+HOLDOUT_FRACTION = 0.2
 
 
 @dataclass
 class TrainConfig:
+    """ERM's settings. Each domain's holdout share is `HOLDOUT_FRACTION`."""
+
     lr: float = 5e-5
-    weight_decay: float = 0.0
     batch_size: int = 32
     epochs: int = 40
-    holdout_fraction: float = 0.2
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
-        check_finite_settings(self, ("lr", "weight_decay"))
+        check_settings(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # lr == 0 is allowed: it is the documented "no update" degenerate case
         if self.lr < 0.0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.weight_decay < 0.0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ConfigError(
-                f"holdout_fraction must lie in (0, 1), got {self.holdout_fraction}"
-            )
         return self
 
 
 class Adam:
     """Adam with bias correction over one parameter vector, with the usual
-    constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
+    constants beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, and no weight
+    decay.
 
     `params` and `grads` are 1-D float64 arrays of one shape, in practice the
     same contiguous slice of a packed network's value and gradient vectors
     (see `model.pack`). The caller fills `grads` (a backward writes into it)
     and `step()` updates `params` in place from it. A step is whole-vector
-    ufuncs only: the moment update and the step write through `out=` into
-    two scratch buffers allocated with the moments, with the formulas'
-    operations in their usual order, so a step allocates no temporaries and
-    its values are bit for bit those of the out-of-place expressions. A zero
-    gradient on fresh moments gives an exactly zero update. First step with
-    constant gradient g moves by lr * g / (|g| + eps), i.e. ~lr per
-    coordinate. `m` and `v` hold the first and second moments, one per
+    ufuncs only, in the formulas' usual order: the moment update and the
+    step write through `out=` into two scratch buffers allocated with the
+    moments, so a step allocates no temporaries (`numeric`'s ufunc rule).
+    A zero gradient on fresh moments gives an exactly zero update. First
+    step with constant gradient g moves by lr * g / (|g| + eps), i.e. ~lr
+    per coordinate. `m` and `v` hold the first and second moments, one per
     coordinate, and `t` counts the steps taken. Outside a checked step (see
     numeric) a step scans the second moment and the updated parameters, so
     a gradient whose square overflows fails here, as in a checked step."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, grads, lr, weight_decay=0.0):
-        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
-            if not 0.0 <= value < math.inf:  # also refuses NaN
-                raise ConfigError(f"Adam {name} must be finite and >= 0, got {value}")
+    def __init__(self, params, grads, lr):
+        if not 0.0 <= lr < math.inf:  # also refuses NaN
+            raise ConfigError(f"Adam lr must be finite and >= 0, got {lr}")
         vectors = all(isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.float64
                       for a in (params, grads))
         if not (vectors and params.shape == grads.shape):
@@ -77,7 +74,6 @@ class Adam:
         self.params = params
         self.grads = grads
         self.lr = lr
-        self.weight_decay = weight_decay
         self.t = 0
         self.m, self.v = np.zeros(params.size), np.zeros(params.size)
         # scratch for the moment update and the step
@@ -90,10 +86,6 @@ class Adam:
         s, u = self._s, self._u
         g = self.grads
         try:
-            if self.weight_decay:
-                # g + weight_decay * p, held in u until v is updated
-                np.multiply(self.params, self.weight_decay, out=u)
-                g = np.add(g, u, out=u)
             m, v = self.m, self.v
             np.multiply(m, self.beta1, out=m)
             np.multiply(g, 1.0 - self.beta1, out=s)
@@ -179,7 +171,7 @@ def _pooled_splits(sources, cfg: TrainConfig):
     return, so training holds only the pooled copies."""
     trains, vals = [], []
     for k, ds in enumerate(sources):
-        tr, va = split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)
+        tr, va = split_holdout(ds, HOLDOUT_FRACTION, seed=cfg.seed + 1000 * k)
         trains.append(tr)
         vals.append(va)
     return _pool(trains), _pool(vals)
@@ -218,7 +210,7 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
         )
     (x_train, y_train), (x_val, y_val) = _pooled_splits(sources, cfg)
     flat = pack(encoder, classifier)
-    opt = Adam(flat.values, flat.grads, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = Adam(flat.values, flat.grads, lr=cfg.lr)
     checked = step_context(encoder, classifier, cfg.batch_size, x_train)
     rng = np.random.default_rng(cfg.seed)
 

@@ -1,13 +1,18 @@
 """Streaming adaptation protocol: pairing, switch semantics, label hygiene."""
 
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gradcheck import backward_grads
 from marginadapt import (
     Adam,
     AdaptConfig,
     ConfigError,
+    DataError,
     DomainDataset,
     LinearClassifier,
     MlpEncoder,
@@ -26,6 +31,8 @@ from marginadapt import (
 )
 from marginadapt import adapt
 from marginadapt.adapt import METHODS
+from test_memory import OracleBank
+from test_train import PerArrayAdam
 
 
 def _tiny(seed, use_norm=False):
@@ -171,6 +178,109 @@ def test_stacked_scoring_equals_a_per_batch_loop(settings, cap, monkeypatch):
 
 def _hexed(reports):
     return [(r.l_m.hex(), r.l_e.hex(), r.total.hex(), r.hinge_rows) for r in reports]
+
+
+def unidg_reference(pair, target, cfg):
+    """The unidg pass written from its equations, one batch at a time, in
+    place on the pair: per-array gradients and PerArrayAdam, the full-sort
+    OracleBank and np.mean prototypes; no pack, stacking or checked step.
+    Per batch: score it; while the step budget lasts, insert its pseudo-
+    labelled rows into the bank, average each class's top rows into its
+    prototype and write it into the classifier's column (bias zeroed), take
+    the entropy through that refreshed classifier, add the hinge on the
+    squared drift from the frozen source's features, and take one Adam step.
+    Returns (cumulative accuracies, [(l_m, l_e, total, hinge rows) per step])."""
+    enc, clf = pair.adapted_encoder, pair.adapted_classifier
+    mode = "train" if enc.has_norm_layers else "eval"
+    order = np.random.default_rng(cfg.seed).permutation(target.n)
+    batches = [order[i : i + cfg.batch_size] for i in range(0, target.n, cfg.batch_size)]
+    if enc.has_norm_layers:
+        batches = [b for b in batches if b.size >= 2]
+    limit = len(batches) if cfg.steps is None else cfg.steps
+    rows = min(cfg.top_k, target.n)
+    bank = OracleBank(clf.num_classes, rows, rows)
+    opt = PerArrayAdam(enc.parameters() + clf.parameters(), cfg.lr)
+    cumulative, reports, correct, seen = [], [], 0, 0
+    for t, idx in enumerate(batches):
+        x, n = target.features[idx], idx.size
+        feats = enc.encode(x, mode=mode, retain_cache=True)
+        probs = softmax_rows(clf.logits(feats))
+        preds = np.argmax(probs, axis=1)
+        correct += int(np.count_nonzero(preds == target.labels[idx]))
+        seen += n
+        cumulative.append(correct / seen)
+        if t >= limit:
+            continue
+        if cfg.enable_bank:
+            logp = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+            entropies = -(probs * logp).sum(axis=1)
+            for i in range(n):  # a row's step is its place in the stream
+                bank.insert(feats[i], int(preds[i]), float(entropies[i]), seen - n + i)
+            for j in range(clf.num_classes):
+                if bank.rows[j]:
+                    clf.omega[:, j] = bank.prototype(j)
+                    clf.bias[j] = 0.0
+        if not (cfg.enable_lm or cfg.enable_le):
+            continue
+        l_e = l_m = 0.0
+        g_feats, grads = np.zeros_like(feats), {}
+        if cfg.enable_le:
+            post = softmax_rows(clf.logits(feats))
+            logp = np.log(post, out=np.zeros_like(post), where=post > 0.0)
+            h = -(post * logp).sum(axis=1)
+            l_e = h.mean()
+            g_feats, grads = backward_grads(clf, feats, -post * (logp + h[:, None]) / n)
+        active = np.zeros(n, dtype=bool)
+        if cfg.enable_lm:
+            diff = feats - pair.source_encoder.encode(x, mode=mode, retain_cache=False)
+            dist_sq = (diff * diff).sum(axis=1)
+            active = dist_sq > cfg.sigma
+            l_m = np.maximum(dist_sq - cfg.sigma, 0.0).mean()
+            g_feats = g_feats + cfg.lambda_weight * np.where(active[:, None], 2.0 / n * diff, 0.0)
+        grads.update(backward_grads(enc, g_feats)[1])
+        opt.step(grads)
+        reports.append((float(l_m), float(l_e), float(l_e + cfg.lambda_weight * l_m),
+                        int(np.count_nonzero(active))))
+    return cumulative, reports
+
+
+@lru_cache(maxsize=None)
+def _trained(use_norm):
+    return _tiny(7, use_norm=use_norm)
+
+
+def _fresh_pair(use_norm):
+    """A fresh adapted copy of the trained pair of `_tiny(7, use_norm)`."""
+    pair, target = _trained(use_norm)
+    return clone_for_adaptation(pair.source_encoder.copy(), pair.source_classifier.copy()), target
+
+
+_SWITCHES = list(itertools.product([True, False], repeat=3))
+
+
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+@pytest.mark.parametrize("lm, le, bank", _SWITCHES, ids=[
+    "+".join(name for name, on in zip(("lm", "le", "bank"), switches) if on) or "off"
+    for switches in _SWITCHES])
+def test_unidg_equals_its_reference_written_from_the_equations(use_norm, lm, le, bank):
+    # equal bits throughout: the reference sums in the package's order
+    for steps, batch_size, sigma in itertools.product([None, 5], [32, 37],
+                                                      [0.0, AdaptConfig().sigma]):
+        cfg = AdaptConfig(lr=1e-2, seed=4, steps=steps, batch_size=batch_size, sigma=sigma,
+                          enable_lm=lm, enable_le=le, enable_bank=bank)
+        pair, target = _fresh_pair(use_norm)
+        source = pair.source_fingerprint()
+        _, curve, reports = run_method(pair, target, cfg)
+        ref_pair, _ = _fresh_pair(use_norm)
+        cumulative, ref_reports = unidg_reference(ref_pair, target, cfg)
+        where = f"steps={steps}, batch_size={batch_size}, sigma={sigma}"
+        assert curve.cumulative == cumulative, where
+        assert [(r.l_m, r.l_e, r.total, r.hinge_rows) for r in reports] == ref_reports, where
+        assert pair.adapted_fingerprint() == ref_pair.adapted_fingerprint(), where
+        # the pass moved the model, and with no margin the hinge bound
+        assert (pair.adapted_fingerprint() != source) == (le or bank), where
+        if lm and le and sigma == 0.0:
+            assert any(r.hinge_rows for r in reports), where
 
 
 @pytest.mark.parametrize("cap", [64, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])
@@ -466,6 +576,27 @@ def test_a_top_k_past_the_stream_runs_like_one_equal_to_it(use_norm, monkeypatch
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_a_stream_with_nothing_to_score_is_refused_before_anything_is_packed(
+        method, monkeypatch):
+    # a norm encoder scores batches of 2 rows or more, so a 1-row target
+    # leaves nothing to score
+    _, target = gen_synthetic_shift(ShiftSpec(samples_per_domain=40, seed=0))
+    one_row = DomainDataset(target.features[:1], target.labels[:1], 4, "target")
+    pair = clone_for_adaptation(MlpEncoder.create([16, 8, 8], use_norm=True, seed=0),
+                                LinearClassifier.create(8, 4, seed=1))
+    before = pair.adapted_fingerprint()
+
+    def no_pack(*models):
+        raise AssertionError("packed")
+
+    monkeypatch.setattr(adapt, "pack", no_pack)
+    with pytest.raises(DataError, match="^run_method: the 1-row target has no batch of "
+                                        "the 2 rows norm layers need"):
+        run_method(pair, one_row, AdaptConfig(method=method))
+    assert pair.adapted_fingerprint() == before
+
+
 def test_entropy_norm_requires_norm_layers():
     pair, target = _tiny(0)
     with pytest.raises(ConfigError):
@@ -533,3 +664,10 @@ def test_adapt_config_validation():
         AdaptConfig(steps=-1).validate()
     with pytest.raises(ConfigError):
         AdaptConfig(method="bogus").validate()
+
+
+def test_a_switch_that_is_not_a_bool_is_refused_before_the_pass():
+    # "no" is truthy, so taken as it is it would switch the hinge on
+    pair, target = _fresh_pair(use_norm=False)
+    with pytest.raises(ConfigError, match="^enable_lm must be a bool, got 'no'$"):
+        run_method(pair, target, AdaptConfig(enable_lm="no"))

@@ -151,7 +151,9 @@ def test_config_file_rejects_bad_lines(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["enable_li", "enable_refresh", "capacity_per_class",
-                                 "shift_kind"])
+                                 "shift_kind", "weight_decay", "holdout_fraction",
+                                 "class_separation", "within_class_std", "translation_std",
+                                 "source_angle_max_deg"])
 def test_config_file_setting_a_deleted_setting_exits_with_unknown_key(tmp_path, capsys, key):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
@@ -401,6 +403,20 @@ def test_adapt_names_a_checkpoint_that_is_not_a_json_object(tmp_path, capsys, co
     assert err.startswith("error: ") and ckpt in err and why in err
 
 
+def test_adapt_exits_1_on_a_stream_with_nothing_to_score(tmp_path, capsys):
+    # a norm encoder scores batches of 2 rows or more; this target has 1
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data, extra=("--use-norm",))
+    one_row = tmp_path / "one_row.csv"
+    one_row.write_text("".join(_read(os.path.join(data, "target.csv")).splitlines(True)[:2]))
+    capsys.readouterr()
+    rc = main(["adapt", "--checkpoint", ckpt, "--target", str(one_row), "--out", run])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: run_method: the 1-row target has no batch of the 2 rows norm layers need")
+    assert not [f for f in os.listdir(run) if f.startswith("run_")]
+
+
 @pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])
 def test_ablate_scores_each_model_state_once(tmp_path, capsys, monkeypatch, extra):
     data = _gen(tmp_path)
@@ -585,7 +601,7 @@ def test_gen_data_config_file_fills_in_and_flags_win(tmp_path, capsys):
     spec = json.loads(_read(os.path.join(out, "shift_spec.json")))["spec"]
     assert spec["num_classes"] == 5  # flag wins
     assert spec["angle_deg"] == 45.0 and spec["samples_per_domain"] == 60  # file
-    assert spec["within_class_std"] == ShiftSpec().within_class_std  # default
+    assert spec["input_dim"] == ShiftSpec().input_dim  # default
 
 
 def test_train_source_config_file_fills_in_and_flags_win(tmp_path, capsys, monkeypatch):
@@ -757,10 +773,7 @@ def trained_task(tmp_path_factory):
     ("adapt", "--lambda-weight", "inf", "lambda_weight"),
     ("ablate", "--sigma", "nan", "sigma"),
     ("train-source", "--lr", "inf", "lr"),
-    ("train-source", "--weight-decay", "nan", "weight_decay"),
-    ("gen-data", "--class-separation", "nan", "class_separation"),
-    ("gen-data", "--within-class-std", "inf", "within_class_std"),
-    ("gen-data", "--translation-std", "-inf", "translation_std"),
+    ("gen-data", "--angle-deg", "nan", "angle_deg"),
 ])
 def test_non_finite_setting_is_refused_before_any_file_is_read(
         tmp_path, capsys, trained_task, command, flag, value, field):
@@ -860,12 +873,10 @@ def test_source_csvs_of_different_widths_are_a_data_error(tmp_path, capsys, trai
 
 
 _OPTION_STRINGS = {
-    "gen-data": "--angle-deg --class-separation --config --help --input-dim --num-classes "
-                "--num-source-domains --out --samples-per-domain --seed "
-                "--source-angle-max-deg --translation-std --within-class-std -h",
+    "gen-data": "--angle-deg --config --help --input-dim --num-classes "
+                "--num-source-domains --out --samples-per-domain --seed -h",
     "train-source": "--batch-size --checkpoint --config --data --epochs --feature-dim --help "
-                    "--hidden-dims --holdout-fraction --lr --out --seed --use-norm "
-                    "--weight-decay -h",
+                    "--hidden-dims --lr --out --seed --use-norm -h",
     "adapt": "--bank --batch-size --checkpoint --config --help --lambda --lambda-weight --le "
              "--lm --lr --method --no-bank --no-le --no-lm --out --seed --sigma "
              "--source-data --steps --target --top-k -h",

@@ -23,7 +23,13 @@ from marginadapt import (
     split_holdout,
     write_csv,
 )
-from marginadapt.data import random_unit_pair
+from marginadapt.data import (
+    CLASS_SEPARATION,
+    SOURCE_ANGLE_MAX_DEG,
+    TRANSLATION_STD,
+    WITHIN_CLASS_STD,
+    random_unit_pair,
+)
 
 
 def test_generation_is_seed_deterministic():
@@ -47,22 +53,23 @@ def test_class_mean_separation_matches_spec():
     spec = ShiftSpec(seed=1, samples_per_domain=40)
     _, target = gen_synthetic_shift(spec)
     base = np.asarray(target.metadata["base_class_means"])
-    want = spec.class_separation * spec.within_class_std
+    want = CLASS_SEPARATION * WITHIN_CLASS_STD
     for i in range(4):
         for j in range(i + 1, 4):
             assert abs(np.linalg.norm(base[i] - base[j]) - want) < 1e-9
 
 
-def test_zero_angle_zero_translation_is_identity():
-    spec = ShiftSpec(seed=2, angle_deg=0.0, translation_std=0.0, samples_per_domain=40)
+def test_zero_angle_is_the_identity_and_the_translation_one_noise_std():
+    spec = ShiftSpec(seed=2, angle_deg=0.0, samples_per_domain=40)
     _, target = gen_synthetic_shift(spec)
     npt.assert_allclose(
         np.asarray(target.metadata["transform"]["rotation"]), np.eye(16), atol=1e-12
     )
-    npt.assert_array_equal(target.metadata["transform"]["translation"], np.zeros(16))
+    t = np.asarray(target.metadata["transform"]["translation"])
+    assert abs(np.linalg.norm(t) - WITHIN_CLASS_STD) < 1e-12
     npt.assert_allclose(
         np.asarray(target.metadata["class_means"]),
-        np.asarray(target.metadata["base_class_means"]),
+        np.asarray(target.metadata["base_class_means"]) + t,
         atol=1e-12,
     )
 
@@ -116,16 +123,15 @@ def test_rotated_target_means_recorded_in_metadata(angle):
     npt.assert_allclose(
         np.asarray(target.metadata["class_means"]), base @ rot.T + t, atol=1e-12
     )
-    assert abs(np.linalg.norm(t) - spec.translation_std * spec.within_class_std) < 1e-9
+    assert abs(np.linalg.norm(t) - TRANSLATION_STD * WITHIN_CLASS_STD) < 1e-9
     if angle == 0.0:  # a pure translation
         npt.assert_array_equal(rot, np.eye(16))
 
 
 def test_source_rotations_stay_under_the_cap():
-    spec = ShiftSpec(seed=12, samples_per_domain=40, source_angle_max_deg=10.0)
-    sources, _ = gen_synthetic_shift(spec)
+    sources, _ = gen_synthetic_shift(ShiftSpec(seed=12, samples_per_domain=40))
     for ds in sources:
-        assert 0.0 <= ds.metadata["transform"]["angle_deg"] <= 10.0
+        assert 0.0 <= ds.metadata["transform"]["angle_deg"] <= SOURCE_ANGLE_MAX_DEG
 
 
 def test_spec_refuses_an_input_dim_whose_rotations_are_too_large():
@@ -139,9 +145,7 @@ def test_spec_validation_errors():
     for bad in (
         ShiftSpec(num_classes=1),
         ShiftSpec(input_dim=2),
-        ShiftSpec(class_separation=0.0),
         ShiftSpec(angle_deg=181.0),
-        ShiftSpec(translation_std=-0.5),
         ShiftSpec(samples_per_domain=2),
     ):
         with pytest.raises(ConfigError):

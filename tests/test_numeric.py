@@ -1,5 +1,6 @@
 """Layer-level forwards against manual math, backwards against finite differences."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 
 from gradcheck import numeric_grad, rel_error
 from marginadapt import (
+    AdaptConfig,
     BatchTooSmallError,
     ConfigError,
     DimensionError,
     NormLayerState,
     NumericalFailure,
+    ShiftSpec,
+    TrainConfig,
     batchnorm_backward,
     batchnorm_forward,
     linear_backward,
@@ -31,6 +35,33 @@ from marginadapt.numeric import (
     linear_input_grad,
     linear_param_grads,
 )
+
+
+@pytest.mark.parametrize("config, message", [
+    (AdaptConfig(enable_lm="no"), "enable_lm must be a bool, got 'no'"),
+    (AdaptConfig(enable_bank=1), "enable_bank must be a bool, got 1"),
+    (AdaptConfig(steps=2.5), "steps must be an integer or None, got 2.5"),
+    (AdaptConfig(lr=True), "lr must be a real number, got True"),
+    (AdaptConfig(sigma="0.1"), "sigma must be a real number, got '0.1'"),
+    (AdaptConfig(batch_size=32.0), "batch_size must be an integer, got 32.0"),
+    (AdaptConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    (AdaptConfig(top_k=True), "top_k must be an integer, got True"),
+    (AdaptConfig(method=None), "method must be a string, got None"),
+    (AdaptConfig(lambda_weight=float("-inf")), "lambda_weight must be finite, got -inf"),
+    (TrainConfig(epochs=1.5), "epochs must be an integer, got 1.5"),
+    (TrainConfig(lr=np.nan), "lr must be finite, got nan"),
+    (ShiftSpec(input_dim=16.0), "input_dim must be an integer, got 16.0"),
+    (ShiftSpec(angle_deg=np.inf), "angle_deg must be finite, got inf"),
+], ids=lambda v: v.split()[0] if isinstance(v, str) else type(v).__name__)
+def test_a_config_refuses_a_value_not_of_its_fields_type(config, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config.validate()
+
+
+def test_a_config_takes_numpy_numbers_and_an_integer_for_a_float():
+    AdaptConfig(lr=1, top_k=np.int32(5), steps=np.int64(3), sigma=np.float64(0.2)).validate()
+    TrainConfig(lr=0, epochs=np.uint8(2)).validate()
+    ShiftSpec(input_dim=np.int64(8), angle_deg=45).validate()
 
 
 def test_linear_forward_matches_manual():

@@ -39,16 +39,15 @@ from marginadapt import (
     train_source_erm,
 )
 from marginadapt.numeric import checked_step
+from marginadapt.train import HOLDOUT_FRACTION
 
 
-def reference_adam(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
+def reference_adam(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Textbook Adam with bias correction, written independently of the package."""
     p = p0.copy()
     m = np.zeros_like(p)
     v = np.zeros_like(p)
     for t, g in enumerate(grad_seq, start=1):
-        if wd:
-            g = g + wd * p
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1**t)
@@ -57,9 +56,9 @@ def reference_adam(p0, grad_seq, lr, beta1=0.9, beta2=0.999, eps=1e-8, wd=0.0):
     return p
 
 
-def _adam(p, lr, **settings):
+def _adam(p, lr):
     """Adam over the vector p, with its own gradient vector."""
-    return Adam(p, np.zeros_like(p), lr, **settings)
+    return Adam(p, np.zeros_like(p), lr)
 
 
 def test_adam_first_step_moves_each_coordinate_by_lr():
@@ -82,13 +81,12 @@ def test_adam_matches_reference_over_many_steps():
         rng = np.random.default_rng(seed)
         p0 = rng.standard_normal(17)
         grads = [rng.standard_normal(17) for _ in range(9)]
-        for wd in (0.0, 0.01):
-            p = p0.copy()
-            opt = _adam(p, 3e-3, weight_decay=wd)
-            for g in grads:
-                opt.grads[...] = g
-                opt.step()
-            npt.assert_allclose(p, reference_adam(p0, grads, 3e-3, wd=wd), rtol=1e-12)
+        p = p0.copy()
+        opt = _adam(p, 3e-3)
+        for g in grads:
+            opt.grads[...] = g
+            opt.step()
+        npt.assert_allclose(p, reference_adam(p0, grads, 3e-3), rtol=1e-12)
 
 
 def test_adam_over_a_slice_leaves_the_rest_untouched():
@@ -113,10 +111,9 @@ class PerArrayAdam:
     """Adam with one moment pair per named array, updated in a loop over the
     arrays: the oracle the flat-vector optimizer must match bit for bit."""
 
-    def __init__(self, params, lr, weight_decay=0.0, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = params
         self.lr = lr
-        self.weight_decay = weight_decay
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {n: np.zeros_like(p) for n, p in params}
         self.v = {n: np.zeros_like(p) for n, p in params}
@@ -131,8 +128,6 @@ class PerArrayAdam:
             if g is None:
                 continue
             g = np.asarray(g, dtype=np.float64)
-            if self.weight_decay:
-                g = g + self.weight_decay * p
             m = self.m[name]
             v = self.v[name]
             m *= self.beta1
@@ -142,8 +137,7 @@ class PerArrayAdam:
             p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-@pytest.mark.parametrize("wd", [0.0, 0.01])
-def test_flat_adam_is_bit_identical_to_per_array_adam(wd):
+def test_flat_adam_is_bit_identical_to_per_array_adam():
     rng = np.random.default_rng(4)
     shapes = {"a": (5, 2), "b": (7,), "c": (3, 3)}
     # each array's fixed slice of the flat vectors, in the order given
@@ -154,8 +148,8 @@ def test_flat_adam_is_bit_identical_to_per_array_adam(wd):
     for n, p in flat:
         p[...] = init[n]
     ref = [(n, init[n].copy()) for n in shapes]
-    opt = Adam(values, grads, lr=3e-2, weight_decay=wd)
-    oracle = PerArrayAdam(ref, lr=3e-2, weight_decay=wd)
+    opt = Adam(values, grads, lr=3e-2)
+    oracle = PerArrayAdam(ref, lr=3e-2)
     for t in range(12):
         step_grads = {n: rng.standard_normal(shape) for n, shape in shapes.items()}
         for n, g in step_grads.items():
@@ -195,13 +189,10 @@ def test_adam_rejects_a_negative_lr():
         _adam(np.zeros(3), -1e-3)
 
 
-@pytest.mark.parametrize("setting, value", [
-    ("lr", math.nan), ("lr", math.inf), ("weight_decay", math.nan),
-    ("weight_decay", -math.inf), ("weight_decay", -5.0),
-])
-def test_adam_refuses_a_non_finite_or_negative_setting(setting, value):
-    with pytest.raises(ConfigError, match=f"^Adam {setting} must be finite and >= 0"):
-        _adam(np.ones(3), **{"lr": 1e-3, setting: value})
+@pytest.mark.parametrize("lr", [math.nan, math.inf])
+def test_adam_refuses_a_non_finite_lr(lr):
+    with pytest.raises(ConfigError, match="^Adam lr must be finite and >= 0"):
+        _adam(np.ones(3), lr)
 
 
 def test_cross_entropy_on_uniform_probs_is_log_num_classes():
@@ -324,7 +315,7 @@ def test_zero_epochs_is_a_no_op():
     assert report.loss_history == [] and report.val_history == []
     # reported accuracy is just the initialization scored on the pooled holdout
     vals = [
-        split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)[1]
+        split_holdout(ds, HOLDOUT_FRACTION, seed=cfg.seed + 1000 * k)[1]
         for k, ds in enumerate(sources)
     ]
     x_val = np.vstack([v.features for v in vals])
@@ -336,7 +327,7 @@ def test_training_improves_holdout_accuracy():
     sources, enc, clf = _tiny_task(4)
     cfg = TrainConfig(lr=1e-2, epochs=8, seed=4)
     vals = [
-        split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)[1]
+        split_holdout(ds, HOLDOUT_FRACTION, seed=cfg.seed + 1000 * k)[1]
         for k, ds in enumerate(sources)
     ]
     x_val = np.vstack([v.features for v in vals])
@@ -402,7 +393,7 @@ def test_training_batches_are_slices_of_each_epoch_permutation(monkeypatch, hidd
     monkeypatch.setattr(train_module, "cross_entropy_loss", spy_loss)
     train_source_erm(enc, clf, sources, cfg)
 
-    trains = [split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)[0]
+    trains = [split_holdout(ds, HOLDOUT_FRACTION, seed=cfg.seed + 1000 * k)[0]
               for k, ds in enumerate(sources)]
     x_train = np.vstack([t.features for t in trains])
     y_train = np.concatenate([t.labels for t in trains])
@@ -444,25 +435,20 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(lr=-1.0).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(holdout_fraction=1.0).validate()
-    with pytest.raises(ConfigError):
         TrainConfig(batch_size=0).validate()
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1).validate()
-    with pytest.raises(ConfigError):
-        TrainConfig(weight_decay=-0.1).validate()
 
 
 def erm_reference(encoder, classifier, sources, cfg):
     """train_source_erm written per array, in place on the model: the public
     forward, cross_entropy_loss, each backward's gradients copied out, and
     PerArrayAdam. Returns the loss history."""
-    pools = [split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)
+    pools = [split_holdout(ds, HOLDOUT_FRACTION, seed=cfg.seed + 1000 * k)
              for k, ds in enumerate(sources)]
     x_train, x_val = (np.vstack([p[j].features for p in pools]) for j in (0, 1))
     y_train, y_val = (np.concatenate([p[j].labels for p in pools]) for j in (0, 1))
-    opt = PerArrayAdam(encoder.parameters() + classifier.parameters(), cfg.lr,
-                       weight_decay=cfg.weight_decay)
+    opt = PerArrayAdam(encoder.parameters() + classifier.parameters(), cfg.lr)
     rng = np.random.default_rng(cfg.seed)
 
     def snapshot():
@@ -493,13 +479,12 @@ def erm_reference(encoder, classifier, sources, cfg):
     return losses
 
 
-@pytest.mark.parametrize("wd", [0.0, 1e-3])
 @pytest.mark.parametrize("hidden, use_norm", [([], False), ([12], False), ([12], True)],
                          ids=["one-layer", "linear", "norm"])
-def test_training_equals_a_per_array_reference_loop(hidden, use_norm, wd):
+def test_training_equals_a_per_array_reference_loop(hidden, use_norm):
     sources, _, _ = _tiny_task(10)
-    cfg = TrainConfig(lr=1e-2, epochs=3, batch_size=29, weight_decay=wd, seed=10)
-    n = sum(split_holdout(ds, cfg.holdout_fraction, seed=cfg.seed + 1000 * k)[0].n
+    cfg = TrainConfig(lr=1e-2, epochs=3, batch_size=29, seed=10)
+    n = sum(split_holdout(ds, HOLDOUT_FRACTION, seed=cfg.seed + 1000 * k)[0].n
             for k, ds in enumerate(sources))
     assert n % cfg.batch_size == 1  # each epoch ends on a one-row batch
     models = [(MlpEncoder.create([16, *hidden, 16], use_norm=use_norm, seed=10),

@@ -188,8 +188,9 @@ def _failure_lines(ma, trained):
 
     sources, _ = ma.gen_synthetic_shift(
         ma.ShiftSpec(samples_per_domain=1200, num_source_domains=2, seed=0))
-    # a row of the first domain's training split under TrainConfig(seed=0)
-    train, _ = ma.split_holdout(sources[0], ma.TrainConfig().holdout_fraction, seed=0)
+    # a row of the first domain's training split under TrainConfig(seed=0),
+    # whose holdout fraction is 0.2
+    train, _ = ma.split_holdout(sources[0], 0.2, seed=0)
     row = np.flatnonzero((sources[0].features == train.features[100]).all(axis=1))
     nan_sources = [planted(sources[0], row, np.nan), *sources[1:]]
     lines = []
