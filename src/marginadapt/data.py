@@ -4,13 +4,25 @@ Tasks are class-conditional spherical Gaussians. Source domains are mild
 random rotations of a shared base task; the target turns the span of the
 class means by a set angle and adds a random mean translation. Everything
 is seeded and reproducible down to the byte.
+
+`write_csv` also writes a sidecar, `<path>.npy`: np.save arrays of a JSON
+head (the sha256 and text encoding of the CSV's bytes, and the domain names
+in order of first appearance), then what parsing the CSV returns: float64
+features, int64 labels and each row's int64 domain code. The bytes fix the
+parse (repr round-trips floats), so a read whose CSV matches the head takes
+the arrays. Anything else parses: no sidecar (then nothing is hashed), a
+changed CSV, or a sidecar that does not load as such arrays. Deleting a
+sidecar is always safe; reading never writes one.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
+import json
 import math
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -247,11 +259,21 @@ def _target_translation(rng, spec: ShiftSpec) -> Array:
 # CSV IO: header f0..f{d-1},label,domain
 
 
+_BLOCK_ROWS = 256  # rows per text chunk written, or per numpy conversion read
+
+
+def _csv_line(fields) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerow(fields)
+    return buf.getvalue()
+
+
 def write_csv(datasets, path) -> str:
-    """Write one or several domains into a single CSV. Floats are serialized
-    with repr so a read back is bit-exact. A row is one repr of its value
-    list with the label appended; csv encodes the `,domain` tail once per
-    dataset, so its quoting stays csv's."""
+    """Write one or several domains into a single CSV, then its sidecar (see
+    the module docstring). Floats are serialized with repr so a read back is
+    bit-exact. A row is one repr of its value list with the label appended;
+    csv encodes the `,domain` tail once per dataset, so its quoting stays
+    csv's."""
     if isinstance(datasets, DomainDataset):
         datasets = [datasets]
     if not datasets:
@@ -260,20 +282,66 @@ def write_csv(datasets, path) -> str:
     # checked before the file opens, so a refused call writes nothing
     if any(ds.features.shape[1] != dim for ds in datasets):
         raise DataError("write_csv: feature widths differ across domains")
+    if dim == 0:  # its header, label,domain, is not one the reader accepts
+        raise DataError("write_csv: the datasets have no feature columns")
+    digest = hashlib.sha256()
+    names: dict[str, int] = {}
+    codes = []
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow([f"f{i}" for i in range(dim)] + ["label", "domain"])
+        encoding = fh.encoding
+
+        def put(text):
+            fh.write(text)
+            digest.update(text.encode(encoding))
+
+        put(_csv_line([f"f{i}" for i in range(dim)] + ["label", "domain"]))
         for ds in datasets:
-            buf = io.StringIO()
-            csv.writer(buf).writerow(["", ds.domain_id])
-            tail = buf.getvalue()
+            tail = _csv_line(["", ds.domain_id])
+            name = next(csv.reader(io.StringIO(tail, newline="")))[1]  # as read back
+            codes.append(names.setdefault(name, len(names)))
             rows = ds.features.tolist()
             for row, lab in zip(rows, ds.labels.tolist()):
                 row.append(lab)
-            fh.writelines(repr(row)[1:-1].replace(" ", "") + tail for row in rows)
+            for i in range(0, len(rows), _BLOCK_ROWS):  # bounds the text held at once
+                put("".join(repr(row)[1:-1].replace(" ", "") + tail
+                            for row in rows[i:i + _BLOCK_ROWS]))
+    head = {"sha256": digest.hexdigest(), "encoding": encoding, "domains": list(names)}
+    arrays = (
+        np.frombuffer(json.dumps(head, sort_keys=True).encode(), dtype=np.uint8),
+        np.concatenate([ds.features for ds in datasets]),
+        np.concatenate([ds.labels for ds in datasets]),
+        np.repeat(np.array(codes, dtype=np.int64), [ds.n for ds in datasets]),
+    )
+    tmp = f"{path}.npy.tmp"
+    with open(tmp, "wb") as side:
+        for array in arrays:
+            np.save(side, array, allow_pickle=False)
+    os.replace(tmp, f"{path}.npy")
     return str(path)
 
 
-_BLOCK_ROWS = 256  # feature rows per numpy conversion; bounds the reader's peak
+def _stored_rows(path):
+    """(features, labels, names, codes) from the sidecar of `path`, or None
+    when it is missing or unreadable, or was not written for the bytes and
+    encoding of the CSV as `_parse_rows` would open it."""
+    try:
+        with open(f"{path}.npy", "rb") as side:
+            head = json.loads(np.load(side, allow_pickle=False).tobytes())
+            with open(path, newline="") as fh:
+                key = [hashlib.sha256(fh.buffer.read()).hexdigest(), fh.encoding]
+            if not isinstance(head, dict) or [head.get("sha256"), head.get("encoding")] != key:
+                return None
+            features, labels, codes = [np.load(side, allow_pickle=False) for _ in range(3)]
+    except (OSError, ValueError, EOFError):
+        return None
+    names = head.get("domains")
+    if not (isinstance(names, list) and all(isinstance(v, str) for v in names)
+            and features.dtype == np.float64 and features.ndim == 2 and features.size
+            and labels.dtype == codes.dtype == np.int64
+            and labels.shape == codes.shape == features.shape[:1]
+            and codes.min() >= 0 and codes.max() < len(names)):
+        return None
+    return features, labels, names, codes
 
 
 def _float_block(path, block, lines):
@@ -294,9 +362,15 @@ def _float_block(path, block, lines):
 
 
 def _parse_rows(path):
-    """(features, labels, domains, lines) of a CSV's data rows: one float64
-    array, and per row its int label, its domain and the line it came from.
-    The first bad row in file order raises, naming its line."""
+    """(features, labels, names, codes, lines) of a CSV's data rows: one
+    float64 array, the int64 labels, the distinct domains in order of first
+    appearance with each row's index into them, and each row's record
+    number. The sidecar's arrays when it matches (see the module docstring);
+    else the parse, where the first bad row in file order raises, naming its
+    line."""
+    stored = _stored_rows(path)
+    if stored is not None:
+        return (*stored, range(2, len(stored[1]) + 2))
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -311,7 +385,8 @@ def _parse_rows(path):
         expected = [f"f{i}" for i in range(dim)]
         if header[:dim] != expected:
             raise SchemaError(f"{path}: feature columns must be named f0..f{dim - 1}")
-        blocks, block, labels, domains, lines = [], [], [], [], []
+        blocks, block, labels, codes, lines = [], [], [], [], []
+        names: dict[str, int] = {}
 
         def convert():
             # rows before a structural or label error are converted first,
@@ -337,41 +412,44 @@ def _parse_rows(path):
                 raise ParseError(
                     f"{path}: line {lineno}: label {row[dim]!r} is not an integer"
                 ) from None
-            domains.append(row[dim + 1])
+            codes.append(names.setdefault(row[dim + 1], len(names)))
             if len(block) == _BLOCK_ROWS:
                 convert()
         convert()
     if not lines:
         raise DataError(f"{path}: no data rows")
-    return np.concatenate(blocks), labels, domains, lines
+    try:
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError:  # kept as ints, so the bound checks name the label
+        labels = np.array(labels, dtype=object)
+    codes = np.array(codes, dtype=np.int64)
+    return np.concatenate(blocks), labels, list(names), codes, lines
 
 
 def load_csv_domains(path, num_classes: int | None = None) -> dict:
     """Read a CSV into one DomainDataset per distinct domain value."""
-    features, labels, domains, lines = _parse_rows(path)
-    max_label = max(labels)
-    min_label = min(labels)
+    features, labels, names, codes, lines = _parse_rows(path)
+    min_label = labels.min()
     if min_label < 0:
         raise DataError(f"{path}: negative label {min_label}")
     if num_classes is None:
-        num_classes = max_label + 1
-    elif max_label >= num_classes:
-        i = next(i for i, lab in enumerate(labels) if lab >= num_classes)
+        num_classes = int(labels.max()) + 1
+    elif labels.max() >= num_classes:
+        i = int(np.argmax(labels >= num_classes))
         raise DataError(
             f"{path}: line {lines[i]}: label {labels[i]} outside [0, {num_classes})"
         )
-    rows_of: dict[str, list] = {}
-    for i, domain in enumerate(domains):
-        rows_of.setdefault(domain, []).append(i)
-    labels = np.asarray(labels, dtype=np.int64)
+    # each domain's rows in file order
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes, minlength=len(names)))[:-1]
     return {
-        domain: DomainDataset(
+        name: DomainDataset(
             features=features[rows],
             labels=labels[rows],
             num_classes=num_classes,
-            domain_id=domain,
+            domain_id=name,
         )
-        for domain, rows in rows_of.items()
+        for name, rows in zip(names, np.split(order, ends))
     }
 
 

@@ -67,8 +67,9 @@ def _train(tmp_path, data, seed=0, extra=()):
 def test_end_to_end_workflow(tmp_path, capsys):
     data = _gen(tmp_path)
     names = sorted(os.listdir(data))
-    assert names == ["shift_spec.json", "source_0.csv", "source_1.csv",
-                     "target.csv"]
+    assert names == ["shift_spec.json", "source_0.csv", "source_0.csv.npy",
+                     "source_1.csv", "source_1.csv.npy", "target.csv",
+                     "target.csv.npy"]
     run, ckpt = _train(tmp_path, data)
     assert os.path.exists(ckpt)
     out = capsys.readouterr().out

@@ -2,11 +2,18 @@
 
 import csv
 import hashlib
+import json
 import math
+import os
+import shutil
+import tempfile
+import types
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marginadapt import (
     ConfigError,
@@ -23,6 +30,7 @@ from marginadapt import (
     split_holdout,
     write_csv,
 )
+from marginadapt import data
 from marginadapt.data import (
     CLASS_SEPARATION,
     SOURCE_ANGLE_MAX_DEG,
@@ -212,6 +220,178 @@ def test_write_csv_refuses_mixed_widths_before_touching_the_file(tmp_path):
     with pytest.raises(DataError, match="^write_csv: feature widths differ"):
         write_csv([a, b], path)
     assert path.read_bytes() == before
+
+
+def test_write_csv_refuses_a_dataset_without_feature_columns(tmp_path):
+    # its header would be label,domain, which the reader refuses
+    empty = DomainDataset(features=np.ones((2, 0)), labels=np.array([0, 1]),
+                          num_classes=2, domain_id="a")
+    path = tmp_path / "empty.csv"
+    with pytest.raises(DataError, match="^write_csv: the datasets have no feature columns$"):
+        write_csv(empty, path)
+    assert os.listdir(tmp_path) == []
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 1e308, -1e308, 1.7976931348623157e308]
+
+
+@st.composite
+def _csv_datasets(draw):
+    """One to four datasets of a common width and class count, with values
+    over the whole float range, special values among them, and ids that csv
+    must quote, some repeated."""
+    dim = draw(st.integers(1, 20))
+    num_classes = draw(st.integers(2, 5))
+    ids = st.lists(st.sampled_from(["a", "b", ",", '"', "\r\n", "\n", " ", "\u00e9"]),
+                   max_size=4).map("".join)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    datasets = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        feats = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-320, 308, (n, dim))
+        special = rng.random((n, dim)) < 0.3
+        feats[special] = rng.choice(_SPECIAL, int(special.sum()))
+        datasets.append(DomainDataset(
+            features=feats, labels=rng.integers(0, num_classes, n),
+            num_classes=num_classes, domain_id=draw(ids)))
+    return datasets
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_csv_datasets())
+def test_a_read_through_the_sidecar_equals_the_parse_bit_for_bit(datasets):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.csv")
+        write_csv(datasets, path)
+        assert sorted(os.listdir(tmp)) == ["d.csv", "d.csv.npy"]
+        num_classes = datasets[0].num_classes
+        stored = data._parse_rows(path)
+        via = load_csv_domains(path, num_classes)
+        os.remove(path + ".npy")
+        parsed = data._parse_rows(path)
+        back = load_csv_domains(path, num_classes)
+    features, labels, names, codes, lines = stored
+    assert features.tobytes() == parsed[0].tobytes() and features.shape == parsed[0].shape
+    assert labels.dtype == parsed[1].dtype and labels.tolist() == parsed[1].tolist()
+    assert names == parsed[2]
+    assert codes.dtype == parsed[3].dtype and codes.tolist() == parsed[3].tolist()
+    assert list(lines) == list(parsed[4])
+    assert list(via) == list(back)
+    for name, ds in via.items():
+        assert ds.features.tobytes() == back[name].features.tobytes()
+        assert ds.labels.tobytes() == back[name].labels.tobytes()
+        assert ds.num_classes == back[name].num_classes
+    # and both are the rows written, each domain's in file order
+    rows = np.concatenate([ds.features for ds in datasets])
+    assert features.tobytes() == rows.tobytes()
+
+
+def _written(tmp_path, name="t.csv", seed=17):
+    sources, target = gen_synthetic_shift(ShiftSpec(seed=seed, samples_per_domain=12))
+    path = tmp_path / name
+    write_csv(sources + [target], path)
+    return path
+
+
+def _parse_alone(tmp_path, path, num_classes=4):
+    """load_csv_domains of a copy of `path` without its sidecar."""
+    alone = tmp_path / "alone"
+    alone.mkdir(exist_ok=True)
+    copy = shutil.copy(path, alone / "copy.csv")
+    try:
+        return load_csv_domains(copy, num_classes=num_classes)
+    except DataError as e:
+        return type(e), str(e).replace(str(copy), str(path))
+
+
+def _load(path, num_classes=4):
+    try:
+        return load_csv_domains(path, num_classes=num_classes)
+    except DataError as e:
+        return type(e), str(e)
+
+
+def _same(a, b):
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return list(a) == list(b) and all(
+        a[k].features.tobytes() == b[k].features.tobytes()
+        and a[k].labels.tobytes() == b[k].labels.tobytes() for k in a)
+
+
+def test_a_matching_sidecar_is_read_without_parsing(tmp_path, monkeypatch):
+    path = _written(tmp_path)
+    want = _parse_alone(tmp_path, path)
+
+    def no_parse(*args):
+        raise AssertionError("parsed")
+
+    monkeypatch.setattr(data, "_float_block", no_parse)
+    assert _same(_load(path), want)
+
+
+def test_a_csv_changed_after_writing_is_parsed(tmp_path):
+    path = _written(tmp_path)
+    text = path.read_bytes()
+    lines = text.split(b"\r\n")
+    *features, _, domain = lines[4].split(b",")
+    changed = {
+        # one feature byte: the parse reads the new value
+        "feature": text.replace(lines[3], lines[3].replace(b"1", b"2", 1)),
+        "header": text.replace(b"f0,", b"g0,", 1),
+        # a label past num_classes on the fifth line
+        "label": text.replace(lines[4], b",".join(features + [b"7", domain])),
+    }
+    for kind, new in changed.items():
+        assert new != text, kind
+        path.write_bytes(new)
+        assert _same(_load(path), _parse_alone(tmp_path, path)), kind
+    assert _load(path) == (DataError, f"{path}: line 5: label 7 outside [0, 4)")
+    path.write_bytes(changed["header"])
+    assert _load(path) == (SchemaError, f"{path}: feature columns must be named f0..f15")
+
+
+def test_a_truncated_garbage_or_foreign_sidecar_is_ignored(tmp_path):
+    path = _written(tmp_path)
+    side = tmp_path / "t.csv.npy"
+    whole = side.read_bytes()
+    want = _parse_alone(tmp_path, path)
+    other = _written(tmp_path, "other.csv", seed=18)
+    cases = {
+        "truncated head": whole[:60],
+        "truncated arrays": whole[:-9],
+        "garbage": bytes(range(256)) * 4,
+        "empty": b"",
+        "another file's": (tmp_path / "other.csv.npy").read_bytes(),
+    }
+    for kind, blob in cases.items():
+        side.write_bytes(blob)
+        assert _same(_load(path), want), kind
+    # the digest of these bytes, said to be in another encoding: its arrays
+    # (here made wrong) are not used
+    with open(other.with_suffix(".csv.npy"), "rb") as fh:
+        head, *arrays = [np.load(fh) for _ in range(4)]
+    head = json.loads(head.tobytes())
+    head["encoding"] += "-other"
+    with open(other.with_suffix(".csv.npy"), "wb") as fh:
+        np.save(fh, np.frombuffer(json.dumps(head).encode(), dtype=np.uint8))
+        for array in arrays:
+            np.save(fh, array + 1 if array.dtype == np.float64 else array)
+    assert _same(_load(other), _parse_alone(tmp_path, other))
+    assert sorted(os.listdir(tmp_path)) == ["alone", "other.csv", "other.csv.npy",
+                                            "t.csv", "t.csv.npy"]
+
+
+def test_a_csv_without_a_sidecar_is_not_hashed(tmp_path, monkeypatch):
+    path = _written(tmp_path)
+    os.remove(tmp_path / "t.csv.npy")
+    want = _parse_alone(tmp_path, path)
+    hashed = []
+    monkeypatch.setattr(data, "hashlib", types.SimpleNamespace(
+        sha256=lambda *a: hashed.append(a) or hashlib.sha256(*a)))
+    assert _same(_load(path), want)
+    assert hashed == []
+    assert sorted(os.listdir(tmp_path)) == ["alone", "t.csv"]
 
 
 def test_load_csv_refuses_a_file_of_several_domains(tmp_path):

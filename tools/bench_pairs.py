@@ -3,7 +3,7 @@
 Usage:
     python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_28.json \
         [--pairs 3] [--seed 1] [--workloads erm_train,stream_unidg] \
-        [--parent-rev SHA] [--what TEXT]
+        [--parent-rev SHA] [--what TEXT] [--trace cli_pipeline]
 
 Each DIR is the root of a checkout, say a `git archive` of the parent commit
 and the working tree of the change: it holds `perfbench/run.py` and `src/`.
@@ -20,6 +20,10 @@ median and quartiles (inclusive method) of each metric on each side, the
 change's median over the parent's, and for the two op times the number of
 pairs in which the change was faster. The workloads default to those of the
 change's BENCHMARK.json; a subset serves to run one workload alone.
+
+Each workload named by --trace then runs once more per side, parent first,
+with `--trace 1`; the file keeps those runs' final JSON lines (per-layer
+metrics per operation) under "traced".
 """
 
 from __future__ import annotations
@@ -48,14 +52,18 @@ def parse_args(argv=None):
     p.add_argument("--workloads", help="comma-separated; default: BENCHMARK.json's")
     p.add_argument("--parent-rev", help="the parent's commit, recorded as given")
     p.add_argument("--what", default="", help="one sentence on the change measured")
+    p.add_argument("--trace", default="",
+                   help="comma-separated workloads to run once per side with --trace 1")
     return p.parse_args(argv)
 
 
-def run_once(root, workload, seed, seconds) -> dict:
+def run_once(root, workload, seed, seconds, trace=False) -> dict:
     """One perfbench run from `root`: its exit code, env line, wall op time
     and final JSON line (None where the output lacks one)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
+    if trace:
+        cmd += ["--trace", "1"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     env = next((json.loads(ln[len("env:"):]) for ln in lines if ln.startswith("env:")), None)
@@ -145,11 +153,14 @@ def main(argv=None) -> int:
         "workloads": {w: summary([r for r in runs if r["workload"] == w], args.pairs)
                       for w in workloads},
         "runs": runs,
+        "traced": {w: {side: run_once(roots[side], w, args.seed, seconds, trace=True)
+                       for side in SIDES} for w in filter(None, args.trace.split(","))},
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
-    return 0 if all(r["rc"] == 0 for r in runs) else 1
+    traced = [r for by_side in doc["traced"].values() for r in by_side.values()]
+    return 0 if all(r["rc"] == 0 for r in runs + traced) else 1
 
 
 if __name__ == "__main__":
