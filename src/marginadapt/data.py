@@ -12,7 +12,9 @@ features, int64 labels and each row's int64 domain code. The bytes fix the
 parse (repr round-trips floats), so a read whose CSV matches the head takes
 the arrays. Anything else parses: no sidecar (then nothing is hashed), a
 changed CSV, or a sidecar that does not load as such arrays. Deleting a
-sidecar is always safe; reading never writes one.
+sidecar is always safe; reading never writes one. Besides the arrays, a
+write holds one block of rows at a time as Python values and text, and a
+sidecar check one fixed-size chunk of the CSV's bytes.
 """
 
 from __future__ import annotations
@@ -260,6 +262,7 @@ def _target_translation(rng, spec: ShiftSpec) -> Array:
 
 
 _BLOCK_ROWS = 256  # rows per text chunk written, or per numpy conversion read
+_HASH_CHUNK = 1 << 16  # bytes of the CSV hashed at a time by a sidecar check
 
 
 def _csv_line(fields) -> str:
@@ -273,7 +276,8 @@ def write_csv(datasets, path) -> str:
     the module docstring). Floats are serialized with repr so a read back is
     bit-exact. A row is one repr of its value list with the label appended;
     csv encodes the `,domain` tail once per dataset, so its quoting stays
-    csv's."""
+    csv's. Rows are converted and written a block at a time, so the Python
+    values and text held at once are one block's, whatever the file's size."""
     if isinstance(datasets, DomainDataset):
         datasets = [datasets]
     if not datasets:
@@ -299,12 +303,11 @@ def write_csv(datasets, path) -> str:
             tail = _csv_line(["", ds.domain_id])
             name = next(csv.reader(io.StringIO(tail, newline="")))[1]  # as read back
             codes.append(names.setdefault(name, len(names)))
-            rows = ds.features.tolist()
-            for row, lab in zip(rows, ds.labels.tolist()):
-                row.append(lab)
-            for i in range(0, len(rows), _BLOCK_ROWS):  # bounds the text held at once
-                put("".join(repr(row)[1:-1].replace(" ", "") + tail
-                            for row in rows[i:i + _BLOCK_ROWS]))
+            for i in range(0, ds.n, _BLOCK_ROWS):  # bounds the values and text held
+                rows = ds.features[i:i + _BLOCK_ROWS].tolist()
+                for row, lab in zip(rows, ds.labels[i:i + _BLOCK_ROWS].tolist()):
+                    row.append(lab)
+                put("".join(repr(row)[1:-1].replace(" ", "") + tail for row in rows))
     head = {"sha256": digest.hexdigest(), "encoding": encoding, "domains": list(names)}
     arrays = (
         np.frombuffer(json.dumps(head, sort_keys=True).encode(), dtype=np.uint8),
@@ -328,7 +331,10 @@ def _stored_rows(path):
         with open(f"{path}.npy", "rb") as side:
             head = json.loads(np.load(side, allow_pickle=False).tobytes())
             with open(path, newline="") as fh:
-                key = [hashlib.sha256(fh.buffer.read()).hexdigest(), fh.encoding]
+                digest = hashlib.sha256()
+                for chunk in iter(lambda: fh.buffer.read(_HASH_CHUNK), b""):
+                    digest.update(chunk)
+                key = [digest.hexdigest(), fh.encoding]
             if not isinstance(head, dict) or [head.get("sha256"), head.get("encoding")] != key:
                 return None
             features, labels, codes = [np.load(side, allow_pickle=False) for _ in range(3)]
@@ -427,21 +433,32 @@ def _parse_rows(path):
 
 
 def load_csv_domains(path, num_classes: int | None = None) -> dict:
-    """Read a CSV into one DomainDataset per distinct domain value."""
+    """Read a CSV into one DomainDataset per distinct domain value. Without
+    `num_classes`, each file's class count is its largest label + 1: neither
+    the CSV nor its sidecar records it, so a file whose labels miss the top
+    class needs it passed."""
     features, labels, names, codes, lines = _parse_rows(path)
     min_label = labels.min()
     if min_label < 0:
         raise DataError(f"{path}: negative label {min_label}")
     if num_classes is None:
+        if labels.dtype == object:  # the parse keeps labels past int64 as ints
+            i = int(np.argmax(labels > np.iinfo(np.int64).max))
+            raise DataError(f"{path}: line {lines[i]}: label {labels[i]} exceeds int64")
         num_classes = int(labels.max()) + 1
+        if num_classes < 2:
+            raise DataError(f"{path}: the largest label is {num_classes - 1}, so the "
+                            f"class count must be given as num_classes")
     elif labels.max() >= num_classes:
         i = int(np.argmax(labels >= num_classes))
         raise DataError(
             f"{path}: line {lines[i]}: label {labels[i]} outside [0, {num_classes})"
         )
-    # each domain's rows in file order
-    order = np.argsort(codes, kind="stable")
-    ends = np.cumsum(np.bincount(codes, minlength=len(names)))[:-1]
+    if len(names) == 1:  # the rows are already in file order: no gather copy
+        groups = [slice(None)]
+    else:  # each domain's rows in file order
+        order = np.argsort(codes, kind="stable")
+        groups = np.split(order, np.cumsum(np.bincount(codes, minlength=len(names)))[:-1])
     return {
         name: DomainDataset(
             features=features[rows],
@@ -449,7 +466,7 @@ def load_csv_domains(path, num_classes: int | None = None) -> dict:
             num_classes=num_classes,
             domain_id=name,
         )
-        for name, rows in zip(names, np.split(order, ends))
+        for name, rows in zip(names, groups)
     }
 
 

@@ -368,6 +368,17 @@ def test_train_source_names_a_malformed_shift_spec(tmp_path, capsys):
     assert err.startswith("error: ") and sidecar in err and "not valid JSON" in err
 
 
+def test_train_source_names_a_label_past_int64_without_a_shift_spec(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    path = data / "source_0.csv"
+    path.write_text("f0,label,domain\n2.0,1,d\n2.0,100000000000000000000000,d\n")
+    rc = main(["train-source", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 3: label 100000000000000000000000 exceeds int64\n"
+
+
 @pytest.mark.parametrize("content, why", [
     (b"[]", "JSON object"),
     (b'{"spec": 3}', "JSON object"),

@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import tempfile
+import tracemalloc
 import types
 
 import numpy as np
@@ -245,6 +246,7 @@ def _csv_datasets(draw):
     ids = st.lists(st.sampled_from(["a", "b", ",", '"', "\r\n", "\n", " ", "\u00e9"]),
                    max_size=4).map("".join)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    one_domain = draw(st.booleans())  # every dataset under the first id
     datasets = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(1, 6))
@@ -253,7 +255,8 @@ def _csv_datasets(draw):
         feats[special] = rng.choice(_SPECIAL, int(special.sum()))
         datasets.append(DomainDataset(
             features=feats, labels=rng.integers(0, num_classes, n),
-            num_classes=num_classes, domain_id=draw(ids)))
+            num_classes=num_classes,
+            domain_id=datasets[0].domain_id if one_domain and datasets else draw(ids)))
     return datasets
 
 
@@ -281,9 +284,15 @@ def test_a_read_through_the_sidecar_equals_the_parse_bit_for_bit(datasets):
         assert ds.features.tobytes() == back[name].features.tobytes()
         assert ds.labels.tobytes() == back[name].labels.tobytes()
         assert ds.num_classes == back[name].num_classes
-    # and both are the rows written, each domain's in file order
+    # and both are the rows written, each domain's in file order, whether
+    # the file holds one domain (read without regrouping) or several
     rows = np.concatenate([ds.features for ds in datasets])
     assert features.tobytes() == rows.tobytes()
+    for name, ds in via.items():
+        mine = [d for d in datasets if d.domain_id == name]
+        assert ds.features.tobytes() == np.concatenate([d.features for d in mine]).tobytes()
+        assert ds.labels.tolist() == np.concatenate([d.labels for d in mine]).tolist()
+    assert len(via) == len({d.domain_id for d in datasets})
 
 
 def _written(tmp_path, name="t.csv", seed=17):
@@ -392,6 +401,84 @@ def test_a_csv_without_a_sidecar_is_not_hashed(tmp_path, monkeypatch):
     assert _same(_load(path), want)
     assert hashed == []
     assert sorted(os.listdir(tmp_path)) == ["alone", "t.csv"]
+
+
+def _many_blocks(blocks=64, dim=16):
+    rng = np.random.default_rng(19)
+    n = blocks * data._BLOCK_ROWS
+    return DomainDataset(rng.standard_normal((n, dim)), rng.integers(0, 3, n), 3, "a")
+
+
+def _peak(fn, *args):
+    """The bytes that tracemalloc saw allocated at once while fn ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_csv_holds_one_block_of_python_values_not_the_file(tmp_path):
+    ds = _many_blocks()
+    peak = _peak(write_csv, ds, tmp_path / "big.csv")
+    # the sidecar's three arrays are built whole; beyond them, a few blocks of
+    # values at ~64 bytes each (float object, list slot, text). All rows as
+    # Python floats would take about five times the features' bytes.
+    sidecar_arrays = ds.n * (ds.features.shape[1] + 2) * 8
+    block = data._BLOCK_ROWS * (ds.features.shape[1] + 1) * 64
+    assert peak < sidecar_arrays + 4 * block
+
+
+def test_a_sidecar_read_holds_its_arrays_and_a_chunk_not_the_csv(tmp_path):
+    ds = _many_blocks(blocks=16)
+    path = tmp_path / "big.csv"
+    write_csv(ds, path)
+    size = path.stat().st_size
+    assert size >= 1 << 20
+    peak = _peak(load_csv_domains, path)
+    arrays = ds.n * (ds.features.shape[1] + 2) * 8  # features, labels, codes
+    assert peak < arrays + size // 4 < size
+
+
+def test_a_one_domain_file_is_read_without_a_gather_copy(tmp_path, monkeypatch):
+    one = tmp_path / "one.csv"
+    write_csv(_many_blocks(blocks=1), one)
+    parsed = []
+    parse = data._parse_rows
+    monkeypatch.setattr(data, "_parse_rows", lambda p: parsed.append(parse(p)) or parsed[-1])
+    for sidecar in (True, False):
+        if not sidecar:
+            os.remove(f"{one}.npy")
+        ds = load_csv(one)
+        assert np.shares_memory(ds.features, parsed[-1][0]), sidecar
+        assert np.shares_memory(ds.labels, parsed[-1][1]), sidecar
+
+
+def test_a_label_past_int64_is_a_data_error_naming_its_line(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_text("f0,label,domain\n1.0,1,d\n2.0,100000000000000000000000,d\n")
+    want = f"^{path}: line 3: label 100000000000000000000000 exceeds int64$"
+    with pytest.raises(DataError, match=want):
+        load_csv_domains(path)
+    with pytest.raises(DataError, match=r"line 3: label 1\d+ outside \[0, 4\)$"):
+        load_csv_domains(path, num_classes=4)
+
+
+def test_a_file_without_its_top_class_needs_num_classes(tmp_path):
+    zeros = DomainDataset(np.ones((3, 2)), [0, 0, 0], 2, "a")
+    path = tmp_path / "zeros.csv"
+    write_csv(zeros, path)
+    for sidecar in (True, False):
+        if not sidecar:
+            os.remove(f"{path}.npy")
+        with pytest.raises(DataError, match=f"^{path}: the largest label is 0, so the class "
+                                            f"count must be given as num_classes$"):
+            load_csv(path)
+        back = load_csv(path, num_classes=2)
+        assert back.num_classes == 2 and back.labels.tolist() == [0, 0, 0]
 
 
 def test_load_csv_refuses_a_file_of_several_domains(tmp_path):

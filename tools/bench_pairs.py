@@ -17,9 +17,12 @@ records it, so that no workload always runs after the same one.
 The file keeps, per run, the `env:` line, the `wall.op_ms_p50` report line
 (unscaled milliseconds) and the final JSON line. Per workload it gives the
 median and quartiles (inclusive method) of each metric on each side, the
-change's median over the parent's, and for the two op times the number of
-pairs in which the change was faster. The workloads default to those of the
-change's BENCHMARK.json; a subset serves to run one workload alone.
+change's median over the parent's, and for each end-to-end metric of the
+change's BENCHMARK.json, and for `wall.op_ms_p50`, the number of pairs in
+which the change was better in that metric's `better` direction
+(`change_better_in_pairs`; a tie counts for neither side). The workloads
+default to those of the change's BENCHMARK.json; a subset serves to run one
+workload alone.
 
 Each workload named by --trace then runs once more per side, parent first,
 with `--trace 1`; the file keeps those runs' final JSON lines (per-layer
@@ -38,7 +41,6 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change")
-PAIRED = ("op_ms_p50", "wall.op_ms_p50")  # the times counted pair by pair
 
 
 def parse_args(argv=None):
@@ -82,8 +84,10 @@ def spread(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summary(runs, pairs) -> dict:
-    """Per-metric medians and quartiles of one workload's runs, by side."""
+def summary(runs, pairs, better) -> dict:
+    """Per-metric medians and quartiles of one workload's runs, by side, and
+    for each metric in `better` ({name: "lower" or "higher"}) the number of
+    pairs the change won."""
     def value(run, name):
         if name == "wall.op_ms_p50":
             return run["wall.op_ms_p50"]
@@ -100,10 +104,11 @@ def summary(runs, pairs) -> dict:
                    for side in SIDES}
         entry = {"unit": unit, **{side: spread(list(by_side[side].values())) for side in SIDES}}
         entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
-        if name in PAIRED:
+        if name in better:
+            sign = 1 if better[name] == "higher" else -1
             both = set(by_side["parent"]) & set(by_side["change"])
-            entry["change_faster_in_pairs"] = sum(
-                by_side["change"][k] < by_side["parent"][k] for k in both)
+            entry["change_better_in_pairs"] = sum(
+                sign * (by_side["change"][k] - by_side["parent"][k]) > 0 for k in both)
         metrics[name] = entry
     return {
         "pairs": pairs,
@@ -124,6 +129,8 @@ def main(argv=None) -> int:
         workloads = args.workloads.split(",")
     else:
         workloads = [w["name"] for w in bench["workloads"]]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better["wall.op_ms_p50"] = "lower"
     shuffle = random.Random(args.seed)
     runs, orders = [], {}
     for pair in range(1, args.pairs + 1):
@@ -150,7 +157,7 @@ def main(argv=None) -> int:
         "workload_orders": orders,
         "env": next((r["env"] for r in runs if r["env"]), None),
         "host": f"{os.cpu_count()}-core {platform.machine()}",
-        "workloads": {w: summary([r for r in runs if r["workload"] == w], args.pairs)
+        "workloads": {w: summary([r for r in runs if r["workload"] == w], args.pairs, better)
                       for w in workloads},
         "runs": runs,
         "traced": {w: {side: run_once(roots[side], w, args.seed, seconds, trace=True)
