@@ -224,6 +224,9 @@ def _load_sources(data_dir, num_classes=None):
         width, first = out[-1].features.shape[1], out[0].features.shape[1]
         if width != first:
             raise DataError(f"{path}: {width} feature columns, but {names[0]} has {first}")
+    if num_classes is None:  # one class count for every file: the largest label + 1
+        num_classes = max(d.num_classes for d in out)
+        out = [replace(d, num_classes=num_classes) for d in out]
     return out
 
 

@@ -309,10 +309,14 @@ def write_csv(datasets, path) -> str:
                     row.append(lab)
                 put("".join(repr(row)[1:-1].replace(" ", "") + tail for row in rows))
     head = {"sha256": digest.hexdigest(), "encoding": encoding, "domains": list(names)}
+
+    def joined(arrays):  # one dataset's array is saved as it is, unless strided
+        return np.ascontiguousarray(arrays[0]) if len(arrays) == 1 else np.concatenate(arrays)
+
     arrays = (
         np.frombuffer(json.dumps(head, sort_keys=True).encode(), dtype=np.uint8),
-        np.concatenate([ds.features for ds in datasets]),
-        np.concatenate([ds.labels for ds in datasets]),
+        joined([ds.features for ds in datasets]),
+        joined([ds.labels for ds in datasets]),
         np.repeat(np.array(codes, dtype=np.int64), [ds.n for ds in datasets]),
     )
     tmp = f"{path}.npy.tmp"
@@ -438,9 +442,9 @@ def load_csv_domains(path, num_classes: int | None = None) -> dict:
     the CSV nor its sidecar records it, so a file whose labels miss the top
     class needs it passed."""
     features, labels, names, codes, lines = _parse_rows(path)
-    min_label = labels.min()
-    if min_label < 0:
-        raise DataError(f"{path}: negative label {min_label}")
+    if labels.min() < 0:
+        i = int(np.argmax(labels < 0))
+        raise DataError(f"{path}: line {lines[i]}: negative label {labels[i]}")
     if num_classes is None:
         if labels.dtype == object:  # the parse keeps labels past int64 as ints
             i = int(np.argmax(labels > np.iinfo(np.int64).max))

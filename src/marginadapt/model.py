@@ -25,8 +25,6 @@ import numpy as np
 from .errors import ConfigError, DataError, DimensionError, SchemaError, StateError
 from .numeric import (
     FLAGGED_PRODUCT_MAX,
-    NORM_EPS,
-    NORM_MOMENTUM,
     Array,
     NormLayerState,
     _finite,
@@ -45,7 +43,7 @@ from .numeric import (
     update_running_stats,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class MlpEncoder:
@@ -53,24 +51,16 @@ class MlpEncoder:
 
     layer_dims = [input, hidden..., feature]. Weights and biases start
     uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]. Every norm layer runs
-    with the encoder's `eps` (finite, >= 0) and `momentum` (in [0, 1]); a
-    non-numeric value raises TypeError.
+    with `numeric.NORM_EPS` and `numeric.NORM_MOMENTUM`.
     """
 
-    def __init__(self, layer_dims, weights, biases, norms, eps=NORM_EPS,
-                 momentum=NORM_MOMENTUM):
+    def __init__(self, layer_dims, weights, biases, norms):
         if len(layer_dims) < 2:
             raise ConfigError("layer_dims needs at least input and output sizes")
-        if not 0.0 <= eps < np.inf:
-            raise ConfigError(f"eps must be finite and >= 0, got {eps}")
-        if not 0.0 <= momentum <= 1.0:
-            raise ConfigError(f"momentum must lie in [0, 1], got {momentum}")
         self.layer_dims = [int(d) for d in layer_dims]
         self.weights = weights
         self.biases = biases
         self.norms = norms  # one entry per hidden layer, None when absent
-        self.eps = eps
-        self.momentum = momentum
         self._cache = None
         n_layers = len(self.layer_dims) - 1
         if len(weights) != n_layers or len(biases) != n_layers:
@@ -94,7 +84,7 @@ class MlpEncoder:
                             for n in norms]
 
     @classmethod
-    def create(cls, layer_dims, use_norm=False, seed=0, eps=NORM_EPS, momentum=NORM_MOMENTUM):
+    def create(cls, layer_dims, use_norm=False, seed=0):
         if any(int(d) < 1 for d in layer_dims):
             raise ConfigError(f"layer sizes must be positive, got {layer_dims}")
         rng = np.random.default_rng(seed)
@@ -104,7 +94,7 @@ class MlpEncoder:
             weights.append(rng.uniform(-bound, bound, size=(din, dout)))
             biases.append(rng.uniform(-bound, bound, size=dout))
         norms = [NormLayerState.create(d) if use_norm else None for d in layer_dims[1:-1]]
-        return cls(layer_dims, weights, biases, norms, eps=eps, momentum=momentum)
+        return cls(layer_dims, weights, biases, norms)
 
     # -- structure ---------------------------------------------------------
 
@@ -143,15 +133,12 @@ class MlpEncoder:
         return out
 
     def copy(self) -> "MlpEncoder":
-        enc = MlpEncoder(
+        return MlpEncoder(
             list(self.layer_dims),
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
             [n.copy() if n is not None else None for n in self.norms],
-            eps=self.eps,
-            momentum=self.momentum,
         )
-        return enc
 
     # -- forward / backward --------------------------------------------------
 
@@ -186,7 +173,7 @@ class MlpEncoder:
             del h
             stats = None
             if self.norms[i] is not None:
-                a, stats = batchnorm_forward(a, self.norms[i], mode=mode, eps=self.eps)
+                a, stats = batchnorm_forward(a, self.norms[i], mode=mode)
             if retain_cache:
                 caches.append((x_in, a, stats))
             del stats
@@ -241,7 +228,7 @@ class MlpEncoder:
                 stats = None if self._cache is None else self._cache[i][2]
                 if stats is None or not stats.batch:
                     raise StateError("update_running_stats: no train-mode forward cached")
-                update_running_stats(norm, stats.mean, stats.var, self.momentum)
+                update_running_stats(norm, stats.mean, stats.var)
 
 
 def _encoder_named(weights, biases, norm_pairs):
@@ -487,8 +474,6 @@ def save_checkpoint(path, encoder: MlpEncoder, classifier: LinearClassifier, see
         "seed": seed,
         "encoder": {
             "layer_dims": encoder.layer_dims,
-            "eps": encoder.eps,
-            "momentum": encoder.momentum,
             "weights": [w.tolist() for w in encoder.weights],
             "biases": [b.tolist() for b in encoder.biases],
             "norms": norms,
@@ -508,7 +493,9 @@ def save_checkpoint(path, encoder: MlpEncoder, classifier: LinearClassifier, see
 
 def load_checkpoint(path):
     """Read a checkpoint back into (encoder, classifier, meta). JSON admits
-    NaN and Infinity, so each array is checked here; SchemaError names it."""
+    NaN and Infinity, so each array is checked here; SchemaError names it.
+    An encoder field that no load reads (a hand-added eps or momentum, say,
+    which would run as NORM_EPS and NORM_MOMENTUM) is refused by name."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -533,6 +520,10 @@ def load_checkpoint(path):
     try:
         enc_doc = doc["encoder"]
         clf_doc = doc["classifier"]
+        unknown = sorted(enc_doc.keys() - {"layer_dims", "weights", "biases", "norms"}
+                         if isinstance(enc_doc, dict) else ())
+        if unknown:
+            raise SchemaError(f"checkpoint {path}: unknown field encoder.{unknown[0]}")
         norms = []
         for i, entry in enumerate(enc_doc["norms"]):
             if entry is None:
@@ -546,8 +537,6 @@ def load_checkpoint(path):
             [array(w, f"encoder.weights[{i}]") for i, w in enumerate(enc_doc["weights"])],
             [array(b, f"encoder.biases[{i}]") for i, b in enumerate(enc_doc["biases"])],
             norms,
-            eps=enc_doc["eps"],
-            momentum=enc_doc["momentum"],
         )
         classifier = LinearClassifier(array(clf_doc["omega"], "classifier.omega"),
                                       array(clf_doc["bias"], "classifier.bias"))

@@ -35,9 +35,9 @@ runs under `np.errstate(over="raise", invalid="raise", divide="raise")`,
 so the first ufunc or product that makes an Inf or a NaN raises
 FloatingPointError, and the op turns it into the NumericalFailure its scan
 would raise. So do the other functions a step calls whose arithmetic can
-overflow: `update_running_stats` here, `logits`, `marginal_loss`,
-`Adam.step` and `compute_prototypes`. Any other FloatingPointError fails
-the step as `non-finite step arithmetic`.
+overflow: `logits`, `marginal_loss`, `Adam.step` and `compute_prototypes`.
+Any other FloatingPointError fails the step as `non-finite step
+arithmetic`.
 
 Flags see only what is computed, in the calling thread. A NaN already in a
 parameter or a row spreads without a flag, and OpenBLAS runs a product of
@@ -58,10 +58,8 @@ maximum).
 Batch normalization takes its statistics once per forward: the batch is
 centred once and that centred batch gives both the variance and x_hat, by
 the same reductions `np.mean` and `np.var` run, so the values are theirs
-bit for bit. Its statistics carry `denom = sqrt(var + eps)` for the
-backward. `batchnorm_forward` takes `eps` and `update_running_stats` takes
-`momentum` (defaults `NORM_EPS` and `NORM_MOMENTUM`), and `MlpEncoder`
-passes the pair it holds to every layer.
+bit for bit. Its statistics carry `denom = sqrt(var + NORM_EPS)` for the
+backward. Every norm layer runs with `NORM_EPS` and `NORM_MOMENTUM`.
 
 The ufunc rule, which every module keeps: code calls the ufuncs behind
 the array methods (`np.add.reduce` for `.sum` and `.mean`'s sum,
@@ -277,7 +275,7 @@ def check_settings(config) -> None:
             raise ConfigError(f"{f.name} must be finite, got {value}")
 
 
-# the norm layers' defaults; an encoder holds the pair its layers run with
+# what every norm layer runs with
 NORM_EPS = 1e-5
 NORM_MOMENTUM = 0.1
 
@@ -285,8 +283,8 @@ NORM_MOMENTUM = 0.1
 @dataclass
 class NormLayerState:
     """A norm layer's arrays: the affine params and the running statistics.
-    Its eps and momentum are the encoder's, and what a forward leaves
-    behind is its caller's (see the module docstring)."""
+    What a forward leaves behind is its caller's (see the module
+    docstring)."""
 
     gamma: Array
     beta: Array
@@ -329,7 +327,7 @@ class NormLayerState:
 class NormStats(NamedTuple):
     """What a 2-D `batchnorm_forward` leaves for the backward and the fold:
     x_hat, the mean and var it normalized by (the batch's when `batch`,
-    else the running ones) and denom = sqrt(var + eps)."""
+    else the running ones) and denom = sqrt(var + NORM_EPS)."""
 
     x_hat: Array
     mean: Array
@@ -338,9 +336,8 @@ class NormStats(NamedTuple):
     batch: bool
 
 
-def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
-                      eps: float = NORM_EPS):
-    """Normalize columns, dividing by sqrt(var + eps), and apply the affine
+def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train"):
+    """Normalize columns, dividing by sqrt(var + NORM_EPS), and apply the affine
     map. Return the output and the `NormStats` of a 2-D x (None for a stack).
 
     Train mode uses biased batch statistics (per slice of a stack); eval
@@ -363,11 +360,11 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
             xc = x - mu
             var = _finite(np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m,
                           "batchnorm_forward")
-            denom = np.sqrt(var + eps)
+            denom = np.sqrt(var + NORM_EPS)
             x_hat = xc / denom
         elif mode == "eval":
             mu, var = state.running_mean, state.running_var
-            denom = np.sqrt(var + eps)
+            denom = np.sqrt(var + NORM_EPS)
             x_hat = (x - mu) / denom
         else:
             raise ConfigError(f"batchnorm_forward: unknown mode {mode!r}")
@@ -379,12 +376,11 @@ def batchnorm_forward(x: Array, state: NormLayerState, mode: str = "train",
     return _finite(out, "batchnorm_forward"), stats
 
 
-def update_running_stats(state: NormLayerState, mean: Array, var: Array,
-                         momentum: float = NORM_MOMENTUM) -> None:
+def update_running_stats(state: NormLayerState, mean: Array, var: Array) -> None:
     """Fold a train-mode forward's batch `mean` and `var` into the running stats.
 
-    Exponential moving average: running = (1 - momentum) * running +
-    momentum * batch. Kept separate from the forward pass so that
+    Exponential moving average: running = (1 - NORM_MOMENTUM) * running +
+    NORM_MOMENTUM * batch. Kept separate from the forward pass so that
     inference-time adaptation can use batch statistics without silently
     drifting the stored ones.
     """
@@ -393,10 +389,10 @@ def update_running_stats(state: NormLayerState, mean: Array, var: Array,
                              f"{var.shape} for a state of {state.dim} features")
     # in-place so frozen (read-only) stats raise instead of silently rebinding
     try:
-        state.running_mean *= 1.0 - momentum
-        state.running_mean += momentum * mean
-        state.running_var *= 1.0 - momentum
-        state.running_var += momentum * var
+        state.running_mean *= 1.0 - NORM_MOMENTUM
+        state.running_mean += NORM_MOMENTUM * mean
+        state.running_var *= 1.0 - NORM_MOMENTUM
+        state.running_var += NORM_MOMENTUM * var
     except FloatingPointError as e:
         raise non_finite("update_running_stats") from e
 
@@ -405,9 +401,9 @@ def batchnorm_backward(state: NormLayerState, stats: NormStats, upstream: Array,
     """Closed-form gradients through the normalization that left `stats`.
 
     For batch statistics over m rows:
-      gx = (m*g - sum(g) - x_hat * sum(g*x_hat)) / (m*sqrt(var+eps))
-    with g = upstream*gamma and sqrt(var+eps) read from `stats`. Running
-    statistics reduce to the affine shortcut gx = g / sqrt(running_var + eps).
+      gx = (m*g - sum(g) - x_hat * sum(g*x_hat)) / (m*sqrt(var+NORM_EPS))
+    with g = upstream*gamma and sqrt(var+NORM_EPS) read from `stats`. Running
+    statistics reduce to the affine shortcut gx = g / sqrt(running_var + NORM_EPS).
     ggamma/gbeta are the usual reductions, written into `out`, a (ggamma,
     gbeta) pair of arrays, when given.
     """

@@ -27,8 +27,8 @@ def _linear(seed):
 
 
 @lru_cache(maxsize=None)
-def _norm(seed):
-    sources, target = gen_synthetic_shift(ShiftSpec(seed=seed))
+def _norm(seed, angle_deg):
+    sources, target = gen_synthetic_shift(ShiftSpec(seed=seed, angle_deg=angle_deg))
     enc = MlpEncoder.create([16, 48, 48], use_norm=True, seed=seed)
     clf = LinearClassifier.create(48, 4, seed=seed + 1)
     report = train_source_erm(enc, clf, sources, TrainConfig(lr=3e-3, epochs=15, seed=seed))
@@ -41,7 +41,7 @@ def linear_fixture(seed=0):
     return sources, target, enc.copy(), clf.copy()
 
 
-def norm_fixture(seed=0):
+def norm_fixture(seed=0, angle_deg=ShiftSpec.angle_deg):
     """(sources, target, encoder, classifier) with a trained norm-bearing MLP."""
-    sources, target, enc, clf, _ = _norm(seed)
+    sources, target, enc, clf, _ = _norm(seed, angle_deg)
     return sources, target, enc.copy(), clf.copy()

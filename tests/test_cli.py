@@ -24,6 +24,7 @@ from marginadapt import (
     load_csv_domains,
     model_fingerprint,
     run_method,
+    write_csv,
 )
 from marginadapt import adapt as adapt_module
 from marginadapt import cli
@@ -379,6 +380,24 @@ def test_train_source_names_a_label_past_int64_without_a_shift_spec(tmp_path, ca
     assert err == f"error: {path}: line 3: label 100000000000000000000000 exceeds int64\n"
 
 
+def test_train_source_without_a_shift_spec_counts_classes_over_every_source_file(
+        tmp_path, capsys):
+    # the first file lacks class 3, which only the second holds
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(5)
+    for i, classes in enumerate((3, 4)):
+        labels = np.arange(40) % classes
+        features = rng.standard_normal((40, 6)) + labels[:, None]
+        write_csv(DomainDataset(features, labels, classes, f"s{i}"), data / f"source_{i}.csv")
+    run = tmp_path / "run"
+    rc = main(["train-source", "--data", str(data), "--out", str(run), "--epochs", "1",
+               "--hidden-dims", "8", "--feature-dim", "8"])
+    assert rc == 0, capsys.readouterr().err
+    _, clf, _ = load_checkpoint(str(run / "checkpoint.json"))
+    assert clf.num_classes == 4
+
+
 @pytest.mark.parametrize("content, why", [
     (b"[]", "JSON object"),
     (b'{"spec": 3}', "JSON object"),
@@ -571,35 +590,51 @@ def test_adapt_with_a_top_k_past_the_stream_runs_like_one_equal_to_it(
     assert canonical_record_bytes(records[0]) == canonical_record_bytes(records[1])
 
 
-@pytest.mark.parametrize("field, value, why", [
-    ("eps", "x", "malformed field"),
-    ("eps", -1.0, "eps must be finite and >= 0"),
-    ("eps", float("inf"), "eps must be finite and >= 0, got inf"),
-    ("eps", float("nan"), "eps must be finite and >= 0, got nan"),
-    ("momentum", 2.0, "momentum must lie in [0, 1]"),
-    ("momentum", "y", "malformed field"),
+@pytest.mark.parametrize("field, value", [
+    ("eps", "x"), ("eps", -1.0), ("eps", float("inf")), ("eps", float("nan")),
+    ("momentum", 2.0), ("momentum", "y"),
 ], ids=["eps-string", "eps-negative", "eps-infinity", "eps-nan", "momentum-above-one",
         "momentum-string"])
 @pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])
 def test_adapt_refuses_bad_norm_settings_for_both_encoder_kinds(
-        tmp_path, capsys, extra, field, value, why):
+        tmp_path, capsys, extra, field, value):
+    # every norm runs with NORM_EPS and NORM_MOMENTUM, so a checkpoint that
+    # sets either one, to any value, is refused rather than run without it
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data, extra=extra)
     doc = json.loads(_read(ckpt))
     doc["encoder"][field] = value
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
-    if isinstance(value, str):
-        with pytest.raises(SchemaError, match="malformed field"):
-            load_checkpoint(ckpt)
+    with pytest.raises(SchemaError, match=f"unknown field encoder.{field}$"):
+        load_checkpoint(ckpt)
     capsys.readouterr()
     rc = main([
         "adapt", "--checkpoint", ckpt, "--target",
         os.path.join(data, "target.csv"), "--out", run,
     ])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and why in err
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt}: unknown field encoder.{field}\n"
+    assert not [f for f in os.listdir(run) if f.startswith("run_")]
+
+
+@pytest.mark.parametrize("extra", [(), ("--use-norm",)], ids=["linear", "norm"])
+def test_adapt_refuses_a_version_1_checkpoint_for_both_encoder_kinds(tmp_path, capsys, extra):
+    # version 1 kept the default eps and momentum in the encoder
+    data = _gen(tmp_path)
+    run, ckpt = _train(tmp_path, data, extra=extra)
+    doc = json.loads(_read(ckpt))
+    doc["format_version"] = 1
+    doc["encoder"].update(eps=1e-5, momentum=0.1)
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc = main([
+        "adapt", "--checkpoint", ckpt, "--target",
+        os.path.join(data, "target.csv"), "--out", run,
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt}: format_version 1 not supported\n"
     assert not [f for f in os.listdir(run) if f.startswith("run_")]
 
 

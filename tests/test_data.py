@@ -432,6 +432,16 @@ def test_write_csv_holds_one_block_of_python_values_not_the_file(tmp_path):
     assert peak < sidecar_arrays + 4 * block
 
 
+def test_a_one_dataset_write_saves_its_arrays_without_a_copy(tmp_path):
+    ds = _many_blocks()
+    peak = _peak(write_csv, ds, tmp_path / "one.csv")
+    assert peak < ds.features.nbytes
+    # a strided array is saved as its contiguous copy: the same sidecar bytes
+    strided = DomainDataset(np.asfortranarray(ds.features), ds.labels, 3, "a")
+    write_csv(strided, tmp_path / "strided.csv")
+    assert (tmp_path / "strided.csv.npy").read_bytes() == (tmp_path / "one.csv.npy").read_bytes()
+
+
 def test_a_sidecar_read_holds_its_arrays_and_a_chunk_not_the_csv(tmp_path):
     ds = _many_blocks(blocks=16)
     path = tmp_path / "big.csv"
@@ -465,6 +475,15 @@ def test_a_label_past_int64_is_a_data_error_naming_its_line(tmp_path):
         load_csv_domains(path)
     with pytest.raises(DataError, match=r"line 3: label 1\d+ outside \[0, 4\)$"):
         load_csv_domains(path, num_classes=4)
+
+
+@pytest.mark.parametrize("label", ["-3", "-100000000000000000000000"], ids=["int64", "past-int64"])
+def test_a_negative_label_is_a_data_error_naming_its_line(tmp_path, label):
+    path = tmp_path / "negative.csv"
+    path.write_text(f"f0,label,domain\n1.0,1,d\n\n2.0,{label},d\n3.0,-1,d\n")
+    for num_classes in (None, 4):
+        with pytest.raises(DataError, match=f"^{path}: line 4: negative label {label}$"):
+            load_csv_domains(path, num_classes=num_classes)
 
 
 def test_a_file_without_its_top_class_needs_num_classes(tmp_path):

@@ -1,5 +1,6 @@
 """Encoder/classifier mechanics: shapes, gradients, freezing, checkpoints."""
 
+import inspect
 import json
 import re
 import tracemalloc
@@ -432,50 +433,49 @@ def test_encoder_refuses_arrays_that_do_not_match_layer_dims():
         MlpEncoder([6, 5, 4], **{**parts, "norms": [NormLayerState.create(4)]})
 
 
-@pytest.mark.parametrize("setting", [dict(eps=1e-3), dict(momentum=0.5)], ids=["eps", "momentum"])
-def test_every_norm_runs_with_the_encoders_eps_and_momentum(setting, tmp_path):
-    eps, momentum = setting.get("eps", NORM_EPS), setting.get("momentum", NORM_MOMENTUM)
-    enc = MlpEncoder.create([6, 5, 5, 4], use_norm=True, seed=0, **setting)
-    norms = [n.copy() for n in enc.norms]
+def test_norm_layers_run_with_the_package_eps_and_momentum(tmp_path):
+    # no encoder, op or checkpoint carries a pair of its own
+    for fn in (MlpEncoder, MlpEncoder.create, batchnorm_forward, update_running_stats):
+        assert not {"eps", "momentum"} & set(inspect.signature(fn).parameters), fn
+    enc = MlpEncoder.create([6, 5, 4], use_norm=True, seed=0)
+    assert not hasattr(enc, "eps") and not hasattr(enc, "momentum")
     x = np.random.default_rng(0).standard_normal((8, 6))
-    feats = enc.encode(x)
+    enc.encode(x)
     enc.update_running_stats()
-    # the same layers by hand, each norm given the encoder's pair
-    h = x
-    for i, norm in enumerate(norms):
-        a, stats = batchnorm_forward(linear_forward(h, enc.weights[i], enc.biases[i]), norm,
-                                     eps=eps)
-        update_running_stats(norm, stats.mean, stats.var, momentum)
-        h = relu_forward(a)
-    npt.assert_array_equal(feats, linear_forward(h, enc.weights[2], enc.biases[2]))
-    for norm, want in zip(enc.norms, norms):
-        npt.assert_array_equal(norm.running_mean, want.running_mean)
-        npt.assert_array_equal(norm.running_var, want.running_var)
-    # a checkpoint keeps the pair once, and its norms run with it again
+    a = linear_forward(x, enc.weights[0], enc.biases[0])
+    var = a.var(axis=0)
+    npt.assert_allclose(enc.norms[0].running_var, (1 - NORM_MOMENTUM) + NORM_MOMENTUM * var,
+                        rtol=1e-14)
+    z = linear_forward(relu_forward((a - a.mean(axis=0)) / np.sqrt(var + NORM_EPS)),
+                       enc.weights[1], enc.biases[1])
+    npt.assert_allclose(enc.encode(x), z, rtol=1e-12)
     path = tmp_path / "model.json"
     save_checkpoint(path, enc, LinearClassifier.create(4, 3, seed=1))
-    loaded, _, _ = load_checkpoint(path)
-    assert (loaded.eps, loaded.momentum) == (eps, momentum)
-    npt.assert_array_equal(loaded.encode(x, mode="eval"), enc.encode(x, mode="eval"))
+    doc = json.loads(path.read_text())
+    assert doc["format_version"] == 2
+    assert not {"eps", "momentum"} & set(doc["encoder"])
 
 
-@pytest.mark.parametrize("setting, message", [
-    (dict(eps=-1e-9), "^eps must be finite and >= 0, got -1e-09$"),
-    (dict(eps=np.inf), "^eps must be finite and >= 0, got inf$"),
-    (dict(eps=-np.inf), "^eps must be finite and >= 0, got -inf$"),
-    (dict(eps=np.nan), "^eps must be finite and >= 0, got nan$"),
-    (dict(momentum=1.5), r"^momentum must lie in \[0, 1\], got 1.5$"),
-    (dict(momentum=-0.1), r"^momentum must lie in \[0, 1\], got -0.1$"),
-], ids=["eps", "eps-inf", "eps-minus-inf", "eps-nan", "momentum-above", "momentum-below"])
-def test_encoder_refuses_norm_settings_out_of_range(setting, message):
-    with pytest.raises(ConfigError, match=message):
-        MlpEncoder.create([6, 5, 4], use_norm=True, **setting)
+@pytest.mark.parametrize("setting", [dict(eps=1e-5, momentum=0.1), dict(eps=1e-3, momentum=0.5)],
+                         ids=["defaults", "other"])
+def test_a_version_1_checkpoint_is_refused(setting, tmp_path):
+    # a version 1 file carries its own eps and momentum, which a load would
+    # drop; it is refused even when they equal the constants
+    path = tmp_path / "model.json"
+    save_checkpoint(path, MlpEncoder.create([4, 3, 2], use_norm=True),
+                    LinearClassifier.create(2, 2))
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    doc["encoder"].update(setting)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=r"^checkpoint .*: format_version 1 not supported$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("eps, written", [(np.inf, "Infinity"), (np.nan, "NaN")])
 def test_a_checkpoint_with_a_non_finite_eps_is_refused_at_load(eps, written, tmp_path):
-    # an inf eps maps every row to the same features; a NaN one would fail
-    # only at the first forward
+    # a version 2 file has no eps; one added by hand is refused by name, not
+    # dropped for NORM_EPS
     path = tmp_path / "model.json"
     save_checkpoint(path, MlpEncoder.create([4, 3, 2], use_norm=True),
                     LinearClassifier.create(2, 2))
@@ -483,7 +483,7 @@ def test_a_checkpoint_with_a_non_finite_eps_is_refused_at_load(eps, written, tmp
     doc["encoder"]["eps"] = eps
     path.write_text(json.dumps(doc))
     assert f'"eps": {written}' in path.read_text()
-    with pytest.raises(ConfigError, match=f"^eps must be finite and >= 0, got {eps}$"):
+    with pytest.raises(SchemaError, match=r"^checkpoint .*: unknown field encoder\.eps$"):
         load_checkpoint(path)
 
 
@@ -547,7 +547,7 @@ def test_checkpoint_rejects_bad_schema(tmp_path):
     clf = LinearClassifier.create(3, 2, seed=21)
     path = tmp_path / "model.json"
     save_checkpoint(path, enc, clf)
-    blob = path.read_text().replace('"format_version": 1', '"format_version": 99')
+    blob = path.read_text().replace('"format_version": 2', '"format_version": 99')
     bad = tmp_path / "bad.json"
     bad.write_text(blob)
     with pytest.raises(SchemaError):

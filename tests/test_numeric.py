@@ -28,6 +28,7 @@ from marginadapt import (
 )
 from marginadapt.numeric import (
     NORM_EPS,
+    NORM_MOMENTUM,
     _finite,
     as_matrix,
     as_vector,
@@ -150,11 +151,12 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     assert np.isfinite(softmax_rows(np.array([[1e4, 0.0, -1e4]]))).all()
 
 
-def test_batchnorm_worked_example_eps_zero():
-    # two rows {1, 3}: mean 2, biased var 1, so x_hat is exactly {-1, +1}
+def test_batchnorm_worked_example():
+    # two rows {1, 3}: mean 2, biased var 1, so x_hat is {-1, +1} / sqrt(1 + NORM_EPS)
     state = NormLayerState.create(1)
-    out, _ = batchnorm_forward(np.array([[1.0], [3.0]]), state, mode="train", eps=0.0)
-    npt.assert_array_equal(out, [[-1.0], [1.0]])
+    out, stats = batchnorm_forward(np.array([[1.0], [3.0]]), state, mode="train")
+    npt.assert_array_equal(stats.var, [1.0])
+    npt.assert_array_equal(out, [[-1.0 / np.sqrt(1.0 + NORM_EPS)], [1.0 / np.sqrt(1.0 + NORM_EPS)]])
 
 
 def test_batchnorm_train_statistics_are_biased():
@@ -274,19 +276,19 @@ def test_batchnorm_backward_eval_matches_fd():
         assert rel_error(gbeta, numeric_grad(loss, state.beta)) < 1e-6
 
 
-@pytest.mark.parametrize("momentum, given", [(0.1, ()), (0.25, (0.25,))],
-                         ids=["default", "given"])
-def test_update_running_stats_ema(momentum, given):
+def test_update_running_stats_ema():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((16, 3))
     state = NormLayerState.create(3)
     rm0 = state.running_mean.copy()
     rv0 = state.running_var.copy()
     _, stats = batchnorm_forward(x, state, mode="train")
-    update_running_stats(state, stats.mean, stats.var, *given)
-    keep = 1.0 - momentum
-    npt.assert_allclose(state.running_mean, keep * rm0 + momentum * x.mean(axis=0), atol=1e-12)
-    npt.assert_allclose(state.running_var, keep * rv0 + momentum * x.var(axis=0), atol=1e-12)
+    update_running_stats(state, stats.mean, stats.var)
+    keep = 1.0 - NORM_MOMENTUM
+    npt.assert_allclose(state.running_mean, keep * rm0 + NORM_MOMENTUM * x.mean(axis=0),
+                        atol=1e-12)
+    npt.assert_allclose(state.running_var, keep * rv0 + NORM_MOMENTUM * x.var(axis=0),
+                        atol=1e-12)
 
 
 def test_update_running_stats_refuses_statistics_of_another_width():
