@@ -54,6 +54,7 @@ pass's reductions keep `numeric`'s ufunc rule.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -64,7 +65,7 @@ from .errors import ConfigError, DataError, NumericalFailure
 from .losses import LossReport, entropy_loss, marginal_loss
 from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
 from .model import ModelPair, classification_accuracy, pack, step_context
-from .numeric import check_settings, softmax_rows
+from .numeric import _ZERO, check_settings, operand, softmax_rows
 from .train import Adam, cross_entropy_loss
 
 METHODS = ("none", "entropy_norm", "pseudo_label", "unidg")
@@ -179,7 +180,7 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
 
     def predict(x):
         feats = enc.encode(x, mode=mode, retain_cache=False)
-        return np.argmax(softmax_rows(clf.logits(feats)), axis=-1)
+        return softmax_rows(clf.logits(feats)).argmax(axis=-1)
 
     hits = np.zeros(len(batches), dtype=np.intp)  # correct predictions per batch
     reports = []
@@ -201,7 +202,7 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
                     source_feats = fixed(i) if hinge else None
                     feats = enc.encode(xs[i], mode=mode, retain_cache=True)
                     probs = softmax_rows(clf.logits(feats))
-                    preds[i] = np.argmax(probs, axis=1)
+                    preds[i] = probs.argmax(axis=1)
                     report = step(source_feats, feats, probs, preds[i])
                     if report is not None:
                         reports.append(report)
@@ -296,6 +297,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     # without the entropy term no backward reaches the classifier: its
     # gradients stay pack's zeros, and Adam's update of them is exactly 0.0
     opt = adam() if any_gradients else None
+    lambda_weight = operand(cfg.lambda_weight)
 
     def unidg_step(source_feats, feats, probs, preds):
         if cfg.enable_bank:
@@ -309,11 +311,12 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         l_m = l_e = 0.0
         hinge_rows = 0
         if cfg.enable_le:
-            # entropy is taken through the refreshed classifier
-            probs_post = softmax_rows(clf.logits(feats))
+            # entropy is taken through the refreshed classifier; without the
+            # bank nothing refreshed it, so the scored probs are its own
+            probs_post = softmax_rows(clf.logits(feats)) if cfg.enable_bank else probs
             l_e, g_logits = entropy_loss(probs_post)
             # + 0.0 turns -0.0 into 0.0, the bits zeros + gradient gives
-            g_feats = clf.backward(feats, g_logits) + 0.0
+            g_feats = clf.backward(feats, g_logits) + _ZERO
         else:
             g_feats = np.zeros_like(feats)
         if cfg.enable_lm:
@@ -322,13 +325,13 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
             l_m, g_lm = marginal_loss(feats, source_feats, cfg.sigma)
         # checked before the hinge gradient is scaled, which overflows with it
         total = l_e + cfg.lambda_weight * l_m
-        if not np.isfinite(total):
+        if not math.isfinite(total):
             raise NumericalFailure(f"non-finite objective (l_e={l_e}, l_m={l_m})")
         # a g_lm with no nonzero entry (no row active) would change no bit:
         # x + 0.0 is x for every x but -0.0, and g_feats holds none
         if cfg.enable_lm and np.count_nonzero(g_lm):
             hinge_rows = int(np.count_nonzero(g_lm.any(axis=1)))
-            g_feats += cfg.lambda_weight * g_lm
+            g_feats += lambda_weight * g_lm
         enc.backward(g_feats)
         opt.step()
         return LossReport(l_m=l_m, l_e=l_e, total=total, hinge_rows=hinge_rows)

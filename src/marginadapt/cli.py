@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .adapt import METHODS, AdaptConfig, run_method
-from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_domains, write_csv, DomainDataset
+from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_files, write_csv, DomainDataset
 from .diagnostics import kernel_comparison_sweep, verify_bn_gradient
 from .errors import ConfigError, DataError, MarginAdaptError, SchemaError
 from .model import (
@@ -216,17 +216,14 @@ def _load_sources(data_dir, num_classes=None):
     )
     if not names:
         raise DataError(f"{data_dir}: no source_*.csv files")
+    paths = [os.path.join(data_dir, name) for name in names]
     out = []
-    for name in names:
-        path = os.path.join(data_dir, name)
-        domains = load_csv_domains(path, num_classes=num_classes)
+    # without num_classes, one class count for every file: the largest label + 1
+    for path, domains in zip(paths, load_csv_files(paths, num_classes=num_classes)):
         out.extend(domains[d] for d in sorted(domains))
         width, first = out[-1].features.shape[1], out[0].features.shape[1]
         if width != first:
             raise DataError(f"{path}: {width} feature columns, but {names[0]} has {first}")
-    if num_classes is None:  # one class count for every file: the largest label + 1
-        num_classes = max(d.num_classes for d in out)
-        out = [replace(d, num_classes=num_classes) for d in out]
     return out
 
 

@@ -438,9 +438,29 @@ def _parse_rows(path):
 
 def load_csv_domains(path, num_classes: int | None = None) -> dict:
     """Read a CSV into one DomainDataset per distinct domain value. Without
-    `num_classes`, each file's class count is its largest label + 1: neither
-    the CSV nor its sidecar records it, so a file whose labels miss the top
-    class needs it passed."""
+    `num_classes`, the class count is the largest label + 1: neither the CSV
+    nor its sidecar records it, so a file whose labels miss the top class
+    needs it passed."""
+    return load_csv_files([path], num_classes)[0]
+
+
+def load_csv_files(paths, num_classes: int | None = None) -> list:
+    """`load_csv_domains` of each path, each file read once. Without
+    `num_classes`, every file takes one class count: the largest label in
+    any of them + 1."""
+    files = [_labelled_rows(path, num_classes) for path in paths]
+    if num_classes is None:
+        num_classes = max(int(rows[1].max()) for rows in files) + 1
+        if num_classes < 2:
+            raise DataError(f"{', '.join(map(str, paths))}: the largest label is "
+                            f"{num_classes - 1}, so the class count must be given as "
+                            f"num_classes")
+    return [_domains(*rows, num_classes) for rows in files]
+
+
+def _labelled_rows(path, num_classes):
+    """`_parse_rows` of a file whose labels lie in [0, num_classes), or in
+    int64 when `num_classes` is None."""
     features, labels, names, codes, lines = _parse_rows(path)
     if labels.min() < 0:
         i = int(np.argmax(labels < 0))
@@ -449,15 +469,16 @@ def load_csv_domains(path, num_classes: int | None = None) -> dict:
         if labels.dtype == object:  # the parse keeps labels past int64 as ints
             i = int(np.argmax(labels > np.iinfo(np.int64).max))
             raise DataError(f"{path}: line {lines[i]}: label {labels[i]} exceeds int64")
-        num_classes = int(labels.max()) + 1
-        if num_classes < 2:
-            raise DataError(f"{path}: the largest label is {num_classes - 1}, so the "
-                            f"class count must be given as num_classes")
     elif labels.max() >= num_classes:
         i = int(np.argmax(labels >= num_classes))
         raise DataError(
             f"{path}: line {lines[i]}: label {labels[i]} outside [0, {num_classes})"
         )
+    return features, labels, names, codes
+
+
+def _domains(features, labels, names, codes, num_classes) -> dict:
+    """One DomainDataset per domain name of a parsed file."""
     if len(names) == 1:  # the rows are already in file order: no gather copy
         groups = [slice(None)]
     else:  # each domain's rows in file order

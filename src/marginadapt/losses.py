@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, DimensionError, InputError, NumericalFailure
-from .numeric import _CHECKED, Array
+from .numeric import _CHECKED, _TINY, _ZERO, Array, cached_operand, operand
 
 
 @dataclass
@@ -61,9 +61,10 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
             # no row outside the margin: the general form's exact (0.0, zeros);
             # a NaN distance fails the test and is caught below
             return 0.0, np.zeros(adapted.shape)
-        active = dist_sq > sigma
-        value = float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / n)
-        grad = np.where(active[:, None], (2.0 / n) * diff, 0.0)
+        margin = operand(sigma)
+        active = dist_sq > margin
+        value = float(np.add.reduce(np.maximum(dist_sq - margin, _ZERO)) / n)
+        grad = np.where(active[:, None], cached_operand(2.0 / n) * diff, _ZERO)
     except FloatingPointError as e:
         raise NumericalFailure("marginal_loss: non-finite value") from e
     if not math.isfinite(value):
@@ -73,7 +74,7 @@ def marginal_loss(adapted: Array, source: Array, sigma: float):
 
 def row_entropies(probs: Array):
     """(log p with 0 where p is 0, each row's Shannon entropy), 0 log 0 = 0."""
-    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
+    logp = np.where(probs > _ZERO, np.log(np.maximum(probs, _TINY)), _ZERO)
     return logp, -np.add.reduce(probs * logp, axis=1)
 
 
@@ -101,7 +102,7 @@ def entropy_loss(probs: Array):
             )
     logp, row_entropy = row_entropies(probs)
     value = float(np.add.reduce(row_entropy) / n)
-    grad_logits = -(probs * (logp + row_entropy[:, None])) / n
+    grad_logits = -(probs * (logp + row_entropy[:, None])) / cached_operand(n)
     if not math.isfinite(value):
         raise NumericalFailure("entropy_loss: non-finite value")
     return value, grad_logits

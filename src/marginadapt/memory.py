@@ -86,7 +86,7 @@ def init_from_classifier(classifier, top_k: int = 20) -> MemoryBank:
 def pseudo_label(probs: Array):
     """Argmax labels and Shannon entropies per row. Ties pick the lowest
     class index (np.argmax convention)."""
-    return np.argmax(probs, axis=1), row_entropies(probs)[1]
+    return probs.argmax(axis=1), row_entropies(probs)[1]
 
 
 def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> MemoryBank:

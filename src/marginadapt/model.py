@@ -445,7 +445,7 @@ def classification_accuracy(encoder, classifier, features, labels):
     if labels.shape != rows:
         raise DimensionError(f"classification_accuracy: labels shape {labels.shape} != {rows}")
     feats = encoder.encode(features, mode="eval", retain_cache=False)
-    preds = np.argmax(classifier.logits(feats), axis=1)
+    preds = classifier.logits(feats).argmax(axis=1)
     return float(np.mean(preds == labels))
 
 

@@ -11,7 +11,8 @@ import numpy as np
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
 from .model import classification_accuracy, pack, step_context
-from .numeric import _CHECKED, Array, _finite, check_settings, non_finite, softmax_rows
+from .numeric import (_CHECKED, _TINY, Array, _finite, cached_operand, check_settings,
+                      non_finite, operand, softmax_rows)
 
 
 # the share of each source domain that ERM holds out to pick its best epoch
@@ -53,6 +54,9 @@ class Adam:
     ufuncs only, in the formulas' usual order: the moment update and the
     step write through `out=` into two scratch buffers allocated with the
     moments, so a step allocates no temporaries (`numeric`'s ufunc rule).
+    By the same rule its constants, lr and the bias corrections
+    c1 = 1 - beta1**t and c2 = 1 - beta2**t enter the ufuncs as 0-d arrays.
+    From t = 356 on c1 is 1.0, and the step skips the exact m / 1.0.
     A zero gradient on fresh moments gives an exactly zero update. First
     step with constant gradient g moves by lr * g / (|g| + eps), i.e. ~lr
     per coordinate. `m` and `v` hold the first and second moments, one per
@@ -61,6 +65,9 @@ class Adam:
     a gradient whose square overflows fails here, as in a checked step."""
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    # their 0-d operands, and those of 1 - beta1 and 1 - beta2
+    _beta1, _beta2, _eps = operand(beta1), operand(beta2), operand(eps)
+    _keep1, _keep2 = operand(1.0 - beta1), operand(1.0 - beta2)
 
     def __init__(self, params, grads, lr):
         if not 0.0 <= lr < math.inf:  # also refuses NaN
@@ -75,6 +82,7 @@ class Adam:
         self.grads = grads
         self.lr = lr
         self.t = 0
+        self._lr, self._c1, self._c2 = operand(lr), np.zeros(()), np.zeros(())
         self.m, self.v = np.zeros(params.size), np.zeros(params.size)
         # scratch for the moment update and the step
         self._s, self._u = np.zeros(params.size), np.zeros(params.size)
@@ -82,24 +90,28 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        self._c1[()] = c1
+        self._c2[()] = 1.0 - self.beta2 ** self.t
         s, u = self._s, self._u
         g = self.grads
         try:
             m, v = self.m, self.v
-            np.multiply(m, self.beta1, out=m)
-            np.multiply(g, 1.0 - self.beta1, out=s)
+            np.multiply(m, self._beta1, out=m)
+            np.multiply(g, self._keep1, out=s)
             np.add(m, s, out=m)
-            np.multiply(v, self.beta2, out=v)
+            np.multiply(v, self._beta2, out=v)
             np.multiply(g, g, out=s)
-            np.multiply(s, 1.0 - self.beta2, out=s)
+            np.multiply(s, self._keep2, out=s)
             _finite(np.add(v, s, out=v), "Adam.step")
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, out=s)
-            np.multiply(s, self.lr, out=s)
-            np.divide(v, c2, out=u)
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps); m / 1.0 is m
+            if c1 == 1.0:
+                np.multiply(m, self._lr, out=s)
+            else:
+                np.divide(m, self._c1, out=s)
+                np.multiply(s, self._lr, out=s)
+            np.divide(v, self._c2, out=u)
             np.sqrt(u, out=u)
-            np.add(u, self.eps, out=u)
+            np.add(u, self._eps, out=u)
             np.divide(s, u, out=s)
             _finite(np.subtract(self.params, s, out=self.params), "Adam.step")
         except FloatingPointError as e:
@@ -129,10 +141,10 @@ def cross_entropy_loss(probs: Array, labels):
     if not _CHECKED.get():
         _check_labels(y, c)
     onehot = _identity(c).take(y, axis=0)
-    log_picked = np.log(np.maximum(np.add.reduce(probs * onehot, axis=1), 1e-300))
+    log_picked = np.log(np.maximum(np.add.reduce(probs * onehot, axis=1), _TINY))
     value = float(-(np.add.reduce(log_picked) / n))
     grad_logits = probs - onehot
-    grad_logits /= n
+    grad_logits /= cached_operand(n)
     if not math.isfinite(value):
         raise NumericalFailure("cross_entropy_loss: non-finite value")
     return value, grad_logits

@@ -380,22 +380,24 @@ def test_train_source_names_a_label_past_int64_without_a_shift_spec(tmp_path, ca
     assert err == f"error: {path}: line 3: label 100000000000000000000000 exceeds int64\n"
 
 
+# the first file lacks class 3, which only the second holds; with only
+# label 0, alone its count would be 1, which is refused
+@pytest.mark.parametrize("first_classes", [3, 1], ids=["lacks-class-3", "only-label-0"])
 def test_train_source_without_a_shift_spec_counts_classes_over_every_source_file(
-        tmp_path, capsys):
-    # the first file lacks class 3, which only the second holds
+        tmp_path, capsys, first_classes):
     data = tmp_path / "data"
     data.mkdir()
     rng = np.random.default_rng(5)
-    for i, classes in enumerate((3, 4)):
+    for i, classes in enumerate((first_classes, 4)):
         labels = np.arange(40) % classes
         features = rng.standard_normal((40, 6)) + labels[:, None]
-        write_csv(DomainDataset(features, labels, classes, f"s{i}"), data / f"source_{i}.csv")
+        write_csv(DomainDataset(features, labels, 4, f"s{i}"), data / f"source_{i}.csv")
     run = tmp_path / "run"
     rc = main(["train-source", "--data", str(data), "--out", str(run), "--epochs", "1",
                "--hidden-dims", "8", "--feature-dim", "8"])
     assert rc == 0, capsys.readouterr().err
     _, clf, _ = load_checkpoint(str(run / "checkpoint.json"))
-    assert clf.num_classes == 4
+    assert clf.omega.shape == (8, 4)
 
 
 @pytest.mark.parametrize("content, why", [

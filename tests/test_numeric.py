@@ -16,8 +16,12 @@ from marginadapt import (
     NormLayerState,
     NumericalFailure,
     ShiftSpec,
+    Adam,
     TrainConfig,
     batchnorm_backward,
+    cross_entropy_loss,
+    entropy_loss,
+    marginal_loss,
     batchnorm_forward,
     linear_backward,
     linear_forward,
@@ -26,6 +30,8 @@ from marginadapt import (
     softmax_rows,
     update_running_stats,
 )
+from marginadapt import numeric
+from marginadapt.losses import row_entropies
 from marginadapt.numeric import (
     NORM_EPS,
     NORM_MOMENTUM,
@@ -33,6 +39,7 @@ from marginadapt.numeric import (
     as_matrix,
     as_vector,
     batchnorm_param_grads,
+    cached_operand,
     linear_input_grad,
     linear_param_grads,
 )
@@ -438,3 +445,144 @@ def test_batchnorm_param_grads_is_batchnorm_backward_without_the_input_grad(mode
     with pytest.raises(DimensionError,
                        match="^batchnorm_backward: statistics of 1 features for a state of 4$"):
         batchnorm_backward(state, narrow, up[:, :1])
+
+
+# ---------------------------------------------------------------------------
+# 0-d operands: each step op against its Python-scalar form, written inline
+
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310)
+
+
+def _edgy(rng, shape, big):
+    """Normal values with ±0.0, subnormals and ±big put in at random places."""
+    x = rng.standard_normal(shape)
+    specials = np.array([*_SPECIALS, big, -big, 0.7 * big])
+    where = rng.choice(x.size, size=min(x.size, 3 * specials.size), replace=False)
+    x.flat[where] = np.resize(specials, where.size)
+    return x
+
+
+def _edgy_probs(rng, n, c):
+    """Rows that sum to 1 with exact zeros, -0.0 and subnormal entries."""
+    p = rng.random((n, c))
+    p[rng.random((n, c)) < 0.3] = 0.0
+    p[:, 0] += 1e-3  # no row of zeros
+    # -0.0 and the positive subnormals (a probability is never negative)
+    p[rng.choice(n, size=4, replace=False), rng.integers(1, c, 4)] = (-0.0, 5e-324, 2.5e-310, 5e-324)
+    return p / np.add.reduce(p, axis=1, keepdims=True)
+
+
+def _same(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+    assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(32, 48), (3, 32, 48)], ids=["2d", "stacked"])
+def test_forward_ops_with_0d_operands_equal_their_scalar_forms(seed, shape):
+    rng = np.random.default_rng(seed)
+    x, up = _edgy(rng, shape, 1e308), _edgy(rng, shape, 1e308)
+    _same(relu_forward(x), np.maximum(x, 0.0))
+    _same(relu_backward(x, up), np.where(x > 0.0, up, 0.0))
+    d = shape[-1]
+    state = NormLayerState(gamma=_edgy(rng, d, 4.0), beta=_edgy(rng, d, 4.0),
+                           running_mean=_edgy(rng, d, 1e150),
+                           running_var=np.abs(_edgy(rng, d, 1e150)))
+    x = _edgy(rng, shape, 1e150)
+    stacked, m = x.ndim == 3, shape[-2]
+    mu = np.add.reduce(x, axis=-2, keepdims=stacked) / m
+    xc = x - mu
+    var = np.add.reduce(xc * xc, axis=-2, keepdims=stacked) / m
+    denom = np.sqrt(var + NORM_EPS)
+    for mode, ref in (("train", (xc / denom, mu, var, denom)),
+                      ("eval", ((x - state.running_mean) / np.sqrt(state.running_var + NORM_EPS),
+                                state.running_mean, state.running_var,
+                                np.sqrt(state.running_var + NORM_EPS)))):
+        out, stats = batchnorm_forward(x, state, mode=mode)
+        _same(out, state.gamma * ref[0] + state.beta)
+        if stacked:
+            assert stats is None
+        else:
+            for got, want in zip(stats[:4], ref):
+                _same(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_norm_backward_and_fold_with_0d_operands_equal_their_scalar_forms(seed, mode):
+    rng = np.random.default_rng(seed)
+    state = NormLayerState(gamma=_edgy(rng, 48, 4.0), beta=_edgy(rng, 48, 4.0),
+                           running_var=np.abs(_edgy(rng, 48, 1e150)))
+    _, stats = batchnorm_forward(_edgy(rng, (32, 48), 1e150), state, mode=mode)
+    up = _edgy(rng, (32, 48), 1e150)
+    gxhat = up * state.gamma
+    if mode == "train":
+        ref = 32 * gxhat
+        ref -= np.add.reduce(gxhat, axis=0)
+        ref -= stats.x_hat * np.add.reduce(gxhat * stats.x_hat, axis=0)
+        ref /= 32 * stats.denom
+    else:
+        ref = gxhat / stats.denom
+    _same(batchnorm_backward(state, stats, up)[0], ref)
+    mean, var = _edgy(rng, 48, 1e308), np.abs(_edgy(rng, 48, 1e308))
+    ref_mean, ref_var = state.running_mean.copy(), state.running_var.copy()
+    ref_mean *= 1.0 - NORM_MOMENTUM
+    ref_mean += NORM_MOMENTUM * mean
+    ref_var *= 1.0 - NORM_MOMENTUM
+    ref_var += NORM_MOMENTUM * var
+    update_running_stats(state, mean, var)
+    _same(state.running_mean, ref_mean)
+    _same(state.running_var, ref_var)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_losses_with_0d_operands_equal_their_scalar_forms(seed):
+    rng = np.random.default_rng(seed)
+    n, c = 32, 4
+    probs = _edgy_probs(rng, n, c)
+    logp = np.where(probs > 0.0, np.log(np.maximum(probs, 1e-300)), 0.0)
+    ent = -np.add.reduce(probs * logp, axis=1)
+    for got, want in zip(row_entropies(probs), (logp, ent)):
+        _same(got, want)
+    value, grad = entropy_loss(probs)
+    _same(value, float(np.add.reduce(ent) / n))
+    _same(grad, -(probs * (logp + ent[:, None])) / n)
+
+    labels = rng.integers(0, c, n)
+    onehot = np.eye(c)[labels]
+    value, grad = cross_entropy_loss(probs, labels)
+    picked = np.log(np.maximum(np.add.reduce(probs * onehot, axis=1), 1e-300))
+    ref = probs - onehot
+    ref /= n
+    _same(value, float(-(np.add.reduce(picked) / n)))
+    _same(grad, ref)
+
+    source = _edgy(rng, (n, 48), 1e150)
+    adapted = source + _edgy(rng, (n, 48), 1.0)
+    adapted[::4] = source[::4]  # rows at distance 0, inside any margin
+    diff = adapted - source
+    dist_sq = np.add.reduce(diff * diff, axis=1)
+    sigma = float(np.median(dist_sq))
+    value, grad = marginal_loss(adapted, source, sigma)
+    assert 0 < np.count_nonzero(grad.any(axis=1)) < n
+    _same(value, float(np.add.reduce(np.maximum(dist_sq - sigma, 0.0)) / n))
+    _same(grad, np.where((dist_sq > sigma)[:, None], (2.0 / n) * diff, 0.0))
+
+
+def test_the_shared_0d_operands_are_read_only():
+    shared = {"_ZERO": 0.0, "_TINY": 1e-300, "_NORM_EPS": NORM_EPS,
+              "_NORM_MOMENTUM": NORM_MOMENTUM, "_NORM_KEEP": 1.0 - NORM_MOMENTUM}
+    operands = [(getattr(numeric, name), value) for name, value in shared.items()]
+    operands += [(getattr(Adam, name), value) for name, value in (
+        ("_beta1", 0.9), ("_beta2", 0.999), ("_eps", 1e-8), ("_keep1", 1.0 - 0.9),
+        ("_keep2", 1.0 - 0.999))]
+    opt = Adam(np.zeros(3), np.zeros(3), lr=1e-3)
+    operands += [(cached_operand(32), 32.0), (opt._lr, 1e-3)]
+    for a, value in operands:
+        assert (a.shape, a.dtype, a.flags.writeable) == ((), np.float64, False)
+        assert a.tobytes() == np.float64(value).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            a[()] = 2.0
+    assert cached_operand(32) is cached_operand(32)
+    assert type(NORM_EPS) is type(NORM_MOMENTUM) is float

@@ -3,7 +3,7 @@
 Usage:
     python tools/bench_pairs.py --parent DIR --change DIR --out BENCH_28.json \
         [--pairs 3] [--seed 1] [--workloads erm_train,stream_unidg] \
-        [--parent-rev SHA] [--what TEXT] [--trace cli_pipeline]
+        [--parent-rev SHA] [--what TEXT] [--trace cli_pipeline] [--control DIR]
 
 Each DIR is the root of a checkout, say a `git archive` of the parent commit
 and the working tree of the change: it holds `perfbench/run.py` and `src/`.
@@ -24,6 +24,14 @@ which the change was better in that metric's `better` direction
 default to those of the change's BENCHMARK.json; a subset serves to run one
 workload alone.
 
+With --control, a second copy of the parent (say another `git archive` of
+it, in another directory) runs as a third side in every pair: parent,
+change, control in odd pairs and the reverse in even ones. Beside each A/B
+entry the file then gives the A/A one, the control's median over the
+parent's (`control_over_parent`) and the pairs the control won
+(`control_better_in_pairs`): what the layout of a checkout alone moves. A
+change's ratio means something only outside the control's.
+
 Each workload named by --trace then runs once more per side, parent first,
 with `--trace 1`; the file keeps those runs' final JSON lines (per-layer
 metrics per operation) under "traced".
@@ -40,7 +48,7 @@ import statistics
 import subprocess
 import sys
 
-SIDES = ("parent", "change")
+SIDES = ("parent", "change", "control")
 
 
 def parse_args(argv=None):
@@ -56,6 +64,7 @@ def parse_args(argv=None):
     p.add_argument("--what", default="", help="one sentence on the change measured")
     p.add_argument("--trace", default="",
                    help="comma-separated workloads to run once per side with --trace 1")
+    p.add_argument("--control", help="root of a second copy of the parent, run as a third side")
     return p.parse_args(argv)
 
 
@@ -87,7 +96,7 @@ def spread(values) -> dict:
 def summary(runs, pairs, better) -> dict:
     """Per-metric medians and quartiles of one workload's runs, by side, and
     for each metric in `better` ({name: "lower" or "higher"}) the number of
-    pairs the change won."""
+    pairs the change won, and the control when it ran."""
     def value(run, name):
         if name == "wall.op_ms_p50":
             return run["wall.op_ms_p50"]
@@ -96,25 +105,27 @@ def summary(runs, pairs, better) -> dict:
     ok = [r for r in runs if r["result"] is not None]
     if not ok:
         return {"pairs": pairs, "runs_without_result": len(runs)}
+    sides = [side for side in SIDES if any(r["side"] == side for r in ok)]
     first = ok[0]["result"]["metrics"]
     units = {name: m["unit"] for name, m in first.items()} | {"wall.op_ms_p50": "ms"}
     metrics = {}
     for name, unit in units.items():
         by_side = {side: {r["pair"]: value(r, name) for r in ok if r["side"] == side}
-                   for side in SIDES}
-        entry = {"unit": unit, **{side: spread(list(by_side[side].values())) for side in SIDES}}
-        entry["change_over_parent"] = entry["change"]["median"] / entry["parent"]["median"]
-        if name in better:
-            sign = 1 if better[name] == "higher" else -1
-            both = set(by_side["parent"]) & set(by_side["change"])
-            entry["change_better_in_pairs"] = sum(
-                sign * (by_side["change"][k] - by_side["parent"][k]) > 0 for k in both)
+                   for side in sides}
+        entry = {"unit": unit, **{side: spread(list(by_side[side].values())) for side in sides}}
+        for side in sides[1:]:
+            entry[f"{side}_over_parent"] = entry[side]["median"] / entry["parent"]["median"]
+            if name in better:
+                sign = 1 if better[name] == "higher" else -1
+                both = set(by_side["parent"]) & set(by_side[side])
+                entry[f"{side}_better_in_pairs"] = sum(
+                    sign * (by_side[side][k] - by_side["parent"][k]) > 0 for k in both)
         metrics[name] = entry
     return {
         "pairs": pairs,
         "metrics": metrics,
         **{key: {side: sum(r["result"][key] for r in ok if r["side"] == side)
-                 for side in SIDES} for key in ("attempted", "failed")},
+                 for side in sides} for key in ("attempted", "failed")},
         "runs_without_result": sum(r["result"] is None for r in runs),
     }
 
@@ -122,6 +133,9 @@ def summary(runs, pairs, better) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    if args.control:
+        roots["control"] = os.path.abspath(args.control)
+    sides = tuple(roots)
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
@@ -136,9 +150,8 @@ def main(argv=None) -> int:
     for pair in range(1, args.pairs + 1):
         order = shuffle.sample(workloads, len(workloads))
         orders[pair] = order
-        sides = SIDES if pair % 2 else SIDES[::-1]
         for workload in order:
-            for side in sides:
+            for side in sides if pair % 2 else sides[::-1]:
                 run = {"pair": pair, "workload": workload, "side": side,
                        **run_once(roots[side], workload, args.seed, seconds)}
                 runs.append(run)
@@ -151,8 +164,9 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
                    f"--seconds {seconds:g}",
         "parent": args.parent_rev,
-        "order": "pairs alternate which side runs first: parent first in odd pairs, change "
-                 f"first in even ones; each pair's workload order is shuffled by "
+        "sides": list(sides),
+        "order": f"pairs alternate the side order: {', '.join(sides)} in odd pairs, the "
+                 f"reverse in even ones; each pair's workload order is shuffled by "
                  f"random.Random({args.seed}) (workload_orders)",
         "workload_orders": orders,
         "env": next((r["env"] for r in runs if r["env"]), None),
@@ -161,7 +175,7 @@ def main(argv=None) -> int:
                       for w in workloads},
         "runs": runs,
         "traced": {w: {side: run_once(roots[side], w, args.seed, seconds, trace=True)
-                       for side in SIDES} for w in filter(None, args.trace.split(","))},
+                       for side in sides[:2]} for w in filter(None, args.trace.split(","))},
     }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
