@@ -1,17 +1,19 @@
 """Online test-time adaptation over a target stream.
 
-One loop, `run_method`, serves every method. Per batch, in order: predict
-with the current adapted model and record accuracy, then, while the step
-budget lasts, hand the scored batch to the method's step for one update.
-Predictions therefore always come from parameters shaped only by earlier
-batches. Labels are consumed exclusively by the accuracy bookkeeping; no
-gradient ever sees them. A NumericalFailure while scoring or stepping on a
-batch names that batch's step. The pass checks what it steps on once, as
-it starts: `model.step_context` scans the target rows and the parameters
-(the frozen source's too, when the hinge reads it). Each run of batches
-that steps (see below) then runs in one checked step (see numeric), as
-`step_context` decides, so the steps skip the checks of the rows, the
-probabilities they score and the labels and entropies they make.
+One loop, `run_method`, serves every method, and it scores only the target
+stream: what the pass did to the source domains is measured by the caller,
+on the model it returns. Per batch, in order: predict with the current
+adapted model and record accuracy, then, while the step budget lasts, hand
+the scored batch to the method's step for one update. Predictions therefore
+always come from parameters shaped only by earlier batches. Labels are
+consumed exclusively by the accuracy bookkeeping; no gradient ever sees
+them. A NumericalFailure while scoring or stepping on a batch names that
+batch's step. The pass checks what it steps on once, as it starts:
+`model.step_context` scans the target rows and the parameters (the frozen
+source's too, when the hinge reads it). Each run of batches that steps
+(see below) then runs in one checked step (see numeric), as `step_context`
+decides, so the steps skip the checks of the rows, the probabilities they
+score and the labels and entropies they make.
 
 The batches are taken in runs of equal-sized batches, at most _STACK_ROWS
 rows each and never across the step budget (`_runs`), so either every batch
@@ -35,8 +37,8 @@ The steps (`_make_step`), and what each backpropagates:
                 to that norm's gamma and beta, and no weight gradient.
   pseudo_label  cross-entropy against the batch's own argmax labels; every
                 parameter's gradient.
-  unidg         pseudo-label the batch, push features into the memory bank,
-                rebuild prototypes and refresh the classifier columns; then
+  unidg         pseudo-label the batch, push features into the memory bank
+                and refresh the classifier columns with its prototypes; then
                 one Adam step on the entropy of the refreshed predictions
                 plus the margin hinge between adapted and frozen-source
                 features, both encoded in the stream's mode (the source's
@@ -63,8 +65,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericalFailure
 from .losses import LossReport, entropy_loss, marginal_loss
-from .memory import compute_prototypes, init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
-from .model import ModelPair, classification_accuracy, pack, step_context
+from .memory import init_from_classifier, insert_and_select, pseudo_label, refresh_classifier
+from .model import ModelPair, pack, step_context
 from .numeric import _ZERO, check_settings, operand, softmax_rows
 from .train import Adam, cross_entropy_loss
 
@@ -117,8 +119,6 @@ class AccuracyCurve:
     cumulative: list = field(default_factory=list)
     final_accuracy: float = 0.0
     per_domain: dict = field(default_factory=dict)
-    source_before: float | None = None
-    source_after: float | None = None
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -131,16 +131,7 @@ def stream_batches(n: int, batch_size: int, seed: int):
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _source_accuracy(pair, source_eval):
-    if source_eval is None:
-        return None
-    return classification_accuracy(
-        pair.adapted_encoder, pair.adapted_classifier,
-        source_eval.features, source_eval.labels,
-    )
-
-
-def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
+def run_method(pair: ModelPair, target, cfg: AdaptConfig):
     """Run cfg.method over the target stream.
 
     Returns (pair, AccuracyCurve, [LossReport per adaptation step]). With
@@ -174,7 +165,6 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
     else:
         checked = step_context(enc, clf, cfg.batch_size, target.features,
                                pair.source_encoder if hinge else None)
-    source_before = _source_accuracy(pair, source_eval)
 
     encode_source = partial(pair.source_encoder.encode, mode=mode, retain_cache=False)
 
@@ -216,8 +206,6 @@ def run_method(pair: ModelPair, target, cfg: AdaptConfig, source_eval=None):
         cumulative=cumulative,
         final_accuracy=cumulative[-1],
         per_domain={target.domain_id: cumulative[-1]},
-        source_before=source_before,
-        source_after=_source_accuracy(pair, source_eval),
     )
     return pair, curve, reports
 
@@ -293,7 +281,7 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
     any_gradients = cfg.enable_lm or cfg.enable_le
     if cfg.method == "none" or not (any_gradients or cfg.enable_bank):
         return None
-    bank = init_from_classifier(pair.source_classifier, bank_rows) if cfg.enable_bank else None
+    bank = init_from_classifier(clf, bank_rows) if cfg.enable_bank else None
     # without the entropy term no backward reaches the classifier: its
     # gradients stay pack's zeros, and Adam's update of them is exactly 0.0
     opt = adam() if any_gradients else None
@@ -303,7 +291,6 @@ def _make_step(pair: ModelPair, cfg: AdaptConfig, mode: str, bank_rows: int):
         if cfg.enable_bank:
             labels_hat, entropies = pseudo_label(probs)
             insert_and_select(bank, feats, labels_hat, entropies)
-            compute_prototypes(bank)
             refresh_classifier(bank, clf)
         if opt is None:
             return None  # bank-only step

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import __version__
 from .adapt import METHODS, AdaptConfig, run_method
-from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_files, write_csv, DomainDataset
+from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_files, write_csv
 from .diagnostics import kernel_comparison_sweep, verify_bn_gradient
-from .errors import ConfigError, DataError, MarginAdaptError, SchemaError
+from .errors import ConfigError, DataError, MarginAdaptError
 from .model import (
     LinearClassifier,
     MlpEncoder,
@@ -227,27 +227,9 @@ def _load_sources(data_dir, num_classes=None):
     return out
 
 
-def _sidecar_num_classes(data_dir):
-    path = os.path.join(data_dir, "shift_spec.json")
-    if not os.path.exists(path):
-        return None
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as e:
-            raise SchemaError(f"{path}: not valid JSON ({e})") from e
-    spec = doc.get("spec", {}) if isinstance(doc, dict) else None
-    if not isinstance(spec, dict):
-        raise SchemaError(f'{path}: expected a JSON object with a "spec" object')
-    num_classes = spec.get("num_classes")
-    if num_classes is not None and type(num_classes) is not int:
-        raise SchemaError(f"{path}: spec.num_classes {num_classes!r} is not an integer")
-    return num_classes
-
-
 def cmd_train_source(args) -> int:
     cfg, file_cfg = _settings(args, TrainConfig)
-    sources = _load_sources(args.data, num_classes=_sidecar_num_classes(args.data))
+    sources = _load_sources(args.data)
     hidden = _setting(args, file_cfg, "hidden_dims", "64,64")
     try:
         dims = [sources[0].features.shape[1], *(int(h) for h in hidden.split(",") if h),
@@ -270,18 +252,30 @@ def cmd_train_source(args) -> int:
 
 
 def _load_adapt_inputs(args):
-    encoder, classifier, meta = load_checkpoint(args.checkpoint)
+    """(encoder, classifier, target, source_accuracy): the checkpoint's model,
+    the target stream, and `source_accuracy(enc, clf)`, a model's accuracy
+    on the rows of every --source-data file pooled, or None without
+    --source-data. Each model state is scored once, keyed by its
+    fingerprint: a pass that moves nothing, like `none` on a fresh clone,
+    reuses the score of the model it started from."""
+    encoder, classifier, _ = load_checkpoint(args.checkpoint)
     target = load_csv(args.target, num_classes=classifier.num_classes)
-    source_eval = None
+    pool = None
     if args.source_data:
         sources = _load_sources(args.source_data, num_classes=classifier.num_classes)
-        source_eval = DomainDataset(
-            features=np.vstack([d.features for d in sources]),
-            labels=np.concatenate([d.labels for d in sources]),
-            num_classes=classifier.num_classes,
-            domain_id="source_pool",
-        )
-    return encoder, classifier, meta, target, source_eval
+        pool = (np.vstack([d.features for d in sources]),
+                np.concatenate([d.labels for d in sources]))
+    scores = {}
+
+    def source_accuracy(enc, clf):
+        if pool is None:
+            return None
+        key = model_fingerprint(enc, clf)
+        if key not in scores:
+            scores[key] = classification_accuracy(enc, clf, *pool)
+        return scores[key]
+
+    return encoder, classifier, target, source_accuracy
 
 
 def _data_paths(args) -> dict:
@@ -291,20 +285,24 @@ def _data_paths(args) -> dict:
 
 def cmd_adapt(args) -> int:
     cfg, _ = _settings(args, AdaptConfig)
-    encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
+    encoder, classifier, target, source_accuracy = _load_adapt_inputs(args)
     pair = clone_for_adaptation(encoder, classifier)
     started = time.perf_counter()
-    pair, curve, reports = run_method(pair, target, cfg, source_eval=source_eval)
+    pair, curve, reports = run_method(pair, target, cfg)
+    # the pass moves only the adapted copy: the frozen source scores as before it
+    source_before = source_accuracy(encoder, classifier)
+    source_after = source_accuracy(pair.adapted_encoder, pair.adapted_classifier)
     path = _write_record(
         args, "adapt", started, method=cfg.method, config=cfg.to_dict(),
-        data=_data_paths(args), curve=curve.to_dict(),
+        data=_data_paths(args),
+        curve={**curve.to_dict(), "source_before": source_before, "source_after": source_after},
         loss_trace={key: [getattr(r, key) for r in reports]
                     for key in ("l_m", "l_e", "total")},
     )
     print(f"method {cfg.method}: final target accuracy {curve.final_accuracy:.4f} "
           f"over {len(curve.cumulative)} batches")
-    if curve.source_before is not None:
-        print(f"source accuracy: {curve.source_before:.4f} -> {curve.source_after:.4f}")
+    if source_before is not None:
+        print(f"source accuracy: {source_before:.4f} -> {source_after:.4f}")
     print(f"wrote {path}")
     return 0
 
@@ -316,20 +314,11 @@ def cmd_ablate(args) -> int:
     base, _ = _settings(args, AdaptConfig)
     if base.method != "unidg":
         raise ConfigError("ablate sweeps the combined method; do not set method")
-    encoder, classifier, _, target, source_eval = _load_adapt_inputs(args)
+    encoder, classifier, target, source_accuracy = _load_adapt_inputs(args)
     started = time.perf_counter()
-    # one source pass per distinct model state: `none` never moves a fresh
-    # clone, and a row that repeats its margin twin is not run at all
-    source_scores = {}
-
-    def source_accuracy(enc, clf):
-        key = model_fingerprint(enc, clf)
-        if key not in source_scores:
-            source_scores[key] = classification_accuracy(
-                enc, clf, source_eval.features, source_eval.labels)
-        return source_scores[key]
-
-    source_before = None if source_eval is None else source_accuracy(encoder, classifier)
+    # one source pass per distinct model state (see _load_adapt_inputs), and
+    # a row that repeats its margin twin is not run at all
+    source_before = source_accuracy(encoder, classifier)
     switches_of = dict(ABLATION_GRID)
 
     def run(name, trial):
@@ -337,7 +326,7 @@ def cmd_ablate(args) -> int:
         cfg = replace(base, seed=base.seed + trial, **switches_of[name])
         pair = clone_for_adaptation(encoder, classifier)
         pair, curve, reports = run_method(pair, target, cfg)
-        drop = None if source_eval is None else source_before - source_accuracy(
+        drop = None if source_before is None else source_before - source_accuracy(
             pair.adapted_encoder, pair.adapted_classifier)
         return curve.final_accuracy, drop, any(r.hinge_rows for r in reports)
 
@@ -357,7 +346,7 @@ def cmd_ablate(args) -> int:
             "switches": switches,
             "mean_final_accuracy": float(np.mean(finals)),
             "final_accuracies": list(finals),
-            "mean_source_drop": None if source_eval is None else float(np.mean(drops)),
+            "mean_source_drop": None if source_before is None else float(np.mean(drops)),
         })
     baseline = rows[0]["mean_final_accuracy"]
     print(f"{'variant':<12} {'accuracy':>9} {'gain':>8}")

@@ -1,19 +1,21 @@
 """Per-class support memory and prototype refresh for the classifier.
 
 The bank keeps, per pseudo-class, the K most confident (lowest entropy)
-feature vectors it has seen, averages them into a prototype, and overwrites
-the matching classifier column with it (T3A's support filter). One total
-order decides everything: lower entropy first, and among equal entropies
-the newer row first. Pseudo-labels break ties toward the lowest class index.
+feature vectors it has seen. At each refresh the mean of a class's rows is
+its prototype, and it overwrites the matching classifier column (T3A's
+support filter). One total order decides everything: lower entropy first,
+and among equal entropies the newer row first. Pseudo-labels break ties
+toward the lowest class index.
 
-The bank is a set of fixed arrays: `features (C, K, d)`, `entropies (C, K)`,
-`steps (C, K)`, `counts (C,)` and `prototypes (C, d)`, whose row j is class
-j's prototype. Class j holds its first `counts[j]` slots in that order, and
-the prototype is their mean; the slots past `counts[j]` are never written
-and stay 0.0. An insert sorts the batch once by class, then entropy, then
-newest first, and then makes one stable sort per class it touches; a full
-class that no new row can enter is skipped. `steps` records each row's
-arrival for inspection (`supports`); no decision reads it.
+The bank is four fixed arrays: `features (C, K, d)`, `entropies (C, K)`,
+`steps (C, K)` and `counts (C,)`. Class j holds its first `counts[j]` slots
+in that order; the slots past `counts[j]` are never written and stay 0.0.
+The prototypes are not stored: `compute_prototypes` derives them from the
+rows, and the refreshed classifier holds them. An insert sorts the batch
+once by class, then entropy, then newest first, and then makes one stable
+sort per class it touches; a full class that no new row can enter is
+skipped. `steps` records each row's arrival for inspection (`supports`); no
+decision reads it.
 
 The prototypes and the refresh are whole-array ops: one sum over the K
 axis and one masked division give every class's mean, and one masked copy
@@ -40,9 +42,9 @@ class SupportRecord:
 
 
 class MemoryBank:
-    """Per-class support arrays plus `prototypes (C, d)`; see the module
-    docstring for the layout. `capacity_per_class` is K: the rows each class
-    holds and its prototype averages. Prototypes start at zero."""
+    """Per-class support arrays; see the module docstring for the layout.
+    `capacity_per_class` is K: the rows each class holds and its prototype
+    averages."""
 
     def __init__(self, num_classes: int, feature_dim: int, capacity_per_class: int = 20):
         if num_classes < 2:
@@ -58,7 +60,6 @@ class MemoryBank:
         self.entropies = np.zeros((num_classes, capacity_per_class))
         self.steps = np.zeros((num_classes, capacity_per_class), dtype=np.int64)
         self.counts = np.zeros(num_classes, dtype=np.int64)
-        self.prototypes = np.zeros((num_classes, feature_dim))
         self._next_step = 0
 
     def _records(self, class_id: int, n: int) -> list[SupportRecord]:
@@ -76,11 +77,8 @@ class MemoryBank:
 
 
 def init_from_classifier(classifier, top_k: int = 20) -> MemoryBank:
-    """Empty bank of `top_k` rows per class whose prototypes start as the
-    classifier's weight columns."""
-    bank = MemoryBank(classifier.num_classes, classifier.feature_dim, top_k)
-    bank.prototypes[:] = classifier.omega.T
-    return bank
+    """Empty bank of `top_k` rows per class, sized to refresh `classifier`."""
+    return MemoryBank(classifier.num_classes, classifier.feature_dim, top_k)
 
 
 def pseudo_label(probs: Array):
@@ -148,17 +146,17 @@ def insert_and_select(bank: MemoryBank, features: Array, labels, entropies) -> M
 
 
 def compute_prototypes(bank: MemoryBank) -> Array:
-    """Mean of each class's held rows, written into its row of
-    `bank.prototypes`. Classes without rows keep their current row.
+    """A new `(C, d)` array whose row j is the mean of class j's held rows,
+    or 0.0 for a class without rows. The bank is left as it is.
 
     The sum and division are the ones `np.mean` runs, for every class at
-    once: one sum over the K axis, then a division where the count is
-    nonzero. The slots past a class's count have never been written, so
-    they add 0.0, and x + 0.0 is x (numpy's sum also starts from 0.0). A
-    single column is the exception: numpy sums it pairwise, in an order set
-    by the number of rows summed, so each class is summed over its own rows.
-    Sums past the float range fail before any prototype changes (scanned
-    outside a checked step, by the flags inside one)."""
+    once: one sum over the K axis, then a division, in place, where the
+    count is nonzero. The slots past a class's count have never been
+    written, so they add 0.0, and x + 0.0 is x (numpy's sum also starts from
+    0.0). A single column is the exception: numpy sums it pairwise, in an
+    order set by the number of rows summed, so each class is summed over its
+    own rows. Sums past the float range fail (scanned outside a checked
+    step, by the flags inside one)."""
     counts = bank.counts
     try:
         if bank.feature_dim == 1:
@@ -167,22 +165,23 @@ def compute_prototypes(bank: MemoryBank) -> Array:
         else:
             sums = np.add.reduce(bank.features, axis=1)
         _finite(sums, "compute_prototypes")
-        np.divide(sums, counts[:, None], out=bank.prototypes, where=counts[:, None] > 0)
+        np.divide(sums, counts[:, None], out=sums, where=counts[:, None] > 0)
     except FloatingPointError as e:
         raise non_finite("compute_prototypes") from e
-    return bank.prototypes
+    return sums
 
 
 def refresh_classifier(bank: MemoryBank, classifier):
-    """Overwrite classifier columns with prototypes for every class that has
-    at least one support; those classes also get their bias zeroed so the
-    logit is a pure prototype dot product. Untouched classes keep their
-    weights."""
+    """Overwrite classifier columns with the bank's prototypes for every
+    class that has at least one support; those classes also get their bias
+    zeroed so the logit is a pure prototype dot product. Untouched classes
+    keep their weights, and a prototype sum that overflows leaves every
+    column as it was."""
     if classifier.feature_dim != bank.feature_dim:
         raise DimensionError("refresh_classifier: feature dims differ")
     if classifier.num_classes != bank.num_classes:
         raise DimensionError("refresh_classifier: class counts differ")
     held = bank.counts > 0
-    np.copyto(classifier.omega, bank.prototypes.T, where=held)
+    np.copyto(classifier.omega, compute_prototypes(bank).T, where=held)
     np.copyto(classifier.bias, 0.0, where=held)
     return classifier

@@ -21,7 +21,6 @@ from gradcheck import numeric_grad, rel_error
 from test_memory import OracleBank
 from marginadapt import (
     AdaptConfig,
-    DomainDataset,
     LinearClassifier,
     MlpEncoder,
     NormLayerState,
@@ -216,7 +215,7 @@ def test_criterion_3_memory_bank_oracle():
         # coarse entropies force ties so the deterministic tie-breaks matter
         entropies = np.round(rng.uniform(0.0, 1.0, size=10), 1)
         insert_and_select(bank, feats, labels, entropies)
-        compute_prototypes(bank)
+        protos = compute_prototypes(bank)
         for i in range(10):
             oracle.insert(feats[i], int(labels[i]), float(entropies[i]), step)
             step += 1
@@ -229,13 +228,12 @@ def test_criterion_3_memory_bank_oracle():
                 npt.assert_array_equal(f, w[2])
             proto = oracle.prototype(j)
             if proto is not None:
-                npt.assert_array_equal(bank.prototypes[j], proto)
+                npt.assert_array_equal(protos[j], proto)
 
     # refresh idempotence: a second refresh with no new inserts is a no-op
     refresh_classifier(bank, clf)
     omega_1 = clf.omega.copy()
     bias_1 = clf.bias.copy()
-    compute_prototypes(bank)
     refresh_classifier(bank, clf)
     npt.assert_array_equal(clf.omega, omega_1)
     npt.assert_array_equal(clf.bias, bias_1)
@@ -303,29 +301,26 @@ def test_criterion_5_directional_improvement():
 # -- criterion 6: source preservation -----------------------------------------
 
 
-def _pooled(sources):
-    return DomainDataset(
-        features=np.vstack([d.features for d in sources]),
-        labels=np.concatenate([d.labels for d in sources]),
-        num_classes=sources[0].num_classes,
-        domain_id="source_pool",
-    )
+def _source_drop(enc, clf, target, cfg, sources):
+    """Points of accuracy on the pooled source rows that a pass of cfg over
+    the target costs a fresh clone of (enc, clf)."""
+    pool = (np.vstack([d.features for d in sources]),
+            np.concatenate([d.labels for d in sources]))
+    pair = clone_for_adaptation(enc, clf)
+    before = classification_accuracy(pair.adapted_encoder, pair.adapted_classifier, *pool)
+    run_method(pair, target, cfg)
+    after = classification_accuracy(pair.adapted_encoder, pair.adapted_classifier, *pool)
+    return 100.0 * (before - after)
 
 
 def test_criterion_6_source_preservation():
     drops = {"unidg": [], "entropy_norm": []}
     for seed in range(10):
-        sources, target, enc, clf = norm_fixture(seed)
-        pool = _pooled(sources)
+        sources, target, _, _ = norm_fixture(seed)
         for method in drops:
-            enc2, clf2 = norm_fixture(seed)[2:]
-            pair = clone_for_adaptation(enc2, clf2)
-            _, curve, _ = run_method(
-                pair, target, AdaptConfig(method=method), source_eval=pool
-            )
+            enc, clf = norm_fixture(seed)[2:]
             drops[method].append(
-                100.0 * (curve.source_before - curve.source_after)
-            )
+                _source_drop(enc, clf, target, AdaptConfig(method=method), sources))
     ours = float(np.mean(drops["unidg"]))
     baseline = float(np.mean(drops["entropy_norm"]))
     assert ours <= baseline, f"source drop {ours:.2f} > baseline {baseline:.2f}"
@@ -479,13 +474,11 @@ def test_criterion_10_margin_limits_forgetting():
     gaps = []
     for seed in range(100, 110):
         sources, target, _, _ = norm_fixture(seed, angle_deg=45.0)
-        pool = _pooled(sources)
         drops = []
         for switches in (dict(enable_lm=False), {}):  # le+refresh, then all
             enc, clf = norm_fixture(seed, angle_deg=45.0)[2:]
-            _, curve, _ = run_method(clone_for_adaptation(enc, clf), target,
-                                     AdaptConfig(lr=5e-3, **switches), source_eval=pool)
-            drops.append(100.0 * (curve.source_before - curve.source_after))
+            drops.append(_source_drop(enc, clf, target,
+                                      AdaptConfig(lr=5e-3, **switches), sources))
         gaps.append(drops[0] - drops[1])
     assert min(gaps) >= 4.0, f"the margin saved under 4 source points on a seed: {gaps}"
     print(

@@ -31,6 +31,7 @@ from marginadapt import (
 )
 from marginadapt import adapt
 from marginadapt.adapt import METHODS
+from marginadapt.numeric import NORM_EPS, NORM_MOMENTUM
 from test_memory import OracleBank
 from test_train import PerArrayAdam
 
@@ -117,32 +118,6 @@ def test_scoring_failure_names_the_step(method):
         run_method(pair, target, AdaptConfig(method=method, seed=1))
 
 
-def _per_batch_run(pair, target, cfg):
-    """run_method's protocol one batch at a time: score the batch alone, then
-    step on it while the budget lasts, with the frozen source's features of
-    that batch alone."""
-    enc, clf = pair.adapted_encoder, pair.adapted_classifier
-    batches = stream_batches(target.n, cfg.batch_size, cfg.seed)
-    if enc.has_norm_layers:
-        batches = [b for b in batches if b.shape[0] >= 2]
-    mode = "train" if enc.has_norm_layers else "eval"
-    limit = len(batches) if cfg.steps is None else cfg.steps
-    step = adapt._make_step(pair, cfg, mode, min(cfg.top_k, target.n)) if limit > 0 else None
-    cumulative, reports, correct, seen = [], [], 0, 0
-    for t, idx in enumerate(batches):
-        xb = target.features[idx]
-        feats = enc.encode(xb, mode=mode, retain_cache=True)
-        probs = softmax_rows(clf.logits(feats))
-        preds = np.argmax(probs, axis=1)
-        if step is not None and t < limit:
-            source_feats = pair.source_encoder.encode(xb, mode=mode, retain_cache=False)
-            reports.append(step(source_feats, feats, probs, preds))
-        correct += int((preds == target.labels[idx]).sum())
-        seen += idx.shape[0]
-        cumulative.append(correct / seen)
-    return cumulative, [r for r in reports if r is not None]
-
-
 @pytest.mark.parametrize("cap", [80, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])
 @pytest.mark.parametrize("settings", [
     dict(method="none"),
@@ -167,28 +142,30 @@ def test_stacked_scoring_equals_a_per_batch_loop(settings, cap, monkeypatch):
         pair, target = _tiny(7, use_norm=use_norm)
         _, curve, reports = run_method(pair, target, cfg)
         ref_pair, _ = _tiny(7, use_norm=use_norm)
-        cumulative, ref_reports = _per_batch_run(ref_pair, target, cfg)
+        cumulative, ref_reports = reference_run(ref_pair, target, cfg)
         assert curve.cumulative == cumulative
-        assert reports == ref_reports
         assert pair.adapted_fingerprint() == ref_pair.adapted_fingerprint()
-        assert _hexed(reports) == _hexed(ref_reports)
+        assert _hexed(_rows(reports)) == _hexed(ref_reports)
         if cfg.sigma == 0.0 and cfg.enable_le:
             assert any(r.hinge_rows for r in reports)  # the hinge binds
 
 
-def _hexed(reports):
-    return [(r.l_m.hex(), r.l_e.hex(), r.total.hex(), r.hinge_rows) for r in reports]
+def _rows(reports):
+    return [(r.l_m, r.l_e, r.total, r.hinge_rows) for r in reports]
 
 
-def unidg_reference(pair, target, cfg):
-    """The unidg pass written from its equations, one batch at a time, in
-    place on the pair: per-array gradients and PerArrayAdam, the full-sort
-    OracleBank and np.mean prototypes; no pack, stacking or checked step.
-    Per batch: score it; while the step budget lasts, insert its pseudo-
-    labelled rows into the bank, average each class's top rows into its
-    prototype and write it into the classifier's column (bias zeroed), take
-    the entropy through that refreshed classifier, add the hinge on the
-    squared drift from the frozen source's features, and take one Adam step.
+def _hexed(rows):
+    """(l_m, l_e, total, hinge rows) rows with the floats as hex, so that
+    -0.0 against 0.0 shows."""
+    return [(float(l_m).hex(), float(l_e).hex(), float(total).hex(), hinge)
+            for l_m, l_e, total, hinge in rows]
+
+
+def reference_run(pair, target, cfg):
+    """run_method's protocol written plainly, one batch at a time, in place
+    on the pair: score the batch alone, then, while the step budget lasts,
+    take cfg.method's reference step on it, written from its equations with
+    per-array gradients and PerArrayAdam; no pack, stacking or checked step.
     Returns (cumulative accuracies, [(l_m, l_e, total, hinge rows) per step])."""
     enc, clf = pair.adapted_encoder, pair.adapted_classifier
     mode = "train" if enc.has_norm_layers else "eval"
@@ -197,9 +174,7 @@ def unidg_reference(pair, target, cfg):
     if enc.has_norm_layers:
         batches = [b for b in batches if b.size >= 2]
     limit = len(batches) if cfg.steps is None else cfg.steps
-    rows = min(cfg.top_k, target.n)
-    bank = OracleBank(clf.num_classes, rows, rows)
-    opt = PerArrayAdam(enc.parameters() + clf.parameters(), cfg.lr)
+    step = _REFERENCE_STEPS[cfg.method](pair, cfg, mode, min(cfg.top_k, target.n))
     cumulative, reports, correct, seen = [], [], 0, 0
     for t, idx in enumerate(batches):
         x, n = target.features[idx], idx.size
@@ -209,27 +184,113 @@ def unidg_reference(pair, target, cfg):
         correct += int(np.count_nonzero(preds == target.labels[idx]))
         seen += n
         cumulative.append(correct / seen)
-        if t >= limit:
-            continue
+        if t < limit:
+            report = step(x, feats, probs, preds, seen - n)
+            if report is not None:
+                reports.append(report)
+    return cumulative, reports
+
+
+def _entropies(probs):
+    """log p (0 where p is 0) and each row's Shannon entropy."""
+    logp = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
+    return logp, -(probs * logp).sum(axis=1)
+
+
+def _mean_entropy(probs):
+    """The mean row entropy and its gradient w.r.t. the logits."""
+    logp, h = _entropies(probs)
+    return h.mean(), -probs * (logp + h[:, None]) / probs.shape[0]
+
+
+def _norm_statistics(enc, x):
+    """(norm layer, batch mean, batch variance) of each norm layer's input in
+    a train-mode forward of x, by np.mean and np.var."""
+    out, h = [], x
+    for w, b, norm in zip(enc.weights, enc.biases, enc.norms):
+        a = h @ w + b
+        if norm is not None:
+            mean, var = a.mean(axis=0), a.var(axis=0)
+            out.append((norm, mean, var))
+            a = norm.gamma * ((a - mean) / np.sqrt(var + NORM_EPS)) + norm.beta
+        h = np.maximum(a, 0.0)
+    return out
+
+
+def none_reference(pair, cfg, mode, rows):
+    """No step: a pure evaluation pass."""
+    return lambda x, feats, probs, preds, first: None
+
+
+def entropy_norm_reference(pair, cfg, mode, rows):
+    """Tent: one Adam step on the batch's mean entropy, over the norm layers'
+    gamma and beta alone; then each norm layer's running statistics move
+    NORM_MOMENTUM of the way to the batch's, those of the forward that
+    scored it."""
+    enc, clf = pair.adapted_encoder, pair.adapted_classifier
+    opt = PerArrayAdam(enc.norm_parameters(), cfg.lr)
+
+    def step(x, feats, probs, preds, first):
+        stats = _norm_statistics(enc, x)
+        l_e, g_logits = _mean_entropy(probs)
+        g_feats, _ = backward_grads(clf, feats, g_logits)
+        opt.step(backward_grads(enc, g_feats)[1])
+        for norm, mean, var in stats:
+            norm.running_mean[...] = (1.0 - NORM_MOMENTUM) * norm.running_mean + NORM_MOMENTUM * mean
+            norm.running_var[...] = (1.0 - NORM_MOMENTUM) * norm.running_var + NORM_MOMENTUM * var
+        return (0.0, float(l_e), float(l_e), 0)
+
+    return step
+
+
+def pseudo_label_reference(pair, cfg, mode, rows):
+    """One Adam step on every parameter, on the mean cross-entropy against
+    the batch's own argmax labels (log p floored at 1e-300)."""
+    enc, clf = pair.adapted_encoder, pair.adapted_classifier
+    opt = PerArrayAdam(enc.parameters() + clf.parameters(), cfg.lr)
+
+    def step(x, feats, probs, preds, first):
+        n, picked = preds.size, (np.arange(preds.size), preds)
+        loss = -np.log(np.maximum(probs[picked], 1e-300)).sum() / n
+        g_logits = probs.copy()
+        g_logits[picked] -= 1.0
+        g_logits /= n
+        g_feats, grads = backward_grads(clf, feats, g_logits)
+        grads.update(backward_grads(enc, g_feats)[1])
+        opt.step(grads)
+        return (0.0, 0.0, float(loss), 0)
+
+    return step
+
+
+def unidg_reference(pair, cfg, mode, rows):
+    """unidg, with the full-sort OracleBank of `rows` rows per class and
+    np.mean prototypes: insert the batch's pseudo-labelled rows into the
+    bank, average each class's top rows into its prototype and write it into
+    the classifier's column (bias zeroed), take the entropy through that
+    refreshed classifier, add the hinge on the squared drift from the frozen
+    source's features, and take one Adam step."""
+    enc, clf = pair.adapted_encoder, pair.adapted_classifier
+    bank = OracleBank(clf.num_classes, rows, rows)
+    opt = PerArrayAdam(enc.parameters() + clf.parameters(), cfg.lr)
+
+    def step(x, feats, probs, preds, first):
+        n = preds.size
         if cfg.enable_bank:
-            logp = np.log(probs, out=np.zeros_like(probs), where=probs > 0.0)
-            entropies = -(probs * logp).sum(axis=1)
+            _, entropies = _entropies(probs)
             for i in range(n):  # a row's step is its place in the stream
-                bank.insert(feats[i], int(preds[i]), float(entropies[i]), seen - n + i)
+                bank.insert(feats[i], int(preds[i]), float(entropies[i]), first + i)
             for j in range(clf.num_classes):
                 if bank.rows[j]:
                     clf.omega[:, j] = bank.prototype(j)
                     clf.bias[j] = 0.0
         if not (cfg.enable_lm or cfg.enable_le):
-            continue
+            return None
         l_e = l_m = 0.0
         g_feats, grads = np.zeros_like(feats), {}
         if cfg.enable_le:
-            post = softmax_rows(clf.logits(feats))
-            logp = np.log(post, out=np.zeros_like(post), where=post > 0.0)
-            h = -(post * logp).sum(axis=1)
-            l_e = h.mean()
-            g_feats, grads = backward_grads(clf, feats, -post * (logp + h[:, None]) / n)
+            l_e, g_logits = _mean_entropy(softmax_rows(clf.logits(feats)))
+            g_feats, grads = backward_grads(clf, feats, g_logits)
         active = np.zeros(n, dtype=bool)
         if cfg.enable_lm:
             diff = feats - pair.source_encoder.encode(x, mode=mode, retain_cache=False)
@@ -239,9 +300,14 @@ def unidg_reference(pair, target, cfg):
             g_feats = g_feats + cfg.lambda_weight * np.where(active[:, None], 2.0 / n * diff, 0.0)
         grads.update(backward_grads(enc, g_feats)[1])
         opt.step(grads)
-        reports.append((float(l_m), float(l_e), float(l_e + cfg.lambda_weight * l_m),
-                        int(np.count_nonzero(active))))
-    return cumulative, reports
+        return (float(l_m), float(l_e), float(l_e + cfg.lambda_weight * l_m),
+                int(np.count_nonzero(active)))
+
+    return step
+
+
+_REFERENCE_STEPS = {"none": none_reference, "entropy_norm": entropy_norm_reference,
+                    "pseudo_label": pseudo_label_reference, "unidg": unidg_reference}
 
 
 @lru_cache(maxsize=None)
@@ -272,15 +338,49 @@ def test_unidg_equals_its_reference_written_from_the_equations(use_norm, lm, le,
         source = pair.source_fingerprint()
         _, curve, reports = run_method(pair, target, cfg)
         ref_pair, _ = _fresh_pair(use_norm)
-        cumulative, ref_reports = unidg_reference(ref_pair, target, cfg)
+        cumulative, ref_reports = reference_run(ref_pair, target, cfg)
         where = f"steps={steps}, batch_size={batch_size}, sigma={sigma}"
         assert curve.cumulative == cumulative, where
-        assert [(r.l_m, r.l_e, r.total, r.hinge_rows) for r in reports] == ref_reports, where
+        assert _rows(reports) == ref_reports, where
         assert pair.adapted_fingerprint() == ref_pair.adapted_fingerprint(), where
         # the pass moved the model, and with no margin the hinge bound
         assert (pair.adapted_fingerprint() != source) == (le or bank), where
         if lm and le and sigma == 0.0:
             assert any(r.hinge_rows for r in reports), where
+
+
+@pytest.mark.parametrize("method, use_norm", [
+    ("pseudo_label", False), ("pseudo_label", True), ("entropy_norm", True),
+], ids=["pseudo_label-linear", "pseudo_label-norm", "entropy_norm-norm"])
+def test_each_baseline_equals_its_reference_written_from_the_equations(method, use_norm):
+    for steps, batch_size in itertools.product([None, 5], [32, 37]):
+        cfg = AdaptConfig(method=method, lr=1e-2, seed=4, steps=steps, batch_size=batch_size)
+        pair, target = _fresh_pair(use_norm)
+        start = pair.adapted_fingerprint()
+        _, curve, reports = run_method(pair, target, cfg)
+        ref_pair, _ = _fresh_pair(use_norm)
+        cumulative, ref_reports = reference_run(ref_pair, target, cfg)
+        where = f"steps={steps}, batch_size={batch_size}"
+        assert curve.cumulative == cumulative, where
+        assert _hexed(_rows(reports)) == _hexed(ref_reports), where
+        assert len(reports) == (steps or len(curve.cumulative)), where
+        assert pair.adapted_fingerprint() == ref_pair.adapted_fingerprint() != start, where
+
+
+@pytest.mark.parametrize("use_norm", [False, True], ids=["linear", "norm"])
+def test_unidg_reads_only_the_frozen_source_encoder(use_norm):
+    # the bank is sized from the adapted classifier and the hinge reads the
+    # source encoder: a pass never touches the frozen source classifier
+    runs = []
+    for source_classifier in (None, object()):
+        pair, target = _fresh_pair(use_norm)
+        if source_classifier is not None:
+            pair.source_classifier = source_classifier
+        cfg = AdaptConfig(lr=1e-2, seed=4, sigma=0.0)
+        _, curve, reports = run_method(pair, target, cfg)
+        runs.append((curve.to_dict(), _hexed(_rows(reports)), pair.adapted_fingerprint()))
+    assert any(hinge for *_, hinge in runs[0][1])
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("cap", [64, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])
@@ -637,16 +737,21 @@ def test_run_method_none_never_adapts_even_without_step_cap():
     assert reports == []
 
 
-def test_source_before_and_after_are_recorded():
+def test_run_method_scores_only_the_target_stream():
+    # what a pass did to the source is measured by the caller, on the model
+    # the pass adapted in place
     pair, target = _tiny(9)
     spec = ShiftSpec(samples_per_domain=240, num_source_domains=2, seed=9)
-    sources, _ = gen_synthetic_shift(spec)
-    _, curve, _ = run_method(
-        pair, target, AdaptConfig(lr=1e-3, seed=0), source_eval=sources[0]
-    )
-    assert curve.source_before is not None and curve.source_after is not None
-    _, plain, _ = run_method(pair, target, AdaptConfig(steps=0, seed=0))
-    assert plain.source_before is None and plain.source_after is None
+    source = gen_synthetic_shift(spec)[0][0]
+
+    def source_accuracy():
+        return classification_accuracy(pair.adapted_encoder, pair.adapted_classifier,
+                                       source.features, source.labels)
+
+    before = source_accuracy()
+    _, curve, _ = run_method(pair, target, AdaptConfig(lr=1e-3, seed=0))
+    assert sorted(curve.to_dict()) == ["cumulative", "final_accuracy", "per_domain"]
+    assert source_accuracy() != before
 
 
 def test_adapt_config_validation():

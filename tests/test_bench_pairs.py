@@ -53,3 +53,14 @@ def test_summary_without_a_control_has_no_control_entries():
                        "change_better_in_pairs"}
     assert op["change_better_in_pairs"] == 0
     assert set(out["failed"]) == {"parent", "change"}
+
+
+def test_pad_lengths_repeat_for_one_seed_and_differ_across_runs():
+    def first(seed, n=24):
+        lengths = bench_pairs.pad_lengths(seed)
+        return [next(lengths) for _ in range(n)]
+
+    assert first(7) == first(7)
+    assert len(set(first(7))) > 12
+    assert first(7) != first(8)
+    assert all(0 <= n < bench_pairs.PAD_MAX for n in first(7, 1000))

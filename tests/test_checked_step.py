@@ -24,11 +24,12 @@ from marginadapt import (
     clone_for_adaptation,
     compute_prototypes,
     gen_synthetic_shift,
+    refresh_classifier,
     run_method,
     stream_batches,
     train_source_erm,
 )
-from marginadapt import adapt, model, numeric, train
+from marginadapt import adapt, memory, model, numeric, train
 from marginadapt.numeric import batchnorm_forward, update_running_stats
 
 
@@ -93,7 +94,7 @@ _SITES = {
                       lambda f: lambda a, s, sigma: f(_huge(a), np.full_like(s, -1e308), sigma)),
     "Adam.step": (Adam, "step", "Adam.step",
                   lambda f: lambda self: (self.grads.fill(1e200), f(self))[1]),
-    "compute_prototypes": (adapt, "compute_prototypes", "compute_prototypes",
+    "compute_prototypes": (memory, "compute_prototypes", "compute_prototypes",
                            lambda f: lambda bank: (bank.features.fill(1e308), f(bank))[1]),
 }
 
@@ -337,12 +338,13 @@ def test_a_direct_call_fails_where_its_intermediate_overflows(op, call):
     assert str(err.value) == f"{op}: produced non-finite values"
 
 
-def test_a_prototype_sum_that_overflows_leaves_the_prototypes_as_they_were():
+def test_a_prototype_sum_that_overflows_leaves_the_classifier_as_it_was():
     bank = _bank_whose_sum_overflows()
-    bank.prototypes[...] = 0.5
+    clf = LinearClassifier.create(3, 2, seed=0)
+    omega, bias = clf.omega.copy(), clf.bias.copy()
     with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
-        compute_prototypes(bank)
-    assert (bank.prototypes == 0.5).all()
+        refresh_classifier(bank, clf)
+    assert (clf.omega == omega).all() and (clf.bias == bias).all()
 
 
 def _huge_variance(enc, clf):  # pre-norm values near 1e155

@@ -112,8 +112,7 @@ def test_prototype_takes_the_newer_of_two_tied_rows(same_batch):
     else:
         insert_and_select(bank, feats[:1], [0], [0.25])
         insert_and_select(bank, feats[1:], [0], [0.25])
-    compute_prototypes(bank)
-    assert bank.prototypes[0].tolist() == [2.0, 2.0]
+    assert compute_prototypes(bank)[0].tolist() == [2.0, 2.0]
     assert bank.steps[0].tolist() == [1]
 
 
@@ -130,13 +129,12 @@ def test_pseudo_label_entropy_matches_definition():
     npt.assert_allclose(entropies, -(p * np.log(p)).sum(axis=1), atol=1e-12)
 
 
-def test_init_from_classifier_copies_columns():
+def test_init_from_classifier_sizes_an_empty_bank():
     clf = LinearClassifier.create(4, 3, seed=3)
     bank = init_from_classifier(clf, top_k=2)
-    for j in range(3):
-        npt.assert_array_equal(bank.prototypes[j], clf.omega[:, j])
-    bank.prototypes[0][0] += 1.0
-    assert clf.omega[0, 0] != bank.prototypes[0][0]  # independent storage
+    assert (bank.num_classes, bank.feature_dim, bank.capacity_per_class) == (3, 4, 2)
+    assert bank.features.shape == (3, 2, 4)
+    assert bank.counts.tolist() == [0, 0, 0] and not bank.features.any()
 
 
 def test_refresh_after_init_is_a_fixed_point():
@@ -158,7 +156,6 @@ def test_refresh_overwrites_supported_classes_and_zeroes_bias():
     feats = rng.standard_normal((5, 3))
     entropies = rng.random(5)
     insert_and_select(bank, feats, [0] * 5, entropies)
-    compute_prototypes(bank)
     refresh_classifier(bank, clf)
     best4 = feats[np.argsort(entropies, kind="stable")[:4]]
     npt.assert_allclose(clf.omega[:, 0], best4.mean(axis=0), atol=1e-12)
@@ -172,20 +169,11 @@ def test_refresh_is_idempotent():
     clf = LinearClassifier.create(3, 2, seed=8)
     bank = init_from_classifier(clf)
     insert_and_select(bank, rng.standard_normal((6, 3)), rng.integers(0, 2, 6), rng.random(6))
-    compute_prototypes(bank)
     refresh_classifier(bank, clf)
     w1, b1 = clf.omega.copy(), clf.bias.copy()
     refresh_classifier(bank, clf)
     npt.assert_array_equal(clf.omega, w1)
     npt.assert_array_equal(clf.bias, b1)
-
-
-def test_empty_class_keeps_prototype():
-    clf = LinearClassifier.create(3, 2, seed=9)
-    bank = init_from_classifier(clf)
-    insert_and_select(bank, np.ones((2, 3)), [0, 0], [0.1, 0.2])
-    protos = compute_prototypes(bank)
-    npt.assert_array_equal(protos[1], clf.omega[:, 1])  # class 1 never saw data
 
 
 def test_bank_validation():
@@ -214,7 +202,7 @@ def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction(
         labels = rng.integers(0, num_classes, size=10)
         entropies = np.round(rng.uniform(0.0, 1.0, size=10) * 2) / 2
         insert_and_select(bank, feats, labels, entropies)
-        compute_prototypes(bank)
+        protos = compute_prototypes(bank)
         for i in range(10):
             oracle.insert(feats[i], int(labels[i]), float(entropies[i]), step)
             step += 1
@@ -228,7 +216,7 @@ def test_batch_that_overflows_a_class_several_times_matches_row_by_row_eviction(
             assert got == [w[:2] for w in want]
             for feat, (_, _, f) in zip(bank.features[j, :k], want):
                 npt.assert_array_equal(feat, f)
-            npt.assert_array_equal(bank.prototypes[j], oracle.prototype(j))
+            npt.assert_array_equal(protos[j], oracle.prototype(j))
 
 
 def test_out_of_range_label_leaves_the_bank_untouched():
@@ -259,8 +247,6 @@ def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, top_
     rng = np.random.default_rng(13)
     num_classes = 6
     bank = MemoryBank(num_classes, dim, capacity_per_class=top_k)
-    start = rng.standard_normal((num_classes, dim))
-    bank.prototypes[:] = start
     labels = rng.integers(0, 3, size=200)
     labels[[20, 90, 150]] = 3
     labels[60] = 4
@@ -268,10 +254,10 @@ def test_prototypes_are_bit_exact_per_class_means_after_many_evictions(dim, top_
         feats = rng.standard_normal((8, dim)) * 10.0 ** rng.uniform(-3, 6, size=(8, 1))
         entropies = np.round(rng.uniform(0.0, 1.0, size=8) * 4) / 4
         insert_and_select(bank, feats, batch, entropies)
-        compute_prototypes(bank)
+        protos = compute_prototypes(bank)
         for j, n_held in enumerate(bank.counts.tolist()):
-            want = bank.features[j, :n_held].mean(axis=0) if n_held else start[j]
-            npt.assert_array_equal(bank.prototypes[j], want)
+            want = bank.features[j, :n_held].mean(axis=0) if n_held else np.zeros(dim)
+            npt.assert_array_equal(protos[j], want)
             # slots past the count have never been written
             assert (bank.features[j, n_held:].view(np.uint64) == 0).all()
     assert bank.counts.tolist() == [top_k] * 3 + [3, 1, 0]
@@ -287,7 +273,6 @@ def _filled_banks(draw):
     dim = draw(st.sampled_from([1, 2, 3, 7]))
     bank = MemoryBank(num_classes, dim, capacity_per_class=cap)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    bank.prototypes[:] = rng.standard_normal((num_classes, dim))
     for j in range(num_classes):
         n = draw(st.sampled_from([0, cap, int(rng.integers(0, cap + 1))]))
         feats = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 6, size=(n, 1))
@@ -301,11 +286,26 @@ def _filled_banks(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_filled_banks())
 def test_prototypes_equal_the_per_class_means_bit_for_bit(bank):
-    start = bank.prototypes.copy()
-    compute_prototypes(bank)
+    # a class without rows gets 0.0
+    protos = compute_prototypes(bank)
     for j, n in enumerate(bank.counts.tolist()):
-        want = bank.features[j, :n].mean(axis=0) if n else start[j]
-        npt.assert_array_equal(bank.prototypes[j].view(np.uint64), want.view(np.uint64))
+        want = bank.features[j, :n].mean(axis=0) if n else np.zeros(bank.feature_dim)
+        npt.assert_array_equal(protos[j].view(np.uint64), want.view(np.uint64))
+
+
+def test_compute_prototypes_returns_a_new_array_and_leaves_the_bank_as_it_is():
+    rng = np.random.default_rng(15)
+    bank = MemoryBank(3, 4, capacity_per_class=3)
+    insert_and_select(bank, rng.standard_normal((7, 4)), [0, 0, 0, 0, 1, 1, 0], rng.random(7))
+    arrays = (bank.features, bank.entropies, bank.steps, bank.counts)
+    before = [a.tobytes() for a in arrays]
+    first = compute_prototypes(bank)
+    second = compute_prototypes(bank)
+    assert first.shape == (3, 4) and first is not second
+    assert not any(np.shares_memory(first, a) for a in arrays)
+    assert [a.tobytes() for a in arrays] == before
+    npt.assert_array_equal(first, second)
+    assert not first[2].any()  # class 2 holds no row
 
 
 def _full_sort_insert(bank, features, labels, entropies):

@@ -9,7 +9,14 @@ Each DIR is the root of a checkout, say a `git archive` of the parent commit
 and the working tree of the change: it holds `perfbench/run.py` and `src/`.
 Every run is `python3 perfbench/run.py --workload W --seed S --seconds T`,
 started from that root, with T the `run_seconds` of the change's
-BENCHMARK.json. Pair k runs each workload once on each side. The parent
+BENCHMARK.json, and with the environment variable BENCH_PAIRS_PAD set to a
+run of "x" whose length (0 to 4095 bytes) is drawn for each run, in the
+order the runs start, from random.Random(S) (`pad_lengths`); the file
+records each run's length as its "pad". The environment sits at the top of
+the stack, so its size moves where a run's stack and what follows it lie:
+a layout that happens to suit one side is spread over the runs instead of
+always falling to it (the layout randomisation of Stabilizer, Curtsinger
+and Berger, ASPLOS 2013). Pair k runs each workload once on each side. The parent
 runs first in odd pairs and the change first in even ones. The workload
 order of each pair is shuffled by a generator seeded with S, and the file
 records it, so that no workload always runs after the same one.
@@ -30,7 +37,9 @@ change, control in odd pairs and the reverse in even ones. Beside each A/B
 entry the file then gives the A/A one, the control's median over the
 parent's (`control_over_parent`) and the pairs the control won
 (`control_better_in_pairs`): what the layout of a checkout alone moves. A
-change's ratio means something only outside the control's.
+change's ratio means something only outside the control's: a claim counts
+only when the change's ratio lies outside the range of the control's
+ratios measured on the same seed.
 
 Each workload named by --trace then runs once more per side, parent first,
 with `--trace 1`; the file keeps those runs' final JSON lines (per-layer
@@ -49,6 +58,16 @@ import subprocess
 import sys
 
 SIDES = ("parent", "change", "control")
+PAD_VAR = "BENCH_PAIRS_PAD"
+PAD_MAX = 4096  # bytes: one page of stack offsets
+
+
+def pad_lengths(seed):
+    """The padding length of each run, in the order the runs start: an
+    endless draw from random.Random(seed), so one seed repeats its lengths."""
+    rng = random.Random(seed)
+    while True:
+        yield rng.randrange(PAD_MAX)
 
 
 def parse_args(argv=None):
@@ -68,14 +87,16 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def run_once(root, workload, seed, seconds, trace=False) -> dict:
-    """One perfbench run from `root`: its exit code, env line, wall op time
-    and final JSON line (None where the output lacks one)."""
+def run_once(root, workload, seed, seconds, pad, trace=False) -> dict:
+    """One perfbench run from `root` with `pad` bytes in PAD_VAR: the pad,
+    its exit code, env line, wall op time and final JSON line (None where
+    the output lacks one)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     if trace:
         cmd += ["--trace", "1"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                          env={**os.environ, PAD_VAR: "x" * pad})
     lines = proc.stdout.splitlines()
     env = next((json.loads(ln[len("env:"):]) for ln in lines if ln.startswith("env:")), None)
     wall = next((float(ln.split()[1]) for ln in lines if ln.startswith("wall.op_ms_p50 ")),
@@ -85,7 +106,8 @@ def run_once(root, workload, seed, seconds, trace=False) -> dict:
     except (IndexError, ValueError):
         result = None
         sys.stderr.write(proc.stderr)
-    return {"rc": proc.returncode, "env": env, "wall.op_ms_p50": wall, "result": result}
+    return {"pad": pad, "rc": proc.returncode, "env": env, "wall.op_ms_p50": wall,
+            "result": result}
 
 
 def spread(values) -> dict:
@@ -146,6 +168,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     better["wall.op_ms_p50"] = "lower"
     shuffle = random.Random(args.seed)
+    pads = pad_lengths(args.seed)
     runs, orders = [], {}
     for pair in range(1, args.pairs + 1):
         order = shuffle.sample(workloads, len(workloads))
@@ -153,7 +176,7 @@ def main(argv=None) -> int:
         for workload in order:
             for side in sides if pair % 2 else sides[::-1]:
                 run = {"pair": pair, "workload": workload, "side": side,
-                       **run_once(roots[side], workload, args.seed, seconds)}
+                       **run_once(roots[side], workload, args.seed, seconds, next(pads))}
                 runs.append(run)
                 result = run["result"] or {}
                 op = result.get("metrics", {}).get("op_ms_p50", {}).get("value")
@@ -174,7 +197,8 @@ def main(argv=None) -> int:
         "workloads": {w: summary([r for r in runs if r["workload"] == w], args.pairs, better)
                       for w in workloads},
         "runs": runs,
-        "traced": {w: {side: run_once(roots[side], w, args.seed, seconds, trace=True)
+        "traced": {w: {side: run_once(roots[side], w, args.seed, seconds, next(pads),
+                                      trace=True)
                        for side in sides[:2]} for w in filter(None, args.trace.split(","))},
     }
     with open(args.out, "w") as fh:

@@ -9,8 +9,9 @@ commit's and a change's; equal first lines mean equal bits in:
     holdout histories, for a linear and a norm encoder on two seeds;
   - `run_method` over both encoders, lr 5e-5 and 5e-3, every method and
     every combination of the unidg switches, steps 0, 5 and None: float-hex
-    cumulative curves and loss reports, the adapted fingerprint and the
-    source accuracies before and after.
+    cumulative curves and loss reports, the adapted fingerprint, and the
+    accuracy on a source domain (`classification_accuracy`) of the model
+    before and after the pass.
 
 Equal second lines mean equal failures, the error class and its message
 (step and op included), for each failure recipe: a NaN weight in the
@@ -80,11 +81,16 @@ def _erm_lines(ma):
     return lines, trained
 
 
+def _accuracy(ma, pair, ds):
+    return ma.classification_accuracy(pair.adapted_encoder, pair.adapted_classifier,
+                                      ds.features, ds.labels)
+
+
 def _run_method_lines(ma, trained):
     switches = [dict(zip(("enable_lm", "enable_le", "enable_bank"), s))
                 for s in itertools.product((True, False), repeat=3)]
     lines = []
-    for use_norm, (enc, clf, source_eval, target) in trained.items():
+    for use_norm, (enc, clf, source, target) in trained.items():
         methods = [dict(method="none"), dict(method="pseudo_label")]
         if use_norm:
             methods.append(dict(method="entropy_norm"))
@@ -92,11 +98,12 @@ def _run_method_lines(ma, trained):
         for settings, lr, steps in itertools.product(methods, (5e-5, 5e-3), (0, 5, None)):
             cfg = ma.AdaptConfig(lr=lr, steps=steps, seed=3, **settings)
             pair = ma.clone_for_adaptation(enc, clf)
-            _, curve, reports = ma.run_method(pair, target, cfg, source_eval=source_eval)
+            before = _accuracy(ma, pair, source)
+            _, curve, reports = ma.run_method(pair, target, cfg)
             lines.append((
                 "run_method", use_norm, sorted(settings.items()), lr, steps,
                 _hex(curve.cumulative), float(curve.final_accuracy).hex(),
-                _hex([curve.source_before, curve.source_after]),
+                _hex([before, _accuracy(ma, pair, source)]),
                 [(*_hex([r.l_m, r.l_e, r.total]), r.hinge_rows) for r in reports],
                 pair.adapted_fingerprint(),
             ))
