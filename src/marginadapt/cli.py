@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: gen-data, train-source, adapt, ablate, diagnose. Reports go to
-stdout, diagnostics and errors to stderr, and every failure exits nonzero.
+Subcommands: gen-data, train-source, adapt, ablate, diagnose (the kernel
+sweep of a checkpoint's encoder, and nothing else). Reports go to stdout,
+diagnostics and errors to stderr, and every failure exits nonzero.
 The fields of AdaptConfig, TrainConfig and ShiftSpec, plus the encoder's
 architecture keys, are the one list of settings: each is a config-file key
 under its field name and a `--field-name` flag, both typed by its annotation.
@@ -25,7 +26,7 @@ import numpy as np
 from . import __version__
 from .adapt import METHODS, AdaptConfig, run_method
 from .data import ShiftSpec, gen_synthetic_shift, load_csv, load_csv_files, write_csv
-from .diagnostics import kernel_comparison_sweep, verify_bn_gradient
+from .diagnostics import kernel_comparison_sweep
 from .errors import ConfigError, DataError, MarginAdaptError
 from .model import (
     LinearClassifier,
@@ -37,7 +38,6 @@ from .model import (
     model_fingerprint,
     save_checkpoint,
 )
-from .numeric import NormLayerState
 from .train import TrainConfig, train_source_erm
 
 RESULTS_SCHEMA_VERSION = 1
@@ -362,8 +362,6 @@ def cmd_ablate(args) -> int:
 def cmd_diagnose(args) -> int:
     if args.trials < 1:
         raise ConfigError(f"diagnose needs --trials >= 1, got {args.trials}")
-    if args.batch_rows < 2:
-        raise ConfigError(f"diagnose needs --batch-rows >= 2, got {args.batch_rows}")
     file_cfg = parse_config_file(args.config) if args.config else {}
     seed = _setting(args, file_cfg, "seed", 0)
     if seed < 0:
@@ -372,16 +370,8 @@ def cmd_diagnose(args) -> int:
     encoder, _, _ = load_checkpoint(args.checkpoint)
     started = time.perf_counter()
 
-    dim = encoder.input_dim
-    state = NormLayerState.create(dim)
-    state.gamma[...] = rng.uniform(0.5, 1.5, size=dim)
-    state.beta[...] = rng.uniform(-0.5, 0.5, size=dim)
-    batch = rng.standard_normal((args.batch_rows, dim))
-    bn_error = verify_bn_gradient(batch, state, trials=args.trials, seed=seed)
-    print(f"norm backward vs finite differences: max relative error {bn_error:.3e}")
-
-    samples_a = rng.standard_normal((max(args.trials, 4), dim))
-    samples_b = rng.standard_normal((max(args.trials, 4), dim))
+    samples_a = rng.standard_normal((max(args.trials, 4), encoder.input_dim))
+    samples_b = rng.standard_normal((max(args.trials, 4), encoder.input_dim))
     sweep = kernel_comparison_sweep(
         encoder, samples_a, samples_b, trials=args.trials, seed=seed + 1
     )
@@ -393,8 +383,7 @@ def cmd_diagnose(args) -> int:
         else:
             print(f"kernel[{subset}]: all {sweep.trials} pairs degenerate")
     path = _write_record(args, "diagnostics", started, checkpoint=args.checkpoint,
-                         seed=seed, bn_max_relative_error=bn_error,
-                         kernel_sweep=sweep.to_dict())
+                         seed=seed, kernel_sweep=sweep.to_dict())
     print(f"wrote {path}")
     return 0
 
@@ -477,13 +466,12 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--trials", type=int, default=1, help="seeds per grid row")
     b.set_defaults(func=cmd_ablate)
 
-    d = sub.add_parser("diagnose", help="gradient and kernel diagnostics")
+    d = sub.add_parser("diagnose", help="tangent-kernel sweep of a checkpoint's encoder")
     add_common(d)
     d.add_argument("--checkpoint", required=True,
                    help="the model whose encoder the kernel sweep measures, at its "
                    "saved weights (train-source --epochs 0 saves an untrained one)")
-    d.add_argument("--trials", type=int, default=10)
-    d.add_argument("--batch-rows", type=int, dest="batch_rows", default=8)
+    d.add_argument("--trials", type=int, default=10, help="row pairs the kernel sweep draws")
     d.set_defaults(func=cmd_diagnose)
 
     return parser

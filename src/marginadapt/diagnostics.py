@@ -8,6 +8,8 @@ cosine-normalized variant alongside. kernel_comparison_sweep reports the
 kernel distributions of the model it is given, at its own parameters, over
 random pairs of rows, for the full parameter set and, when present, the
 norm-affine subset; it deliberately asserts no ordering between the two.
+It is all that `marginadapt diagnose` runs; verify_bn_gradient checks the
+op on the states it is given, and nothing in the package calls it.
 """
 
 from __future__ import annotations

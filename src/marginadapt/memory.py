@@ -1,9 +1,10 @@
 """Per-class support memory and prototype refresh for the classifier.
 
 The bank keeps, per pseudo-class, the K most confident (lowest entropy)
-feature vectors it has seen. At each refresh the mean of a class's rows is
-its prototype, and it overwrites the matching classifier column (T3A's
-support filter). One total order decides everything: lower entropy first,
+feature vectors it has seen (T3A's entropy filter). At each refresh the
+raw mean of a class's rows is its prototype, not T3A's normalised sum of
+normalised supports (ROADMAP item 1), and it overwrites the matching
+classifier column. One total order decides everything: lower entropy first,
 and among equal entropies the newer row first. Pseudo-labels break ties
 toward the lowest class index.
 

@@ -444,7 +444,7 @@ def test_criterion_9_determinism(tmp_path, capsys):
     ]
     diag_argv = [
         "diagnose", "--checkpoint", ckpt, "--out", run, "--seed", "3",
-        "--trials", "3", "--batch-rows", "4",
+        "--trials", "3",
     ]
     pairs = []
     for argv in (adapt_argv, diag_argv):

@@ -7,8 +7,14 @@ Usage:
 
 Each DIR is the root of a checkout, say a `git archive` of the parent commit
 and the working tree of the change: it holds `perfbench/run.py` and `src/`.
+Before each run, that side's `src/`, `perfbench/` and BENCHMARK.json are
+copied, without `__pycache__` and `.git`, into one staging directory (a
+fresh temporary directory per invocation, removed at the end; `stage`), and
+the run starts from there. Every side thus runs from the same path bytes,
+so neither a checkout's path nor what else lies in it can favour a side.
+The file records each side's root ("roots") and the staging path ("stage").
 Every run is `python3 perfbench/run.py --workload W --seed S --seconds T`,
-started from that root, with T the `run_seconds` of the change's
+started from the staging directory, with T the `run_seconds` of the change's
 BENCHMARK.json, and with the environment variable BENCH_PAIRS_PAD set to a
 run of "x" whose length (0 to 4095 bytes) is drawn for each run, in the
 order the runs start, from random.Random(S) (`pad_lengths`); the file
@@ -16,8 +22,9 @@ records each run's length as its "pad". The environment sits at the top of
 the stack, so its size moves where a run's stack and what follows it lie:
 a layout that happens to suit one side is spread over the runs instead of
 always falling to it (the layout randomisation of Stabilizer, Curtsinger
-and Berger, ASPLOS 2013). Pair k runs each workload once on each side. The parent
-runs first in odd pairs and the change first in even ones. The workload
+and Berger, ASPLOS 2013). Pair k runs each workload once on each side, in
+the order of `side_order`: with two sides, the parent runs first in odd
+pairs and the change first in even ones. The workload
 order of each pair is shuffled by a generator seeded with S, and the file
 records it, so that no workload always runs after the same one.
 
@@ -32,8 +39,10 @@ default to those of the change's BENCHMARK.json; a subset serves to run one
 workload alone.
 
 With --control, a second copy of the parent (say another `git archive` of
-it, in another directory) runs as a third side in every pair: parent,
-change, control in odd pairs and the reverse in even ones. Beside each A/B
+it, in another directory) runs as a third side in every pair. The
+three sides rotate over each block of three pairs (parent, change, control;
+then change, control, parent; then control, parent, change), so each side
+runs first, second and last once per block. Beside each A/B
 entry the file then gives the A/A one, the control's median over the
 parent's (`control_over_parent`) and the pairs the control won
 (`control_better_in_pairs`): what the layout of a checkout alone moves. A
@@ -53,13 +62,16 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SIDES = ("parent", "change", "control")
 PAD_VAR = "BENCH_PAIRS_PAD"
 PAD_MAX = 4096  # bytes: one page of stack offsets
+STAGED = ("src", "perfbench", "BENCHMARK.json")  # what a run needs of a checkout
 
 
 def pad_lengths(seed):
@@ -68,6 +80,29 @@ def pad_lengths(seed):
     rng = random.Random(seed)
     while True:
         yield rng.randrange(PAD_MAX)
+
+
+def side_order(sides, pair):
+    """The order in which the sides run in `pair` (counted from 1): two sides
+    alternate, three rotate over each block of three pairs."""
+    if len(sides) == 2:
+        return sides if pair % 2 else sides[::-1]
+    shift = (pair - 1) % len(sides)
+    return sides[shift:] + sides[:shift]
+
+
+def stage(root, path):
+    """Replaces `path` with a copy of the STAGED entries of the checkout at
+    `root`, leaving out `__pycache__` and `.git`."""
+    shutil.rmtree(path, ignore_errors=True)
+    os.makedirs(path)
+    skip = shutil.ignore_patterns("__pycache__", ".git")
+    for name in STAGED:
+        source = os.path.join(root, name)
+        if os.path.isdir(source):
+            shutil.copytree(source, os.path.join(path, name), ignore=skip)
+        else:
+            shutil.copy2(source, os.path.join(path, name))
 
 
 def parse_args(argv=None):
@@ -87,15 +122,16 @@ def parse_args(argv=None):
     return p.parse_args(argv)
 
 
-def run_once(root, workload, seed, seconds, pad, trace=False) -> dict:
-    """One perfbench run from `root` with `pad` bytes in PAD_VAR: the pad,
-    its exit code, env line, wall op time and final JSON line (None where
-    the output lacks one)."""
+def run_once(root, staging, workload, seed, seconds, pad, trace=False) -> dict:
+    """One perfbench run of the checkout at `root`, staged at `staging`, with
+    `pad` bytes in PAD_VAR: the pad, its exit code, env line, wall op time
+    and final JSON line (None where the output lacks one)."""
+    stage(root, staging)
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     if trace:
         cmd += ["--trace", "1"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+    proc = subprocess.run(cmd, cwd=staging, capture_output=True, text=True,
                           env={**os.environ, PAD_VAR: "x" * pad})
     lines = proc.stdout.splitlines()
     env = next((json.loads(ln[len("env:"):]) for ln in lines if ln.startswith("env:")), None)
@@ -169,38 +205,45 @@ def main(argv=None) -> int:
     better["wall.op_ms_p50"] = "lower"
     shuffle = random.Random(args.seed)
     pads = pad_lengths(args.seed)
-    runs, orders = [], {}
-    for pair in range(1, args.pairs + 1):
-        order = shuffle.sample(workloads, len(workloads))
-        orders[pair] = order
-        for workload in order:
-            for side in sides if pair % 2 else sides[::-1]:
-                run = {"pair": pair, "workload": workload, "side": side,
-                       **run_once(roots[side], workload, args.seed, seconds, next(pads))}
-                runs.append(run)
-                result = run["result"] or {}
-                op = result.get("metrics", {}).get("op_ms_p50", {}).get("value")
-                print(f"pair {pair} {workload} {side}: rc {run['rc']}, op_ms_p50 {op}, "
-                      f"wall.op_ms_p50 {run['wall.op_ms_p50']}", file=sys.stderr, flush=True)
-    doc = {
-        "what": args.what,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {seconds:g}",
-        "parent": args.parent_rev,
-        "sides": list(sides),
-        "order": f"pairs alternate the side order: {', '.join(sides)} in odd pairs, the "
-                 f"reverse in even ones; each pair's workload order is shuffled by "
-                 f"random.Random({args.seed}) (workload_orders)",
-        "workload_orders": orders,
-        "env": next((r["env"] for r in runs if r["env"]), None),
-        "host": f"{os.cpu_count()}-core {platform.machine()}",
-        "workloads": {w: summary([r for r in runs if r["workload"] == w], args.pairs, better)
-                      for w in workloads},
-        "runs": runs,
-        "traced": {w: {side: run_once(roots[side], w, args.seed, seconds, next(pads),
-                                      trace=True)
-                       for side in sides[:2]} for w in filter(None, args.trace.split(","))},
-    }
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        staging = os.path.join(tmp, "tree")
+        runs, orders = [], {}
+        for pair in range(1, args.pairs + 1):
+            order = shuffle.sample(workloads, len(workloads))
+            orders[pair] = order
+            for workload in order:
+                for side in side_order(sides, pair):
+                    run = {"pair": pair, "workload": workload, "side": side,
+                           **run_once(roots[side], staging, workload, args.seed, seconds,
+                                      next(pads))}
+                    runs.append(run)
+                    result = run["result"] or {}
+                    op = result.get("metrics", {}).get("op_ms_p50", {}).get("value")
+                    print(f"pair {pair} {workload} {side}: rc {run['rc']}, op_ms_p50 {op}, "
+                          f"wall.op_ms_p50 {run['wall.op_ms_p50']}",
+                          file=sys.stderr, flush=True)
+        doc = {
+            "what": args.what,
+            "command": f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                       f"--seconds {seconds:g}",
+            "parent": args.parent_rev,
+            "sides": list(sides),
+            "roots": roots,
+            "stage": staging,
+            "order": ("two sides alternate" if len(sides) == 2 else
+                      "three sides rotate over each block of three pairs")
+                     + f" (side_order); each pair's workload order is shuffled by "
+                       f"random.Random({args.seed}) (workload_orders)",
+            "workload_orders": orders,
+            "env": next((r["env"] for r in runs if r["env"]), None),
+            "host": f"{os.cpu_count()}-core {platform.machine()}",
+            "workloads": {w: summary([r for r in runs if r["workload"] == w], args.pairs, better)
+                          for w in workloads},
+            "runs": runs,
+            "traced": {w: {side: run_once(roots[side], staging, w, args.seed, seconds,
+                                          next(pads), trace=True)
+                           for side in sides[:2]} for w in filter(None, args.trace.split(","))},
+        }
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
