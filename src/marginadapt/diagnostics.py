@@ -9,7 +9,8 @@ kernel distributions of the model it is given, at its own parameters, over
 random pairs of rows, for the full parameter set and, when present, the
 norm-affine subset; it deliberately asserts no ordering between the two.
 It is all that `marginadapt diagnose` runs; verify_bn_gradient checks the
-op on the states it is given, and nothing in the package calls it.
+op on the states it is given, one train-mode forward per probe, and
+nothing in the package calls it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .numeric import (
     batchnorm_forward,
 )
 
-_PROBE_ROWS = 1024  # rows per stacked finite-difference forward; bounds its peak
 _FD_STEP = 1e-6  # the central difference's step
 
 
@@ -44,9 +44,6 @@ class KernelReport:
     model_fingerprint: str
     sample_fingerprint_a: str
     sample_fingerprint_b: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def parameter_names(model: MlpEncoder, subset: str) -> list:
@@ -184,11 +181,8 @@ def verify_bn_gradient(batch, state: NormLayerState, trials: int = 10,
     gradient and a central finite difference, over random projections.
 
     Objective per trial: sum(R * forward(x)) for random R. Returns the worst
-    ||gx_analytic - gx_fd|| / max(||gx_fd||, tiny) across trials. The probes
-    x +- _FD_STEP * e_ij run as (P, m, d) stacks of train-mode forwards, at
-    most _PROBE_ROWS rows per call (one probe per call when m is larger);
-    each slice gives the objective its own 2-D forward would give, bit for
-    bit (see numeric)."""
+    ||gx_analytic - gx_fd|| / max(||gx_fd||, tiny) across trials; each probe
+    x +- _FD_STEP * e_ij runs as its own train-mode forward."""
     x = as_matrix(batch, "batch")
     if x.shape[0] < 2:
         raise BatchTooSmallError("verify_bn_gradient: need >= 2 rows")
@@ -198,25 +192,16 @@ def verify_bn_gradient(batch, state: NormLayerState, trials: int = 10,
         r = rng.standard_normal(x.shape)
         _, stats = batchnorm_forward(x, state, mode="train")
         gx, _, _ = batchnorm_backward(state, stats, r)
-        up = _probe_objectives(x, r, state, _FD_STEP)
-        down = _probe_objectives(x, r, state, -_FD_STEP)
-        fd = ((up - down) / (2.0 * _FD_STEP)).reshape(x.shape)
+        fd = np.empty_like(x)
+        for idx in np.ndindex(x.shape):
+            objective = []
+            for step in (_FD_STEP, -_FD_STEP):
+                probe = x.copy()
+                probe[idx] += step
+                y, _ = batchnorm_forward(probe, state, mode="train")
+                objective.append(float(np.add.reduce(y * r, axis=None)))
+            fd[idx] = (objective[0] - objective[1]) / (2.0 * _FD_STEP)
         denom = max(float(np.linalg.norm(fd)), 1e-300)
         err = float(np.linalg.norm(gx - fd)) / denom
         worst = max(worst, err)
     return worst
-
-
-def _probe_objectives(x, r, state, step):
-    """sum(r * forward(x + step * e_k)) for each entry k of x in C order, in
-    train-mode forwards of at most _PROBE_ROWS rows each."""
-    m, d = x.shape
-    per_call = max(1, _PROBE_ROWS // m)
-    out = np.empty(m * d)
-    for start in range(0, m * d, per_call):
-        ks = np.arange(start, min(start + per_call, m * d))
-        probes = np.repeat(x.reshape(1, m * d), ks.size, axis=0)
-        probes[np.arange(ks.size), ks] += step
-        y, _ = batchnorm_forward(probes.reshape(ks.size, m, d), state, mode="train")
-        out[ks] = np.add.reduce(y * r, axis=(1, 2))
-    return out

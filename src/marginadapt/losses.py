@@ -87,7 +87,8 @@ def entropy_loss(probs: Array):
 
     The rows must be nonnegative and sum to 1 within 1e-6; inside a checked
     step (see numeric) that is not checked, since the step's softmax made
-    them.
+    them. A NaN entry passes both comparisons and fails as a non-finite
+    value.
     """
     n = probs.shape[0]
     if n == 0:

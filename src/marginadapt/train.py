@@ -129,7 +129,8 @@ def cross_entropy_loss(probs: Array, labels):
     and p - 0.0 is p, so the values are those of indexing the labeled
     entries, bit for bit. Inside a checked step (see numeric) the labels are
     not range-checked, since the trainer checked them (ERM) or the step made
-    them (argmax labels); the shape and dtype checks always run."""
+    them (argmax labels); the shape and dtype checks always run. The
+    probabilities are not checked: a NaN entry fails as a non-finite value."""
     y = np.asarray(labels)
     n, c = probs.shape
     if n == 0:

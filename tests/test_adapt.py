@@ -32,6 +32,7 @@ from marginadapt import (
 from marginadapt import adapt
 from marginadapt.adapt import METHODS
 from marginadapt.numeric import NORM_EPS, NORM_MOMENTUM
+from fixtures import linear_fixture, norm_fixture
 from test_memory import OracleBank
 from test_train import PerArrayAdam
 
@@ -116,6 +117,18 @@ def test_scoring_failure_names_the_step(method):
     with pytest.raises(NumericalFailure,
                        match="aborted at step 0: linear_forward: produced non-finite"):
         run_method(pair, target, AdaptConfig(method=method, seed=1))
+
+
+@pytest.mark.parametrize("fixture, l_m", [(linear_fixture, "2.31"), (norm_fixture, "49.67")],
+                         ids=["linear", "norm"])
+def test_an_overflowing_objective_is_named_before_the_step_arithmetic(fixture, l_m):
+    # lambda * l_m overflows while both losses are finite: the objective check
+    # names it before the scaled hinge gradient could
+    _, target, enc, clf = fixture(0)
+    cfg = AdaptConfig(lr=5e-2, sigma=0.0, steps=20, seed=0, lambda_weight=1e308)
+    with pytest.raises(NumericalFailure, match=r"^adaptation aborted at step 1: "
+                       rf"non-finite objective \(l_e=\S+, l_m={l_m}"):
+        run_method(clone_for_adaptation(enc, clf), target, cfg)
 
 
 @pytest.mark.parametrize("cap", [80, adapt._STACK_ROWS], ids=["two-batch-calls", "default"])

@@ -5,11 +5,15 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import marginadapt
 from marginadapt import (
     AdaptConfig,
     ConfigError,
@@ -250,6 +254,24 @@ def test_missing_inputs_exit_nonzero_with_stderr(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+def test_python_dash_m_marginadapt_prints_the_version():
+    src = str(Path(marginadapt.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-m", "marginadapt", "--version"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0.1.0\n", "")
+
+
+def test_train_source_without_source_files_exits_1(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "target.csv").write_text("")  # only source_*.csv files are read
+    rc = main(["train-source", "--data", str(data), "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {data}: no source_*.csv files\n"
 
 
 def test_run_records_never_overwrite(tmp_path):
@@ -771,6 +793,21 @@ def test_diagnose_prints_and_records_only_the_kernel_sweep_of_either_encoder(tmp
     assert exc.value.code == 2
     assert "--batch-rows" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_diagnose_reports_a_subset_whose_every_pair_is_degenerate(tmp_path, capsys):
+    # zeroed last encoder weights cut every norm parameter off from the output
+    data = _gen(tmp_path)
+    _, ckpt = _train(tmp_path, data, extra=("--use-norm", "--epochs", "0"))
+    doc = json.loads(_read(ckpt))
+    doc["encoder"]["weights"][-1] = np.zeros_like(doc["encoder"]["weights"][-1]).tolist()
+    with open(ckpt, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    rc, record = _diagnose(tmp_path, ckpt, "--trials", "3")
+    assert rc == 0
+    assert "kernel[norm_only]: all 3 pairs degenerate" in capsys.readouterr().out.splitlines()
+    assert record["kernel_sweep"]["skipped"]["norm_only"] == 3
 
 
 def test_diagnose_without_a_checkpoint_is_a_usage_error(tmp_path, capsys):

@@ -14,9 +14,7 @@ from marginadapt import (
     parameter_jacobian,
     verify_bn_gradient,
 )
-from marginadapt import diagnostics
 from marginadapt.diagnostics import parameter_names
-from marginadapt.numeric import batchnorm_backward, batchnorm_forward
 
 
 def fd_jacobian(model, x, names, h=1e-6):
@@ -138,57 +136,6 @@ def test_normalization_gradient_matches_finite_differences():
     )
     batch = rng.standard_normal((6, 4))
     assert verify_bn_gradient(batch, state, trials=5, seed=0) <= 1e-6
-
-
-def _per_probe_bn_check(x, state, trials, seed, step_size=1e-6):
-    """verify_bn_gradient with one 2-D forward per probe; also returns the
-    last trial's up and down objectives, entry by entry."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        r = rng.standard_normal(x.shape)
-        _, stats = batchnorm_forward(x, state, mode="train")
-        gx, _, _ = batchnorm_backward(state, stats, r)
-        fd = np.empty_like(x)
-        ups, downs = [], []
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                xp = x.copy()
-                xp[i, j] += step_size
-                ups.append(float((batchnorm_forward(xp, state, mode="train")[0] * r).sum()))
-                xm = x.copy()
-                xm[i, j] -= step_size
-                downs.append(float((batchnorm_forward(xm, state, mode="train")[0] * r).sum()))
-                fd[i, j] = (ups[-1] - downs[-1]) / (2.0 * step_size)
-        denom = max(float(np.linalg.norm(fd)), 1e-300)
-        worst = max(worst, float(np.linalg.norm(gx - fd)) / denom)
-    return worst, r, ups, downs
-
-
-@pytest.mark.parametrize("budget", [1024, 12])
-def test_stacked_bn_check_equals_a_per_probe_loop_bit_for_bit(budget, monkeypatch):
-    monkeypatch.setattr(diagnostics, "_PROBE_ROWS", budget)
-    rows = []
-
-    def spy(x, state, mode="train"):
-        rows.append(x.shape[0] * x.shape[1] if x.ndim == 3 else 0)
-        return batchnorm_forward(x, state, mode)
-
-    monkeypatch.setattr(diagnostics, "batchnorm_forward", spy)
-    rng = np.random.default_rng(21)
-    for m in (2, 2, 3, 5, 8, 12):
-        d = int(rng.integers(1, 20))
-        state = NormLayerState(gamma=rng.uniform(0.5, 1.5, d), beta=rng.standard_normal(d))
-        x = rng.standard_normal((m, d)) * rng.uniform(0.01, 100.0)
-        seed = int(rng.integers(100))
-        worst, r, ups, downs = _per_probe_bn_check(x, state, trials=3, seed=seed)
-        rows.clear()
-        assert verify_bn_gradient(x, state, trials=3, seed=seed) == worst
-        assert max(rows) <= budget
-        assert sum(rows) == 3 * 2 * m * m * d  # every probe, each once
-        up = diagnostics._probe_objectives(x, r, state, 1e-6)
-        down = diagnostics._probe_objectives(x, r, state, -1e-6)
-        assert up.tolist() == ups and down.tolist() == downs
 
 
 def test_sweep_is_deterministic_and_accounts_for_every_trial():

@@ -14,6 +14,7 @@ from marginadapt import (
     DimensionError,
     InputError,
     NumericalFailure,
+    cross_entropy_loss,
     entropy_loss,
     marginal_loss,
     softmax_rows,
@@ -173,3 +174,17 @@ def test_a_loss_refuses_an_empty_batch_before_any_arithmetic(name, call):
         warnings.simplefilter("error")
         with pytest.raises(DataError, match=f"^{name}: empty batch$"):
             call()
+
+
+@pytest.mark.parametrize("name, call", [
+    ("entropy_loss", lambda p: entropy_loss(p)),
+    ("cross_entropy_loss", lambda p: cross_entropy_loss(p, np.array([0, 1]))),
+])
+def test_a_nan_probability_row_fails_as_a_non_finite_value(name, call):
+    # NaN compares false, so the row passes entropy_loss's distribution
+    # checks (cross_entropy_loss has none); the non-finite value is caught
+    probs = np.array([[0.5, 0.5], [np.nan, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure, match=f"^{name}: non-finite value$"):
+            call(probs)

@@ -23,8 +23,8 @@ the stack, so its size moves where a run's stack and what follows it lie:
 a layout that happens to suit one side is spread over the runs instead of
 always falling to it (the layout randomisation of Stabilizer, Curtsinger
 and Berger, ASPLOS 2013). Pair k runs each workload once on each side, in
-the order of `side_order`: with two sides, the parent runs first in odd
-pairs and the change first in even ones. The workload
+the order of `side_order`, which rotates the sides by one place per pair,
+so each side runs first once in every len(sides) pairs. The workload
 order of each pair is shuffled by a generator seeded with S, and the file
 records it, so that no workload always runs after the same one.
 
@@ -83,10 +83,8 @@ def pad_lengths(seed):
 
 
 def side_order(sides, pair):
-    """The order in which the sides run in `pair` (counted from 1): two sides
-    alternate, three rotate over each block of three pairs."""
-    if len(sides) == 2:
-        return sides if pair % 2 else sides[::-1]
+    """The order in which the sides run in `pair` (counted from 1): the
+    sides rotate by one place per pair."""
     shift = (pair - 1) % len(sides)
     return sides[shift:] + sides[:shift]
 
@@ -230,10 +228,9 @@ def main(argv=None) -> int:
             "sides": list(sides),
             "roots": roots,
             "stage": staging,
-            "order": ("two sides alternate" if len(sides) == 2 else
-                      "three sides rotate over each block of three pairs")
-                     + f" (side_order); each pair's workload order is shuffled by "
-                       f"random.Random({args.seed}) (workload_orders)",
+            "order": f"the sides rotate by one place per pair (side_order); each "
+                     f"pair's workload order is shuffled by random.Random({args.seed}) "
+                     f"(workload_orders)",
             "workload_orders": orders,
             "env": next((r["env"] for r in runs if r["env"]), None),
             "host": f"{os.cpu_count()}-core {platform.machine()}",
