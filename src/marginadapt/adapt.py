@@ -90,8 +90,6 @@ class AdaptConfig:
 
     def validate(self) -> "AdaptConfig":
         check_settings(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.sigma < 0.0:
             raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
         if self.lambda_weight < 0.0:

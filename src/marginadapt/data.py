@@ -98,8 +98,6 @@ class ShiftSpec:
 
     def validate(self) -> "ShiftSpec":
         check_settings(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         if self.input_dim < self.num_classes:

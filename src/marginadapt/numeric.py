@@ -288,7 +288,8 @@ _SETTING_KINDS = {"int": (numbers.Integral, "an integer"),
 
 def check_settings(config) -> None:
     """Refuse a field not of its annotated type, or a float field that is not
-    finite, by name, before any range check or computation sees the value."""
+    finite, by name, before any range check or computation sees the value;
+    then a negative seed, which every settings class has."""
     for f in fields(config):
         value = getattr(config, f.name)
         types, kind = _SETTING_KINDS[f.type]
@@ -296,6 +297,8 @@ def check_settings(config) -> None:
             raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value}")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed}")
 
 
 # what every norm layer runs with

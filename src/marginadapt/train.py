@@ -30,8 +30,6 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         check_settings(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # lr == 0 is allowed: it is the documented "no update" degenerate case
         if self.lr < 0.0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")

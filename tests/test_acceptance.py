@@ -379,8 +379,8 @@ def test_criterion_8_diagnostics():
     for _ in range(TRIALS):
         a = rng.standard_normal(8)
         b = rng.standard_normal(8)
-        ab = empirical_ntk(model, a, b)
-        ba = empirical_ntk(model, b, a)
+        ab = empirical_ntk(model, a, b)["all"]
+        ba = empirical_ntk(model, b, a)["all"]
         assert abs(ab.raw_kernel - ba.raw_kernel) <= 1e-12 * max(1.0, abs(ab.raw_kernel))
         assert abs(ab.cosine_kernel - ba.cosine_kernel) <= 1e-12
 
@@ -401,7 +401,7 @@ def test_criterion_8_diagnostics():
     gram = np.empty((8, 8))
     for i in range(8):
         for j in range(i, 8):
-            gram[i, j] = gram[j, i] = empirical_ntk(model, xs[i], xs[j]).raw_kernel
+            gram[i, j] = gram[j, i] = empirical_ntk(model, xs[i], xs[j])["all"].raw_kernel
     eigs = np.linalg.eigvalsh(gram)
     assert eigs.min() >= -1e-8 * max(1.0, eigs.max())
     print(

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 import tracemalloc
@@ -391,6 +392,32 @@ def test_a_truncated_garbage_or_foreign_sidecar_is_ignored(tmp_path):
                                             "t.csv", "t.csv.npy"]
 
 
+@pytest.mark.parametrize("past_end", [False, True], ids=["negative", "past_end"])
+def test_a_sidecar_whose_domain_codes_are_out_of_range_is_ignored(tmp_path, past_end):
+    path = _written(tmp_path)
+    with open(f"{path}.npy", "rb") as fh:
+        head, features, labels, codes = [np.load(fh) for _ in range(4)]
+    names = json.loads(head.tobytes())["domains"]
+    codes[codes == 0] = len(names) if past_end else -1
+    with open(f"{path}.npy", "wb") as fh:
+        for array in (head, features, labels, codes):
+            np.save(fh, array)
+    assert _same(_load(path), _parse_alone(tmp_path, path))
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("a,b,c\r\n1,0,d\r\n", SchemaError,
+     "header must be f0..fk,label,domain, got ['a', 'b', 'c']..."),
+    ("", SchemaError, "empty file"),
+    ("f0,label,domain\r\n", DataError, "no data rows"),
+    ("f0,label,domain\r\n\r\n\r\n", DataError, "no data rows"),
+], ids=["header", "empty", "header_only", "blank_rows"])
+def test_a_csv_without_data_rows_or_its_header_is_refused(tmp_path, text, error, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text, newline="")
+    assert _load(path) == (error, f"{path}: {message}")
+
+
 def test_a_csv_without_a_sidecar_is_not_hashed(tmp_path, monkeypatch):
     path = _written(tmp_path)
     os.remove(tmp_path / "t.csv.npy")
@@ -653,3 +680,14 @@ def test_domain_dataset_validation():
         DomainDataset(np.array([[np.inf, 0.0]]), [0], 2, "d")
     with pytest.raises(DataError):
         DomainDataset(np.ones((2, 2)), [0, 3], 2, "d")
+
+
+@pytest.mark.parametrize("features, labels, num_classes, message", [
+    (np.ones(3), [0, 0, 1], 2, "features must be 2-D, got (3,)"),
+    (np.ones((0, 2)), [], 2, "empty dataset"),
+    (np.ones((2, 2)), [0, 0], 1, "num_classes must be >= 2"),
+], ids=["1d", "no_rows", "one_class"])
+def test_domain_dataset_refuses_a_shape_or_class_count_it_cannot_hold(
+        features, labels, num_classes, message):
+    with pytest.raises(DataError, match=f"^domain d: {re.escape(message)}$"):
+        DomainDataset(features, labels, num_classes, "d")

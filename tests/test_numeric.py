@@ -66,6 +66,18 @@ def test_a_config_refuses_a_value_not_of_its_fields_type(config, message):
         config.validate()
 
 
+@pytest.mark.parametrize("config, message", [
+    (AdaptConfig(seed=-1), "seed must be >= 0, got -1"),
+    (TrainConfig(seed=-1), "seed must be >= 0, got -1"),
+    (ShiftSpec(seed=-1), "seed must be >= 0, got -1"),
+    # a type error is named first, in a field declared after seed too
+    (AdaptConfig(seed=-1, enable_bank=1), "enable_bank must be a bool, got 1"),
+], ids=["adapt", "train", "shift", "type_first"])
+def test_a_config_refuses_a_negative_seed_after_every_type_check(config, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        config.validate()
+
+
 def test_a_config_takes_numpy_numbers_and_an_integer_for_a_float():
     AdaptConfig(lr=1, top_k=np.int32(5), steps=np.int64(3), sigma=np.float64(0.2)).validate()
     TrainConfig(lr=0, epochs=np.uint8(2)).validate()

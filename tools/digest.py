@@ -21,9 +21,10 @@ linear encoder at lr 1e300; ERM of both encoders with a NaN in one
 training row, and with a classifier of 3 classes on 4-class labels.
 
 Equal third lines mean equal `canonical_record_bytes` of the `diagnose`
-records of two checkpoints of the README workflow's task (gen-data, then
-train-source): a trained one and an untrained one (`train-source --epochs
-0`, the same seed and architecture).
+records of three checkpoints of the README workflow's task (gen-data, then
+train-source): a trained one, an untrained one (`train-source --epochs 0`,
+the same seed and architecture) and a `--use-norm` one of two hidden
+layers, whose records hold the norm-parameter kernels too.
 
 Equal fourth lines mean equal bytes of the README workflow (gen-data,
 train-source, adapt, ablate) run through the CLI in a temporary directory:
@@ -120,8 +121,11 @@ _WORKFLOW = (
      "--out", "run", "--trials", "3"],
     ["train-source", "--data", "task", "--out", "init", "--seed", "0",
      "--epochs", "0", "--hidden-dims", "32", "--feature-dim", "32"],
+    ["train-source", "--data", "task", "--out", "norm", "--seed", "0",
+     "--epochs", "3", "--hidden-dims", "32,32", "--feature-dim", "32", "--use-norm"],
     ["diagnose", "--checkpoint", "run/checkpoint.json", "--out", "diag"],
     ["diagnose", "--checkpoint", "init/checkpoint.json", "--out", "diag"],
+    ["diagnose", "--checkpoint", "norm/checkpoint.json", "--out", "diag"],
 )
 
 
