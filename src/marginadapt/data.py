@@ -457,9 +457,12 @@ def load_csv_files(paths, num_classes: int | None = None) -> list:
 
 
 def _labelled_rows(path, num_classes):
-    """`_parse_rows` of a file whose labels lie in [0, num_classes), or in
-    int64 when `num_classes` is None."""
+    """`_parse_rows` of a file whose features are finite and whose labels
+    lie in [0, num_classes), or in int64 when `num_classes` is None."""
     features, labels, names, codes, lines = _parse_rows(path)
+    finite = np.isfinite(features).all(axis=1)
+    if not finite.all():
+        raise DataError(f"{path}: line {lines[int(np.argmin(finite))]}: non-finite feature value")
     if labels.min() < 0:
         i = int(np.argmax(labels < 0))
         raise DataError(f"{path}: line {lines[i]}: negative label {labels[i]}")

@@ -9,7 +9,9 @@ network's parameters into one flat vector and its gradients into another,
 so that an optimizer steps the whole network, or its leading norm slice,
 as one vector; a `norm_only` backward fills only that slice. Each trainer
 (ERM, an adaptation step) packs what it steps when it starts, and no model
-or pair holds a packed vector.
+or pair holds a packed vector. `model_state` is the one list of a model's
+persistent arrays: a checkpoint (format version 3) stores it by name, a
+fingerprint hashes it, and `ModelPair` makes the source's read-only.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .numeric import (
     update_running_stats,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class MlpEncoder:
@@ -124,7 +126,7 @@ class MlpEncoder:
         return [(n, p) for n, p in self.parameters() if n.endswith((".gamma", ".beta"))]
 
     def state_arrays(self):
-        """All persistent arrays, learnable or not (for copies/fingerprints)."""
+        """All persistent arrays, learnable or not (see `model_state`)."""
         out = list(self.parameters())
         for i, norm in enumerate(self.norms):
             if norm is not None:
@@ -376,20 +378,14 @@ class ModelPair:
         self.source_classifier = source_classifier
         self.adapted_encoder = adapted_encoder
         self.adapted_classifier = adapted_classifier
-        for _, arr in self.source_encoder.state_arrays():
-            arr.flags.writeable = False
-        for _, arr in self.source_classifier.parameters():
+        for _, arr in model_state(source_encoder, source_classifier):
             arr.flags.writeable = False
 
     def source_fingerprint(self) -> str:
-        return _fingerprint(
-            self.source_encoder.state_arrays() + self.source_classifier.parameters()
-        )
+        return model_fingerprint(self.source_encoder, self.source_classifier)
 
     def adapted_fingerprint(self) -> str:
-        return _fingerprint(
-            self.adapted_encoder.state_arrays() + self.adapted_classifier.parameters()
-        )
+        return model_fingerprint(self.adapted_encoder, self.adapted_classifier)
 
 
 def step_context(encoder: MlpEncoder, classifier: LinearClassifier, batch_size: int,
@@ -420,19 +416,19 @@ def clone_for_adaptation(encoder: MlpEncoder, classifier: LinearClassifier) -> M
     return ModelPair(encoder, classifier, encoder.copy(), classifier.copy())
 
 
-def _fingerprint(named_arrays) -> str:
-    h = hashlib.sha256()
-    for name, arr in named_arrays:
-        h.update(name.encode())
-        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
-    return h.hexdigest()
+def model_state(encoder: MlpEncoder, classifier: LinearClassifier | None = None):
+    """The encoder's `state_arrays()`, then the classifier's `parameters()`
+    when one is given (see the module docstring)."""
+    state = encoder.state_arrays()
+    return state if classifier is None else state + classifier.parameters()
 
 
 def model_fingerprint(encoder: MlpEncoder, classifier: LinearClassifier | None = None) -> str:
-    arrays = encoder.state_arrays()
-    if classifier is not None:
-        arrays = arrays + classifier.parameters()
-    return _fingerprint(arrays)
+    h = hashlib.sha256()
+    for name, arr in model_state(encoder, classifier):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    return h.hexdigest()
 
 
 def classification_accuracy(encoder, classifier, features, labels):
@@ -454,34 +450,14 @@ def classification_accuracy(encoder, classifier, features, labels):
 
 
 def save_checkpoint(path, encoder: MlpEncoder, classifier: LinearClassifier, seed=None):
-    """Write model state as JSON. repr-based float serialization round-trips
+    """Write the model as JSON: `layer_dims`, the seed, and each array of
+    `model_state` under its name. repr-based float serialization round-trips
     bit-exactly, so save -> load -> save is byte-stable."""
-    norms = []
-    for norm in encoder.norms:
-        if norm is None:
-            norms.append(None)
-        else:
-            norms.append(
-                {
-                    "gamma": norm.gamma.tolist(),
-                    "beta": norm.beta.tolist(),
-                    "running_mean": norm.running_mean.tolist(),
-                    "running_var": norm.running_var.tolist(),
-                }
-            )
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "seed": seed,
-        "encoder": {
-            "layer_dims": encoder.layer_dims,
-            "weights": [w.tolist() for w in encoder.weights],
-            "biases": [b.tolist() for b in encoder.biases],
-            "norms": norms,
-        },
-        "classifier": {
-            "omega": classifier.omega.tolist(),
-            "bias": classifier.bias.tolist(),
-        },
+        "layer_dims": encoder.layer_dims,
+        "arrays": {name: a.tolist() for name, a in model_state(encoder, classifier)},
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w") as fh:
@@ -492,10 +468,12 @@ def save_checkpoint(path, encoder: MlpEncoder, classifier: LinearClassifier, see
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into (encoder, classifier, meta). JSON admits
-    NaN and Infinity, so each array is checked here; SchemaError names it.
-    An encoder field that no load reads (a hand-added eps or momentum, say,
-    which would run as NORM_EPS and NORM_MOMENTUM) is refused by name."""
+    """Read a checkpoint back into (encoder, classifier, meta), rebuilding
+    the model from `layer_dims` and the `model_state` names: a hidden layer
+    has a norm when its gamma is stored. JSON admits NaN and Infinity, so
+    each array is checked here; SchemaError names it. A top-level key or an
+    array that no load reads (a hand-added eps or momentum, say, which would
+    run as NORM_EPS and NORM_MOMENTUM) is refused by name."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -508,8 +486,12 @@ def load_checkpoint(path):
         raise SchemaError(
             f"checkpoint {path}: format_version {version!r} not supported"
         )
+    unknown = sorted(doc.keys() - {"format_version", "seed", "layer_dims", "arrays"})
+    if unknown:
+        raise SchemaError(f"checkpoint {path}: unknown key {unknown[0]}")
 
-    def array(value, name):
+    def take(name):
+        value = arrays.pop(name)
         if value is None:  # np.array would read it as NaN
             raise SchemaError(f"checkpoint {path}: {name} is null")
         a = np.array(value, dtype=np.float64)
@@ -518,29 +500,19 @@ def load_checkpoint(path):
         return a
 
     try:
-        enc_doc = doc["encoder"]
-        clf_doc = doc["classifier"]
-        unknown = sorted(enc_doc.keys() - {"layer_dims", "weights", "biases", "norms"}
-                         if isinstance(enc_doc, dict) else ())
-        if unknown:
-            raise SchemaError(f"checkpoint {path}: unknown field encoder.{unknown[0]}")
-        norms = []
-        for i, entry in enumerate(enc_doc["norms"]):
-            if entry is None:
-                norms.append(None)
-            else:
-                stats = {k: array(entry[k], f"encoder.norms[{i}].{k}")
-                         for k in ("gamma", "beta", "running_mean", "running_var")}
-                norms.append(NormLayerState(**stats))
-        encoder = MlpEncoder(
-            enc_doc["layer_dims"],
-            [array(w, f"encoder.weights[{i}]") for i, w in enumerate(enc_doc["weights"])],
-            [array(b, f"encoder.biases[{i}]") for i, b in enumerate(enc_doc["biases"])],
-            norms,
-        )
-        classifier = LinearClassifier(array(clf_doc["omega"], "classifier.omega"),
-                                      array(clf_doc["bias"], "classifier.bias"))
-    except (KeyError, TypeError, ValueError, DimensionError) as e:
+        arrays, dims = doc["arrays"], doc["layer_dims"]
+        if not isinstance(arrays, dict):
+            raise TypeError(f"arrays is a {type(arrays).__name__}, not an object")
+        layers = range(len(dims) - 1)
+        weights = [take(f"enc.{i}.w") for i in layers]
+        biases = [take(f"enc.{i}.b") for i in layers]
+        norms = [NormLayerState(**{k: take(f"enc.{i}.{k}") for k in
+                                   ("gamma", "beta", "running_mean", "running_var")})
+                 if f"enc.{i}.gamma" in arrays else None for i in layers[:-1]]
+        encoder = MlpEncoder(dims, weights, biases, norms)
+        classifier = LinearClassifier(take("clf.w"), take("clf.b"))
+    except (KeyError, TypeError, ValueError, ConfigError, DimensionError) as e:
         raise SchemaError(f"checkpoint {path}: missing or malformed field ({e})") from e
-    meta = {"seed": doc.get("seed"), "format_version": version}
-    return encoder, classifier, meta
+    if arrays:
+        raise SchemaError(f"checkpoint {path}: unknown array {sorted(arrays)[0]}")
+    return encoder, classifier, {"seed": doc.get("seed"), "format_version": version}

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import split_holdout
 from .errors import ConfigError, DataError, DimensionError, NumericalFailure
-from .model import classification_accuracy, pack, step_context
+from .model import classification_accuracy, model_state, pack, step_context
 from .numeric import (_CHECKED, _TINY, Array, _finite, cached_operand, check_settings,
                       non_finite, operand, softmax_rows)
 
@@ -226,7 +226,7 @@ def train_source_erm(encoder, classifier, sources, cfg: TrainConfig) -> TrainRep
     rng = np.random.default_rng(cfg.seed)
 
     def state():
-        return [a for _, a in encoder.state_arrays() + classifier.parameters()]
+        return [a for _, a in model_state(encoder, classifier)]
 
     best_acc = classification_accuracy(encoder, classifier, x_val, y_val)
     best = [a.copy() for a in state()]

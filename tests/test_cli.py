@@ -301,7 +301,7 @@ def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
     doc = json.loads(_read(ckpt))
-    doc["encoder"]["weights"][1][0][0] = float("nan")
+    doc["arrays"]["enc.1.w"][0][0] = float("nan")
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
@@ -310,13 +310,13 @@ def test_adapt_rejects_a_non_finite_checkpoint(tmp_path, capsys):
         os.path.join(data, "target.csv"), "--out", run,
     ])
     assert rc == 1
-    assert "encoder.weights[1] contains NaN or Inf" in capsys.readouterr().err
+    assert "enc.1.w contains NaN or Inf" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field, value", [
     ("layer_dims", "abc"),
-    ("weights", [[[1.0, 2.0], [3.0]]]),
-    ("weights", ["x"]),
+    ("enc.0.w", [[1.0, 2.0], [3.0]]),
+    ("enc.0.w", ["x"]),
     ("layer_dims", [16, 7, 5]),
 ], ids=["dims-string", "ragged-weights", "weights-string", "dims-not-the-weights"])
 @pytest.mark.parametrize("command", ["adapt", "diagnose"])
@@ -324,7 +324,7 @@ def test_adapt_names_a_malformed_checkpoint_field(tmp_path, capsys, field, value
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data)
     doc = json.loads(_read(ckpt))
-    doc["encoder"][field] = value
+    (doc if field == "layer_dims" else doc["arrays"])[field] = value
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
@@ -642,14 +642,15 @@ def test_adapt_with_a_top_k_past_the_stream_runs_like_one_equal_to_it(
 def test_adapt_refuses_bad_norm_settings_for_both_encoder_kinds(
         tmp_path, capsys, extra, field, value):
     # every norm runs with NORM_EPS and NORM_MOMENTUM, so a checkpoint that
-    # sets either one, to any value, is refused rather than run without it
+    # sets either one for a layer, to any value, is refused rather than run
+    # without it
     data = _gen(tmp_path)
     run, ckpt = _train(tmp_path, data, extra=extra)
     doc = json.loads(_read(ckpt))
-    doc["encoder"][field] = value
+    doc["arrays"][f"enc.0.{field}"] = value
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
-    with pytest.raises(SchemaError, match=f"unknown field encoder.{field}$"):
+    with pytest.raises(SchemaError, match=rf"unknown array enc\.0\.{field}$"):
         load_checkpoint(ckpt)
     capsys.readouterr()
     rc = main([
@@ -657,7 +658,7 @@ def test_adapt_refuses_bad_norm_settings_for_both_encoder_kinds(
         os.path.join(data, "target.csv"), "--out", run,
     ])
     assert rc == 1
-    assert capsys.readouterr().err == f"error: checkpoint {ckpt}: unknown field encoder.{field}\n"
+    assert capsys.readouterr().err == f"error: checkpoint {ckpt}: unknown array enc.0.{field}\n"
     assert not [f for f in os.listdir(run) if f.startswith("run_")]
 
 
@@ -668,7 +669,7 @@ def test_adapt_refuses_a_version_1_checkpoint_for_both_encoder_kinds(tmp_path, c
     run, ckpt = _train(tmp_path, data, extra=extra)
     doc = json.loads(_read(ckpt))
     doc["format_version"] = 1
-    doc["encoder"].update(eps=1e-5, momentum=0.1)
+    doc.update(eps=1e-5, momentum=0.1)
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()
@@ -800,7 +801,8 @@ def test_diagnose_reports_a_subset_whose_every_pair_is_degenerate(tmp_path, caps
     data = _gen(tmp_path)
     _, ckpt = _train(tmp_path, data, extra=("--use-norm", "--epochs", "0"))
     doc = json.loads(_read(ckpt))
-    doc["encoder"]["weights"][-1] = np.zeros_like(doc["encoder"]["weights"][-1]).tolist()
+    last = f"enc.{len(doc['layer_dims']) - 2}.w"
+    doc["arrays"][last] = np.zeros_like(doc["arrays"][last]).tolist()
     with open(ckpt, "w") as fh:
         json.dump(doc, fh)
     capsys.readouterr()

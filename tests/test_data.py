@@ -513,6 +513,31 @@ def test_a_negative_label_is_a_data_error_naming_its_line(tmp_path, label):
             load_csv_domains(path, num_classes=num_classes)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_a_non_finite_feature_is_a_data_error_naming_its_line(tmp_path, value):
+    # the file and line, not the domain the rows would have been read into
+    path = tmp_path / "target.csv"
+    path.write_text(f"f0,f1,label,domain\n1.0,2.0,0,a\n\n{value},1.0,1,a\n3.0,{value},1,a\n")
+    for num_classes in (None, 4):
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}: line 4: non-finite feature value$"):
+            load_csv_domains(path, num_classes=num_classes)
+
+
+def test_a_sidecar_with_a_non_finite_feature_is_refused_naming_its_line(tmp_path):
+    ds = DomainDataset(np.ones((3, 2)), [0, 1, 0], 2, "a")
+    ds.features[1, 0] = np.nan  # a dataset refuses non-finite rows, so plant after
+    path = tmp_path / "planted.csv"
+    write_csv(ds, path)
+    assert data._stored_rows(path) is not None  # the read takes the sidecar
+    for sidecar in (True, False):
+        if not sidecar:
+            os.remove(f"{path}.npy")
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}: line 3: non-finite feature value$"):
+            load_csv(path)
+
+
 def test_a_file_without_its_top_class_needs_num_classes(tmp_path):
     zeros = DomainDataset(np.ones((3, 2)), [0, 0, 0], 2, "a")
     path = tmp_path / "zeros.csv"

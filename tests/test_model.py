@@ -450,10 +450,12 @@ def test_norm_layers_run_with_the_package_eps_and_momentum(tmp_path):
                        enc.weights[1], enc.biases[1])
     npt.assert_allclose(enc.encode(x), z, rtol=1e-12)
     path = tmp_path / "model.json"
-    save_checkpoint(path, enc, LinearClassifier.create(4, 3, seed=1))
+    clf = LinearClassifier.create(4, 3, seed=1)
+    save_checkpoint(path, enc, clf)
     doc = json.loads(path.read_text())
-    assert doc["format_version"] == 2
-    assert not {"eps", "momentum"} & set(doc["encoder"])
+    assert doc["format_version"] == 3
+    assert sorted(doc) == ["arrays", "format_version", "layer_dims", "seed"]
+    assert sorted(doc["arrays"]) == sorted(n for n, _ in enc.state_arrays() + clf.parameters())
 
 
 @pytest.mark.parametrize("setting", [dict(eps=1e-5, momentum=0.1), dict(eps=1e-3, momentum=0.5)],
@@ -466,24 +468,52 @@ def test_a_version_1_checkpoint_is_refused(setting, tmp_path):
                     LinearClassifier.create(2, 2))
     doc = json.loads(path.read_text())
     doc["format_version"] = 1
-    doc["encoder"].update(setting)
+    doc.update(setting)
     path.write_text(json.dumps(doc))
     with pytest.raises(SchemaError, match=r"^checkpoint .*: format_version 1 not supported$"):
         load_checkpoint(path)
 
 
 @pytest.mark.parametrize("eps, written", [(np.inf, "Infinity"), (np.nan, "NaN")])
-def test_a_checkpoint_with_a_non_finite_eps_is_refused_at_load(eps, written, tmp_path):
-    # a version 2 file has no eps; one added by hand is refused by name, not
-    # dropped for NORM_EPS
+@pytest.mark.parametrize("where", ["key", "array"])
+def test_a_checkpoint_with_a_non_finite_eps_is_refused_at_load(where, eps, written, tmp_path):
+    # a version 3 file has no eps; one added by hand, as a top-level key or
+    # as a layer's array, is refused by name, not dropped for NORM_EPS
     path = tmp_path / "model.json"
     save_checkpoint(path, MlpEncoder.create([4, 3, 2], use_norm=True),
                     LinearClassifier.create(2, 2))
     doc = json.loads(path.read_text())
-    doc["encoder"]["eps"] = eps
+    name = "eps" if where == "key" else "enc.0.eps"
+    (doc if where == "key" else doc["arrays"])[name] = eps
     path.write_text(json.dumps(doc))
-    assert f'"eps": {written}' in path.read_text()
-    with pytest.raises(SchemaError, match=r"^checkpoint .*: unknown field encoder\.eps$"):
+    assert f'"{name}": {written}' in path.read_text()
+    with pytest.raises(SchemaError, match=rf"^checkpoint .*: unknown {where} {re.escape(name)}$"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda doc: doc["arrays"].pop("enc.1.w"), r"missing or malformed field \('enc\.1\.w'\)"),
+    (lambda doc: doc["arrays"].pop("clf.b"), r"missing or malformed field \('clf\.b'\)"),
+    (lambda doc: doc["arrays"].pop("enc.0.beta"), r"missing or malformed field \('enc\.0\.beta'\)"),
+    # without its gamma a layer has no norm, so its other arrays are unknown
+    (lambda doc: doc["arrays"].pop("enc.0.gamma"), r"unknown array enc\.0\.beta"),
+    (lambda doc: doc["arrays"].update({"enc.2.w": [[1.0]]}), r"unknown array enc\.2\.w"),
+    (lambda doc: doc.pop("layer_dims"), r"missing or malformed field \('layer_dims'\)"),
+    (lambda doc: doc.update(arrays=[]), r"missing or malformed field \(arrays is a list"),
+    # refused by the model's own constructors, still named as the checkpoint's
+    (lambda doc: doc.update(layer_dims=[4]), r"missing or malformed field \(layer_dims needs"),
+    (lambda doc: doc["arrays"]["enc.0.running_var"].__setitem__(0, -1.0),
+     r"missing or malformed field \(running_var must be nonnegative\)"),
+], ids=["weight", "classifier-bias", "beta", "gamma", "extra-layer", "layer-dims", "arrays-list",
+        "one-layer-dim", "negative-running-var"])
+def test_a_checkpoint_missing_or_adding_an_array_is_refused_naming_it(edit, error, tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, MlpEncoder.create([4, 3, 2], use_norm=True),
+                    LinearClassifier.create(2, 2))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"^checkpoint .*: {error}"):
         load_checkpoint(path)
 
 
@@ -525,8 +555,12 @@ def test_classification_accuracy_refuses_labels_that_are_not_one_per_row(labels)
         classification_accuracy(enc, clf, np.ones((5, 3)), labels)
 
 
-def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    enc = MlpEncoder.create([6, 5, 4], use_norm=True, seed=18)
+@pytest.mark.parametrize("norms", [None, "all", "upper"], ids=["linear", "norm", "norm-upper"])
+def test_checkpoint_round_trip_is_bit_exact(norms, tmp_path):
+    # a load finds each layer's norm from the array names
+    enc = MlpEncoder.create([6, 5, 5, 4], use_norm=norms is not None, seed=18)
+    if norms == "upper":
+        enc = _upper_norm_only(enc)
     clf = LinearClassifier.create(4, 3, seed=19)
     # make running stats nontrivial before saving
     enc.encode(np.random.default_rng(18).standard_normal((16, 6)), mode="train")
@@ -535,6 +569,7 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     save_checkpoint(path, enc, clf, seed=18)
     enc2, clf2, meta = load_checkpoint(path)
     assert meta["seed"] == 18
+    assert [n is None for n in enc2.norms] == [n is None for n in enc.norms]
     assert model_fingerprint(enc, clf) == model_fingerprint(enc2, clf2)
     # save -> load -> save is byte-stable
     path2 = tmp_path / "again.json"
@@ -542,16 +577,17 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_checkpoint_rejects_bad_schema(tmp_path):
+@pytest.mark.parametrize("version", [1, 2, 99])
+def test_checkpoint_rejects_bad_schema(version, tmp_path):
     enc = MlpEncoder.create([4, 3], seed=20)
     clf = LinearClassifier.create(3, 2, seed=21)
     path = tmp_path / "model.json"
     save_checkpoint(path, enc, clf)
-    blob = path.read_text().replace('"format_version": 2', '"format_version": 99')
-    bad = tmp_path / "bad.json"
-    bad.write_text(blob)
-    with pytest.raises(SchemaError):
-        load_checkpoint(bad)
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=rf"^checkpoint .*: format_version {version} not supported$"):
+        load_checkpoint(path)
 
 
 def test_logits_reject_a_non_finite_output():
@@ -571,17 +607,17 @@ def test_checkpoint_rejects_non_finite_arrays_naming_the_field(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(path, enc, clf)
     doc = json.loads(path.read_text())
-    doc["encoder"]["weights"][1][0][0] = float("nan")
-    doc["classifier"]["bias"][0] = float("inf")
+    doc["arrays"]["enc.1.w"][0][0] = float("nan")
+    doc["arrays"]["clf.b"][0] = float("inf")
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=r"encoder\.weights\[1\] contains NaN or Inf"):
+    with pytest.raises(SchemaError, match=r"enc\.1\.w contains NaN or Inf"):
         load_checkpoint(path)
-    doc["encoder"]["weights"][1][0][0] = 0.0
+    doc["arrays"]["enc.1.w"][0][0] = 0.0
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=r"classifier\.bias contains NaN or Inf"):
+    with pytest.raises(SchemaError, match=r"clf\.b contains NaN or Inf"):
         load_checkpoint(path)
     # every classifier has a bias; numpy would read null as NaN
-    doc["classifier"]["bias"] = None
+    doc["arrays"]["clf.b"] = None
     path.write_text(json.dumps(doc))
-    with pytest.raises(SchemaError, match=r"^checkpoint .*: classifier\.bias is null$"):
+    with pytest.raises(SchemaError, match=r"^checkpoint .*: clf\.b is null$"):
         load_checkpoint(path)

@@ -28,7 +28,8 @@ layers, whose records hold the norm-parameter kernels too.
 
 Equal fourth lines mean equal bytes of the README workflow (gen-data,
 train-source, adapt, ablate) run through the CLI in a temporary directory:
-the bytes of `checkpoint.json` and the `canonical_record_bytes` of the
+the bytes of its `checkpoint.json` and of the `--use-norm` one's, so that
+norm arrays are serialised too, and the `canonical_record_bytes` of the
 adapt and ablate records. The third and fourth lines also move with a
 deliberate change to the checkpoint or record format, which the first two
 do not see.
@@ -156,8 +157,10 @@ def _workflow_lines():
             for argv in _WORKFLOW:
                 if cli.main(argv) != 0:
                     sys.exit(f"digest: marginadapt {argv[0]} failed")
-            with open("run/checkpoint.json", "rb") as fh:
-                lines = [("checkpoint", hashlib.sha256(fh.read()).hexdigest())]
+            lines = []
+            for path in ("run/checkpoint.json", "norm/checkpoint.json"):
+                with open(path, "rb") as fh:
+                    lines.append(("checkpoint", path, hashlib.sha256(fh.read()).hexdigest()))
             return lines + _records("run"), _records("diag")
         finally:
             os.chdir(cwd)
